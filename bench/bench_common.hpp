@@ -24,11 +24,6 @@
 //   --no-store       disable the point store (recompute everything)
 //   --csv-dir DIR    directory for CSV dumps (default bench_csv)
 //   --no-csv         disable CSV output
-//   --dispatch MODE  CPU execution engine: "threaded" (decode-once
-//                    micro-op interpreter, default) or "legacy"
-//                    (reference fetch/decode/execute loop). Results are
-//                    bit-identical either way; the flag exists for A/B
-//                    perf measurement and semantic cross-checks.
 //   --fault-sampling MODE  noise-draw sampling path for models B/B+/C:
 //                    "batched" (block-prefetched draws, bit-identical to
 //                    scalar, default), "scalar" (per-op reference path),
@@ -86,7 +81,7 @@ inline std::vector<std::string> known_flags(std::vector<std::string> extra) {
                                       "no-store", "csv-dir", "no-csv",
                                       "watchdog-factor", "sampling",
                                       "ci-target", "max-trials", "batch",
-                                      "dispatch", "fault-sampling",
+                                      "fault-sampling",
                                       "forensics", "forensics-trials",
                                       "trace", "trace-mode", "quiet"};
     known.insert(known.end(), std::make_move_iterator(extra.begin()),
@@ -101,7 +96,6 @@ struct Context {
     std::uint64_t seed = 1;
     std::size_t threads = 0;
     double watchdog_factor = 8.0;
-    CpuDispatch dispatch = CpuDispatch::Threaded;
     sampling::SamplingPolicy sampling;
     std::string csv_dir;
     std::string store_path;
@@ -127,7 +121,6 @@ struct Context {
         seed = checked_uint("seed", 1);
         threads = cli.get_threads();
         watchdog_factor = checked_positive_double("watchdog-factor", 8.0);
-        dispatch = parse_dispatch_flag();
         core_config.fault_sampling = parse_fault_sampling_flag();
         sampling = parse_sampling_policy();
         core_config.dta.cycles =
@@ -186,7 +179,6 @@ struct Context {
         config.seed = seed;
         config.watchdog_factor = watchdog_factor;
         config.threads = threads;  // parallel MC; output is bit-identical
-        config.dispatch = dispatch;
         config.fault_sampling = core_config.fault_sampling;
         return config;
     }
@@ -206,7 +198,6 @@ struct Context {
         options.store_path = store_path;
         options.csv_dir = csv_dir;
         options.threads = threads;
-        options.dispatch = dispatch;
         options.console = &std::cout;
         options.ledger = ledger.get();
         options.progress = !quiet;
@@ -251,17 +242,6 @@ struct Context {
     }
 
 private:
-    CpuDispatch parse_dispatch_flag() const {
-        const std::string mode = cli.get("dispatch", "threaded");
-        const auto parsed = parse_cpu_dispatch(mode);
-        if (!parsed) {
-            std::cerr << "error: --dispatch must be one of legacy, threaded"
-                         " (got \"" << mode << "\")\n";
-            std::exit(2);
-        }
-        return *parsed;
-    }
-
     FaultSamplingMode parse_fault_sampling_flag() const {
         const std::string mode = cli.get("fault-sampling", "batched");
         const auto parsed = parse_fault_sampling_mode(mode);

@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
     report.seed = ctx.seed;
     report.dta_cycles = ctx.core_config.dta.cycles;
     report.trials = ctx.trials;
-    report.dispatch = cpu_dispatch_name(ctx.dispatch);
     perf::Stopwatch total_watch;
 
     // Characterization (DTA phases land in the profile on a cache miss).
@@ -290,7 +289,6 @@ int main(int argc, char** argv) {
         ctx.apply_to(spec);
         campaign::RunOptions options;
         options.threads = ctx.threads;
-        options.dispatch = ctx.dispatch;
         // Campaign counters land in the report's v4 "metrics" block (and
         // in the --trace ledger when one is attached).
         options.metrics = &report.metrics;

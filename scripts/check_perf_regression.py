@@ -6,24 +6,20 @@ checked-in scripts/perf_baseline.json and fails on:
 
   1. schema drift (the report's schema/schema_version must match what the
      baseline was recorded against);
-  2. dispatch drift: when the baseline names a "report_dispatch", the
-     report must have been benched under that ISS execution engine —
-     numbers from `sfi_perf --dispatch legacy` must never be compared
-     against a baseline recorded for the threaded interpreter;
-  3. throughput regression: for every kernel label in the baseline, the
+  2. throughput regression: for every kernel label in the baseline, the
      current serial (1-thread) trials/sec must be at least
      min_ratio * baseline — the ratio absorbs runner-to-runner noise
      while still catching the multi-x slowdowns the gate exists for;
-  4. absolute floors: kernels listed under "min_abs" must additionally
-     clear a hard trials/sec floor. These pin the threaded-dispatch
-     speedup itself: a change that silently reverts the clean-sim path
-     to legacy-era throughput passes the ratio check on a fast runner
-     but cannot pass a floor set ~3x above the legacy engine's rate
+  3. absolute floors: kernels listed under "min_abs" must additionally
+     clear a hard trials/sec floor. These pin the threaded interpreter's
+     speedup itself: a change that silently slows the clean-sim path
+     back to the old per-step engine's throughput passes the ratio check
+     on a fast runner but cannot pass a floor set ~3x above that rate
      (regenerate alongside the baseline when the runner class changes);
-  5. fast-path erosion: the within-run zero-fault fast-path speedup
+  4. fast-path erosion: the within-run zero-fault fast-path speedup
      (machine-independent, unlike absolute trials/sec) must stay above
      min_fastpath_speedup;
-  6. fault-sampling erosion: when the baseline carries a "fault_sampling"
+  5. fault-sampling erosion: when the baseline carries a "fault_sampling"
      object, the report's batched corrupt() throughput must clear
      min_batched_ops_per_sec and the within-run batched/scalar ratio
      must stay above min_batched_speedup (the batched path must never
@@ -74,13 +70,6 @@ def main():
             f"vs baseline expectation {baseline.get('report_schema_version')}"
             " (regenerate the baseline alongside schema bumps)")
 
-    want_dispatch = baseline.get("report_dispatch")
-    have_dispatch = report.get("config", {}).get("dispatch")
-    if want_dispatch is not None and have_dispatch != want_dispatch:
-        failures.append(
-            f"dispatch mismatch: report benched {have_dispatch!r} but the "
-            f"baseline was recorded for {want_dispatch!r}")
-
     min_ratio = baseline["min_ratio"]
     min_abs = baseline.get("min_abs", {})
     kernels = {k["label"]: k for k in report.get("kernels", [])}
@@ -103,7 +92,7 @@ def main():
         elif floor is not None and tps < floor:
             failures.append(
                 f"{line}  < absolute floor {floor} trials/s "
-                "(threaded-dispatch speedup regression)")
+                "(ISS speedup regression)")
         else:
             notes.append(line)
     for label in sorted(kernels):

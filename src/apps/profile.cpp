@@ -32,16 +32,16 @@ KernelProfile profile_kernel(const Benchmark& benchmark) {
     KernelProfile profile;
     bool have_last_branch = false;
     std::uint32_t branch_pc = 0;
-    cpu.set_trace([&](std::uint32_t pc, const Instr& instr, const std::string&) {
+    cpu.set_trace([&](std::uint32_t pc, Op op, bool fi_active) {
         // Taken-branch detection: the previous instruction was a branch
         // and we did not fall through to pc+4.
-        if (have_last_branch && cpu.fi_active() && pc != branch_pc + 4)
+        if (have_last_branch && fi_active && pc != branch_pc + 4)
             ++profile.taken_branches;
         have_last_branch = false;
-        if (!cpu.fi_active()) return;
-        const OpInfo& info = op_info(instr.op);
+        if (!fi_active) return;
+        const OpInfo& info = op_info(op);
         ++profile.instructions;
-        ++profile.per_op[static_cast<std::size_t>(instr.op)];
+        ++profile.per_op[static_cast<std::size_t>(op)];
         ++profile.per_class[static_cast<std::size_t>(info.ex_class)];
         if (info.ex_class != ExClass::None) ++profile.alu_ops;
         if (info.is_branch) {

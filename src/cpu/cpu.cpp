@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "isa/encoding.hpp"
-
 namespace sfi {
 
 const char* stop_reason_name(StopReason reason) {
@@ -49,7 +47,7 @@ void Cpu::reset(const Program& program) {
     // program thousands of times: restore the checkpointed post-load
     // memory image (O(bytes written last run)) instead of clear+load, and
     // reuse the cached program hash instead of re-hashing the image for
-    // the threaded stream's coherence check.
+    // the micro-op stream's coherence check.
     const std::uint64_t sig = reset_identity_sig(program);
     const bool same_program =
         reset_program_ == &program && reset_program_sig_ == sig;
@@ -68,258 +66,15 @@ void Cpu::reset(const Program& program) {
     cycles_ = instructions_ = kernel_cycles_ = kernel_instructions_ = 0;
     fi_active_ = false;
     fi_windows_ = 0;
-    pending_stop_.reset();
     exit_code_ = 0;
     fault_addr_ = 0;
-    last_was_load_ = false;
-    last_load_dest_ = 0;
-    // Invalidate by generation bump: O(1) per reset instead of re-zeroing
-    // one DecodeEntry per memory word (a multi-MB fill that used to
-    // dominate short Monte-Carlo trials). Entries are lazily re-decoded on
-    // first fetch because their stamp no longer matches.
-    if (decode_cache_.size() != mem_.size() / 4) {
-        decode_cache_.assign(mem_.size() / 4, DecodeEntry{});
-        decode_gen_ = 0;
-    }
-    if (++decode_gen_ == 0) {
-        // Stamp rollover: 0 must stay the permanent "invalid" stamp, so
-        // wipe every entry back to it and restart at 1 (unreachable in
-        // real runs; tests/cpu/test_decode_cache.cpp fast-forwards here).
-        for (DecodeEntry& entry : decode_cache_) entry.gen = 0;
-        decode_gen_ = 1;
-    }
-    // Nothing is decoded at the fresh generation yet.
-    decode_live_lo_ = ~std::uint32_t{0};
-    decode_live_hi_ = 0;
-    if (interp_) sync_interp_on_reset(program, reset_program_hash_);
+    pending_load_slot_ = -1;
+    sync_interp_on_reset(program, reset_program_hash_);
 }
 
 void Cpu::set_reg(std::uint8_t index, std::uint32_t value) {
     assert(index < 32);
     if (index != 0) regs_[index] = value;  // r0 is hardwired to zero
-}
-
-const Instr* Cpu::fetch_decoded(std::uint32_t pc, bool& illegal) {
-    illegal = false;
-    if (pc % 4 != 0 || pc + 4 > mem_.size()) return nullptr;
-    const std::uint32_t word = pc / 4;
-    DecodeEntry& entry = decode_cache_[word];
-    if (entry.gen != decode_gen_) {
-        const auto decoded = decode(mem_.read_u32(pc));
-        entry.gen = decode_gen_;
-        if (word < decode_live_lo_) decode_live_lo_ = word;
-        if (word > decode_live_hi_) decode_live_hi_ = word;
-        entry.illegal = !decoded.has_value();
-        if (decoded) entry.instr = *decoded;
-    }
-    if (entry.illegal) {
-        illegal = true;
-        return nullptr;
-    }
-    return &entry.instr;
-}
-
-void Cpu::spend_cycles(std::uint64_t n) {
-    cycles_ += n;
-    if (fi_active_) kernel_cycles_ += n;
-    // Batched handover: the default on_cycles loops on_cycle n times, so
-    // hooks that don't override it observe the exact legacy sequence.
-    if (hook_) hook_->on_cycles(n, fi_active_);
-}
-
-std::uint32_t Cpu::exec_alu(const Instr& instr, std::uint32_t a, std::uint32_t b) {
-    const ExClass cls = op_info(instr.op).ex_class;
-    const std::uint32_t correct = alu_result(cls, a, b);
-    std::uint32_t result = correct;
-    if (hook_ && fi_active_) {
-        ExEvent ev;
-        ev.op = instr.op;
-        ev.cls = cls;
-        ev.operand_a = a;
-        ev.operand_b = b;
-        ev.prev_result = prev_ex_result_;
-        ev.cycle = cycles_;
-        ev.pc = pc_;
-        ev.window = static_cast<std::uint32_t>(fi_windows_);
-        result = hook_->on_ex_result(ev, correct);
-    }
-    prev_ex_result_ = result;
-    return result;
-}
-
-std::optional<StopReason> Cpu::step() {
-    bool illegal = false;
-    const Instr* instr_ptr = fetch_decoded(pc_, illegal);
-    if (!instr_ptr) {
-        fault_addr_ = pc_;
-        return illegal ? StopReason::IllegalInstr : StopReason::FetchFault;
-    }
-    const Instr instr = *instr_ptr;  // copy: stores may invalidate the cache
-    const OpInfo& info = op_info(instr.op);
-
-    if (trace_) trace_(pc_, instr, disassemble(instr));
-
-    // Load-use hazard: one bubble when the previous instruction was a load
-    // and this one consumes its destination (r0 never creates a hazard).
-    std::uint64_t bubbles = 0;
-    if (last_was_load_ && last_load_dest_ != 0) {
-        const bool uses = (info.reads_ra && instr.ra == last_load_dest_) ||
-                          (info.reads_rb && instr.rb == last_load_dest_);
-        if (uses) bubbles += timing_.load_use_stall;
-    }
-    last_was_load_ = false;
-
-    // Kernel-window toggling happens before the cycle is spent so the
-    // marker's own cycle is attributed consistently (begin: inside).
-    if (instr.op == Op::NOP && instr.imm == kNopKernelBegin) {
-        if (!fi_active_) ++fi_windows_;
-        fi_active_ = true;
-    }
-
-    spend_cycles(bubbles + 1);
-
-    std::uint32_t next_pc = pc_ + 4;
-    bool taken = false;
-
-    switch (instr.op) {
-        case Op::NOP:
-            switch (static_cast<std::uint16_t>(instr.imm)) {
-                case kNopExit:
-                    exit_code_ = regs_[3];
-                    ++instructions_;
-                    if (fi_active_) ++kernel_instructions_;
-                    return StopReason::Halted;
-                case kNopKernelEnd:
-                    fi_active_ = false;
-                    break;
-                default:
-                    break;  // plain nop / report / begin (handled above)
-            }
-            break;
-        case Op::MOVHI:
-            set_reg(instr.rd, static_cast<std::uint32_t>(instr.imm) << 16);
-            break;
-        case Op::J:
-            if (instr.imm == 0) return StopReason::SelfLoop;
-            next_pc = pc_ + static_cast<std::uint32_t>(instr.imm) * 4;
-            taken = true;
-            break;
-        case Op::JAL:
-            set_reg(9, pc_ + 4);
-            next_pc = pc_ + static_cast<std::uint32_t>(instr.imm) * 4;
-            taken = true;
-            break;
-        case Op::JR:
-            next_pc = regs_[instr.rb];
-            if (next_pc == pc_) return StopReason::SelfLoop;
-            taken = true;
-            break;
-        case Op::JALR:
-            set_reg(9, pc_ + 4);
-            next_pc = regs_[instr.rb];
-            if (next_pc == pc_) return StopReason::SelfLoop;
-            taken = true;
-            break;
-        case Op::BF:
-        case Op::BNF: {
-            const bool cond = (instr.op == Op::BF) ? flag_ : !flag_;
-            if (cond) {
-                if (instr.imm == 0) return StopReason::SelfLoop;
-                next_pc = pc_ + static_cast<std::uint32_t>(instr.imm) * 4;
-                taken = true;
-            }
-            break;
-        }
-        case Op::LWZ:
-        case Op::LBZ:
-        case Op::LHZ: {
-            const std::uint32_t addr =
-                regs_[instr.ra] + static_cast<std::uint32_t>(instr.imm);
-            try {
-                std::uint32_t value = 0;
-                if (instr.op == Op::LWZ) value = mem_.read_u32(addr);
-                else if (instr.op == Op::LHZ) value = mem_.read_u16(addr);
-                else value = mem_.read_u8(addr);
-                set_reg(instr.rd, value);
-            } catch (const MemFault& fault) {
-                fault_addr_ = fault.addr;
-                return StopReason::MemFault;
-            }
-            last_was_load_ = true;
-            last_load_dest_ = instr.rd;
-            break;
-        }
-        case Op::SW:
-        case Op::SB:
-        case Op::SH: {
-            const std::uint32_t addr =
-                regs_[instr.ra] + static_cast<std::uint32_t>(instr.imm);
-            try {
-                if (instr.op == Op::SW)
-                    mem_.write_u32(addr, regs_[instr.rb]);
-                else if (instr.op == Op::SH)
-                    mem_.write_u16(addr, static_cast<std::uint16_t>(regs_[instr.rb]));
-                else
-                    mem_.write_u8(addr, static_cast<std::uint8_t>(regs_[instr.rb]));
-                invalidate_decode(addr);
-            } catch (const MemFault& fault) {
-                fault_addr_ = fault.addr;
-                return StopReason::MemFault;
-            }
-            break;
-        }
-        default: {
-            // ALU-class instruction (register or immediate form).
-            assert(info.ex_class != ExClass::None);
-            const std::uint32_t a = regs_[instr.ra];
-            const std::uint32_t b = info.has_imm
-                                        ? static_cast<std::uint32_t>(instr.imm)
-                                        : regs_[instr.rb];
-            const std::uint32_t result = exec_alu(instr, a, b);
-            if (info.sets_flag) {
-                // Flag logic consumes the latched (possibly corrupted)
-                // difference, exactly like the hardware downstream of the
-                // 32 ALU endpoints.
-                flag_ = compare_flag_from_diff(instr.op, a, b, result);
-            } else {
-                set_reg(instr.rd, result);
-            }
-            break;
-        }
-    }
-
-    ++instructions_;
-    if (fi_active_) ++kernel_instructions_;
-
-    if (taken) spend_cycles(timing_.taken_branch_flush);
-    pc_ = next_pc;
-    return std::nullopt;
-}
-
-RunResult Cpu::run(std::uint64_t max_cycles) {
-    // Tracing needs the per-step disassembly callback, which only the
-    // legacy loop provides; everything else observable is bit-identical
-    // between the two engines (see src/cpu/interp.hpp).
-    if (dispatch_ == CpuDispatch::Threaded && !trace_)
-        return run_threaded(max_cycles);
-    if (max_cycles == 0) max_cycles = 100'000'000ULL;
-    RunResult result;
-    std::optional<StopReason> stop;
-    while (!stop) {
-        if (cycles_ >= max_cycles) {
-            stop = StopReason::Watchdog;
-            break;
-        }
-        stop = step();
-    }
-    result.stop = *stop;
-    result.exit_code = exit_code_;
-    result.cycles = cycles_;
-    result.instructions = instructions_;
-    result.kernel_cycles = kernel_cycles_;
-    result.kernel_instructions = kernel_instructions_;
-    result.fault_addr = fault_addr_;
-    return result;
 }
 
 }  // namespace sfi

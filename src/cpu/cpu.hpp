@@ -2,11 +2,15 @@
 // a 32-bit OpenRISC-style 6-stage in-order pipeline (IF1/IF2/ID/EX/MEM/WB)
 // with single-cycle multiplication and single-cycle SRAMs (paper §2.1/2.2).
 //
-// Execution is functional (one instruction retired per step) with an exact
-// pipeline *timing* model layered on top: load-use hazards stall one
+// Execution is functional (one instruction retired at a time) with an
+// exact pipeline *timing* model layered on top: load-use hazards stall one
 // cycle, taken branches flush the three fetch/decode stages. This yields
 // the same per-cycle EX-stage occupancy as a stage-by-stage simulation —
 // which is all the fault-injection models observe — at interpreter speed.
+// The engine behind run() is the decode-once threaded interpreter of
+// cpu/interp.hpp; the test oracles in tests/testing/ (a decode-every-fetch
+// reference interpreter and a stage-by-stage pipeline model) pin its
+// semantics.
 //
 // Fault injection (paper §2.2): an ExFaultHook receives one callback per
 // simulated clock cycle plus one callback per ALU operation that computes
@@ -20,9 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "cpu/interp.hpp"
 #include "cpu/memory.hpp"
@@ -59,8 +60,8 @@ public:
     /// `n` times, which is what the default does. Hooks whose per-cycle
     /// behavior is a pure accumulation (FaultModel, the golden-run
     /// counter) override it with O(1) arithmetic so the ISS can hand over
-    /// a whole stall/flush group — or, in threaded dispatch, an entire
-    /// run's kernel window — in one virtual call.
+    /// a whole stall/flush group — or an entire run's kernel window — in
+    /// one virtual call.
     virtual void on_cycles(std::uint64_t n, bool fi_active) {
         for (std::uint64_t i = 0; i < n; ++i) on_cycle(fi_active);
     }
@@ -123,35 +124,24 @@ public:
     /// Installs / removes the fault-injection hook (may be null).
     void set_fault_hook(ExFaultHook* hook) { hook_ = hook; }
 
-    /// Selects the execution engine for run(): Legacy (per-step decode
-    /// cache, the reference semantics) or Threaded (decode-once micro-op
-    /// stream + kernel table, bit-identical and ~5x faster on clean
-    /// simulation — see src/cpu/interp.hpp for the equality contract).
-    /// Threaded runs fall back to the legacy loop while a trace callback
-    /// is installed; step() always executes the legacy path.
-    void set_dispatch(CpuDispatch dispatch) { dispatch_ = dispatch; }
-    CpuDispatch dispatch() const { return dispatch_; }
-
     /// Eagerly lowers every word of `program`'s sections into the
-    /// micro-op stream (threaded dispatch only; a no-op when the stream
-    /// already matches the program's content hash). Returns the number of
-    /// words lowered — the Phase::Decode item count. Safe to call before
-    /// reset(): the stream is not trusted until a reset synchronizes
-    /// memory with the program image.
+    /// micro-op stream (a no-op when the stream already matches the
+    /// program's content hash). Returns the number of words lowered — the
+    /// Phase::Decode item count. Safe to call before reset(): the stream
+    /// is not trusted until a reset synchronizes memory with the program
+    /// image.
     std::size_t prime_decode(const Program& program);
 
-    /// Attaches a perf profile (null detaches); threaded runs charge lazy
-    /// micro-op lowering to Phase::Decode. Dispatch-thread only — give
+    /// Attaches a perf profile (null detaches); runs charge lazy micro-op
+    /// lowering to Phase::Decode. Dispatch-thread only — give
     /// each worker Cpu its own profile (or none), never a shared one.
     void set_perf_profile(perf::PhaseProfile* profile) { profile_ = profile; }
 
     /// Runs until halt / fault / watchdog. `max_cycles` bounds total
-    /// simulated cycles (0 means the built-in default of 100M).
+    /// simulated cycles (0 means the built-in default of 100M). Throws
+    /// std::logic_error when a trace callback and a fault hook are both
+    /// installed (see set_trace).
     RunResult run(std::uint64_t max_cycles = 0);
-
-    /// Executes exactly one instruction (for tests and tracing);
-    /// returns the stop reason if the program terminated on this step.
-    std::optional<StopReason> step();
 
     // Architectural state access (tests, benchmark result extraction).
     std::uint32_t reg(std::uint8_t index) const { return regs_[index]; }
@@ -168,41 +158,27 @@ public:
     Memory& memory() { return mem_; }
     const Memory& memory() const { return mem_; }
 
-    /// Enables an instruction trace (disassembly + state) to the given
-    /// callback; pass nullptr to disable.
-    using TraceFn = std::function<void(std::uint32_t pc, const Instr&,
-                                       const std::string& disasm)>;
+    /// Instruction trace: `fn` is called once per dispatched instruction,
+    /// before it executes, with its pc, opcode and the FI-window flag at
+    /// that point (a kernel-begin marker still sees the window closed, a
+    /// kernel-end marker sees it open). Pass nullptr to disable. The trace
+    /// is an observer of fault-free runs: run() refuses to start while a
+    /// fault hook is also installed.
+    using TraceFn = std::function<void(std::uint32_t pc, Op op, bool fi_active)>;
     void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
-    // Generation-stamp debug hooks for the rollover tests
-    // (tests/cpu/test_decode_cache.cpp): both caches mark validity with a
-    // monotone stamp and must survive the stamp wrapping to 0, which no
-    // realistic run reaches — the tests fast-forward it here.
-    std::uint64_t debug_decode_generation() const { return decode_gen_; }
-    void debug_set_decode_generation(std::uint64_t gen) { decode_gen_ = gen; }
+    // Generation-stamp debug hooks for the rollover test
+    // (tests/cpu/test_decode_cache.cpp): the micro-op stream marks validity
+    // with a monotone stamp and must survive it wrapping to 0, which no
+    // realistic run reaches — the test fast-forwards it here.
     std::uint32_t debug_interp_generation() const;  // 0: no stream yet
     void debug_set_interp_generation(std::uint32_t gen);
 
 private:
-    struct DecodeEntry {
-        Instr instr;
-        /// Entry is valid iff gen == decode_gen_. reset() bumps the
-        /// generation instead of re-zeroing the multi-MB cache, so a trial
-        /// only pays decode for the words it actually fetches. 0 is the
-        /// permanent "invalid" stamp (decode_gen_ starts at 1).
-        std::uint64_t gen = 0;
-        bool illegal = false;
-    };
-
-    const Instr* fetch_decoded(std::uint32_t pc, bool& illegal);
-    void spend_cycles(std::uint64_t n);
-    std::uint32_t exec_alu(const Instr& instr, std::uint32_t a, std::uint32_t b);
-
-    // Threaded-dispatch engine (src/cpu/interp.cpp). The impl is a
-    // template over the hook policy (null / clean fault model / injecting
-    // fault model / generic hook) so the dispatch loop specializes away
-    // hook branches; all instantiations live in interp.cpp.
-    RunResult run_threaded(std::uint64_t max_cycles);
+    // The dispatch loop (src/cpu/interp.cpp) is a template over the hook
+    // policy (null / clean fault model / injecting fault model / generic
+    // hook / trace) so each loop specializes away hook branches; all
+    // instantiations live in interp.cpp.
     template <typename Policy>
     RunResult run_threaded_impl(std::uint64_t max_cycles, Policy policy);
     InterpState& ensure_interp();
@@ -213,9 +189,8 @@ private:
     PipelineTiming timing_;
     ExFaultHook* hook_ = nullptr;
     TraceFn trace_;
-    CpuDispatch dispatch_ = CpuDispatch::Legacy;
     perf::PhaseProfile* profile_ = nullptr;
-    std::unique_ptr<InterpState> interp_;  // lazily allocated (threaded only)
+    std::unique_ptr<InterpState> interp_;  // allocated on first reset/prime
 
     std::array<std::uint32_t, 32> regs_{};
     std::uint32_t pc_ = 0;
@@ -230,13 +205,13 @@ private:
     std::uint64_t fi_windows_ = 0;
 
     // Exit bookkeeping for the current run.
-    std::optional<StopReason> pending_stop_;
     std::uint32_t exit_code_ = 0;
     std::uint32_t fault_addr_ = 0;
 
-    // Load-use hazard tracking: destination of a load in the previous step.
-    std::uint8_t last_load_dest_ = 0;
-    bool last_was_load_ = false;
+    // Load-use hazard state carried across run() calls (a watchdog stop
+    // can split a load from its consumer): the interpreter register slot
+    // the last retired instruction loaded, or -1 when it was no load.
+    int pending_load_slot_ = -1;
 
     // reset() fast-path cache: the program of the previous reset, its
     // content hash (so the threaded stream's coherence check skips
@@ -253,39 +228,24 @@ private:
     std::uint64_t reset_program_hash_ = 0;
     std::uint64_t reset_program_sig_ = 0;
 
-    // Decode cache (one entry per word), invalidated by data stores and
-    // wholesale (generation bump) by reset().
-    std::vector<DecodeEntry> decode_cache_;
-    std::uint64_t decode_gen_ = 0;
-    // Inclusive word span holding entries stamped at decode_gen_ (empty
-    // when lo > hi). Lets the store path skip the cache when the target
-    // was never decoded this generation — see invalidate_decode().
-    std::uint32_t decode_live_lo_ = ~std::uint32_t{0};
-    std::uint32_t decode_live_hi_ = 0;
-
-    // Inline: sits on the store kernels' per-instruction path in both
-    // dispatch modes, where an out-of-line call per store is measurable.
+    // Inline: sits on the store kernels' per-instruction path, where an
+    // out-of-line call per store is measurable.
     void invalidate_decode(std::uint32_t addr) {
+        InterpState& state = *interp_;  // stores only run inside run()
         const std::uint32_t word = addr / 4;
-        // Only words decoded at the *current* generation can hold a trusted
-        // entry, and both caches track that live span. Data stores — the
-        // overwhelming majority — land outside it and skip the arrays
-        // entirely, instead of dirtying a random cache line of a multi-MB
-        // vector on every store. (An empty span has lo > hi, so the guarded
-        // indexing below is always in bounds.)
-        if (word >= decode_live_lo_ && word <= decode_live_hi_)
-            decode_cache_[word].gen = 0;
-        if (interp_) {
-            InterpState& state = *interp_;
-            if (word >= state.live_lo && word <= state.live_hi)
-                state.uops[word].gen = 0;
-            // Track the store for the threaded stream's coherence protocol:
-            // expected_write_gen mirrors the one write-generation tick this
-            // store produced, and store_seen arms the relower_risk check (a
-            // word lowered from post-store content must not survive reset).
-            state.store_seen = true;
-            ++state.expected_write_gen;
-        }
+        // Only words lowered at the *current* generation can hold a trusted
+        // micro-op. Data stores — the overwhelming majority — land outside
+        // that live span and skip the array entirely, instead of dirtying a
+        // random cache line of a multi-MB vector on every store. (An empty
+        // span has lo > hi, so the guarded indexing is always in bounds.)
+        if (word >= state.live_lo && word <= state.live_hi)
+            state.uops[word].gen = 0;
+        // Track the store for the stream's coherence protocol:
+        // expected_write_gen mirrors the one write-generation tick this
+        // store produced, and store_seen arms the relower_risk check (a
+        // word lowered from post-store content must not survive reset).
+        state.store_seen = true;
+        ++state.expected_write_gen;
     }
 };
 

@@ -1,25 +1,30 @@
 // Threaded-dispatch interpreter implementation (see interp.hpp for the
-// design and the bit-identity contract against the legacy Cpu::step path).
+// design and the bit-identity contract against the reference interpreter
+// in tests/testing/reference_cpu.hpp).
 //
-// The dispatch loop is a template over a hook policy so the four hook
-// situations compile to four specialized loops:
+// The dispatch loop is a template over a hook policy so the five hook
+// situations compile to five specialized loops:
 //
 //   NullHookPolicy    — no hook installed; pure architectural simulation.
 //   CleanModelPolicy  — FaultModel with can_inject() == false: every EX
 //                       result provably latches correctly, so per-op hook
 //                       calls collapse into two O(1) batch calls at exit.
 //   ModelPolicy       — injecting FaultModel: per-op on_ex_result (the
-//                       corruption/RNG stream must match legacy exactly),
-//                       cycle accounting batched at exit.
-//   GenericHookPolicy — unknown ExFaultHook: the legacy call sequence is
-//                       reproduced verbatim (on_cycles at every spend
+//                       corruption/RNG stream must match the reference
+//                       exactly), cycle accounting batched at exit.
+//   GenericHookPolicy — unknown ExFaultHook: the reference call sequence
+//                       is reproduced verbatim (on_cycles at every spend
 //                       site, on_ex_result per FI-active ALU op).
+//   TracePolicy       — Cpu::set_trace callback, no hook: every dispatch
+//                       goes through `top:`, which reports the pc, opcode
+//                       and FI-window flag before the kernel runs.
 
 #include "cpu/interp.hpp"
 
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "cpu/cpu.hpp"
 #include "fi/models.hpp"
@@ -30,7 +35,7 @@
 // Computed goto (a GNU extension, also supported by Clang) removes the
 // bounds check and the shared indirect-branch site a switch would emit.
 // The switch fallback is semantically identical and covered in CI by the
-// dispatch-equivalence job building with SFI_FORCE_SWITCH_DISPATCH.
+// engine-equivalence job building with SFI_FORCE_SWITCH_DISPATCH.
 #if defined(__GNUC__) && !defined(SFI_FORCE_SWITCH_DISPATCH)
 #define SFI_COMPUTED_GOTO 1
 #else
@@ -93,9 +98,9 @@ void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out) {
     out.target = pc + static_cast<std::uint32_t>(instr.imm) * 4;
     switch (instr.op) {
         case Op::NOP:
-            // The kernel-begin marker compares the full immediate (the
-            // legacy pre-switch check); exit and kernel-end compare the
-            // low 16 bits (the legacy dispatch switch).
+            // The kernel-begin marker compares the full immediate; exit
+            // and kernel-end compare the low 16 bits (the ISA's l.nop
+            // control codes, docs/ISA.md).
             if (instr.imm == kNopKernelBegin) {
                 out.kind = UopKind::NopKernelBegin;
                 break;
@@ -189,7 +194,6 @@ void Cpu::sync_interp_on_reset(const Program& program,
 }
 
 std::size_t Cpu::prime_decode(const Program& program) {
-    if (dispatch_ != CpuDispatch::Threaded) return 0;
     InterpState& state = ensure_interp();
     const std::uint64_t hash = hash_program(program);
     if (state.program_hash == hash && !state.relower_risk) return 0;
@@ -241,6 +245,7 @@ namespace {
 struct NullHookPolicy {
     static constexpr bool kWantsEx = false;
     static constexpr bool kNullSpend = true;
+    static constexpr bool kTrace = false;
     static void spend(std::uint64_t, bool) {}
     static void clean_alu() {}
     static void window_begin() {}
@@ -252,7 +257,7 @@ struct NullHookPolicy {
 // possible draw (the same guarantee behind the zero-fault trial fast
 // path), so on_ex_result reduces to alu_ops accounting and on_cycle to
 // fi_cycles accounting — both pure accumulations, batched here into two
-// calls at run exit. The model's RNG is not advanced where legacy's
+// calls at run exit. The model's RNG is not advanced where a per-op
 // corrupt() would have drawn noise; that is unobservable because every
 // Monte-Carlo trial reseeds the model before running.
 struct CleanModelPolicy {
@@ -265,6 +270,7 @@ struct CleanModelPolicy {
     std::uint64_t clean_ops = 0;
     static constexpr bool kWantsEx = false;
     static constexpr bool kNullSpend = true;
+    static constexpr bool kTrace = false;
     static void spend(std::uint64_t, bool) {}
     void clean_alu() { ++alu_total; }
     void window_begin() { alu_base = alu_total; }
@@ -279,6 +285,7 @@ struct ModelPolicy {
     FaultModel* model;
     static constexpr bool kWantsEx = true;
     static constexpr bool kNullSpend = true;
+    static constexpr bool kTrace = false;
     static void spend(std::uint64_t, bool) {}
     static void window_begin() {}
     static void window_end() {}
@@ -294,6 +301,7 @@ struct GenericHookPolicy {
     ExFaultHook* hook;
     static constexpr bool kWantsEx = true;
     static constexpr bool kNullSpend = false;  // per-instruction on_cycles
+    static constexpr bool kTrace = false;
     void spend(std::uint64_t n, bool fi) { hook->on_cycles(n, fi); }
     static void window_begin() {}
     static void window_end() {}
@@ -301,6 +309,21 @@ struct GenericHookPolicy {
         return hook->on_ex_result(ev, correct);
     }
     static void finish(std::uint64_t) {}
+};
+
+// Observation only, for fault-free runs (Cpu::run rejects a trace with a
+// hook installed): `top:` reports each instruction before it executes.
+struct TracePolicy {
+    const Cpu::TraceFn* trace;
+    static constexpr bool kWantsEx = false;
+    static constexpr bool kNullSpend = true;
+    static constexpr bool kTrace = true;
+    static void spend(std::uint64_t, bool) {}
+    static void clean_alu() {}
+    static void window_begin() {}
+    static void window_end() {}
+    static void finish(std::uint64_t) {}
+    void report(std::uint32_t pc, Op op, bool fi) const { (*trace)(pc, op, fi); }
 };
 
 }  // namespace
@@ -341,7 +364,7 @@ struct GenericHookPolicy {
         SFI_NEXT();         \
     } while (0)
 
-// Legacy only consults the hook for ALU results inside the FI window;
+// The hook is consulted for ALU results inside the FI window only;
 // outside it (or with a provably clean model) the correct result stands.
 #define SFI_EX(result_var, a_var, b_var)        \
     do {                                        \
@@ -373,9 +396,11 @@ struct GenericHookPolicy {
 // copy, which keeps these expansions small.
 // `ld_dest >= 0` only ever holds at the dispatch immediately following a
 // load kernel's retirement (or at run entry, which routes through `top:`)
-// — every other kernel retires through this hazard-free fast form.
+// — every other kernel retires through this hazard-free fast form. The
+// trace policy routes every dispatch through `top:`, where it reports.
 #define SFI_NEXT()                                                    \
     do {                                                              \
+        if constexpr (Policy::kTrace) goto top;                       \
         if (cycles >= max_cycles) SFI_STOP(StopReason::Watchdog);     \
         if ((pc & 3u) != 0u || pc >= mem_bytes) {                     \
             fault_addr_ = pc;                                         \
@@ -394,6 +419,7 @@ struct GenericHookPolicy {
 // instruction being dispatched.
 #define SFI_NEXT_AFTER_LOAD()                                         \
     do {                                                              \
+        if constexpr (Policy::kTrace) goto top;                       \
         if (cycles >= max_cycles) SFI_STOP(StopReason::Watchdog);     \
         if ((pc & 3u) != 0u || pc >= mem_bytes) {                     \
             fault_addr_ = pc;                                         \
@@ -496,7 +522,7 @@ struct GenericHookPolicy {
 
 template <typename Policy>
 RunResult Cpu::run_threaded_impl(std::uint64_t max_cycles, Policy policy) {
-    InterpState& state = *interp_;  // run_threaded() ensured it
+    InterpState& state = *interp_;  // run() ensured it
 
 #if SFI_COMPUTED_GOTO
     // Order must match UopKind exactly.
@@ -539,12 +565,9 @@ RunResult Cpu::run_threaded_impl(std::uint64_t max_cycles, Policy policy) {
 
     // Load-use hazard state: destination slot of the previous retired
     // instruction iff it was a load, else -1. A load to r0 maps to the
-    // sink slot, which can never match a raw source index — exactly the
-    // legacy `last_load_dest_ != 0` guard.
-    int ld_dest = -1;
-    if (last_was_load_)
-        ld_dest = last_load_dest_ == 0 ? kUopRegSink
-                                       : static_cast<int>(last_load_dest_);
+    // sink slot, which can never match a raw source index — r0 never
+    // creates a hazard.
+    int ld_dest = pending_load_slot_;
 
     const std::uint64_t stall = timing_.load_use_stall;
     const std::uint64_t flush = timing_.taken_branch_flush;
@@ -582,8 +605,8 @@ top:
             ++lazy_lowered;
             // Invariant the dispatch fast path relies on: an undecodable
             // word is never stamped valid, so every visit stops here —
-            // pre-dispatch like the legacy fetch path, leaving the hazard
-            // state untouched by a faulting fetch.
+            // pre-dispatch, like a faulting fetch, leaving the hazard
+            // state untouched.
             if (slot.kind == UopKind::Illegal) {
                 fault_addr_ = pc;
                 SFI_STOP(StopReason::IllegalInstr);
@@ -603,6 +626,7 @@ top:
         }
         up = &slot;
     }
+    if constexpr (Policy::kTrace) policy.report(pc, up->op, fi);
     if constexpr (!Policy::kNullSpend) bubbles = 1;
     if (ld_dest >= 0) {
         if (((up->flags & kUopReadsRa) && up->ra == ld_dest) ||
@@ -638,7 +662,7 @@ top:
     }
 
     SFI_KERNEL(NopKernelBegin) {
-        if (!fi) {  // duplicate begin markers are no-ops, like legacy
+        if (!fi) {  // duplicate begin markers are no-ops
             fi = true;
             ++fi_windows;
             // Bases precede the spend and the retirement: the begin
@@ -657,7 +681,7 @@ top:
             fi = false;
             // Folded after the spend (the end marker's cycle counts
             // inside) but before the retirement below (its instruction
-            // does not) — exactly the legacy accounting order.
+            // does not) — the reference interpreter's accounting order.
             kcycles += cycles - kcyc_base;
             kinstr += instructions - kin_base;
             policy.window_end();
@@ -678,7 +702,7 @@ top:
 
     SFI_KERNEL(JSelfLoop) {
         SFI_SPEND(bubbles);
-        SFI_STOP(StopReason::SelfLoop);  // no retirement, like legacy
+        SFI_STOP(StopReason::SelfLoop);  // a self-loop does not retire
     }
 
     SFI_KERNEL(Jal) {
@@ -696,7 +720,7 @@ top:
 
     SFI_KERNEL(Jalr) {
         SFI_SPEND(bubbles);
-        r[9] = pc + 4;  // link written before rb is read (legacy order)
+        r[9] = pc + 4;  // link written before rb is read (reference order)
         const std::uint32_t target = r[up->rb];
         if (target == pc) SFI_STOP(StopReason::SelfLoop);
         SFI_RETIRE_TAKEN(target);
@@ -779,11 +803,7 @@ done:
     instructions_ = instructions;
     kernel_cycles_ = kcycles;
     kernel_instructions_ = kinstr;
-    last_was_load_ = ld_dest >= 0;
-    last_load_dest_ =
-        ld_dest < 0 || ld_dest == kUopRegSink
-            ? 0
-            : static_cast<std::uint8_t>(ld_dest);
+    pending_load_slot_ = ld_dest;
 
     policy.finish(kcycles - kcycles_at_entry);
 
@@ -824,7 +844,10 @@ done:
 #undef SFI_ALU_KERNEL_PAIR
 #undef SFI_CMP_KERNEL
 
-RunResult Cpu::run_threaded(std::uint64_t max_cycles) {
+RunResult Cpu::run(std::uint64_t max_cycles) {
+    if (trace_ && hook_ != nullptr)
+        throw std::logic_error(
+            "Cpu::run: a trace callback cannot run with a fault hook installed");
     if (max_cycles == 0) max_cycles = 100'000'000ULL;
     InterpState& state = ensure_interp();
     // The stream is only trustworthy when (a) a reset() synchronized
@@ -833,7 +856,7 @@ RunResult Cpu::run_threaded(std::uint64_t max_cycles) {
     // executed store). Anything else — priming without a reset, an
     // external Memory::write_* from test code — invalidates wholesale;
     // entries are then re-lowered lazily from current memory, which is
-    // exactly what the legacy decode cache would have read.
+    // exactly what a decode-every-fetch interpreter reads.
     if (!state.synced || state.expected_write_gen != mem_.write_generation()) {
         state.bump_gen();
         state.program_hash = 0;
@@ -843,6 +866,7 @@ RunResult Cpu::run_threaded(std::uint64_t max_cycles) {
         state.expected_write_gen = mem_.write_generation();
     }
 
+    if (trace_) return run_threaded_impl(max_cycles, TracePolicy{&trace_});
     if (hook_ == nullptr)
         return run_threaded_impl(max_cycles, NullHookPolicy{});
     if (auto* model = dynamic_cast<FaultModel*>(hook_)) {

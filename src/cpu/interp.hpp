@@ -1,8 +1,5 @@
-// Decode-once threaded-dispatch interpreter for the ISS (ROADMAP:
-// "threaded-dispatch interpreter" — the next hardware-limit step after the
-// zero-fault trial fast path made faulting trials ~100x cheaper than full
-// simulation, leaving golden runs and clean-sim trials as the wall-clock
-// floor of every campaign).
+// Decode-once threaded-dispatch interpreter: the ISS's only execution
+// engine (Cpu::run).
 //
 // The idea (classic bytecode-VM technique): lower each fetched memory word
 // ONCE into a dense micro-op — operand register indices pre-resolved,
@@ -11,12 +8,14 @@
 // a kernel table (computed goto under GCC/Clang, a switch elsewhere)
 // instead of re-walking decode() + op_info() per retired instruction.
 //
-// Equality contract: Cpu::run() under CpuDispatch::Threaded is
-// bit-identical to CpuDispatch::Legacy in everything observable —
+// Reference semantics: tests/testing/reference_cpu.hpp is a plain
+// decode-on-every-fetch interpreter of the same ISA and timing model.
+// Cpu::run() must be bit-identical to it in everything observable —
 // architectural state, RunResult (cycles included), FiStats, fault-
-// injection hook call sequences, and therefore every PointSummary, CSV and
-// campaign store key. tests/cpu/test_differential.cpp fuzzes that contract
-// with thousands of generated programs per fault model.
+// injection hook call sequences, trace callbacks, and therefore every
+// PointSummary, CSV and campaign store key. tests/cpu/test_differential.cpp
+// fuzzes that contract with thousands of generated programs per fault
+// model.
 //
 // The micro-op stream persists across Cpu::reset() with the *same*
 // program (content-hashed), so a Monte-Carlo operating point pays decode
@@ -27,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -36,30 +33,6 @@
 namespace sfi {
 
 struct Program;  // isa/assembler.hpp
-
-/// Execution engine selector for Cpu::run(). Both modes are bit-identical
-/// (see the equality contract above); Threaded is the fast default for
-/// Monte-Carlo work, Legacy is the reference semantics and the only mode
-/// that honours Cpu::set_trace.
-enum class CpuDispatch : std::uint8_t {
-    Legacy,    ///< per-step decode-cache interpreter (Cpu::step)
-    Threaded,  ///< decode-once micro-op stream + kernel table
-};
-
-inline const char* cpu_dispatch_name(CpuDispatch dispatch) {
-    switch (dispatch) {
-        case CpuDispatch::Legacy: return "legacy";
-        case CpuDispatch::Threaded: return "threaded";
-    }
-    return "?";
-}
-
-/// Parses a --dispatch flag value ("legacy" / "threaded").
-inline std::optional<CpuDispatch> parse_cpu_dispatch(const std::string& name) {
-    if (name == "legacy") return CpuDispatch::Legacy;
-    if (name == "threaded") return CpuDispatch::Threaded;
-    return std::nullopt;
-}
 
 /// Micro-op kinds: one kernel per kind. ALU kinds are specialized per
 /// ExClass and operand form so each kernel body is a single expression
@@ -111,7 +84,7 @@ inline constexpr std::uint8_t kUopReadsRb = 1u << 1;
 inline constexpr std::uint8_t kUopRegSink = 32;
 
 /// One lowered instruction word. Fixed 20-byte layout, one per memory
-/// word (like the legacy decode cache); valid iff gen == InterpState::gen.
+/// word; valid iff gen == InterpState::gen.
 struct MicroOp {
     UopKind kind = UopKind::Illegal;
     std::uint8_t rd = 0;     ///< destination, r0 remapped to kUopRegSink
@@ -149,14 +122,14 @@ struct InterpState {
 
     /// True once reset() has synchronized memory with the hashed program;
     /// false after prime_decode() on a not-yet-reset Cpu, which makes
-    /// run_threaded() distrust the stream until a reset happens.
+    /// run() distrust the stream until a reset happens.
     bool synced = false;
 
     /// Memory::write_generation() value expected if every write since the
     /// last sync went through this Cpu (reset + one bump per executed
     /// store). A mismatch at run entry means some external writer touched
-    /// memory behind our back: the stream is invalidated wholesale, which
-    /// restores the legacy path's semantics for that (test-only) pattern.
+    /// memory behind our back: the stream is invalidated wholesale, so the
+    /// run decodes what memory holds now (a test-only pattern).
     std::uint64_t expected_write_gen = 0;
 
     /// A store executed since the last reset. Only relevant combined with

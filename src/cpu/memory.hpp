@@ -32,9 +32,9 @@ public:
     void load(const Program& program);
 
     // Little-endian accessors. Word/half accesses must be aligned.
-    // Defined inline: they sit on the per-instruction path of both ISS
-    // dispatch modes, where an out-of-line call per load/store is
-    // measurable against the rest of the interpreter loop.
+    // Defined inline: they sit on the ISS's per-instruction path, where an
+    // out-of-line call per load/store is measurable against the rest of
+    // the interpreter loop.
     std::uint32_t read_u32(std::uint32_t addr) const {
         check(addr, 4);
         return read_u32_unchecked(addr);
@@ -62,7 +62,7 @@ public:
 
     /// The validity predicate of check() without the throw: true iff an
     /// `n`-byte access at `addr` is in range and (for n > 1) aligned. The
-    /// threaded-dispatch kernels branch on this and fault via
+    /// ISS's load/store kernels branch on this and fault via
     /// StopReason::MemFault with fault_addr = addr — exactly the address
     /// check() would have put in the thrown MemFault.
     bool access_ok(std::uint32_t addr, std::uint32_t n) const {
@@ -101,8 +101,8 @@ public:
         ++write_gen_;
     }
 
-    /// Monotone counter bumped on every write; the ISS decode cache uses it
-    /// to stay coherent without per-store invalidation bookkeeping.
+    /// Monotone counter bumped on every write; the ISS's micro-op stream
+    /// uses it to detect writes that bypassed the Cpu.
     std::uint64_t write_generation() const { return write_gen_; }
 
     /// Resets contents to zero (keeps size). O(dirty footprint), not

@@ -1,6 +1,7 @@
 #include "fi/cdf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
@@ -22,6 +23,32 @@ T get(std::istream& is) {
     is.read(reinterpret_cast<char*>(&v), sizeof v);
     if (!is) throw std::runtime_error("TimingErrorCdfs: truncated stream");
     return v;
+}
+
+/// Reads `n` arrival samples. The count comes from the file, so the
+/// vector grows chunk by chunk with the bytes that actually arrive: a
+/// forged count fails at end of stream instead of allocating up front.
+/// violation_prob's upper_bound needs finite, non-decreasing samples, so
+/// anything else is rejected as corrupt.
+std::vector<float> get_samples(std::istream& is, std::uint64_t n) {
+    constexpr std::uint64_t kChunk = 1u << 14;
+    std::vector<float> samples;
+    while (samples.size() < n) {
+        const std::size_t have = samples.size();
+        const auto take =
+            static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, n - have));
+        samples.resize(have + take);
+        is.read(reinterpret_cast<char*>(samples.data() + have),
+                static_cast<std::streamsize>(take * sizeof(float)));
+        if (!is) throw std::runtime_error("TimingErrorCdfs: truncated samples");
+    }
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (!std::isfinite(samples[i]))
+            throw std::runtime_error("TimingErrorCdfs: non-finite sample");
+        if (i > 0 && samples[i] < samples[i - 1])
+            throw std::runtime_error("TimingErrorCdfs: unsorted samples");
+    }
+    return samples;
 }
 }  // namespace
 
@@ -143,15 +170,10 @@ TimingErrorCdfs TimingErrorCdfs::load(std::istream& is) {
         PerClass& pc = store.classes_[c];
         pc.present = get<std::uint8_t>(is) != 0;
         if (!pc.present) continue;
+        // Endpoints are appended as they are read (see get_samples).
         const auto endpoints = get<std::uint64_t>(is);
-        pc.sorted_arrivals.resize(endpoints);
-        for (auto& samples : pc.sorted_arrivals) {
-            const auto n = get<std::uint64_t>(is);
-            samples.resize(n);
-            is.read(reinterpret_cast<char*>(samples.data()),
-                    static_cast<std::streamsize>(n * sizeof(float)));
-            if (!is) throw std::runtime_error("TimingErrorCdfs: truncated samples");
-        }
+        for (std::uint64_t e = 0; e < endpoints; ++e)
+            pc.sorted_arrivals.push_back(get_samples(is, get<std::uint64_t>(is)));
     }
     store.rebuild_derived();
     return store;

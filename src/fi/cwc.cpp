@@ -35,38 +35,6 @@ CwcCode CwcCode::for_block_bits(unsigned k) {
 }
 
 // ---------------------------------------------------------------------------
-// Enumerative codec (reference form: one binomial evaluation per position)
-// ---------------------------------------------------------------------------
-
-std::uint64_t cwc_encode_enumerative(const CwcCode& code, std::uint64_t index) {
-    std::uint64_t word = 0;
-    unsigned r = code.w;
-    for (unsigned p = code.n; p-- > 0;) {
-        if (r == 0) break;
-        const std::uint64_t c = cwc_binomial(p, r);
-        if (index >= c) {
-            word |= 1ull << p;
-            index -= c;
-            --r;
-        }
-    }
-    return word;
-}
-
-std::uint64_t cwc_decode_enumerative(const CwcCode& code, std::uint64_t word) {
-    std::uint64_t index = 0;
-    unsigned r = code.w;
-    for (unsigned p = code.n; p-- > 0;) {
-        if (r == 0) break;
-        if ((word >> p) & 1) {
-            index += cwc_binomial(p, r);
-            --r;
-        }
-    }
-    return index;
-}
-
-// ---------------------------------------------------------------------------
 // Sequential codec (low-complexity scheme: one multiplicative update per
 // position — C(p-1, r-1) = C(p, r) * r / p on a taken bit and
 // C(p-1, r) = C(p, r) * (p - r) / p otherwise, both divisions exact)

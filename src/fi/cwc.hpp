@@ -10,11 +10,11 @@
 //
 // The detection math is exact and a-priori (no fitting):
 //   * A k-bit data value x maps to enc(x), the x-th n-bit word of weight
-//     w in lexicographic order (enumerative coding, Cover 1973). Two
-//     codecs compute the same bijection: the table-driven enumerative
-//     form and the sequential low-complexity scheme that updates one
-//     binomial coefficient per bit (the Sasidharan paper's contribution);
-//     tests hold them bit-equal over the full index space.
+//     w in lexicographic order (enumerative coding, Cover 1973), computed
+//     with the sequential low-complexity scheme that updates one binomial
+//     coefficient per bit (the Sasidharan paper's contribution); tests
+//     hold it bit-equal to the plain enumerative form
+//     (tests/testing/cwc_enumerative.hpp) over the full index space.
 //   * When a timing fault corrupts a block from x to x', the d =
 //     popcount(enc(x) ^ enc(x')) differing codeword bits each settle to
 //     the old or the new value independently (the partial-capture model,
@@ -64,18 +64,12 @@ struct CwcCode {
     static CwcCode for_block_bits(unsigned k);
 };
 
-/// Enumerative (lexicographic) unranking: data index in [0, C(n, w)) to
-/// the index-th n-bit word of weight w, bit strings ordered MSB-first.
-/// Table/recomputation-driven reference form.
-std::uint64_t cwc_encode_enumerative(const CwcCode& code, std::uint64_t index);
-
-/// Inverse of cwc_encode_enumerative (ranking). `word` must have weight w.
-std::uint64_t cwc_decode_enumerative(const CwcCode& code, std::uint64_t word);
-
-/// The low-complexity sequential scheme: the same bijection computed with
-/// one multiplicative binomial update per bit position instead of a
-/// binomial evaluation per position. Bit-equal to the enumerative form
-/// over the whole index space (tests/fi/test_cwc.cpp).
+/// Lexicographic unranking: data index in [0, C(n, w)) to the index-th
+/// n-bit word of weight w, bit strings ordered MSB-first. The low-
+/// complexity sequential scheme: one multiplicative binomial update per
+/// bit position instead of a binomial evaluation per position. Bit-equal
+/// to the enumerative reference form over the whole index space
+/// (tests/fi/test_cwc.cpp).
 std::uint64_t cwc_encode_sequential(const CwcCode& code, std::uint64_t index);
 
 /// Inverse of cwc_encode_sequential.

@@ -44,7 +44,6 @@ MonteCarloRunner::MonteCarloRunner(const Benchmark& benchmark, FaultModel& model
     // golden run and every serial trial reuse it across resets (content
     // hash match), so no run on this Cpu ever decodes lazily. No profile
     // is attached yet — this one-time cost is construction, not a phase.
-    cpu_.set_dispatch(config_.dispatch);
     cpu_.prime_decode(benchmark.program());
     // Fault-free reference run: establishes the golden cycle count and
     // validates the kernel against its C++ replica. The counting hook is

@@ -37,7 +37,7 @@ enum class Phase : std::uint8_t {
     DtaEval,        ///< DTA characterization of one instruction class
     EventSimSettle, ///< event-driven settle() cycles inside the DTA loop
     FaultSampling,  ///< fault-model corrupt() evaluation (per ALU op)
-    Decode,         ///< micro-op lowering for threaded dispatch (per word)
+    Decode,         ///< ISS micro-op lowering (per word)
     TrialRun,       ///< Monte-Carlo trial execution (ISS runs)
     Aggregation,    ///< folding TrialOutcomes into PointSummaries
     FaultSamplingBatch,  ///< batched corrupt() evaluation (per ALU op)

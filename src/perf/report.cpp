@@ -18,7 +18,6 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
     json.field("dta_cycles", report.dta_cycles);
     json.field("trials", report.trials);
     json.field("benchmark", report.benchmark);
-    json.field("dispatch", report.dispatch);
     json.end_object();
 
     json.key("phases");

@@ -6,12 +6,9 @@
 //
 //   {
 //     "schema": "sfi-bench-core",
-//     "schema_version": 3,
-//     "config":   { seed, dta_cycles, trials, benchmark, dispatch },
-//                 (v2: "dispatch" records the ISS execution engine the
-//                  kernels ran under — the regression gate refuses to
-//                  compare legacy-dispatch numbers against a baseline
-//                  recorded for the threaded engine)
+//     "schema_version": 5,
+//     "config":   { seed, dta_cycles, trials, benchmark },
+//                 (v5: dropped v2's "dispatch" — the ISS has one engine)
 //     "phases":   [ { phase, seconds, calls, items } x kPhaseCount ],
 //                 (v2: the phase list gained "decode" — micro-op lowering
 //                  for the threaded-dispatch interpreter; v3: it gained
@@ -52,7 +49,7 @@
 
 namespace sfi::perf {
 
-inline constexpr int kSchemaVersion = 4;
+inline constexpr int kSchemaVersion = 5;
 
 /// One (thread count, duration) sample of a kernel bench.
 struct ThreadSample {
@@ -108,7 +105,6 @@ struct PerfReport {
     std::size_t dta_cycles = 0;
     std::size_t trials = 0;
     std::string benchmark;
-    std::string dispatch;  ///< cpu_dispatch_name() of the engine benched
     PhaseProfile phases;
     std::vector<KernelBench> kernels;
     FastPathResult fast_path;

@@ -226,9 +226,8 @@ TEST(DijkstraBenchmark, KernelAvoidsMultiplier) {
     Memory memory;
     Cpu cpu(memory);
     bool saw_mul = false;
-    cpu.set_trace([&](std::uint32_t, const Instr& instr, const std::string&) {
-        if (op_info(instr.op).ex_class == ExClass::Mul && cpu.fi_active())
-            saw_mul = true;
+    cpu.set_trace([&](std::uint32_t, Op op, bool fi_active) {
+        if (op_info(op).ex_class == ExClass::Mul && fi_active) saw_mul = true;
     });
     cpu.reset(bench->program());
     cpu.run();

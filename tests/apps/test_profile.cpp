@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+
+#include "testing/reference_cpu.hpp"
 
 namespace sfi {
 namespace {
@@ -62,6 +65,63 @@ TEST(Profile, PrintedReportMentionsClasses) {
     const std::string out = os.str();
     EXPECT_NE(out.find("cmp"), std::string::npos);
     EXPECT_NE(out.find("(branches)"), std::string::npos);
+}
+
+// The kernel mix recounted step by step on the reference interpreter
+// (tests/testing/reference_cpu.hpp): an instruction counts when the FI
+// window is open as it is fetched, and a branch is taken when the next pc
+// is not the fall-through.
+KernelProfile reference_profile(const Benchmark& benchmark) {
+    Memory memory;
+    testing::ReferenceCpu cpu(memory);
+    Instr instr;
+    bool in_window = false;
+    cpu.set_trace([&](std::uint32_t, const Instr& fetched, bool fi_active) {
+        instr = fetched;
+        in_window = fi_active;
+    });
+    cpu.reset(benchmark.program());
+    KernelProfile profile;
+    std::optional<StopReason> stop;
+    while (!stop) {
+        const std::uint32_t pc = cpu.pc();
+        in_window = false;
+        stop = cpu.step();
+        if (!in_window) continue;
+        const OpInfo& info = op_info(instr.op);
+        ++profile.instructions;
+        ++profile.per_op[static_cast<std::size_t>(instr.op)];
+        ++profile.per_class[static_cast<std::size_t>(info.ex_class)];
+        if (info.ex_class != ExClass::None) ++profile.alu_ops;
+        if (info.is_branch) {
+            ++profile.branches;
+            if (!stop && cpu.pc() != pc + 4) ++profile.taken_branches;
+        }
+        if (info.is_load) ++profile.loads;
+        if (info.is_store) ++profile.stores;
+    }
+    EXPECT_EQ(*stop, StopReason::Halted) << benchmark.name();
+    profile.cycles = cpu.kernel_cycles();
+    return profile;
+}
+
+TEST(Profile, MatchesTheReferenceInterpretersWalk) {
+    for (const BenchmarkId id : all_benchmarks()) {
+        const auto bench = make_benchmark(id);
+        const KernelProfile want = reference_profile(*bench);
+        const KernelProfile got = profile_kernel(*bench);
+        const std::string ctx = bench->name();
+        EXPECT_GT(want.instructions, 0u) << ctx;
+        EXPECT_EQ(got.per_op, want.per_op) << ctx;
+        EXPECT_EQ(got.per_class, want.per_class) << ctx;
+        EXPECT_EQ(got.instructions, want.instructions) << ctx;
+        EXPECT_EQ(got.cycles, want.cycles) << ctx;
+        EXPECT_EQ(got.alu_ops, want.alu_ops) << ctx;
+        EXPECT_EQ(got.branches, want.branches) << ctx;
+        EXPECT_EQ(got.taken_branches, want.taken_branches) << ctx;
+        EXPECT_EQ(got.loads, want.loads) << ctx;
+        EXPECT_EQ(got.stores, want.stores) << ctx;
+    }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -352,24 +353,37 @@ TEST_F(CpuTest, CorruptedCompareFlipsBranch) {
 }
 
 TEST_F(CpuTest, TraceCallbackFires) {
-    std::vector<std::string> lines;
-    cpu.set_trace([&](std::uint32_t, const Instr&, const std::string& d) {
-        lines.push_back(d);
+    struct Step {
+        std::uint32_t pc;
+        Op op;
+        bool fi;
+    };
+    std::vector<Step> steps;
+    cpu.set_trace([&](std::uint32_t pc, Op op, bool fi) {
+        steps.push_back({pc, op, fi});
     });
-    run("  l.addi r3,r0,1\n  l.nop 1\n");
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "l.addi r3,r0,1");
-    EXPECT_EQ(lines[1], "l.nop 1");
+    run("  l.nop 0x10\n  l.addi r3,r0,1\n  l.nop 0x11\n  l.nop 1\n");
+    ASSERT_EQ(steps.size(), 4u);
+    const std::uint32_t pcs[] = {0, 4, 8, 12};
+    // The flag is the window state before each instruction executes: the
+    // begin marker still sees it closed, the end marker still open.
+    const bool fis[] = {false, true, true, false};
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(steps[i].pc, pcs[i]) << i;
+        EXPECT_EQ(steps[i].fi, fis[i]) << i;
+    }
+    EXPECT_EQ(steps[1].op, Op::ADDI);
+    EXPECT_EQ(steps[3].op, Op::NOP);
 }
 
-TEST_F(CpuTest, StepSingleInstruction) {
-    cpu.reset(assemble("  l.addi r4,r0,9\n  l.nop 1\n"));
-    EXPECT_FALSE(cpu.step().has_value());
-    EXPECT_EQ(cpu.reg(4), 9u);
-    EXPECT_EQ(cpu.pc(), 4u);
-    const auto stop = cpu.step();
-    ASSERT_TRUE(stop.has_value());
-    EXPECT_EQ(*stop, StopReason::Halted);
+TEST_F(CpuTest, TraceRefusesToRunWithAFaultHook) {
+    CountingHook hook;
+    cpu.set_fault_hook(&hook);
+    cpu.set_trace([](std::uint32_t, Op, bool) {});
+    cpu.reset(assemble("  l.nop 1\n"));
+    EXPECT_THROW(cpu.run(), std::logic_error);
+    cpu.set_trace(nullptr);
+    EXPECT_EQ(cpu.run().stop, StopReason::Halted);
 }
 
 // reset() fast path: when the same Program is reset repeatedly (the MC

@@ -1,14 +1,13 @@
-// Decode-cache coherence edge cases, for both execution engines:
+// Micro-op stream coherence edge cases:
 //
-//   * generation-stamp rollover — the legacy per-word decode cache and
-//     the threaded micro-op stream both mark validity with a monotone
-//     stamp and must survive it wrapping (fast-forwarded via the Cpu
-//     debug hooks; unreachable in real runs),
+//   * generation-stamp rollover — the stream marks validity with a
+//     monotone stamp and must survive it wrapping (fast-forwarded via the
+//     Cpu debug hooks; unreachable in real runs),
 //   * self-modifying code — a store into the executed image must be
 //     visible to the very next fetch of that word,
 //   * external memory mutation between reset() and run() — writes and
 //     Memory::clear() bypass the Cpu entirely and must still invalidate
-//     the threaded stream (write-generation coherence guard),
+//     the stream (write-generation coherence guard),
 //   * prime_decode() — priming is idempotent and never makes a stale
 //     stream trusted before a reset.
 #include <gtest/gtest.h>
@@ -48,37 +47,9 @@ Program exit_with(std::uint32_t value) {
 // Generation-stamp rollover.
 // ---------------------------------------------------------------------------
 
-TEST(DecodeCache, LegacyGenerationRolloverWipesStaleEntries) {
-    Memory mem(1 << 12);
-    Cpu cpu(mem);
-    cpu.set_dispatch(CpuDispatch::Legacy);
-
-    // First reset sizes the cache (and restarts the stamp); only then can
-    // the generation be fast-forwarded to the wrap boundary.
-    cpu.reset(exit_with(0));
-    cpu.debug_set_decode_generation(~0ULL - 1);
-
-    // Fill the cache with entries stamped at the all-ones generation.
-    cpu.reset(exit_with(7));  // bumps to ~0ULL
-    EXPECT_EQ(cpu.run().exit_code, 7u);
-    EXPECT_EQ(cpu.debug_decode_generation(), ~0ULL);
-
-    // The next reset wraps the stamp; entries from the ~0 generation must
-    // not resurface as valid (0 is the permanent "invalid" stamp).
-    cpu.reset(exit_with(9));
-    EXPECT_EQ(cpu.debug_decode_generation(), 1u);
-    EXPECT_EQ(cpu.run().exit_code, 9u);
-
-    // And the cache still works after the wrap.
-    cpu.reset(exit_with(11));
-    EXPECT_EQ(cpu.debug_decode_generation(), 2u);
-    EXPECT_EQ(cpu.run().exit_code, 11u);
-}
-
 TEST(DecodeCache, ThreadedGenerationRolloverWipesStaleUops) {
     Memory mem(1 << 12);
     Cpu cpu(mem);
-    cpu.set_dispatch(CpuDispatch::Threaded);
 
     cpu.reset(exit_with(7));
     EXPECT_EQ(cpu.run().exit_code, 7u);
@@ -99,7 +70,7 @@ TEST(DecodeCache, ThreadedGenerationRolloverWipesStaleUops) {
 
 // ---------------------------------------------------------------------------
 // Self-modifying code: patch an already-executed instruction and loop
-// back over it. A stale decode on either engine exits with the old value.
+// back over it. A stale micro-op exits with the old value.
 // ---------------------------------------------------------------------------
 
 Program self_patching_program() {
@@ -117,27 +88,21 @@ Program self_patching_program() {
     });
 }
 
-TEST(DecodeCache, StoreToExecutedCodeIsVisibleOnBothEngines) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
-        Memory mem(1 << 12);
-        Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
-        cpu.reset(self_patching_program());
-        const RunResult run = cpu.run(1000);
-        EXPECT_EQ(int(run.stop), int(StopReason::Halted))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(run.exit_code, 5u) << cpu_dispatch_name(dispatch);
+TEST(DecodeCache, StoreToExecutedCodeIsVisible) {
+    Memory mem(1 << 12);
+    Cpu cpu(mem);
+    cpu.reset(self_patching_program());
+    const RunResult run = cpu.run(1000);
+    EXPECT_EQ(int(run.stop), int(StopReason::Halted));
+    EXPECT_EQ(run.exit_code, 5u);
 
-        // reset() reverts memory to the pristine image; a micro-op
-        // lowered from the patched bytes must not survive into the next
-        // run (relower_risk protocol). The re-run must patch again, not
-        // start from the patched decode.
-        cpu.reset(self_patching_program());
-        EXPECT_EQ(cpu.memory().read_u32(8), encode({Op::ORI, 3, 0, 0, 1}))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(cpu.run(1000).exit_code, 5u) << cpu_dispatch_name(dispatch);
-    }
+    // reset() reverts memory to the pristine image; a micro-op lowered
+    // from the patched bytes must not survive into the next run
+    // (relower_risk protocol). The re-run must patch again, not start
+    // from the patched decode.
+    cpu.reset(self_patching_program());
+    EXPECT_EQ(cpu.memory().read_u32(8), encode({Op::ORI, 3, 0, 0, 1}));
+    EXPECT_EQ(cpu.run(1000).exit_code, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,47 +112,37 @@ TEST(DecodeCache, StoreToExecutedCodeIsVisibleOnBothEngines) {
 // ---------------------------------------------------------------------------
 
 TEST(DecodeCache, ExternalWriteAfterResetIsPickedUp) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
-        Memory mem(1 << 12);
-        Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
+    Memory mem(1 << 12);
+    Cpu cpu(mem);
 
-        // Warm every cache with the original word first.
-        cpu.reset(exit_with(1));
-        EXPECT_EQ(cpu.run().exit_code, 1u) << cpu_dispatch_name(dispatch);
+    // Warm the stream with the original word first.
+    cpu.reset(exit_with(1));
+    EXPECT_EQ(cpu.run().exit_code, 1u);
 
-        // Patch word 0 behind the Cpu's back, post-reset.
-        cpu.reset(exit_with(1));
-        mem.write_u32(0, encode({Op::ORI, 3, 0, 0, 9}));
-        EXPECT_EQ(cpu.run().exit_code, 9u) << cpu_dispatch_name(dispatch);
-    }
+    // Patch word 0 behind the Cpu's back, post-reset.
+    cpu.reset(exit_with(1));
+    mem.write_u32(0, encode({Op::ORI, 3, 0, 0, 9}));
+    EXPECT_EQ(cpu.run().exit_code, 9u);
 }
 
 TEST(DecodeCache, ExternalClearAfterResetIsPickedUp) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
-        Memory mem(1 << 12);
-        Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
-        cpu.reset(exit_with(1));
-        EXPECT_EQ(cpu.run().exit_code, 1u) << cpu_dispatch_name(dispatch);
+    Memory mem(1 << 12);
+    Cpu cpu(mem);
+    cpu.reset(exit_with(1));
+    EXPECT_EQ(cpu.run().exit_code, 1u);
 
-        // A cleared image is all zeroes, which decode as `l.j 0`: the run
-        // must stop immediately as a self-loop at pc 0, not replay the
-        // cached program.
-        cpu.reset(exit_with(1));
-        mem.clear();
-        const RunResult run = cpu.run(100);
-        EXPECT_EQ(int(run.stop), int(StopReason::SelfLoop))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(run.instructions, 0u) << cpu_dispatch_name(dispatch);
-    }
+    // A cleared image is all zeroes, which decode as `l.j 0`: the run
+    // must stop immediately as a self-loop at pc 0, not replay the
+    // cached program.
+    cpu.reset(exit_with(1));
+    mem.clear();
+    const RunResult run = cpu.run(100);
+    EXPECT_EQ(int(run.stop), int(StopReason::SelfLoop));
+    EXPECT_EQ(run.instructions, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// prime_decode(): idempotent, dispatch-gated, and never trusts the
-// stream before a reset.
+// prime_decode(): idempotent, and never trusts the stream before a reset.
 // ---------------------------------------------------------------------------
 
 TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
@@ -195,11 +150,6 @@ TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
     Memory mem(1 << 12);
     Cpu cpu(mem);
 
-    // Legacy dispatch: priming is a no-op by contract.
-    cpu.set_dispatch(CpuDispatch::Legacy);
-    EXPECT_EQ(cpu.prime_decode(program), 0u);
-
-    cpu.set_dispatch(CpuDispatch::Threaded);
     EXPECT_EQ(cpu.prime_decode(program), 2u);  // both words lowered
     EXPECT_EQ(cpu.prime_decode(program), 0u);  // hash match: no re-lower
 

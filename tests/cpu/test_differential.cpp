@@ -1,10 +1,11 @@
-// Dispatch-differential fuzz harness: the decode-once threaded-dispatch
-// interpreter (src/cpu/interp.cpp) must be observably indistinguishable
-// from the legacy fetch/decode/execute loop (src/cpu/cpu.cpp).
+// Differential fuzz harness: the ISS (Cpu::run, the decode-once threaded
+// interpreter of src/cpu/interp.cpp) must be observably indistinguishable
+// from the reference interpreter (tests/testing/reference_cpu.hpp), a
+// plain fetch / decode-every-word / execute loop.
 //
 // Thousands of seeded ISA-complete programs (tests/testing/
-// program_gen.hpp) run through BOTH engines; after each run every
-// observable is compared field by field:
+// program_gen.hpp) run through BOTH; after each run every observable is
+// compared field by field:
 //
 //   * the full RunResult (stop reason, exit code, cycle/instruction and
 //     kernel counters, fault address),
@@ -15,18 +16,21 @@
 //     razor detection/escape/inner counters,
 //   * the raw hook trace: the exact sequence of on_cycles groups and
 //     on_ex_result events a generic (non-FaultModel) hook observes,
-//     including deterministic corruption fed back into the pipeline.
+//     including deterministic corruption fed back into the pipeline,
+//   * the instruction trace: the (pc, opcode, FI-window flag) sequence
+//     Cpu::set_trace reports against the reference interpreter's walk.
 //
 // The one permitted divergence is RNG *consumption* on clean runs (the
-// threaded clean-model shortcut counts provably-clean ops without
-// drawing), which is unobservable under the Monte-Carlo contract of one
-// reseed per trial — exactly how these runs reseed.
+// ISS's clean-model shortcut counts provably-clean ops without drawing),
+// which is unobservable under the Monte-Carlo contract of one reseed per
+// trial — exactly how these runs reseed.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cpu/cpu.hpp"
@@ -35,12 +39,15 @@
 #include "fi/models.hpp"
 #include "isa/encoding.hpp"
 #include "testing/program_gen.hpp"
+#include "testing/reference_cpu.hpp"
 #include "timing/dta.hpp"
 #include "timing/sta.hpp"
 #include "timing/vdd_model.hpp"
 
 namespace sfi {
 namespace {
+
+using testing::ReferenceCpu;
 
 constexpr std::uint32_t kMemBytes = 1u << 16;
 // Generous enough that loop-free programs always halt, small enough that
@@ -122,8 +129,8 @@ std::vector<ModelConfig> make_model_configs() {
     a->set_operating_point(op_point());
     configs.push_back({"modelA", std::move(a)});
 
-    // can_inject() == false: legacy still drives corrupt() per op while
-    // threaded takes the clean-model shortcut — stats must still agree.
+    // can_inject() == false: the reference drives corrupt() per op while
+    // the ISS takes the clean-model shortcut — stats must still agree.
     auto a0 = std::make_unique<ModelA>(0.0);
     a0->set_operating_point(op_point());
     configs.push_back({"modelA-clean", std::move(a0)});
@@ -146,7 +153,7 @@ std::vector<ModelConfig> make_model_configs() {
         std::move(razor_inner), RazorConfig{0.8, 11});
     configs.push_back({"razor(modelB+)", std::move(razor)});
 
-    // Razor over a provably clean inner model: the threaded shortcut must
+    // Razor over a provably clean inner model: the ISS's shortcut must
     // keep BOTH counter sets (outer and inner) in lock-step via the
     // count_clean_ops forwarding chain.
     auto razor_clean = std::make_unique<ErrorDetectionModel>(
@@ -160,6 +167,14 @@ std::vector<ModelConfig> make_model_configs() {
 // ---------------------------------------------------------------------------
 // One run -> everything observable.
 // ---------------------------------------------------------------------------
+
+/// One instruction as an instruction trace reports it.
+struct TraceStep {
+    std::uint32_t pc = 0;
+    Op op = Op::NOP;
+    bool fi = false;
+    bool operator==(const TraceStep&) const = default;
+};
 
 struct Observation {
     RunResult run;
@@ -176,11 +191,23 @@ struct Observation {
     FiStats inner_stats{};
 };
 
-Observation run_one(const Program& program, CpuDispatch dispatch,
-                    const FaultModel* prototype, std::uint64_t seed) {
+/// Runs `program` on a fresh Engine (Cpu or ReferenceCpu); a non-null
+/// `trace` records the instruction walk (Cpu::set_trace's view).
+template <typename Engine>
+Observation run_one(const Program& program, const FaultModel* prototype,
+                    std::uint64_t seed, std::vector<TraceStep>* trace = nullptr) {
     Memory mem(kMemBytes);
-    Cpu cpu(mem);
-    cpu.set_dispatch(dispatch);
+    Engine cpu(mem);
+    if (trace) {
+        if constexpr (std::is_same_v<Engine, Cpu>)
+            cpu.set_trace([trace](std::uint32_t pc, Op op, bool fi) {
+                trace->push_back({pc, op, fi});
+            });
+        else
+            cpu.set_trace([trace](std::uint32_t pc, const Instr& instr, bool fi) {
+                trace->push_back({pc, instr.op, fi});
+            });
+    }
     std::unique_ptr<FaultModel> model;
     if (prototype) {
         model = prototype->clone();
@@ -212,47 +239,47 @@ Observation run_one(const Program& program, CpuDispatch dispatch,
     return ob;
 }
 
-void expect_equal(const Observation& legacy, const Observation& threaded,
+void expect_equal(const Observation& want, const Observation& got,
                   const std::string& ctx) {
-    EXPECT_EQ(int(legacy.run.stop), int(threaded.run.stop)) << ctx;
-    EXPECT_EQ(legacy.run.exit_code, threaded.run.exit_code) << ctx;
-    EXPECT_EQ(legacy.run.cycles, threaded.run.cycles) << ctx;
-    EXPECT_EQ(legacy.run.instructions, threaded.run.instructions) << ctx;
-    EXPECT_EQ(legacy.run.kernel_cycles, threaded.run.kernel_cycles) << ctx;
-    EXPECT_EQ(legacy.run.kernel_instructions, threaded.run.kernel_instructions)
+    EXPECT_EQ(int(want.run.stop), int(got.run.stop)) << ctx;
+    EXPECT_EQ(want.run.exit_code, got.run.exit_code) << ctx;
+    EXPECT_EQ(want.run.cycles, got.run.cycles) << ctx;
+    EXPECT_EQ(want.run.instructions, got.run.instructions) << ctx;
+    EXPECT_EQ(want.run.kernel_cycles, got.run.kernel_cycles) << ctx;
+    EXPECT_EQ(want.run.kernel_instructions, got.run.kernel_instructions)
         << ctx;
-    EXPECT_EQ(legacy.run.fault_addr, threaded.run.fault_addr) << ctx;
+    EXPECT_EQ(want.run.fault_addr, got.run.fault_addr) << ctx;
 
     for (std::uint8_t r = 0; r < 32; ++r)
-        if (legacy.regs[r] != threaded.regs[r])
-            ADD_FAILURE() << ctx << ": r" << int(r) << " legacy=0x" << std::hex
-                          << legacy.regs[r] << " threaded=0x" << threaded.regs[r];
-    EXPECT_EQ(legacy.pc, threaded.pc) << ctx;
-    EXPECT_EQ(legacy.flag, threaded.flag) << ctx;
-    EXPECT_EQ(legacy.fi_active, threaded.fi_active) << ctx;
-    EXPECT_EQ(legacy.cycles, threaded.cycles) << ctx;
-    EXPECT_EQ(legacy.instructions, threaded.instructions) << ctx;
+        if (want.regs[r] != got.regs[r])
+            ADD_FAILURE() << ctx << ": r" << int(r) << " reference=0x" << std::hex
+                          << want.regs[r] << " iss=0x" << got.regs[r];
+    EXPECT_EQ(want.pc, got.pc) << ctx;
+    EXPECT_EQ(want.flag, got.flag) << ctx;
+    EXPECT_EQ(want.fi_active, got.fi_active) << ctx;
+    EXPECT_EQ(want.cycles, got.cycles) << ctx;
+    EXPECT_EQ(want.instructions, got.instructions) << ctx;
 
-    ASSERT_EQ(legacy.mem.size(), threaded.mem.size()) << ctx;
-    for (std::size_t w = 0; w < legacy.mem.size(); ++w)
-        if (legacy.mem[w] != threaded.mem[w]) {
+    ASSERT_EQ(want.mem.size(), got.mem.size()) << ctx;
+    for (std::size_t w = 0; w < want.mem.size(); ++w)
+        if (want.mem[w] != got.mem[w]) {
             ADD_FAILURE() << ctx << ": mem word 0x" << std::hex << w * 4
-                          << " legacy=0x" << legacy.mem[w] << " threaded=0x"
-                          << threaded.mem[w];
+                          << " reference=0x" << want.mem[w] << " iss=0x"
+                          << got.mem[w];
             break;  // first divergence is the informative one
         }
 
-    EXPECT_EQ(legacy.stats.fi_cycles, threaded.stats.fi_cycles) << ctx;
-    EXPECT_EQ(legacy.stats.alu_ops, threaded.stats.alu_ops) << ctx;
-    EXPECT_EQ(legacy.stats.injections, threaded.stats.injections) << ctx;
-    EXPECT_EQ(legacy.stats.corrupted_ops, threaded.stats.corrupted_ops) << ctx;
-    EXPECT_EQ(legacy.detected, threaded.detected) << ctx;
-    EXPECT_EQ(legacy.escaped, threaded.escaped) << ctx;
-    EXPECT_EQ(legacy.inner_stats.alu_ops, threaded.inner_stats.alu_ops) << ctx;
-    EXPECT_EQ(legacy.inner_stats.injections, threaded.inner_stats.injections)
+    EXPECT_EQ(want.stats.fi_cycles, got.stats.fi_cycles) << ctx;
+    EXPECT_EQ(want.stats.alu_ops, got.stats.alu_ops) << ctx;
+    EXPECT_EQ(want.stats.injections, got.stats.injections) << ctx;
+    EXPECT_EQ(want.stats.corrupted_ops, got.stats.corrupted_ops) << ctx;
+    EXPECT_EQ(want.detected, got.detected) << ctx;
+    EXPECT_EQ(want.escaped, got.escaped) << ctx;
+    EXPECT_EQ(want.inner_stats.alu_ops, got.inner_stats.alu_ops) << ctx;
+    EXPECT_EQ(want.inner_stats.injections, got.inner_stats.injections)
         << ctx;
-    EXPECT_EQ(legacy.inner_stats.corrupted_ops,
-              threaded.inner_stats.corrupted_ops)
+    EXPECT_EQ(want.inner_stats.corrupted_ops,
+              got.inner_stats.corrupted_ops)
         << ctx;
 }
 
@@ -261,7 +288,7 @@ void expect_equal(const Observation& legacy, const Observation& threaded,
 // coverage silently evaporates.
 // ---------------------------------------------------------------------------
 
-TEST(DispatchDifferential, FuzzFillerWordIsUndecodable) {
+TEST(OracleDifferential, FuzzFillerWordIsUndecodable) {
     EXPECT_FALSE(decode(0xffffffffu).has_value());
     EXPECT_FALSE(decode(0xfc000000u).has_value());
 }
@@ -271,16 +298,14 @@ TEST(DispatchDifferential, FuzzFillerWordIsUndecodable) {
 // so generator drift cannot quietly shrink what "ISA-complete" means.
 // ---------------------------------------------------------------------------
 
-TEST(DispatchDifferential, NoFaultThousandsOfSeeds) {
+TEST(OracleDifferential, NoFaultThousandsOfSeeds) {
     std::map<StopReason, std::size_t> reasons;
     for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed);
-        const Observation legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
-        const Observation threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
-        expect_equal(legacy, threaded, "seed " + std::to_string(seed));
-        ++reasons[legacy.run.stop];
+        const Observation want = run_one<ReferenceCpu>(program, nullptr, seed);
+        const Observation got = run_one<Cpu>(program, nullptr, seed);
+        expect_equal(want, got, "seed " + std::to_string(seed));
+        ++reasons[want.run.stop];
         if (HasFailure()) break;  // one seed's dump is enough to debug
     }
     // The sweep must exercise every termination path the generator is
@@ -298,16 +323,14 @@ TEST(DispatchDifferential, NoFaultThousandsOfSeeds) {
 
 // Longer bodies shift the instruction mix toward deep loops and more
 // self-modification; a smaller seed sweep keeps the runtime bounded.
-TEST(DispatchDifferential, NoFaultLongPrograms) {
+TEST(OracleDifferential, NoFaultLongPrograms) {
     testgen::FuzzConfig cfg;
     cfg.body_length = 256;
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed, cfg);
-        const Observation legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
-        const Observation threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
-        expect_equal(legacy, threaded, "long seed " + std::to_string(seed));
+        const Observation want = run_one<ReferenceCpu>(program, nullptr, seed);
+        const Observation got = run_one<Cpu>(program, nullptr, seed);
+        expect_equal(want, got, "long seed " + std::to_string(seed));
         if (HasFailure()) break;
     }
 }
@@ -317,20 +340,20 @@ TEST(DispatchDifferential, NoFaultLongPrograms) {
 // decorations, several hundred seeds each.
 // ---------------------------------------------------------------------------
 
-TEST(DispatchDifferential, FaultModelsSeveralHundredSeedsEach) {
+TEST(OracleDifferential, FaultModelsSeveralHundredSeedsEach) {
     const std::vector<ModelConfig> configs = make_model_configs();
     for (const ModelConfig& config : configs) {
         if (!config.prototype) continue;  // covered by the sweeps above
         std::uint64_t injections = 0;
         for (std::uint64_t seed = 1; seed <= 300; ++seed) {
             const Program program = testgen::generate_fuzz_program(seed);
-            const Observation legacy = run_one(program, CpuDispatch::Legacy,
-                                               config.prototype.get(), seed);
-            const Observation threaded = run_one(
-                program, CpuDispatch::Threaded, config.prototype.get(), seed);
-            expect_equal(legacy, threaded,
+            const Observation want = run_one<ReferenceCpu>(
+                program, config.prototype.get(), seed);
+            const Observation got =
+                run_one<Cpu>(program, config.prototype.get(), seed);
+            expect_equal(want, got,
                          config.label + " seed " + std::to_string(seed));
-            injections += legacy.stats.injections;
+            injections += want.stats.injections;
             if (HasFailure()) break;
         }
         // The injecting configurations must actually inject, or the
@@ -344,11 +367,11 @@ TEST(DispatchDifferential, FaultModelsSeveralHundredSeedsEach) {
 
 // ---------------------------------------------------------------------------
 // Raw hook-trace identity: a generic (non-FaultModel) hook must observe
-// the exact same call sequence from both engines — same on_cycles
-// grouping (stall bubbles with their instruction, branch flushes as a
-// separate group), same FI-window flags, same EX events in the same
-// order. The hook corrupts deterministically so wrong results feed back
-// into flags/branches identically on both sides.
+// the exact same call sequence from both — same on_cycles grouping (stall
+// bubbles with their instruction, branch flushes as a separate group),
+// same FI-window flags, same EX events (pc and window ordinal included)
+// in the same order. The hook corrupts deterministically so wrong
+// results feed back into flags/branches identically on both sides.
 // ---------------------------------------------------------------------------
 
 class RecordingHook final : public ExFaultHook {
@@ -363,6 +386,7 @@ public:
         ExClass cls;
         std::uint32_t a, b, prev, correct, returned;
         std::uint64_t cycle;
+        std::uint32_t pc, window;
         bool operator==(const Ex&) const = default;
     };
 
@@ -376,7 +400,8 @@ public:
         if (events.size() % 7 == 3)
             returned = correct ^ (1u << (events.size() % 32));
         events.push_back({ev.op, ev.cls, ev.operand_a, ev.operand_b,
-                          ev.prev_result, correct, returned, ev.cycle});
+                          ev.prev_result, correct, returned, ev.cycle, ev.pc,
+                          ev.window});
         return returned;
     }
 
@@ -384,48 +409,46 @@ public:
     std::vector<Ex> events;
 };
 
-TEST(DispatchDifferential, GenericHookSeesIdenticalCallSequence) {
+/// Runs `program` under `hook` on a fresh Engine; returns the run result
+/// and the final register file.
+template <typename Engine>
+std::pair<RunResult, std::array<std::uint32_t, 32>> run_hooked(
+    const Program& program, RecordingHook& hook) {
+    Memory mem(kMemBytes);
+    Engine cpu(mem);
+    cpu.set_fault_hook(&hook);
+    cpu.reset(program);
+    const RunResult run = cpu.run(kMaxCycles);
+    std::array<std::uint32_t, 32> regs{};
+    for (std::uint8_t r = 0; r < 32; ++r) regs[r] = cpu.reg(r);
+    return {run, regs};
+}
+
+TEST(OracleDifferential, GenericHookSeesIdenticalCallSequence) {
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed);
-        RecordingHook legacy_hook, threaded_hook;
-        RunResult legacy_run, threaded_run;
-        std::array<std::uint32_t, 32> legacy_regs{}, threaded_regs{};
-        {
-            Memory mem(kMemBytes);
-            Cpu cpu(mem);
-            cpu.set_dispatch(CpuDispatch::Legacy);
-            cpu.set_fault_hook(&legacy_hook);
-            cpu.reset(program);
-            legacy_run = cpu.run(kMaxCycles);
-            for (std::uint8_t r = 0; r < 32; ++r) legacy_regs[r] = cpu.reg(r);
-        }
-        {
-            Memory mem(kMemBytes);
-            Cpu cpu(mem);
-            cpu.set_dispatch(CpuDispatch::Threaded);
-            cpu.set_fault_hook(&threaded_hook);
-            cpu.reset(program);
-            threaded_run = cpu.run(kMaxCycles);
-            for (std::uint8_t r = 0; r < 32; ++r) threaded_regs[r] = cpu.reg(r);
-        }
+        RecordingHook want_hook, got_hook;
+        const auto [want_run, want_regs] =
+            run_hooked<ReferenceCpu>(program, want_hook);
+        const auto [got_run, got_regs] = run_hooked<Cpu>(program, got_hook);
         const std::string ctx = "seed " + std::to_string(seed);
-        EXPECT_EQ(int(legacy_run.stop), int(threaded_run.stop)) << ctx;
-        EXPECT_EQ(legacy_run.cycles, threaded_run.cycles) << ctx;
-        EXPECT_EQ(legacy_regs, threaded_regs) << ctx;
+        EXPECT_EQ(int(want_run.stop), int(got_run.stop)) << ctx;
+        EXPECT_EQ(want_run.cycles, got_run.cycles) << ctx;
+        EXPECT_EQ(want_regs, got_regs) << ctx;
 
-        ASSERT_EQ(legacy_hook.groups.size(), threaded_hook.groups.size()) << ctx;
-        for (std::size_t i = 0; i < legacy_hook.groups.size(); ++i)
-            if (!(legacy_hook.groups[i] == threaded_hook.groups[i])) {
-                ADD_FAILURE() << ctx << ": cycle group " << i << " legacy=("
-                              << legacy_hook.groups[i].n << ","
-                              << legacy_hook.groups[i].fi << ") threaded=("
-                              << threaded_hook.groups[i].n << ","
-                              << threaded_hook.groups[i].fi << ")";
+        ASSERT_EQ(want_hook.groups.size(), got_hook.groups.size()) << ctx;
+        for (std::size_t i = 0; i < want_hook.groups.size(); ++i)
+            if (!(want_hook.groups[i] == got_hook.groups[i])) {
+                ADD_FAILURE() << ctx << ": cycle group " << i << " reference=("
+                              << want_hook.groups[i].n << ","
+                              << want_hook.groups[i].fi << ") iss=("
+                              << got_hook.groups[i].n << ","
+                              << got_hook.groups[i].fi << ")";
                 break;
             }
-        ASSERT_EQ(legacy_hook.events.size(), threaded_hook.events.size()) << ctx;
-        for (std::size_t i = 0; i < legacy_hook.events.size(); ++i)
-            if (!(legacy_hook.events[i] == threaded_hook.events[i])) {
+        ASSERT_EQ(want_hook.events.size(), got_hook.events.size()) << ctx;
+        for (std::size_t i = 0; i < want_hook.events.size(); ++i)
+            if (!(want_hook.events[i] == got_hook.events[i])) {
                 ADD_FAILURE() << ctx << ": EX event " << i << " diverged";
                 break;
             }
@@ -434,43 +457,59 @@ TEST(DispatchDifferential, GenericHookSeesIdenticalCallSequence) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch switching on one Cpu instance: alternating engines on the
-// same object (decode caches warm, hazard state carried through reset)
-// must not leak state from one engine into the other.
+// Instruction-trace identity: Cpu::set_trace (the trace hook policy) must
+// report the reference interpreter's walk — every fetched instruction's
+// pc, opcode and FI-window flag, in order — and leave every other
+// observable of the run untouched.
 // ---------------------------------------------------------------------------
 
-TEST(DispatchDifferential, AlternatingDispatchOnOneCpuMatchesFreshRuns) {
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        const Program program = testgen::generate_fuzz_program(seed);
-        const Observation fresh_legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
-        const Observation fresh_threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
-
-        Memory mem(kMemBytes);
-        Cpu cpu(mem);
-        for (int round = 0; round < 2; ++round) {
-            for (const CpuDispatch dispatch :
-                 {CpuDispatch::Threaded, CpuDispatch::Legacy}) {
-                cpu.set_dispatch(dispatch);
-                cpu.reset(program);
-                const RunResult run = cpu.run(kMaxCycles);
-                const RunResult& want = dispatch == CpuDispatch::Legacy
-                                            ? fresh_legacy.run
-                                            : fresh_threaded.run;
-                const std::string ctx = "seed " + std::to_string(seed) +
-                                        " round " + std::to_string(round) +
-                                        " " + cpu_dispatch_name(dispatch);
-                EXPECT_EQ(int(run.stop), int(want.stop)) << ctx;
-                EXPECT_EQ(run.cycles, want.cycles) << ctx;
-                EXPECT_EQ(run.instructions, want.instructions) << ctx;
-                EXPECT_EQ(run.kernel_cycles, want.kernel_cycles) << ctx;
-                EXPECT_EQ(run.exit_code, want.exit_code) << ctx;
-                EXPECT_EQ(run.fault_addr, want.fault_addr) << ctx;
-            }
+void expect_same_trace(const std::vector<TraceStep>& want,
+                       const std::vector<TraceStep>& got,
+                       const std::string& ctx) {
+    ASSERT_EQ(want.size(), got.size()) << ctx;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        if (!(want[i] == got[i])) {
+            ADD_FAILURE() << ctx << ": trace step " << i << " reference=(0x"
+                          << std::hex << want[i].pc << std::dec << ", "
+                          << op_info(want[i].op).mnemonic << ", " << want[i].fi
+                          << ") iss=(0x" << std::hex << got[i].pc << std::dec
+                          << ", " << op_info(got[i].op).mnemonic << ", "
+                          << got[i].fi << ")";
+            break;
         }
-        if (HasFailure()) break;
-    }
+}
+
+TEST(OracleDifferential, TraceReportsTheReferenceWalk) {
+    std::size_t fi_steps = 0;
+    const auto sweep = [&](const testgen::FuzzConfig& cfg, std::uint64_t seeds,
+                           const std::string& label) {
+        for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+            const Program program = testgen::generate_fuzz_program(seed, cfg);
+            std::vector<TraceStep> want_trace, got_trace;
+            const Observation want =
+                run_one<ReferenceCpu>(program, nullptr, seed, &want_trace);
+            const Observation got =
+                run_one<Cpu>(program, nullptr, seed, &got_trace);
+            const std::string ctx = label + " seed " + std::to_string(seed);
+            expect_equal(want, got, ctx);
+            expect_same_trace(want_trace, got_trace, ctx);
+            // Every retired instruction is traced; a self-loop or a
+            // faulting load/store is traced but does not retire.
+            const bool stopped_in_ex = want.run.stop == StopReason::SelfLoop ||
+                                       want.run.stop == StopReason::MemFault;
+            EXPECT_EQ(want_trace.size(),
+                      want.run.instructions + (stopped_in_ex ? 1 : 0))
+                << ctx;
+            for (const TraceStep& step : got_trace) fi_steps += step.fi;
+            if (HasFailure()) return;
+        }
+    };
+    sweep(testgen::FuzzConfig{}, 2000, "");
+    testgen::FuzzConfig long_cfg;
+    long_cfg.body_length = 256;
+    sweep(long_cfg, 200, "long");
+    // The sweep must see FI-window instructions, or the flag went untested.
+    EXPECT_GT(fi_steps, 0u);
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ TEST(Memory, RestoreImageAdvancesWriteGenOnlyOnChange) {
     m.checkpoint_image();
 
     // Nothing written since the checkpoint: restore is a no-op and must
-    // NOT advance the generation (the decode caches stay trusted).
+    // NOT advance the generation (the ISS's micro-op stream stays trusted).
     const std::uint64_t g0 = m.write_generation();
     ASSERT_TRUE(m.restore_image());
     EXPECT_EQ(m.write_generation(), g0);

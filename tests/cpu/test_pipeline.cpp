@@ -1,8 +1,9 @@
 // Equivalence tests between the explicit stage-by-stage pipeline model
-// and the fast ISS: identical architectural results, identical retired
-// instruction counts, and cycle counts offset by exactly the 4-cycle fill
-// of the stages in front of EX.
-#include "cpu/pipeline.hpp"
+// (the cycle-model oracle in tests/testing/pipeline_cpu.hpp) and the ISS:
+// identical architectural results, identical retired instruction counts,
+// and cycle counts offset by exactly the 4-cycle fill of the stages in
+// front of EX.
+#include "testing/pipeline_cpu.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 
 namespace sfi {
 namespace {
+
+using testing::PipelineCpu;
 
 constexpr std::uint64_t kFillCycles = 4;
 

@@ -1,18 +1,20 @@
-// Property test: random straight-line ALU programs executed by the fast
-// ISS (and the explicit pipeline) must match an independent architectural
-// interpreter built directly on the reference semantics.
+// Property test: random straight-line ALU programs executed by the ISS
+// (and the explicit pipeline oracle) must match an independent
+// architectural interpreter built directly on the reference semantics.
 //
 // The generator lives in tests/testing/program_gen.hpp (shared with the
-// dispatch-differential harness); this file keeps the original property
-// tests plus a determinism guard on the extracted generator.
+// differential harness); this file keeps the original property tests
+// plus a determinism guard on the extracted generator.
 #include <gtest/gtest.h>
 
 #include "cpu/cpu.hpp"
-#include "cpu/pipeline.hpp"
+#include "testing/pipeline_cpu.hpp"
 #include "testing/program_gen.hpp"
 
 namespace sfi {
 namespace {
+
+using testing::PipelineCpu;
 
 using testgen::alu_to_program;
 using testgen::generate_alu_program;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "testing/cdf_forgery.hpp"
+
 namespace sfi {
 namespace {
 
@@ -112,6 +114,22 @@ TEST(TimingErrorCdfs, LoadRejectsTruncated) {
     bytes.resize(bytes.size() / 2);
     std::stringstream half(bytes);
     EXPECT_THROW(TimingErrorCdfs::load(half), std::runtime_error);
+}
+
+// A forged payload must be rejected, not trusted: counts may not size an
+// allocation before the bytes arrive, and violation_prob's upper_bound
+// needs finite, sorted samples.
+TEST(TimingErrorCdfs, LoadRejectsForgedPayloads) {
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    std::stringstream buffer;
+    cdfs.save(buffer);
+    const auto forgeries = testing::forge_cdf_payloads(buffer.str());
+    ASSERT_EQ(forgeries.size(), 4u);
+    for (const testing::CdfForgery& forgery : forgeries) {
+        std::stringstream forged(forgery.bytes);
+        EXPECT_THROW(TimingErrorCdfs::load(forged), std::runtime_error)
+            << forgery.label;
+    }
 }
 
 TEST(TimingErrorCdfs, FileRoundTrip) {

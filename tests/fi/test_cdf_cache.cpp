@@ -9,8 +9,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "testing/cdf_forgery.hpp"
 
 namespace sfi {
 namespace {
@@ -104,6 +107,28 @@ TEST_F(CdfCacheTest, CorruptPayloadFallsBackToCharacterization) {
         .write(cached.data(), 16);
     const CharacterizedCore second(config());
     EXPECT_TRUE(*second.cdfs() == *first.cdfs());
+}
+
+// A payload whose fingerprint matches but whose counts or samples are
+// forged must fail to load and be replaced by a fresh characterization
+// that writes back the exact original cache bytes.
+TEST_F(CdfCacheTest, ForgedPayloadFallsBackToCharacterization) {
+    const CharacterizedCore first(config());
+    const std::vector<char> cached = read_file(cache_path_);
+    const std::string original(cached.begin(), cached.end());
+    const auto forgeries = testing::forge_cdf_payloads(original, 8);
+    ASSERT_EQ(forgeries.size(), 4u);
+    for (const testing::CdfForgery& forgery : forgeries) {
+        std::istringstream payload(forgery.bytes.substr(8));
+        EXPECT_THROW(TimingErrorCdfs::load(payload), std::runtime_error)
+            << forgery.label;
+        std::ofstream(cache_path_, std::ios::binary | std::ios::trunc)
+            .write(forgery.bytes.data(),
+                   static_cast<std::streamsize>(forgery.bytes.size()));
+        const CharacterizedCore again(config());
+        EXPECT_TRUE(*again.cdfs() == *first.cdfs()) << forgery.label;
+        EXPECT_EQ(read_file(cache_path_), cached) << forgery.label;
+    }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 
 #include "fi/forensics.hpp"
 #include "isa/isa.hpp"
+#include "testing/cwc_enumerative.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::cwc_decode_enumerative;
+using testing::cwc_encode_enumerative;
 using testing::shared_core;
 
 OperatingPoint overscaled_point() {

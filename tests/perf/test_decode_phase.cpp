@@ -1,5 +1,5 @@
-// Phase::Decode accounting contract (threaded dispatch): micro-op
-// lowering is charged on the dispatching thread only, with deterministic
+// Phase::Decode accounting contract: micro-op lowering is charged on the
+// dispatching thread only, with deterministic
 // call/item counters — a pure function of the configuration (context
 // count x program words), never of worker scheduling. Guarantees the
 // BENCH_core.json decode column is comparable across runs and machines.
@@ -22,21 +22,19 @@ std::uint64_t program_words(const Benchmark& benchmark) {
     return words;
 }
 
-McConfig make_config(std::size_t threads, CpuDispatch dispatch) {
+McConfig make_config(std::size_t threads) {
     McConfig config;
     config.trials = 8;
     config.seed = 1;
     config.threads = threads;
-    config.dispatch = dispatch;
     return config;
 }
 
 perf::PhaseStats decode_stats_of_run(std::size_t threads,
-                                     CpuDispatch dispatch,
                                      double flip_probability = 1e-3) {
     const auto benchmark = make_median(42, 33);
     ModelA model(flip_probability);
-    McConfig config = make_config(threads, dispatch);
+    McConfig config = make_config(threads);
     // A clean prototype is used to observe the no-relowering steady
     // state; the fast path would skip its ISS runs entirely, so force
     // real (provably injection-free) simulations instead.
@@ -57,8 +55,7 @@ TEST(DecodePhase, ParallelPrimingChargesContextsTimesWords) {
     const std::uint64_t words = program_words(*benchmark);
     ASSERT_GT(words, 0u);
 
-    const perf::PhaseStats stats =
-        decode_stats_of_run(8, CpuDispatch::Threaded);
+    const perf::PhaseStats stats = decode_stats_of_run(8);
     EXPECT_EQ(stats.calls, 1u);
     EXPECT_EQ(stats.items, 8 * words);
 }
@@ -69,21 +66,9 @@ TEST(DecodePhase, ParallelPrimingChargesContextsTimesWords) {
 // corrupted address arithmetic can store into the code image — which is
 // why this uses a provably clean model with the fast path disabled.)
 TEST(DecodePhase, SerialCleanRunsOnPrimedCpuNeverRelower) {
-    const perf::PhaseStats stats =
-        decode_stats_of_run(1, CpuDispatch::Threaded, 0.0);
+    const perf::PhaseStats stats = decode_stats_of_run(1, 0.0);
     EXPECT_EQ(stats.calls, 0u);
     EXPECT_EQ(stats.items, 0u);
-}
-
-// Legacy dispatch has no micro-op stream; the decode phase must stay
-// silent so the BENCH_core.json column reads 0, not noise.
-TEST(DecodePhase, LegacyDispatchRecordsNothing) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        const perf::PhaseStats stats =
-            decode_stats_of_run(threads, CpuDispatch::Legacy);
-        EXPECT_EQ(stats.calls, 0u) << threads << " threads";
-        EXPECT_EQ(stats.items, 0u) << threads << " threads";
-    }
 }
 
 // The counters are reproducible: identical configurations on fresh
@@ -91,10 +76,8 @@ TEST(DecodePhase, LegacyDispatchRecordsNothing) {
 // threads alike.
 TEST(DecodePhase, CountersAreAPureFunctionOfTheConfiguration) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        const perf::PhaseStats a =
-            decode_stats_of_run(threads, CpuDispatch::Threaded);
-        const perf::PhaseStats b =
-            decode_stats_of_run(threads, CpuDispatch::Threaded);
+        const perf::PhaseStats a = decode_stats_of_run(threads);
+        const perf::PhaseStats b = decode_stats_of_run(threads);
         EXPECT_EQ(a.calls, b.calls) << threads << " threads";
         EXPECT_EQ(a.items, b.items) << threads << " threads";
     }

@@ -379,6 +379,12 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
 
     EXPECT_EQ(doc->at("config").at("seed").number, 7.0);
     EXPECT_EQ(doc->at("config").at("benchmark").string, "median");
+    // Schema v5 dropped v2's "dispatch" from the config block: the ISS
+    // has one execution engine (scripts/perf_baseline.json pins v5).
+    EXPECT_EQ(kSchemaVersion, 5);
+    const std::vector<std::string> config_keys = {"seed", "dta_cycles",
+                                                  "trials", "benchmark"};
+    EXPECT_EQ(doc->at("config").object_key_order, config_keys);
 
     // One phase row per taxonomy entry, in enum order, values preserved —
     // except "forensics", which is emitted only when it ran (calls > 0):

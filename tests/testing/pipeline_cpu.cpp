@@ -1,10 +1,8 @@
-#include "cpu/pipeline.hpp"
-
-#include <sstream>
+#include "testing/pipeline_cpu.hpp"
 
 #include "isa/encoding.hpp"
 
-namespace sfi {
+namespace sfi::testing {
 
 PipelineCpu::PipelineCpu(Memory& memory) : mem_(memory) {}
 
@@ -231,8 +229,8 @@ std::optional<StopReason> PipelineCpu::step_cycle() {
     if (flush) {
         // Taken branch resolved in EX: squash the three younger stages and
         // present the redirect PC to the fetch stage in the same cycle
-        // (3 bubble cycles before the target reaches EX, as in the fast
-        // ISS's timing model).
+        // (3 bubble cycles before the target reaches EX, as in the ISS's
+        // timing model).
         ex_ = IdLatch{};
         id_ = IdLatch{};
         if2_ = If2Latch{};
@@ -295,26 +293,4 @@ RunResult PipelineCpu::run(std::uint64_t max_cycles) {
     return result;
 }
 
-std::string PipelineCpu::stage_snapshot() const {
-    std::ostringstream os;
-    auto hex = [](std::uint32_t v) {
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "0x%x", v);
-        return std::string(buf);
-    };
-    os << "IF1:" << (if1_.valid ? hex(if1_.pc) : "-");
-    os << " IF2:" << (if2_.valid ? hex(if2_.pc) : "-");
-    os << " ID:" << (id_.valid ? (id_.poison == Poison::None
-                                      ? disassemble(id_.instr)
-                                      : std::string("<poison>"))
-                               : "-");
-    os << " EX:" << (ex_.valid ? (ex_.poison == Poison::None
-                                      ? disassemble(ex_.instr)
-                                      : std::string("<poison>"))
-                               : "-");
-    os << " MEM:" << (mem_stage_.valid ? disassemble(mem_stage_.instr) : "-");
-    os << " WB:" << (wb_.valid ? "v" : "-");
-    return os.str();
-}
-
-}  // namespace sfi
+}  // namespace sfi::testing

@@ -1,17 +1,15 @@
-// Explicit stage-by-stage model of the 6-stage in-order pipeline
-// (IF1 / IF2 / ID / EX / MEM / WB), with result forwarding, a load-use
-// interlock and EX-resolved branches.
+// Cycle-model test oracle: an explicit stage-by-stage model of the
+// 6-stage in-order pipeline (IF1 / IF2 / ID / EX / MEM / WB), with result
+// forwarding, a load-use interlock and EX-resolved branches.
 //
-// This is the reference microarchitecture behind the fast ISS in cpu.hpp:
-// the two engines must agree on architectural results and — up to the
-// constant 4-cycle fill of the stages in front of EX — on cycle counts
-// (verified by the equivalence tests in tests/cpu/test_pipeline.cpp).
-// The fault-injection hook fires
-// in the EX stage exactly as in the fast engine, so fault-model RNG
-// streams line up event-for-event between the two.
-//
-// Use PipelineCpu when inspecting per-stage behaviour; use Cpu for
-// Monte-Carlo throughput.
+// This is the reference microarchitecture behind the ISS in
+// src/cpu/cpu.hpp, whose timing model folds the stages into per-
+// instruction stall and flush counts: the two must agree on architectural
+// results and — up to the constant 4-cycle fill of the stages in front of
+// EX — on cycle counts (tests/cpu/test_pipeline.cpp,
+// tests/cpu/test_random_programs.cpp). The fault-injection hook fires in
+// the EX stage exactly as in the ISS, so fault-model RNG streams line up
+// event-for-event between the two.
 #pragma once
 
 #include <array>
@@ -22,7 +20,7 @@
 #include "cpu/memory.hpp"
 #include "isa/isa.hpp"
 
-namespace sfi {
+namespace sfi::testing {
 
 class PipelineCpu {
 public:
@@ -32,7 +30,7 @@ public:
     void set_fault_hook(ExFaultHook* hook) { hook_ = hook; }
 
     /// Runs to halt / fault / watchdog. Cycle counts include the pipeline
-    /// fill (fast-ISS cycles + 4 for identical programs).
+    /// fill (ISS cycles + 4 for identical programs).
     RunResult run(std::uint64_t max_cycles = 0);
 
     /// Advances the pipeline by one clock cycle; returns the stop reason
@@ -44,9 +42,6 @@ public:
     std::uint64_t cycles() const { return cycles_; }
     std::uint64_t instructions() const { return instructions_; }
     bool fi_active() const { return fi_active_; }
-
-    /// One-line occupancy snapshot ("IF2:0x104 ID:l.add ..."), for debug.
-    std::string stage_snapshot() const;
 
 private:
     enum class Poison : std::uint8_t { None, Fetch, Illegal };
@@ -111,4 +106,4 @@ private:
     std::uint32_t fault_addr_ = 0;
 };
 
-}  // namespace sfi
+}  // namespace sfi::testing

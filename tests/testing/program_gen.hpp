@@ -9,14 +9,14 @@
 //    did) together with its independent reference interpreter;
 //
 //  * generate_fuzz_program — an ISA-complete generator for the
-//    dispatch-differential harness (tests/cpu/test_differential.cpp):
-//    every opcode of the subset, forward/backward branches including
+//    differential harness (tests/cpu/test_differential.cpp): every
+//    opcode of the subset, forward/backward branches including
 //    statically-known self-loops, register-indirect jumps with controlled
-//    targets (bounded so the legacy engine's u32 pc arithmetic never
-//    wraps), loads/stores including self-modifying stores into the code
-//    image, kernel FI markers, edge-case immediates, and occasional
-//    undecodable words. Programs terminate via an exit nop, a fault, a
-//    self-loop, or the caller's cycle cap — whichever a run reaches.
+//    targets (bounded so u32 pc arithmetic never wraps), loads/stores
+//    including self-modifying stores into the code image, kernel FI
+//    markers, edge-case immediates, and occasional undecodable words.
+//    Programs terminate via an exit nop, a fault, a self-loop, or the
+//    caller's cycle cap — whichever a run reaches.
 #pragma once
 
 #include <array>
@@ -116,7 +116,7 @@ inline Program alu_to_program(const RandomProgram& rp) {
 }
 
 // ---------------------------------------------------------------------------
-// ISA-complete fuzz generator (dispatch differential).
+// ISA-complete fuzz generator (differential harness).
 // ---------------------------------------------------------------------------
 
 struct FuzzConfig {

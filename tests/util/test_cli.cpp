@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "cpu/interp.hpp"
-
 namespace sfi {
 namespace {
 
@@ -140,41 +138,6 @@ TEST(Cli, GetPositiveDoubleRejectsNonFiniteAndNonPositive) {
                      std::invalid_argument)
             << "accepted --watchdog-factor=" << bad;
     }
-}
-
-// --dispatch vocabulary (bench_common.hpp exits 2 on a nullopt parse;
-// the CI dispatch-equivalence job checks that exit code end to end).
-TEST(Cli, DispatchModeParsesTheTwoEngines) {
-    ASSERT_TRUE(parse_cpu_dispatch("legacy").has_value());
-    EXPECT_EQ(*parse_cpu_dispatch("legacy"), CpuDispatch::Legacy);
-    ASSERT_TRUE(parse_cpu_dispatch("threaded").has_value());
-    EXPECT_EQ(*parse_cpu_dispatch("threaded"), CpuDispatch::Threaded);
-}
-
-TEST(Cli, DispatchModeRejectsEverythingElse) {
-    for (const char* bad : {"", "Legacy", "THREADED", "switch", "fast",
-                            "threaded ", "legacy,threaded", "0", "1"})
-        EXPECT_FALSE(parse_cpu_dispatch(bad).has_value())
-            << "accepted --dispatch=" << bad;
-}
-
-TEST(Cli, DispatchNamesRoundTripThroughTheParser) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
-        const auto parsed = parse_cpu_dispatch(cpu_dispatch_name(dispatch));
-        ASSERT_TRUE(parsed.has_value()) << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(*parsed, dispatch);
-    }
-}
-
-// A --dispatch value reaches the bench Context through the ordinary
-// string lookup; make sure both spellings coexist with the rest of the
-// vocabulary.
-TEST(Cli, DispatchFlagParsesLikeAnyStringFlag) {
-    const Cli cli = make({"prog", "--dispatch", "legacy"});
-    EXPECT_EQ(cli.get("dispatch", "threaded"), "legacy");
-    const Cli eq = make({"prog", "--dispatch=threaded"});
-    EXPECT_EQ(eq.get("dispatch", "legacy"), "threaded");
 }
 
 }  // namespace
