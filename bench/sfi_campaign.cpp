@@ -1,7 +1,9 @@
-// Campaign driver: runs any of the built-in figure/ablation campaigns
-// (src/campaign/figures.hpp) against a shared persistent point store.
+// Campaign driver: the one entry point for the paper's figure and
+// ablation campaigns (src/campaign/figures.hpp), run against a shared
+// persistent point store. The runner prints each panel's report.
 //
-//   sfi_campaign --list
+//   sfi_campaign --list                # campaigns, panels and titles
+//   sfi_campaign --list --figures fig4 # just those campaigns
 //   sfi_campaign --figures fig1,fig5 --trials 100 --threads 0
 //   sfi_campaign                       # every figure campaign
 //
@@ -34,13 +36,6 @@ int main(int argc, char** argv) {
     using namespace sfi;
     bench::Context ctx(argc, argv, /*default_trials=*/0, {"figures", "list"});
 
-    if (ctx.cli.get_bool("list", false)) {
-        std::cout << "built-in figure campaigns:\n";
-        for (const std::string& name : campaign::figures::figure_names())
-            std::cout << "  " << name << "\n";
-        return 0;
-    }
-
     // --figures a,b,c ("all" or empty = everything).
     std::vector<std::string> selected;
     {
@@ -72,6 +67,22 @@ int main(int argc, char** argv) {
                           << " (see --list)\n";
                 return 2;
             }
+    }
+
+    if (ctx.cli.get_bool("list", false)) {
+        std::cout << "built-in figure campaigns:\n";
+        for (const std::string& name : selected) {
+            const campaign::CampaignSpec spec =
+                campaign::figures::make_figure(name, ctx.core_config);
+            std::cout << "  " << name << "\n";
+            for (const campaign::PanelSpec& panel : spec.panels)
+                std::cout << "    " << panel.name << ": " << panel.title
+                          << "\n";
+            for (const campaign::CdfPanelSpec& panel : spec.cdf_panels)
+                std::cout << "    " << panel.name << ": " << panel.title
+                          << "\n";
+        }
+        return 0;
     }
 
     std::signal(SIGINT, handle_sigint);

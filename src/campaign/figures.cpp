@@ -59,11 +59,16 @@ CoreModelConfig with_fingerprint_cache(CoreModelConfig config) {
 CampaignSpec fig1(const CoreModelConfig& core, std::size_t trials,
                   std::uint64_t seed) {
     CampaignSpec spec = base_spec("fig1", core, trials, 100, seed);
+    // The paper's model B/B+ thresholds, in panel order.
+    const char* const paper_thresholds_mhz[] = {"707", "661", "588"};
+    std::size_t index = 0;
     for (const double sigma : {0.0, 10.0, 25.0}) {
         PanelSpec panel;
         panel.name = "fig1_sigma" + fmt("%.0f", sigma);
         panel.title = "Fig. 1 model " + std::string(sigma > 0.0 ? "B+" : "B") +
-                      "  (Vdd = 0.7 V, sigma = " + fmt("%.0f", sigma) + " mV)";
+                      "  (Vdd = 0.7 V, sigma = " + fmt("%.0f", sigma) +
+                      " mV), paper threshold " + paper_thresholds_mhz[index++] +
+                      " MHz";
         panel.kernel = KernelSpec::bench(BenchmarkId::Median);
         panel.model = ModelSpec::b();
         panel.base.vdd = 0.7;
@@ -95,11 +100,13 @@ CampaignSpec fig4(const CoreModelConfig& core, std::size_t trials,
         const char* name;
         ExClass cls;
         unsigned operand_bits;
+        const char* paper_poff_mhz;
     };
+    // l.mul 32-bit: 16-bit operands with a full 32-bit result.
     const Series series[] = {
-        {"fig4_add16", ExClass::Add, 16},
-        {"fig4_add32", ExClass::Add, 32},
-        {"fig4_mul32", ExClass::Mul, 16},
+        {"fig4_add16", ExClass::Add, 16, "877"},
+        {"fig4_add32", ExClass::Add, 32, "746"},
+        {"fig4_mul32", ExClass::Mul, 16, "685"},
     };
     std::uint64_t index = 0;
     for (const Series& s : series) {
@@ -107,7 +114,8 @@ CampaignSpec fig4(const CoreModelConfig& core, std::size_t trials,
         panel.name = s.name;
         panel.title = std::string("Fig. 4 ") + ex_class_name(s.cls) +
                       " stream, " + std::to_string(s.operand_bits) +
-                      "-bit operands (Vdd = 0.7 V, sigma = 10 mV)";
+                      "-bit operands (Vdd = 0.7 V, sigma = 10 mV), paper "
+                      "PoFF " + s.paper_poff_mhz + " MHz";
         // The paper's isolated instruction streams: raw ALU operations
         // through model C, with an operand-profile-conditioned DTA
         // characterization per series.
@@ -127,22 +135,27 @@ CampaignSpec fig4(const CoreModelConfig& core, std::size_t trials,
 }
 
 CampaignSpec fig5(const CoreModelConfig& core, std::size_t trials,
-                  std::uint64_t seed, std::size_t points) {
+                  std::uint64_t seed) {
     CampaignSpec spec = base_spec("fig5", core, trials, 100, seed);
+    // The paper's PoFF gains over STA, in panel order.
+    const char* const paper_gains[] = {"+11.4%", "+3.3%", "none",
+                                       "+10.1%", "+6.9%", "+0.1%"};
+    std::size_t index = 0;
     for (const double vdd : {0.7, 0.8}) {
         for (const double sigma : {0.0, 10.0, 25.0}) {
             PanelSpec panel;
             panel.name =
                 "fig5_v" + fmt("%.1f", vdd) + "_s" + fmt("%.0f", sigma);
             panel.title = "Fig. 5  Vdd = " + fmt("%.1f", vdd) +
-                          " V  noise sigma = " + fmt("%.0f", sigma) + " mV";
+                          " V  noise sigma = " + fmt("%.0f", sigma) +
+                          " mV, paper PoFF gain " + paper_gains[index++];
             panel.kernel = KernelSpec::bench(BenchmarkId::Median);
             panel.model = ModelSpec::c();
             panel.base.vdd = vdd;
             panel.base.noise.sigma_mv = sigma;
             // The reliable->unreliable transition region: from below the
             // noisy first-fault point to well past total failure.
-            panel.grid = GridSpec::sta_linspace(0.92, 1.45, points);
+            panel.grid = GridSpec::sta_linspace(0.92, 1.45, 22);
             spec.panels.push_back(std::move(panel));
         }
     }
@@ -186,7 +199,10 @@ CampaignSpec fig7(const CoreModelConfig& core, std::size_t trials,
         PanelSpec panel;
         panel.name = "fig7_s" + fmt("%.0f", sigma);
         panel.title = "Fig. 7  sigma = " + fmt("%.0f", sigma) +
-                      " mV (median @ f_STA(0.7 V), voltage sweep)";
+                      " mV (median @ f_STA(0.7 V), voltage sweep), paper: " +
+                      (sigma > 10.0 ? "most of the power saving eroded"
+                                    : "PoFF at 0.93x power (0.667 V), 22 % "
+                                      "error at 0.88x power (0.657 V)");
         panel.kernel = KernelSpec::bench(BenchmarkId::Median);
         panel.model = ModelSpec::c();
         panel.base.vdd = 0.7;
@@ -208,7 +224,8 @@ CampaignSpec ablation_adder(const CoreModelConfig& core, std::size_t trials,
             kind == AdderKind::KoggeStone ? "kogge_stone" : "ripple_carry";
         PanelSpec panel;
         panel.name = std::string("ablation_adder_") + name;
-        panel.title = std::string("median under model C, adder = ") + name;
+        panel.title = std::string("median under model C, adder = ") + name +
+                      ", paper median PoFF gain at sigma = 0: +11.4%";
         panel.kernel = KernelSpec::bench(BenchmarkId::Median);
         panel.model = ModelSpec::c();
         panel.base.vdd = 0.7;
@@ -229,7 +246,9 @@ CampaignSpec ablation_compression(const CoreModelConfig& core,
     for (const double kappa : {0.0, 0.35, 0.8}) {
         PanelSpec panel;
         panel.name = "ablation_compression_k" + fmt("%.2f", kappa);
-        panel.title = "median under model C, compression = " + fmt("%.2f", kappa);
+        panel.title = "median under model C, compression = " +
+                      fmt("%.2f", kappa) +
+                      ", paper median PoFF gain at sigma = 10 mV: +3.3%";
         panel.kernel = KernelSpec::bench(BenchmarkId::Median);
         panel.model = ModelSpec::c();
         panel.base.vdd = 0.7;

@@ -1,12 +1,13 @@
-// Built-in CampaignSpecs for the paper's figure panels and the ablation
-// studies — the declarative replacements for the sweeps the bench_fig*
-// binaries used to hand-roll. Each factory takes the shared core
-// configuration plus the Monte-Carlo knobs; `trials = 0` selects the
-// figure's historical default trial count.
+// Built-in CampaignSpecs for the paper's figure panels (Figs. 1, 2, 4-7)
+// and the Monte-Carlo ablation studies. Each factory takes the shared
+// core configuration plus the Monte-Carlo knobs; `trials = 0` selects the
+// figure's default trial count.
 //
-// The bench drivers and the `sfi_campaign` binary both run these specs,
-// so a point computed by `bench_fig5` is served from the store when
-// `sfi_campaign --figures fig5` runs later (and vice versa).
+// `sfi_campaign --figures <name>` is the one driver for every spec here:
+// CampaignRunner renders each panel's console report (titles carry the
+// paper's anchors as static text), and EXPERIMENTS.md lists the shapes
+// each figure is expected to show. Titles are presentation only — they
+// stay out of the spec fingerprint and the point keys.
 #pragma once
 
 #include <string>
@@ -22,7 +23,7 @@ CampaignSpec fig2(const CoreModelConfig& core);
 CampaignSpec fig4(const CoreModelConfig& core, std::size_t trials = 0,
                   std::uint64_t seed = 1);
 CampaignSpec fig5(const CoreModelConfig& core, std::size_t trials = 0,
-                  std::uint64_t seed = 1, std::size_t points = 22);
+                  std::uint64_t seed = 1);
 CampaignSpec fig6(const CoreModelConfig& core, std::size_t trials = 0,
                   std::uint64_t seed = 1);
 CampaignSpec fig7(const CoreModelConfig& core, std::size_t trials = 0,

@@ -13,6 +13,8 @@
 #include "isa/isa.hpp"
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
+#include "perf/json_writer.hpp"
+#include "power/power_model.hpp"
 #include "sampling/search.hpp"
 #include "timing/dta.hpp"
 #include "util/csv.hpp"
@@ -21,17 +23,6 @@
 namespace sfi::campaign {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) continue;  // not expected
-        out += c;
-    }
-    return out;
-}
 
 std::string hex64(std::uint64_t value) {
     char buf[20];
@@ -98,6 +89,73 @@ std::vector<double> resolve(const GridSpec& grid, const CharacterizedCore& core,
         }
     }
     throw std::logic_error("GridSpec: unknown grid kind");
+}
+
+/// Console report of one completed Monte-Carlo panel (RunOptions::console).
+/// `describe_core` adds the core's f_STA / dynamic-fmax line, printed for
+/// the first panel that runs on each distinct core.
+void print_panel(std::ostream& os, const PanelSpec& panel,
+                 const CharacterizedCore& core, const OperatingPoint& base,
+                 const PanelResult& result, bool describe_core) {
+    os << (panel.title.empty() ? panel.name : panel.title) << "\n";
+    const double fsta = core.sta_fmax_mhz(base.vdd);
+    if (describe_core) {
+        os << "[core] f_STA(" << fmt_fixed(base.vdd, 2)
+           << " V) = " << fmt_fixed(fsta, 1) << " MHz, dynamic fmax";
+        for (const ExClass cls :
+             {ExClass::Add, ExClass::Sub, ExClass::Cmp, ExClass::Mul})
+            os << " " << ex_class_name(cls) << " "
+               << fmt_fixed(core.dynamic_fmax_mhz(cls, base.vdd), 1);
+        os << " MHz\n";
+    }
+    // Model B+'s hard threshold at the same point: the panel's own
+    // threshold under model B, the contrast to model C's transition.
+    if (panel.model.kind != ModelSpec::Kind::A) {
+        const double f0 = first_fault_mhz(core, ModelSpec::b(), base);
+        os << "model " << (base.noise.sigma_mv > 0.0 ? "B+" : "B")
+           << " first fault at the base point: " << fmt_fixed(f0, 1)
+           << " MHz (" << fmt_fixed(100.0 * (f0 / fsta - 1.0), 1)
+           << "% vs STA)\n";
+    }
+    print_sweep(os, "", result.sweep, panel.error_label,
+                panel.axis == Axis::Voltage);
+    if (result.poff) {
+        if (result.poff->bracketed)
+            os << "PoFF in (" << fmt_fixed(result.poff->lo_mhz, 1) << ", "
+               << fmt_fixed(result.poff->hi_mhz, 1) << "] MHz (bisection, "
+               << result.poff->probes << " probes, " << result.trials_spent
+               << " trials), gain "
+               << fmt_fixed(poff_gain_percent(result.poff->hi_mhz, fsta), 1)
+               << "% over STA (" << fmt_fixed(fsta, 1) << " MHz)\n";
+        else
+            os << "PoFF not bracketed in [" << fmt_fixed(result.poff->lo_mhz, 1)
+               << ", " << fmt_fixed(result.poff->hi_mhz, 1) << "] MHz\n";
+    } else if (panel.axis == Axis::Frequency) {
+        if (const auto poff = find_poff_mhz(result.sweep))
+            os << "PoFF = " << fmt_fixed(*poff, 1) << " MHz, gain "
+               << fmt_fixed(poff_gain_percent(*poff, fsta), 1)
+               << "% over STA (" << fmt_fixed(fsta, 1) << " MHz)\n";
+        else
+            os << "PoFF above the swept range\n";
+    } else {
+        // Voltage sweep at fixed frequency (Fig. 7): the highest Vdd that
+        // is not fully correct, and the power it saves over the base Vdd.
+        std::optional<double> failing_vdd;
+        for (const PointSummary& p : result.sweep)
+            if (p.correct_count != p.trials &&
+                (!failing_vdd || p.point.vdd > *failing_vdd))
+                failing_vdd = p.point.vdd;
+        if (failing_vdd)
+            os << "first-failure voltage ~" << fmt_fixed(*failing_vdd, 3)
+               << " V ("
+               << fmt_fixed(100.0 * PowerModel().normalized_power(*failing_vdd,
+                                                                  base.vdd),
+                            1)
+               << "% of the power at " << fmt_fixed(base.vdd, 2) << " V)\n";
+        else
+            os << "fully correct across the swept Vdd range\n";
+    }
+    os << "\n";
 }
 
 }  // namespace
@@ -316,7 +374,6 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
 
     const CharacterizedCore& panel_core = core_for(panel);
     const std::uint64_t core_fp = panel_core.fingerprint();
-    if (options_.on_panel_start) options_.on_panel_start(panel, panel_core);
 
     const ResolvedPanel resolved = resolve_panel(panel);
     const OperatingPoint& base = resolved.base;
@@ -524,37 +581,9 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
     }
     if (!result.completed) return result;
 
-    if (options_.console && panel.print_table) {
-        std::ostream& os = *options_.console;
-        // Empty title = the driver already printed its own header (via
-        // on_panel_start).
-        if (!panel.title.empty()) os << panel.title << "\n";
-        print_sweep(os, "", result.sweep, panel.error_label);
-        if (result.poff) {
-            const double fsta = panel_core.sta_fmax_mhz(base.vdd);
-            if (result.poff->bracketed)
-                os << "PoFF in (" << fmt_fixed(result.poff->lo_mhz, 1) << ", "
-                   << fmt_fixed(result.poff->hi_mhz, 1) << "] MHz (bisection, "
-                   << result.poff->probes << " probes, "
-                   << result.trials_spent << " trials), gain "
-                   << fmt_fixed(
-                          poff_gain_percent(result.poff->hi_mhz, fsta), 1)
-                   << "% over STA (" << fmt_fixed(fsta, 1) << " MHz)\n";
-            else
-                os << "PoFF not bracketed in ["
-                   << fmt_fixed(result.poff->lo_mhz, 1) << ", "
-                   << fmt_fixed(result.poff->hi_mhz, 1) << "] MHz\n";
-        } else if (panel.axis == Axis::Frequency) {
-            const double fsta = panel_core.sta_fmax_mhz(base.vdd);
-            if (const auto poff = find_poff_mhz(result.sweep))
-                os << "PoFF = " << fmt_fixed(*poff, 1) << " MHz, gain "
-                   << fmt_fixed(poff_gain_percent(*poff, fsta), 1)
-                   << "% over STA (" << fmt_fixed(fsta, 1) << " MHz)\n";
-            else
-                os << "PoFF above the swept range\n";
-        }
-        os << "\n";
-    }
+    if (options_.console)
+        print_panel(*options_.console, panel, panel_core, base, result,
+                    described_cores_.insert(core_fp).second);
 
     if (!options_.csv_dir.empty()) {
         result.csv_path = options_.csv_dir + "/" + panel.name + ".csv";
@@ -603,6 +632,29 @@ CdfPanelResult CampaignRunner::run_cdf_panel(const CdfPanelSpec& panel) {
         result.rows.push_back(std::move(row));
     }
 
+    if (options_.console) {
+        std::ostream& os = *options_.console;
+        os << (panel.title.empty() ? panel.name : panel.title) << "\n\n";
+        TextTable table(result.columns);
+        for (const std::vector<double>& row : result.rows) {
+            std::vector<std::string> cells = {fmt_fixed(row[0], 0)};
+            for (std::size_t i = 1; i < row.size(); ++i)
+                cells.push_back(fmt_fixed(100.0 * row[i], 1) + "%");
+            table.add_row(cells);
+        }
+        table.print(os);
+        os << "\nfirst-failure frequencies (P > 0):\n";
+        for (const CdfCurveSpec& curve : panel.curves) {
+            const double f0 =
+                1.0e6 / (cdfs.endpoint_max_window_ps(curve.cls, curve.bit) *
+                         campaign_core.lib().fit().factor(curve.vdd));
+            os << "  " << ex_class_name(curve.cls) << " bit[" << curve.bit
+               << "] @ " << fmt_fixed(curve.vdd, 1)
+               << " V : " << fmt_fixed(f0, 0) << " MHz\n";
+        }
+        os << "\n";
+    }
+
     if (!options_.csv_dir.empty()) {
         result.csv_path = options_.csv_dir + "/" + panel.name + ".csv";
         CsvWriter csv(result.csv_path);
@@ -633,8 +685,9 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
     // the same spec (hit/miss split, wall clock, machine-local paths)
     // lives on the single "run" line so consumers — and the resume tests
     // — can separate the two by line.
+    using perf::JsonWriter;
     os << "{\n";
-    os << "  \"campaign\": \"" << json_escape(spec_.name) << "\",\n";
+    os << "  \"campaign\": \"" << JsonWriter::escape(spec_.name) << "\",\n";
     os << "  \"spec_fingerprint\": \"0x" << hex64(result.spec_fingerprint)
        << "\",\n";
     os << "  \"trials\": " << spec_.trials << ",\n";
@@ -644,7 +697,7 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
     for (const PanelResult& panel : result.panels) {
         if (!first) os << ",\n";
         first = false;
-        os << "    {\"name\": \"" << json_escape(panel.name)
+        os << "    {\"name\": \"" << JsonWriter::escape(panel.name)
            << "\", \"kind\": \"" << (panel.poff ? "poff" : "mc")
            << "\", \"points\": " << panel.sweep.size()
            << ", \"trials_spent\": " << panel.trials_spent;
@@ -680,22 +733,23 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
                 os << ", \"poff_mhz\": null";
         }
         os << ", \"csv\": \""
-           << json_escape(
+           << JsonWriter::escape(
                   std::filesystem::path(panel.csv_path).filename().string())
            << "\"}";
     }
     for (const CdfPanelResult& panel : result.cdf_panels) {
         if (!first) os << ",\n";
         first = false;
-        os << "    {\"name\": \"" << json_escape(panel.name)
+        os << "    {\"name\": \"" << JsonWriter::escape(panel.name)
            << "\", \"kind\": \"cdf\", \"points\": " << panel.rows.size()
            << ", \"csv\": \""
-           << json_escape(
+           << JsonWriter::escape(
                   std::filesystem::path(panel.csv_path).filename().string())
            << "\"}";
     }
     os << "\n  ],\n";
-    os << "  \"run\": {\"store_path\": \"" << json_escape(options_.store_path)
+    os << "  \"run\": {\"store_path\": \""
+       << JsonWriter::escape(options_.store_path)
        << "\", \"store_hits\": " << result.store_hits
        << ", \"store_misses\": " << result.store_misses
        << ", \"trials_spent\": " << result.trials_spent
@@ -717,6 +771,8 @@ CampaignResult CampaignRunner::run() {
     CampaignResult result;
     result.name = spec_.name;
     result.spec_fingerprint = spec_.fingerprint();
+
+    described_cores_.clear();
 
     obs::Ledger* const led = options_.ledger;
     const bool wall = led != nullptr && !led->logical();

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,16 +56,18 @@ struct RunOptions {
     /// MC worker threads per point (McConfig::threads semantics: 0 = one
     /// per hardware thread, 1 = serial; bit-identical at any value).
     std::size_t threads = 1;
-    /// Console progress (panel tables, PoFF lines); null = quiet.
+    /// Console report; null = quiet. Each completed panel prints its
+    /// title and table: frequency panels add the PoFF line, voltage
+    /// panels the highest failing Vdd and its normalized power, model
+    /// B/C panels the model-B+ first-fault frequency at their base point,
+    /// and the first panel on each distinct core that core's f_STA and
+    /// add/sub/cmp/mul dynamic fmax. CDF panels print their percent
+    /// table and each curve's first-failure frequency.
     std::ostream* console = nullptr;
     /// Checked before every point; returning true stops the campaign
     /// cleanly after the point in flight (completed points are already
     /// persisted). This is how tests emulate a mid-sweep kill.
     std::function<bool()> cancelled;
-    /// Invoked before each MC panel executes (after its core is built) —
-    /// drivers hook their bespoke per-panel console headers here.
-    std::function<void(const PanelSpec&, const CharacterizedCore&)>
-        on_panel_start;
     /// Run ledger (bench --trace); null = no tracing. The runner emits
     /// the campaign/panel/point narrative, probe verdicts and stopping
     /// classifications in both trace modes, and store traffic, batch
@@ -211,11 +214,14 @@ private:
     std::map<std::uint64_t, std::unique_ptr<CharacterizedCore>> cores_;
     std::map<ConditionedStoreKey, std::shared_ptr<const TimingErrorCdfs>>
         conditioned_;
+    /// Fingerprints of the cores the console report has described in the
+    /// current run().
+    std::set<std::uint64_t> described_cores_;
 };
 
 /// First-fault frequency (MHz) of `model_spec` instantiated on `core` at
-/// `base` — the runtime anchor of FirstFaultWindow grids, exposed so
-/// drivers can echo it in panel titles. Model B/B+ only.
+/// `base` — the runtime anchor of FirstFaultWindow grids and the model-B+
+/// contrast line of the console report. Model B/B+ only.
 double first_fault_mhz(const CharacterizedCore& core, const ModelSpec& model_spec,
                        const OperatingPoint& base);
 

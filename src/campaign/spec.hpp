@@ -157,10 +157,6 @@ struct PanelSpec {
     std::optional<PoffSearchSpec> poff;
     /// Error-metric label of the console table ("rel. error %", "MSE", ...).
     std::string error_label = "rel. error %";
-    /// Print the figure-panel table + PoFF line while running (drivers
-    /// with bespoke console output disable this and render the returned
-    /// sweep themselves).
-    bool print_table = true;
 };
 
 /// Deterministic curve family evaluated straight from the CDF store —

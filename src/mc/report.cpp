@@ -9,11 +9,14 @@ namespace sfi {
 
 void print_sweep(std::ostream& os, const std::string& title,
                  const std::vector<PointSummary>& sweep,
-                 const std::string& error_label) {
+                 const std::string& error_label, bool vdd_axis) {
     os << title << "\n";
-    TextTable table({"f [MHz]", "finished", "correct", "FI/kCycle", error_label});
+    TextTable table({vdd_axis ? "Vdd [V]" : "f [MHz]", "finished", "correct",
+                     "FI/kCycle", error_label});
     for (const PointSummary& p : sweep) {
-        table.add_row({fmt_fixed(p.point.freq_mhz, 1), fmt_pct(p.finished_frac()),
+        table.add_row({vdd_axis ? fmt_fixed(p.point.vdd, 3)
+                                : fmt_fixed(p.point.freq_mhz, 1),
+                       fmt_pct(p.finished_frac()),
                        fmt_pct(p.correct_frac()), fmt_sci(p.fi_rate, 3),
                        p.finished_count ? fmt_sci(p.mean_error, 4) : "n/a"});
     }
@@ -39,13 +42,6 @@ void write_sweep_csv(const std::string& path,
         csv.end_row();
     }
     csv.close();  // surfaces stream errors (full disk, revoked mount, ...)
-}
-
-void print_point_progress(std::ostream& os, const PointSummary& point) {
-    os << "  f=" << fmt_fixed(point.point.freq_mhz, 1)
-       << " MHz  finished=" << fmt_pct(point.finished_frac())
-       << "  correct=" << fmt_pct(point.correct_frac())
-       << "  FI/kCycle=" << fmt_sci(point.fi_rate, 3) << "\n";
 }
 
 }  // namespace sfi

@@ -11,11 +11,12 @@
 
 namespace sfi {
 
-/// Prints a figure-panel-style table: frequency, finished %, correct %,
-/// FI/kCycle, output error. `error_label` names the benchmark metric.
+/// Prints a figure-panel-style table: frequency (or, with `vdd_axis`,
+/// supply voltage), finished %, correct %, FI/kCycle, output error.
+/// `error_label` names the benchmark metric.
 void print_sweep(std::ostream& os, const std::string& title,
                  const std::vector<PointSummary>& sweep,
-                 const std::string& error_label);
+                 const std::string& error_label, bool vdd_axis = false);
 
 /// Same series as CSV (columns: freq_mhz, vdd, sigma_mv, finished, correct,
 /// fi_per_kcycle, mean_error, trials). mean_error averages output error
@@ -26,8 +27,5 @@ void print_sweep(std::ostream& os, const std::string& title,
 /// the figure data.
 void write_sweep_csv(const std::string& path,
                      const std::vector<PointSummary>& sweep);
-
-/// One-line progress printer for long sweeps.
-void print_point_progress(std::ostream& os, const PointSummary& point);
 
 }  // namespace sfi

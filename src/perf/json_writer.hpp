@@ -6,7 +6,8 @@
 // parse them without a schema migration story.
 //
 // The campaign manifest writer (src/campaign/runner.cpp) predates this
-// class and hand-rolls its JSON; new JSON producers should use JsonWriter.
+// class and hand-rolls its line layout, escaping strings through
+// JsonWriter::escape; new JSON producers should use JsonWriter.
 #pragma once
 
 #include <cstdint>

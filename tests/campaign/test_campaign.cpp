@@ -6,7 +6,10 @@
 //  * point keys are content-addressed (renamed panels still hit);
 //  * the declarative grids resolve to the historical sweep values and
 //    the campaign path reproduces the hand-rolled fig1-style sweep
-//    byte for byte.
+//    byte for byte;
+//  * the console report renders voltage sweeps on a Vdd axis and CDF
+//    panels as percent tables with their first-failure frequencies;
+//  * the manifest escapes control bytes instead of dropping them.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +24,8 @@
 
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
+#include "power/power_model.hpp"
+#include "util/table.hpp"
 
 namespace sfi::campaign {
 namespace {
@@ -64,6 +69,14 @@ CampaignSpec tiny_campaign() {
     stream.grid = GridSpec::explicit_values({700.0, 900.0});
     spec.panels.push_back(stream);
     return spec;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+    std::size_t count = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++count;
+    return count;
 }
 
 std::string read_file(const std::string& path) {
@@ -285,6 +298,155 @@ TEST_F(CampaignTest, CampaignPathMatchesHandRolledSweepByteForByte) {
     const std::string legacy_path = dir_ + "/c/legacy.csv";
     write_sweep_csv(legacy_path, sweep);
     EXPECT_EQ(campaign_csv, read_file(legacy_path));
+}
+
+TEST_F(CampaignTest, ConsoleRendersVoltageSweepsOnTheVddAxis) {
+    // Fig. 7 in miniature: median at the nominal STA limit, supply swept
+    // across the failure edge (0.64 V fails, 0.70 V is the nominal point).
+    CampaignSpec spec = tiny_campaign();
+    spec.panels.clear();
+    for (const double sigma : {0.0, 10.0}) {
+        PanelSpec panel;
+        panel.name = "volt_s" + std::to_string(static_cast<int>(sigma));
+        panel.title = "voltage sweep, sigma = " + fmt_fixed(sigma, 0) + " mV";
+        panel.kernel = KernelSpec::bench(BenchmarkId::Median);
+        panel.model = ModelSpec::c();
+        panel.base.vdd = 0.7;
+        panel.base.noise.sigma_mv = sigma;
+        panel.base_freq_sta_factor = 1.0;
+        panel.axis = Axis::Voltage;
+        panel.grid = GridSpec::explicit_values({0.64, 0.70});
+        spec.panels.push_back(panel);
+    }
+    std::ostringstream console;
+    RunOptions o = options("v");
+    o.console = &console;
+    CampaignRunner runner(spec, std::move(o));
+    const CampaignResult result = runner.run();
+    ASSERT_TRUE(result.completed);
+    const PanelResult& quiet = result.panel("volt_s0");
+    ASSERT_EQ(quiet.sweep.size(), 2u);
+    ASSERT_NE(quiet.sweep[0].correct_count, quiet.sweep[0].trials);
+    ASSERT_EQ(quiet.sweep[1].correct_count, quiet.sweep[1].trials);
+
+    const std::string text = console.str();
+    EXPECT_NE(text.find("voltage sweep, sigma = 0 mV\n"), std::string::npos);
+    EXPECT_NE(text.find("voltage sweep, sigma = 10 mV\n"), std::string::npos);
+    EXPECT_EQ(count_of(text, "Vdd [V]"), 2u);
+    EXPECT_EQ(count_of(text, "f [MHz]"), 0u);
+    EXPECT_EQ(count_of(text, "\n0.640 "), 2u);
+    EXPECT_EQ(count_of(text, "\n0.700 "), 2u);
+    // The highest failing Vdd of the noiseless panel, with its power
+    // normalized to the nominal 0.7 V.
+    EXPECT_NE(text.find("first-failure voltage ~0.640 V (" +
+                        fmt_fixed(100.0 * PowerModel().normalized_power(
+                                              0.64, 0.7),
+                                  1) +
+                        "% of the power at 0.70 V)"),
+              std::string::npos)
+        << text;
+    // Both panels share one core: it is described once, and each model-C
+    // panel quotes the model-B/B+ threshold at its base point.
+    EXPECT_EQ(count_of(text, "[core] f_STA(0.70 V) = " +
+                                 fmt_fixed(runner.core().sta_fmax_mhz(0.7), 1) +
+                                 " MHz, dynamic fmax add "),
+              1u);
+    EXPECT_EQ(count_of(text, "model B first fault at the base point: "), 1u);
+    EXPECT_EQ(count_of(text, "model B+ first fault at the base point: "), 1u);
+}
+
+TEST_F(CampaignTest, ConsoleRendersCdfPanels) {
+    // Fig. 2 in miniature: two DTA curves on a three-point grid.
+    CampaignSpec spec = tiny_campaign();
+    spec.panels.clear();
+    CdfPanelSpec panel;
+    panel.name = "cdfs";
+    panel.title = "timing-error CDFs";
+    panel.curves = {{ExClass::Add, 24, 0.7}, {ExClass::Mul, 24, 0.8}};
+    panel.grid = GridSpec::explicit_values({600.0, 1000.0, 2400.0});
+    spec.cdf_panels.push_back(panel);
+
+    std::ostringstream console;
+    RunOptions o = options("d");
+    o.console = &console;
+    CampaignRunner runner(spec, std::move(o));
+    const CampaignResult result = runner.run();
+    ASSERT_EQ(result.cdf_panels.size(), 1u);
+    const CdfPanelResult& cdf = result.cdf_panels[0];
+
+    const std::string text = console.str();
+    EXPECT_NE(text.find("timing-error CDFs\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("add b24 0.7V"), std::string::npos);
+    EXPECT_NE(text.find("mul b24 0.8V"), std::string::npos);
+    // One row per grid frequency, probabilities as percentages.
+    for (std::size_t i = 0; i < cdf.rows.size(); ++i) {
+        std::string row = fmt_fixed(cdf.rows[i][0], 0);
+        EXPECT_NE(text.find("\n" + row + " "), std::string::npos) << row;
+        EXPECT_NE(text.find(fmt_fixed(100.0 * cdf.rows[i][1], 1) + "%"),
+                  std::string::npos);
+    }
+    // First-failure frequency of each curve: the endpoint's worst window
+    // at the curve's Vdd.
+    EXPECT_NE(text.find("first-failure frequencies (P > 0):\n"),
+              std::string::npos);
+    const CharacterizedCore& core = runner.core();
+    for (const CdfCurveSpec& curve : panel.curves) {
+        const double f0 =
+            1.0e6 / (core.cdfs()->endpoint_max_window_ps(curve.cls, curve.bit) *
+                     core.lib().fit().factor(curve.vdd));
+        const std::string line = std::string("  ") + ex_class_name(curve.cls) +
+                                 " bit[24] @ " + fmt_fixed(curve.vdd, 1) +
+                                 " V : " + fmt_fixed(f0, 0) + " MHz\n";
+        EXPECT_NE(text.find(line), std::string::npos) << line << text;
+    }
+}
+
+// Minimal JSON string decoder for the escapes JsonWriter emits.
+std::string json_unescape(const std::string& text) {
+    std::string out;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] != '\\' || i + 1 == text.size()) {
+            out += text[i];
+            continue;
+        }
+        switch (text[++i]) {
+            case 'n': out += '\n'; break;
+            case 'r': out += '\r'; break;
+            case 't': out += '\t'; break;
+            case 'u':
+                out += static_cast<char>(
+                    std::stoi(text.substr(i + 1, 4), nullptr, 16));
+                i += 4;
+                break;
+            default: out += text[i];
+        }
+    }
+    return out;
+}
+
+TEST_F(CampaignTest, ManifestRoundTripsControlBytesInTheStorePath) {
+    CampaignSpec spec = tiny_campaign();
+    spec.panels.clear();
+    RunOptions o = options("m");
+    o.store_path = dir_ + "/m/odd\tstore\nname\x01.bin";
+    fs::create_directories(dir_ + "/m");
+    CampaignRunner runner(spec, o);
+    const CampaignResult result = runner.run();
+    ASSERT_FALSE(result.manifest_path.empty());
+
+    // The run object stays on one line and decodes to the exact path.
+    std::istringstream manifest(read_file(result.manifest_path));
+    std::string line, run_line;
+    while (std::getline(manifest, line))
+        if (line.find("\"run\":") != std::string::npos) run_line = line;
+    const std::string key = "\"store_path\": \"";
+    const auto begin = run_line.find(key);
+    ASSERT_NE(begin, std::string::npos) << run_line;
+    const auto end = run_line.find("\", \"store_hits\"", begin);
+    ASSERT_NE(end, std::string::npos) << run_line;
+    EXPECT_EQ(json_unescape(run_line.substr(begin + key.size(),
+                                            end - begin - key.size())),
+              o.store_path);
 }
 
 }  // namespace

@@ -84,14 +84,6 @@ TEST(PrintSweep, ErrorColumnIsNaWhenNothingFinished) {
     EXPECT_NE(os.str().find("n/a"), std::string::npos);
 }
 
-TEST(PrintPointProgress, OneLinePerPoint) {
-    std::ostringstream os;
-    print_point_progress(os, make_summary(712.5, 40, 39, 30, 1.25e-2, 3.75));
-    const std::string text = os.str();
-    EXPECT_NE(text.find("f=712.5"), std::string::npos);
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
-}
-
 TEST_F(ReportCsvTest, RoundTripsEveryColumn) {
     const auto sweep = sample_sweep();
     const std::string path = dir_ + "/sweep.csv";
