@@ -16,10 +16,15 @@ MemFault::MemFault(std::uint32_t fault_addr, const char* what_kind)
                          }(fault_addr)),
       addr(fault_addr) {}
 
-Memory::Memory(std::uint32_t size) : bytes_(size, 0) {
+namespace {
+std::uint32_t checked_size(std::uint32_t size) {
     if (size == 0 || size % 4 != 0)
         throw std::invalid_argument("Memory size must be a positive word multiple");
+    return size;
 }
+}  // namespace
+
+Memory::Memory(std::uint32_t size) : bytes_(checked_size(size)) {}
 
 void Memory::load(const Program& program) {
     for (const auto& section : program.sections) {
@@ -35,7 +40,7 @@ void Memory::load(const Program& program) {
 }
 
 void Memory::clear() {
-    std::fill(bytes_.begin() + dirty_lo_, bytes_.begin() + dirty_hi_, 0);
+    std::fill(bytes_.data() + dirty_lo_, bytes_.data() + dirty_hi_, 0);
     dirty_lo_ = dirty_hi_ = 0;
     sc_lo_ = sc_hi_ = 0;
     has_image_ = false;
@@ -46,7 +51,7 @@ void Memory::clear() {
 void Memory::checkpoint_image() {
     image_lo_ = dirty_lo_;
     image_hi_ = dirty_hi_;
-    image_.assign(bytes_.begin() + image_lo_, bytes_.begin() + image_hi_);
+    image_.assign(bytes_.data() + image_lo_, bytes_.data() + image_hi_);
     sc_lo_ = sc_hi_ = 0;
     has_image_ = true;
 }
@@ -58,7 +63,7 @@ bool Memory::restore_image() {
         // the slice of the image it overlapped. Bytes outside the written
         // range are unchanged since the checkpoint by the touch()
         // invariant, so this reconstructs the checkpoint state exactly.
-        std::fill(bytes_.begin() + sc_lo_, bytes_.begin() + sc_hi_, 0);
+        std::fill(bytes_.data() + sc_lo_, bytes_.data() + sc_hi_, 0);
         const std::uint32_t lo = std::max(sc_lo_, image_lo_);
         const std::uint32_t hi = std::min(sc_hi_, image_hi_);
         if (lo < hi)

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "isa/assembler.hpp"
+#include "util/zero_pages.hpp"
 
 namespace sfi {
 
@@ -22,7 +23,16 @@ struct MemFault : std::runtime_error {
 class Memory {
 public:
     /// Creates a zero-initialized memory of `size` bytes (word multiple).
+    /// The image lives on demand-zero pages (util/zero_pages.hpp): only
+    /// the pages a program writes become resident, and destruction hands
+    /// them back to the OS — a 1 MiB image whose kernel touches a few KiB
+    /// costs a few KiB.
     explicit Memory(std::uint32_t size = kDefaultSize);
+
+    /// Pinned: a Cpu binds to its Memory by reference, so the image is
+    /// neither copied nor moved.
+    Memory(const Memory&) = delete;
+    Memory& operator=(const Memory&) = delete;
 
     static constexpr std::uint32_t kDefaultSize = 1u << 20;  // 1 MiB
 
@@ -170,7 +180,7 @@ private:
         }
     }
 
-    std::vector<std::uint8_t> bytes_;
+    ZeroPages<std::uint8_t> bytes_;
     std::uint64_t write_gen_ = 0;
     // Invariant: bytes_ outside [dirty_lo_, dirty_hi_) are all zero.
     std::uint32_t dirty_lo_ = 0;

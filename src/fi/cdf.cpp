@@ -60,11 +60,24 @@ TimingErrorCdfs TimingErrorCdfs::from_dta(const DtaResult& dta) {
         PerClass& pc = store.classes_.at(static_cast<std::size_t>(cls_result.cls));
         pc.present = true;
         pc.sorted_arrivals = cls_result.arrivals_ps;
-        for (auto& samples : pc.sorted_arrivals)
+        for (auto& samples : pc.sorted_arrivals) {
+            if (samples.size() != store.samples_)
+                throw std::invalid_argument(
+                    "TimingErrorCdfs: endpoint sample count differs from "
+                    "the DTA cycle count");
             std::sort(samples.begin(), samples.end());
+        }
         store.endpoints_ =
             std::max(store.endpoints_, pc.sorted_arrivals.size());
     }
+    // The same shape load() demands of a file: one endpoint count for
+    // every class, at most kMaxEndpoints.
+    for (const PerClass& pc : store.classes_)
+        if (pc.present && (pc.sorted_arrivals.size() != store.endpoints_ ||
+                           store.endpoints_ > kMaxEndpoints))
+            throw std::invalid_argument(
+                "TimingErrorCdfs: classes need one endpoint count of at "
+                "most 32");
     store.rebuild_derived();
     return store;
 }
@@ -102,19 +115,23 @@ bool TimingErrorCdfs::has_class(ExClass cls) const {
     return classes_.at(static_cast<std::size_t>(cls)).present;
 }
 
-double TimingErrorCdfs::violation_prob(ExClass cls, std::size_t endpoint,
-                                       double capture_window_ps) const {
-    const PerClass& pc = per_class(cls);
-    const auto& samples = pc.sorted_arrivals.at(endpoint);
-    if (samples.empty()) return 0.0;
+std::size_t TimingErrorCdfs::violation_count(ExClass cls, std::size_t endpoint,
+                                             double capture_window_ps) const {
+    const auto& samples = per_class(cls).sorted_arrivals.at(endpoint);
     const double threshold = capture_window_ps - setup_ps_;
     // Violated samples are those with arrival > threshold.
     const auto it = std::upper_bound(samples.begin(), samples.end(), threshold,
                                      [](double t, float s) {
                                          return t < static_cast<double>(s);
                                      });
-    return static_cast<double>(samples.end() - it) /
-           static_cast<double>(samples.size());
+    return static_cast<std::size_t>(samples.end() - it);
+}
+
+double TimingErrorCdfs::violation_prob(ExClass cls, std::size_t endpoint,
+                                       double capture_window_ps) const {
+    const std::size_t count = violation_count(cls, endpoint, capture_window_ps);
+    if (samples_ == 0) return 0.0;
+    return static_cast<double>(count) / static_cast<double>(samples_);
 }
 
 double TimingErrorCdfs::class_max_window_ps(ExClass cls) const {
@@ -124,6 +141,11 @@ double TimingErrorCdfs::class_max_window_ps(ExClass cls) const {
 double TimingErrorCdfs::endpoint_max_window_ps(ExClass cls,
                                                std::size_t endpoint) const {
     return per_class(cls).max_window_ps.at(endpoint);
+}
+
+const std::vector<double>& TimingErrorCdfs::endpoint_max_windows_ps(
+    ExClass cls) const {
+    return per_class(cls).max_window_ps;
 }
 
 double TimingErrorCdfs::max_window_ps() const {
@@ -164,16 +186,30 @@ TimingErrorCdfs TimingErrorCdfs::load(std::istream& is) {
         throw std::runtime_error("TimingErrorCdfs: unsupported version");
     TimingErrorCdfs store;
     store.setup_ps_ = get<double>(is);
-    store.endpoints_ = static_cast<std::size_t>(get<std::uint64_t>(is));
-    store.samples_ = static_cast<std::size_t>(get<std::uint64_t>(is));
+    const auto endpoints = get<std::uint64_t>(is);
+    const auto samples = get<std::uint64_t>(is);
+    // The header fixes the shape of every class: model C walks endpoint
+    // indices into a 32-bit mask, and divides each violation count by the
+    // header's sample count. A file that disagrees with itself is corrupt.
+    if (endpoints > kMaxEndpoints)
+        throw std::runtime_error("TimingErrorCdfs: more than 32 endpoints");
+    store.endpoints_ = static_cast<std::size_t>(endpoints);
+    store.samples_ = static_cast<std::size_t>(samples);
     for (std::size_t c = 0; c < store.classes_.size(); ++c) {
         PerClass& pc = store.classes_[c];
         pc.present = get<std::uint8_t>(is) != 0;
         if (!pc.present) continue;
+        if (get<std::uint64_t>(is) != endpoints)
+            throw std::runtime_error(
+                "TimingErrorCdfs: class endpoint count disagrees with the header");
         // Endpoints are appended as they are read (see get_samples).
-        const auto endpoints = get<std::uint64_t>(is);
-        for (std::uint64_t e = 0; e < endpoints; ++e)
-            pc.sorted_arrivals.push_back(get_samples(is, get<std::uint64_t>(is)));
+        for (std::uint64_t e = 0; e < endpoints; ++e) {
+            if (get<std::uint64_t>(is) != samples)
+                throw std::runtime_error(
+                    "TimingErrorCdfs: endpoint sample count disagrees with "
+                    "the header");
+            pc.sorted_arrivals.push_back(get_samples(is, samples));
+        }
     }
     store.rebuild_derived();
     return store;

@@ -39,7 +39,19 @@ public:
     double setup_ps() const { return setup_ps_; }
     std::size_t samples_per_endpoint() const { return samples_; }
 
-    /// P[arrival + setup > capture_window_ps] for one endpoint.
+    /// Endpoints per class are capped at the ALU's 32 result bits: the
+    /// fault models inject by shifting 1u by the endpoint index.
+    static constexpr std::size_t kMaxEndpoints = 32;
+
+    /// Number of samples with arrival + setup > capture_window_ps for one
+    /// endpoint — exact, so violation_prob is this count over
+    /// samples_per_endpoint() (every endpoint of a store carries exactly
+    /// that many samples; from_dta and load enforce it).
+    std::size_t violation_count(ExClass cls, std::size_t endpoint,
+                                double capture_window_ps) const;
+
+    /// P[arrival + setup > capture_window_ps] for one endpoint:
+    /// violation_count / samples_per_endpoint (0 for an empty store).
     double violation_prob(ExClass cls, std::size_t endpoint,
                           double capture_window_ps) const;
 
@@ -48,6 +60,9 @@ public:
     double class_max_window_ps(ExClass cls) const;
     /// Worst arrival + setup for one endpoint of `cls`.
     double endpoint_max_window_ps(ExClass cls, std::size_t endpoint) const;
+    /// The same for every endpoint of `cls` at once (indexed by endpoint):
+    /// lets a per-op walk hoist the class lookup out of its loop.
+    const std::vector<double>& endpoint_max_windows_ps(ExClass cls) const;
     /// Worst over all classes.
     double max_window_ps() const;
 
@@ -57,6 +72,11 @@ public:
 
     // ---- persistence (binary, versioned) --------------------------------
     void save(std::ostream& os) const;
+    /// Rejects (std::runtime_error) anything save() cannot have written:
+    /// bad magic/version, truncation, non-finite or unsorted samples, a
+    /// header above kMaxEndpoints endpoints, and a present class whose
+    /// endpoint count, or an endpoint whose sample count, disagrees with
+    /// the header.
     static TimingErrorCdfs load(std::istream& is);
     void save_file(const std::string& path) const;
     static TimingErrorCdfs load_file(const std::string& path);

@@ -197,7 +197,7 @@ void ModelB::refresh_sampling() {
     batch_.configure(point_.noise.sigma_mv,
                      point_.noise.clip_sigmas * point_.noise.sigma_mv,
                      noise_clip_v_, noise_window_table_.size(),
-                     sampling_mode_);
+                     sampling_mode_, rng_);
     // B-q's sampler: the window index only ever feeds violation_count_,
     // so quantized mode aliases the pushforward of the index masses
     // through that table and samples the count directly — a <= 33-entry
@@ -325,19 +325,40 @@ void ModelC::operating_point_changed() {
             : *std::min_element(noise_window_table_.begin(),
                                 noise_window_table_.end());
     vdd_noise_ = VddNoise(point_.noise);
-    // Hoist the per-class store lookups: corrupt() runs once per ALU op,
-    // and the store is immutable, so resolve the class dispatch to plain
-    // array loads here. (Rebuilt per point only because this hook is the
-    // one refresh point; the views themselves are point-independent.)
+    samples_ = static_cast<double>(cdfs_->samples_per_endpoint());
+    // Hoist the per-class store lookups (corrupt() runs once per ALU op
+    // and the store is immutable) and lay out the count memo. A class
+    // needs memo rows up to the last window row it can violate, and ranks
+    // for the endpoints that violate the smallest reachable window: the
+    // walk breaks before any other endpoint, whatever the row.
+    const std::size_t rows =
+        noise_window_table_.empty() ? 1 : noise_window_table_.size();
+    const auto row_window = [&](std::size_t row) {
+        return noise_window_table_.empty() ? base_window_ps_
+                                           : noise_window_table_[row];
+    };
+    std::size_t memo_size = 0;
     for (std::size_t i = 0; i < kExClassCount; ++i) {
         const ExClass cls = static_cast<ExClass>(i);
         ClassView& view = class_view_[i];
+        view = ClassView{};
         view.present = cdfs_->has_class(cls);
-        if (view.present) {
-            view.max_window_ps = cdfs_->class_max_window_ps(cls);
-            view.order = &cdfs_->endpoints_by_criticality(cls);
-        }
+        if (!view.present) continue;
+        view.max_window_ps = cdfs_->class_max_window_ps(cls);
+        const std::vector<std::uint32_t>& order =
+            cdfs_->endpoints_by_criticality(cls);
+        view.order = order.data();
+        view.endpoint_max_window_ps = cdfs_->endpoint_max_windows_ps(cls).data();
+        std::size_t violating_rows = 0;
+        for (std::size_t row = 0; row < rows; ++row)
+            if (row_window(row) < view.max_window_ps) violating_rows = row + 1;
+        while (view.ranks < order.size() &&
+               view.endpoint_max_window_ps[order[view.ranks]] > min_window_ps_)
+            ++view.ranks;
+        view.memo_offset = memo_size;
+        memo_size += violating_rows * view.ranks;
     }
+    memo_ = CountMemo(memo_size);
     refresh_sampling();
 }
 
@@ -345,7 +366,7 @@ void ModelC::refresh_sampling() {
     batch_.configure(point_.noise.sigma_mv,
                      point_.noise.clip_sigmas * point_.noise.sigma_mv,
                      noise_clip_v_, noise_window_table_.size(),
-                     sampling_mode_);
+                     sampling_mode_, rng_);
 }
 
 bool ModelC::can_inject() const {
@@ -363,19 +384,22 @@ double ModelC::first_fault_frequency_mhz(ExClass cls) const {
 
 std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
     // Step 1 (Fig. 3): derive the capture window at Vref from clock
-    // frequency, supply voltage and this cycle's noise draw — taken from
-    // the prefetched index batch unless in scalar reference mode.
+    // frequency, supply voltage and this cycle's noise draw — a row of
+    // the noise-window table, taken from the prefetched index batch
+    // unless in scalar reference mode. Without noise the one row is the
+    // base window.
+    std::size_t row = 0;
     double window = base_window_ps_;
     bool batched_draw = false;
     if (!noise_window_table_.empty()) {
         if (sampling_mode_ == FaultSamplingMode::Scalar) {
-            const double n = vdd_noise_.draw(rng_);
-            window = noise_window_table_[noise_table_index(
-                noise_clip_v_, n, noise_window_table_.size())];
+            row = noise_table_index(noise_clip_v_, vdd_noise_.draw(rng_),
+                                    noise_window_table_.size());
         } else {
-            window = noise_window_table_[batch_.next_index(rng_)];
+            row = batch_.next_index(rng_);
             batched_draw = true;
         }
+        window = noise_window_table_[row];
     }
     // Step 2+3: evaluate the instruction's endpoint CDFs at the scaled
     // window and inject per-endpoint Bernoulli faults. The class dispatch
@@ -386,17 +410,26 @@ std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
         (void)cdfs_->class_max_window_ps(ev.cls);
     if (view.max_window_ps <= window) return correct;
     // The Bernoulli walk consumes uniforms from the same stream the noise
-    // draws come from. In exact batched mode, rewind-and-replay the batch
-    // so those uniforms appear exactly where the scalar path would take
-    // them (bit-identity); quantized mode has no such contract and simply
+    // draws come from. In exact batched mode, resync the batch so those
+    // uniforms appear exactly where the scalar path would take them
+    // (bit-identity); quantized mode has no such contract and simply
     // continues from the current generator state.
     if (batched_draw && batch_.exact()) batch_.resync(rng_);
+    // p = count / samples is the very double violation_prob computes, so
+    // every rng_.chance(p) below decides as it would without the memo.
+    std::uint32_t* counts =
+        memo_.counts.data() + view.memo_offset + row * view.ranks;
     std::uint32_t result = correct;
-    for (const std::uint32_t endpoint : *view.order) {
-        if (cdfs_->endpoint_max_window_ps(ev.cls, endpoint) <= window)
+    for (std::size_t rank = 0; rank < view.ranks; ++rank) {
+        const std::uint32_t endpoint = view.order[rank];
+        if (view.endpoint_max_window_ps[endpoint] <= window)
             break;  // sorted by criticality: all remaining endpoints are safe
-        const double p = cdfs_->violation_prob(ev.cls, endpoint, window);
-        if (p > 0.0 && rng_.chance(p))
+        std::uint32_t& memo = counts[rank];
+        if (memo == 0)
+            memo = 1 + static_cast<std::uint32_t>(
+                           cdfs_->violation_count(ev.cls, endpoint, window));
+        if (memo > 1 &&
+            rng_.chance(static_cast<double>(memo - 1) / samples_))
             result = apply_fault(result, endpoint, ev.prev_result);
     }
     return result;

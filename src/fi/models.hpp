@@ -28,6 +28,7 @@
 #include "timing/sta.hpp"
 #include "timing/vdd_model.hpp"
 #include "util/rng.hpp"
+#include "util/zero_pages.hpp"
 
 namespace sfi {
 
@@ -129,8 +130,9 @@ public:
     /// (fi/sampling_batch.hpp). Memoized like set_operating_point; the
     /// Scalar and Batched modes produce bit-identical corrupt() streams,
     /// Quantized is the fingerprinted "B-q" variant. Virtual so decorators
-    /// forward to their inner model. Switching modes mid-trial drops any
-    /// prefetched draws — call before reseed() for reproducible streams.
+    /// forward to their inner model. A switch mid-trial gives back any
+    /// prefetched draws first, so Scalar <-> Batched switches keep the
+    /// stream exact.
     virtual void set_sampling_mode(FaultSamplingMode mode) {
         if (mode == sampling_mode_) return;
         sampling_mode_ = mode;
@@ -140,6 +142,11 @@ public:
 
     const FiStats& stats() const { return stats_; }
     void reset_stats() { stats_ = FiStats{}; }
+
+    /// The model's draw stream (testing aid). In Batched mode it runs
+    /// ahead of the scalar path by the batch's unconsumed prefetch until
+    /// the next interleave or configuration change gives the lead back.
+    const Rng& rng() const { return rng_; }
 
     /// Attaches a forensic probe (null detaches; null is the default and
     /// costs one pointer test per ALU op). While attached, the probe
@@ -348,17 +355,46 @@ private:
     double base_window_ps_ = 0.0;
     double min_window_ps_ = 0.0;
     double noise_clip_v_ = 0.0;
+    double samples_ = 0.0;     // the store's samples per endpoint
     VddNoise vdd_noise_;       // hoisted out of corrupt() (satellite fix)
     NoiseIndexBatch batch_;    // prefetched window-table indices
     // Per-class CDF-store lookups hoisted out of corrupt(): the store is
-    // immutable for the model's lifetime, so the per-op class dispatch is
-    // two array loads instead of map/throw-guarded store calls.
+    // immutable for the model's lifetime, so the per-op walk reads plain
+    // arrays instead of throw-guarded store calls. The ranks/memo_offset
+    // pair locates the class's block of the count memo below.
     struct ClassView {
         bool present = false;
         double max_window_ps = 0.0;
-        const std::vector<std::uint32_t>* order = nullptr;
+        const std::uint32_t* order = nullptr;         // by criticality
+        const double* endpoint_max_window_ps = nullptr;  // by endpoint
+        std::size_t ranks = 0;        // leading order entries that can violate
+        std::size_t memo_offset = 0;  // memo index of (row 0, rank 0)
     };
     std::array<ClassView, kExClassCount> class_view_{};
+    // The violation-count memo: p(class, endpoint, window) takes only as
+    // many values as the point has window rows (the no-noise window, or
+    // the noise-window table), so corrupt() keys the store's exact
+    // violation_count by (class, row, rank) and keeps 1 + count — zero is
+    // "not computed yet". Sized per point for the rows and ranks that can
+    // violate (operating_point_changed), on demand-zero pages so only
+    // the rows a stream draws become resident. A copy starts empty at the
+    // same shape: every entry is a pure function of the point and the
+    // const store, so recomputing it is exact.
+    struct CountMemo {
+        CountMemo() = default;
+        explicit CountMemo(std::size_t size) : counts(size) {}
+        CountMemo(const CountMemo& other) : counts(other.counts.size()) {}
+        CountMemo& operator=(const CountMemo& other) {
+            if (this != &other)
+                counts = ZeroPages<std::uint32_t>(other.counts.size());
+            return *this;
+        }
+        CountMemo(CountMemo&&) = default;
+        CountMemo& operator=(CountMemo&&) = default;
+
+        ZeroPages<std::uint32_t> counts;
+    };
+    CountMemo memo_;
 };
 
 /// Shared helper: builds the quantized noise -> capture-window table.

@@ -166,11 +166,12 @@ AliasTable build_noise_index_alias(double sigma_mv, double clip_mv,
 
 void NoiseIndexBatch::configure(double sigma_mv, double clip_mv,
                                 double clip_v, std::size_t entries,
-                                FaultSamplingMode mode) {
+                                FaultSamplingMode mode, Rng& rng) {
     if (mode == mode_ && sigma_mv == sigma_mv_ && clip_mv == clip_mv_ &&
         clip_v == clip_v_ && entries == entries_) {
         return;
     }
+    resync(rng);  // the prefetch is about to go: give its lead back
     mode_ = mode;
     sigma_mv_ = sigma_mv;
     clip_mv_ = clip_mv;
@@ -199,6 +200,7 @@ void NoiseIndexBatch::refill(Rng& rng) {
     if (normals_.size() < want) normals_.resize(want);
     snapshot_ = rng;
     rng.normal_fill(0.0, sigma_mv_, normals_.data(), want);
+    normals_drawn_ += want;
     noise_draws_to_indices(normals_.data(), indices_.data(), want,
                            clip_mv_, clip_v_, entries_);
     pos_ = 0;
@@ -206,6 +208,12 @@ void NoiseIndexBatch::refill(Rng& rng) {
 }
 
 void NoiseIndexBatch::resync(Rng& rng) {
+    // Interleaves cluster: whatever the next fill prefetches, the next
+    // interleave likely discards, so restart the schedule at one draw.
+    next_fill_ = 1;
+    // A fully consumed fill (or none at all) left the generator exactly
+    // where pos_ scalar draws would: nothing to undo.
+    if (pos_ == size_) return;
     // pos_ draws of the current fill have been consumed (including the
     // one that opened the interleave). Rewind to the fill snapshot and
     // replay exactly those draws — bit-identical values, so the caller's
@@ -214,9 +222,9 @@ void NoiseIndexBatch::resync(Rng& rng) {
     rng = snapshot_;
     if (pos_ > 0) {
         rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);
+        normals_drawn_ += pos_;
     }
-    size_ = pos_;           // the unconsumed prefetch is now stale
-    next_fill_ = kMinFill;  // interleaves cluster; refill small
+    size_ = pos_;  // the unconsumed prefetch is now stale
 }
 
 }  // namespace sfi

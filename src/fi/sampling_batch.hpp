@@ -12,14 +12,23 @@
 //    the first m <= n values of a fill equal the first m sequential
 //    draws, polar spare included);
 //  * draws are consumed strictly in fill order, one per corrupt() call;
-//  * unconsumed draws are discarded only at trial boundaries, where the
-//    per-trial reseed makes the discard unobservable;
+//  * unconsumed draws are discarded unobservably: at trial boundaries the
+//    per-trial reseed restarts the stream, and a configuration change
+//    (new point or sampling mode) first resyncs the generator as below;
 //  * model C interleaves Bernoulli uniforms with the noise draws on the
-//    SAME stream whenever a violation is possible. The batch keeps a
-//    snapshot of the Rng taken at fill time; resync() rewinds to it and
-//    replays exactly the consumed draws, leaving the generator in the
-//    state the scalar path would have — the remaining prefetch is
-//    invalidated and refilled after the interleave.
+//    SAME stream whenever a violation is possible, so before each
+//    interleave resync() puts the generator where the scalar path would
+//    have it. A fully consumed fill needs nothing: n draws of a fill
+//    advance the Rng exactly like n scalar draws. Otherwise the batch
+//    rewinds to the snapshot it took at fill time, replays exactly the
+//    consumed draws and invalidates the rest of the prefetch;
+//  * fills double from kMinFill at a trial start and from ONE draw after
+//    an interleave, up to kMaxFill. Interleaves cluster (a point where
+//    model C can violate usually violates again soon), so restarting
+//    small bounds what the next interleave throws away: every earlier
+//    fill since the last interleave was consumed in full, so the normals
+//    a discard wastes (prefetch plus replay) never exceed the draws
+//    consumed since that interleave — plus kMinFill after a trial start.
 //
 // The index conversion quantizes each clamped draw to one of the
 // `entries` window-table bins with the same IEEE double operation
@@ -137,13 +146,16 @@ AliasTable build_noise_index_alias(double sigma_mv, double clip_mv,
 /// reproduces the identical index/resync stream from the identical Rng.
 class NoiseIndexBatch {
 public:
+    static constexpr std::size_t kMinFill = 16;    ///< first fill of a trial
+    static constexpr std::size_t kMaxFill = 4096;  ///< fill-size cap
+
     /// (Re)configures for an operating point. A no-op when nothing
-    /// changed (preserves the buffered draws); otherwise drops the buffer
-    /// — callers reseed per trial, so a configuration change between
-    /// trials never loses consumed-stream state. entries == 0 disables
-    /// the batch (no noise at this point).
+    /// changed (preserves the buffered draws); otherwise resyncs `rng`
+    /// (see resync) and drops the buffer, so a configuration change in
+    /// mid-stream continues exactly where the scalar path would.
+    /// entries == 0 disables the batch (no noise at this point).
     void configure(double sigma_mv, double clip_mv, double clip_v,
-                   std::size_t entries, FaultSamplingMode mode);
+                   std::size_t entries, FaultSamplingMode mode, Rng& rng);
 
     /// Trial boundary (call from FaultModel::reseed): drops unconsumed
     /// draws — unobservable, the trial reseed restarts the stream — and
@@ -164,12 +176,15 @@ public:
         return indices_[pos_++];
     }
 
-    /// Exact-mode rollback for interleaved consumers (model C): rewinds
+    /// Exact-mode rollback for interleaved consumers (model C). When the
+    /// current fill is fully consumed the generator already sits where
+    /// the scalar path would, and nothing happens; otherwise rewinds
     /// `rng` to the fill snapshot, replays exactly the draws consumed
     /// from this fill (bit-identical values, so nothing observable
-    /// changes), and invalidates the remaining prefetch. On return the
-    /// generator state equals the scalar path's after the same draws,
-    /// and the caller may consume uniforms directly.
+    /// changes), and invalidates the remaining prefetch. Either way the
+    /// next fill starts at one draw. On return the generator state equals
+    /// the scalar path's after the same draws, and the caller may consume
+    /// uniforms directly.
     void resync(Rng& rng);
 
     /// True when draws are bit-identical to the scalar reference
@@ -180,11 +195,13 @@ public:
     /// Buffered-but-unconsumed indices (testing aid).
     std::size_t pending() const { return size_ - pos_; }
 
+    /// Normals this batch has pulled from its Rng — generated by fills
+    /// plus replayed by resync — over its lifetime (testing aid: against
+    /// the draws consumed, it measures the prefetch overhead).
+    std::uint64_t normals_drawn() const { return normals_drawn_; }
+
 private:
     void refill(Rng& rng);
-
-    static constexpr std::size_t kMinFill = 16;
-    static constexpr std::size_t kMaxFill = 4096;
 
     FaultSamplingMode mode_ = FaultSamplingMode::Batched;
     double sigma_mv_ = 0.0;
@@ -197,6 +214,7 @@ private:
     std::size_t pos_ = 0;                  // next index to hand out
     std::size_t size_ = 0;                 // valid prefix of indices_
     std::size_t next_fill_ = kMinFill;     // size of the next refill
+    std::uint64_t normals_drawn_ = 0;      // see normals_drawn()
     Rng snapshot_;                         // Rng state at fill time (exact)
     AliasTable alias_;                     // Quantized only
 };

@@ -96,6 +96,20 @@ std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
     return contexts;
 }
 
+namespace {
+/// Stamps `point` on the models of the first `threads` contexts from the
+/// dispatching thread. Per-point derived state (noise tables, model C's
+/// count memo) is then allocated here, once, instead of on the workers,
+/// whose own set_operating_point in run_trial_with becomes a memoized
+/// no-op.
+void apply_point(const std::vector<std::unique_ptr<TrialContext>>& contexts,
+                 std::size_t threads, const OperatingPoint& point) {
+    for (std::size_t worker = 0; worker < std::min(threads, contexts.size());
+         ++worker)
+        contexts[worker]->model->set_operating_point(point);
+}
+}  // namespace
+
 std::vector<TrialOutcome> run_trial_block(
     const MonteCarloRunner& runner, const OperatingPoint& point,
     std::uint64_t first_trial, std::size_t count,
@@ -104,6 +118,7 @@ std::vector<TrialOutcome> run_trial_block(
     const std::size_t threads =
         std::clamp<std::size_t>(contexts.size(), 1,
                                 std::max<std::size_t>(count, 1));
+    apply_point(contexts, threads, point);
 
     // Small chunks keep workers balanced across the clean-run/watchdog-run
     // cost spread; 8 grabs per worker amortizes the counter traffic.
@@ -156,6 +171,7 @@ std::vector<TrialForensics> run_forensic_block(
     const std::size_t threads =
         std::clamp<std::size_t>(contexts.size(), 1,
                                 std::max<std::size_t>(count, 1));
+    apply_point(contexts, threads, point);
     const std::size_t chunk = std::max<std::size_t>(count / (threads * 8), 1);
 
     // One probe per worker, reused across its trials (start_trial clears

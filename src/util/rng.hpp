@@ -39,6 +39,17 @@ public:
         }
     }
 
+    /// Equal iff both generators produce identical streams from here on:
+    /// same state words and the same pending normal spare. A consumed
+    /// spare's stale value is not state (normal() and normal_fill leave
+    /// different stale values behind for the same stream).
+    bool operator==(const Rng& other) const {
+        for (std::size_t i = 0; i < 4; ++i)
+            if (state_[i] != other.state_[i]) return false;
+        return have_spare_ == other.have_spare_ &&
+               (!have_spare_ || spare_ == other.spare_);
+    }
+
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() {
         return std::numeric_limits<result_type>::max();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace sfi {
 namespace {
 
@@ -247,6 +249,58 @@ TEST(Memory, RepeatedLoadClearCyclesStayClean) {
         for (std::uint32_t addr = 0; addr < 4096; addr += 4)
             ASSERT_EQ(m.read_u32(addr), 0u) << "cycle " << cycle;
     }
+}
+
+// The image lives on demand-zero pages (util/zero_pages.hpp) instead of a
+// value-initialized vector: a fresh image must still read zero across the
+// full default 1 MiB, and the dirty-range invariants must hold on it.
+
+TEST(Memory, FreshDefaultImageReadsZeroEverywhere) {
+    Memory m;
+    ASSERT_EQ(m.size(), Memory::kDefaultSize);
+    for (std::uint32_t addr = 0; addr < m.size(); addr += 4)
+        ASSERT_EQ(m.read_u32(addr), 0u) << "addr " << addr;
+    EXPECT_EQ(m.dirty_bytes(), 0u);
+    // The last word is addressable and writable like any other.
+    m.write_u32(m.size() - 4, 0x600dd00du);
+    EXPECT_EQ(m.read_u32(m.size() - 4), 0x600dd00du);
+}
+
+TEST(Memory, IsPinnedForTheCpuThatBindsIt) {
+    // A Cpu keeps a reference to its Memory: neither copies nor moves.
+    static_assert(!std::is_copy_constructible_v<Memory>);
+    static_assert(!std::is_copy_assignable_v<Memory>);
+    static_assert(!std::is_move_constructible_v<Memory>);
+    static_assert(!std::is_move_assignable_v<Memory>);
+}
+
+TEST(Memory, ClearAndRestoreSpanTheFullDefaultImage) {
+    // Writes at both ends and in the middle of the 1 MiB image: restore
+    // reverts them to the checkpoint, clear zeroes them, and every page
+    // of the image reads as expected afterwards.
+    Memory m;
+    const std::uint32_t top = m.size() - 4;
+    const Program p = assemble(
+        "  l.nop\n"
+        ".org 0x80000\n"
+        "  .word 0x12345678\n");
+    m.load(p);
+    m.checkpoint_image();
+    m.write_u32(0, 0xdeadbeefu);
+    m.write_u32(0x80000, 0x1u);
+    m.write_u32(top, 0xfeedfaceu);
+    ASSERT_TRUE(m.restore_image());
+    EXPECT_NE(m.read_u32(0), 0xdeadbeefu);
+    EXPECT_EQ(m.read_u32(0x80000), 0x12345678u);
+    EXPECT_EQ(m.read_u32(top), 0u);
+    for (std::uint32_t addr = 4; addr < m.size(); addr += 4096)
+        ASSERT_EQ(m.read_u32(addr), 0u) << "addr " << addr;  // one per page
+
+    m.write_u32(top, 0xfeedfaceu);
+    m.clear();
+    for (std::uint32_t addr = 0; addr < m.size(); addr += 4)
+        ASSERT_EQ(m.read_u32(addr), 0u) << "addr " << addr;
+    EXPECT_FALSE(m.has_image());
 }
 
 }  // namespace

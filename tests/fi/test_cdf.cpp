@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "testing/cdf_forgery.hpp"
 
@@ -49,6 +52,47 @@ TEST(TimingErrorCdfs, ViolationProbabilityFromSortedSamples) {
     EXPECT_DOUBLE_EQ(cdfs.violation_prob(ExClass::Add, 0, 60.0), 0.75);
     // window 5 -> threshold -5 -> everything (incl. zero arrivals) above.
     EXPECT_DOUBLE_EQ(cdfs.violation_prob(ExClass::Add, 0, 5.0), 1.0);
+}
+
+TEST(TimingErrorCdfs, ViolationCountIsTheProbabilityNumerator) {
+    // Model C memoizes counts and divides by samples_per_endpoint(); that
+    // must be the very double violation_prob returns.
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    EXPECT_EQ(cdfs.violation_count(ExClass::Add, 0, 250.0), 1u);
+    EXPECT_EQ(cdfs.violation_count(ExClass::Add, 0, 5.0), 4u);
+    EXPECT_EQ(cdfs.violation_count(ExClass::Mul, 1, 100.0), 1u);
+    for (const ExClass cls : {ExClass::Add, ExClass::Mul})
+        for (std::size_t e = 0; e < cdfs.endpoint_count(); ++e)
+            for (double window = -20.0; window <= 700.0; window += 7.5)
+                EXPECT_EQ(cdfs.violation_prob(cls, e, window),
+                          static_cast<double>(
+                              cdfs.violation_count(cls, e, window)) /
+                              static_cast<double>(cdfs.samples_per_endpoint()));
+}
+
+TEST(TimingErrorCdfs, EndpointMaxWindowsMatchThePerEndpointAccessor) {
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    const std::vector<double>& windows = cdfs.endpoint_max_windows_ps(ExClass::Mul);
+    ASSERT_EQ(windows.size(), cdfs.endpoint_count());
+    for (std::size_t e = 0; e < windows.size(); ++e)
+        EXPECT_EQ(windows[e], cdfs.endpoint_max_window_ps(ExClass::Mul, e));
+}
+
+TEST(TimingErrorCdfs, FromDtaRejectsRaggedShapes) {
+    // Every class must carry the same endpoint count, at most 32, and
+    // every endpoint exactly dta.cycles samples.
+    DtaResult short_endpoint = synthetic_dta();
+    short_endpoint.classes[0].arrivals_ps[2].pop_back();
+    EXPECT_THROW(TimingErrorCdfs::from_dta(short_endpoint), std::invalid_argument);
+
+    DtaResult ragged = synthetic_dta();
+    ragged.classes[1].arrivals_ps.pop_back();
+    EXPECT_THROW(TimingErrorCdfs::from_dta(ragged), std::invalid_argument);
+
+    DtaResult wide = synthetic_dta();
+    for (DtaClassResult& cls : wide.classes)
+        cls.arrivals_ps.resize(33, std::vector<float>(4, 1.0f));
+    EXPECT_THROW(TimingErrorCdfs::from_dta(wide), std::invalid_argument);
 }
 
 TEST(TimingErrorCdfs, BoundaryIsExclusive) {
@@ -124,12 +168,45 @@ TEST(TimingErrorCdfs, LoadRejectsForgedPayloads) {
     std::stringstream buffer;
     cdfs.save(buffer);
     const auto forgeries = testing::forge_cdf_payloads(buffer.str());
-    ASSERT_EQ(forgeries.size(), 4u);
+    ASSERT_EQ(forgeries.size(), 6u);
     for (const testing::CdfForgery& forgery : forgeries) {
         std::stringstream forged(forgery.bytes);
         EXPECT_THROW(TimingErrorCdfs::load(forged), std::runtime_error)
             << forgery.label;
     }
+}
+
+// A self-consistent file can still describe a store no fault model may
+// walk: endpoint 32 would be the shift `1u << 32`.
+TEST(TimingErrorCdfs, LoadRejectsMoreThan32Endpoints) {
+    // One present class of `endpoints` one-sample endpoints, header to
+    // match.
+    const auto store_bytes = [](std::uint64_t endpoints) {
+        std::string bytes;
+        const auto put = [&bytes](const auto& value) {
+            bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+        };
+        put(std::uint32_t{0x53464943});  // "SFIC"
+        put(std::uint32_t{1});           // version
+        put(10.0);                       // setup_ps
+        put(endpoints);
+        put(std::uint64_t{1});           // samples
+        for (std::size_t c = 0; c < kExClassCount; ++c) {
+            const bool present = static_cast<ExClass>(c) == ExClass::Add;
+            put(static_cast<std::uint8_t>(present));
+            if (!present) continue;
+            put(endpoints);
+            for (std::uint64_t e = 0; e < endpoints; ++e) {
+                put(std::uint64_t{1});
+                put(100.0f);
+            }
+        }
+        return bytes;
+    };
+    std::stringstream at_cap(store_bytes(32));
+    EXPECT_EQ(TimingErrorCdfs::load(at_cap).endpoint_count(), 32u);
+    std::stringstream past_cap(store_bytes(33));
+    EXPECT_THROW(TimingErrorCdfs::load(past_cap), std::runtime_error);
 }
 
 TEST(TimingErrorCdfs, FileRoundTrip) {

@@ -117,7 +117,7 @@ TEST_F(CdfCacheTest, ForgedPayloadFallsBackToCharacterization) {
     const std::vector<char> cached = read_file(cache_path_);
     const std::string original(cached.begin(), cached.end());
     const auto forgeries = testing::forge_cdf_payloads(original, 8);
-    ASSERT_EQ(forgeries.size(), 4u);
+    ASSERT_EQ(forgeries.size(), 6u);
     for (const testing::CdfForgery& forgery : forgeries) {
         std::istringstream payload(forgery.bytes.substr(8));
         EXPECT_THROW(TimingErrorCdfs::load(payload), std::runtime_error)

@@ -1,10 +1,14 @@
 // Statistical property tests: model C's empirical injection frequencies
 // must match the CDF-store probabilities it samples from (the defining
-// property of "statistical" fault injection).
+// property of "statistical" fault injection) — per endpoint at the
+// no-noise window, and under supply noise against the closed-form mixture
+// over the quantized noise windows.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 
+#include "fi/sampling_batch.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
@@ -108,6 +112,78 @@ TEST(ModelCStatistics, NoiseAveragedRateExceedsNoNoiseRateBelowThreshold) {
         noisy->on_ex_result(ev, correct);
     }
     EXPECT_GT(noisy->stats().injections, 2 * clean->stats().injections);
+}
+
+TEST(ModelCStatistics, NoisyInjectionRateMatchesTheWindowMixture) {
+    // Under noise the window is row i of the noise-window table with the
+    // clipped-Gaussian mass m_i of its rounding cell, and given the row
+    // the endpoints flip independently. So injections per op have mean
+    //   mu = sum_i m_i mu_i,  mu_i = sum_e p(c, e, w_i)
+    // and variance
+    //   sum_i m_i sum_e p (1 - p) + sum_i m_i (mu_i - mu)^2
+    // (within-row plus between-row). This pins which window each memo row
+    // stands for to the paper's definition, not to another engine.
+    const TimingErrorCdfs& cdfs = *shared_core().cdfs();
+    const VddDelayFit& fit = shared_core().lib().fit();
+    std::uint64_t seed = 90;
+    for (const double sigma_mv : {10.0, 25.0}) {
+        for (const ExClass cls : {ExClass::Add, ExClass::Mul}) {
+            // Just past the onset (noise alone reaches the faulting rows)
+            // and well above it.
+            for (const double factor : {1.02, 1.15}) {
+                auto model = shared_core().make_model_c();
+                OperatingPoint point;
+                point.vdd = 0.7;
+                point.noise.sigma_mv = sigma_mv;
+                model->set_operating_point(point);
+                point.freq_mhz = model->first_fault_frequency_mhz(cls) * factor;
+                model->set_operating_point(point);
+                model->reseed(seed++);
+
+                const std::vector<double> windows =
+                    build_noise_window_table(point, fit);
+                const std::vector<double> masses = noise_index_masses(
+                    sigma_mv, point.noise.clip_sigmas * sigma_mv,
+                    windows.size());
+                ASSERT_EQ(masses.size(), windows.size());
+                std::vector<double> row_mean(windows.size(), 0.0);
+                double mean = 0.0;
+                double within = 0.0;
+                for (std::size_t i = 0; i < windows.size(); ++i) {
+                    for (std::size_t e = 0; e < cdfs.endpoint_count(); ++e) {
+                        const double p = cdfs.violation_prob(cls, e, windows[i]);
+                        row_mean[i] += p;
+                        within += masses[i] * p * (1.0 - p);
+                    }
+                    mean += masses[i] * row_mean[i];
+                }
+                double between = 0.0;
+                for (std::size_t i = 0; i < windows.size(); ++i)
+                    between += masses[i] * (row_mean[i] - mean) *
+                               (row_mean[i] - mean);
+                ASSERT_GT(mean, 0.0) << "sigma " << sigma_mv << " factor "
+                                     << factor << ": nothing to measure";
+
+                const int ops = 50000;
+                Rng operands(seed);
+                for (int i = 0; i < ops; ++i) {
+                    model->on_cycle(true);
+                    ExEvent ev;
+                    ev.cls = cls;
+                    ev.operand_a = operands.u32();
+                    ev.operand_b = operands.u32();
+                    model->on_ex_result(ev, ev.operand_a ^ ev.operand_b);
+                }
+                const double observed =
+                    static_cast<double>(model->stats().injections) / ops;
+                const double standard_error =
+                    std::sqrt((within + between) / ops);
+                EXPECT_NEAR(observed, mean, 5.0 * standard_error)
+                    << ex_class_name(cls) << " sigma " << sigma_mv
+                    << " mV, " << factor << "x first fault";
+            }
+        }
+    }
 }
 
 }  // namespace

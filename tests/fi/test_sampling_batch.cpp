@@ -7,7 +7,10 @@
 //    kernel when this build carries one;
 //  * NoiseIndexBatch reproduces the scalar index stream draw for draw at
 //    fixed seeds (golden vectors pin the stream itself against lockstep
-//    drift), and resync() leaves the Rng in the scalar path's state;
+//    drift), resync() and a mid-stream reconfiguration leave the Rng in
+//    the scalar path's state, and the normals it draws stay within a
+//    bound of those consumed (fills restart at one draw after an
+//    interleave, yet still grow to kMaxFill without interleaves);
 //  * the quantized alias tables reproduce the exact clipped-Gaussian bin
 //    masses, and the "B-q" variant separates by fingerprint;
 //  * models B/B+/C produce bit-identical corrupt() streams and FiStats
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -171,8 +175,9 @@ TEST(NoiseIndexBatch, ReproducesScalarIndexStreamAcrossTrials) {
     const double clip_mv = config.clip_sigmas * config.sigma_mv;
 
     NoiseIndexBatch batch;
+    Rng unused;  // a fresh batch has no prefetch to give back
     batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
-                    FaultSamplingMode::Batched);
+                    FaultSamplingMode::Batched, unused);
     EXPECT_TRUE(batch.exact());
 
     // Trial lengths straddle the fill schedule (16, 32, 64, ...): short
@@ -213,8 +218,8 @@ TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
 
     // And the batch replays them identically.
     NoiseIndexBatch batch;
-    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched);
     Rng rng(123);
+    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
     batch.start_trial();
     for (const std::uint32_t expected : golden_1025)
         ASSERT_EQ(batch.next_index(rng), expected);
@@ -228,8 +233,9 @@ TEST(NoiseIndexBatch, ResyncRestoresTheScalarRngState) {
     const VddNoise noise(config);
 
     NoiseIndexBatch batch;
+    Rng unused;  // a fresh batch has no prefetch to give back
     batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
-                    FaultSamplingMode::Batched);
+                    FaultSamplingMode::Batched, unused);
 
     for (const std::size_t consumed : {std::size_t{1}, std::size_t{7},
                                        std::size_t{16}, std::size_t{23}}) {
@@ -257,6 +263,108 @@ TEST(NoiseIndexBatch, ResyncRestoresTheScalarRngState) {
                   noise_table_index(clip_mv * 1e-3, scalar_next, 1025))
             << "consumed=" << consumed;
     }
+}
+
+// Draw accounting: what the batch pulls from the Rng (fills plus replays,
+// normals_drawn()) against what the model consumes.
+
+TEST(NoiseIndexBatch, InterleavingOnEveryDrawCostsAtMostOneFirstFill) {
+    // Model C at a point where every window violates: each draw opens an
+    // interleave. Fills restart at one draw and a fully consumed fill
+    // needs no replay, so the only overhead per trial is the kMinFill
+    // prefetch of the trial's first fill.
+    NoiseConfig config;
+    config.sigma_mv = 10.0;
+    config.clip_sigmas = 2.0;
+    const double clip_mv = config.clip_sigmas * config.sigma_mv;
+    const VddNoise noise(config);
+    NoiseIndexBatch batch;
+    Rng unused;
+    batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
+                    FaultSamplingMode::Batched, unused);
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        Rng scalar(seed);
+        batch.start_trial();
+        const std::uint64_t before = batch.normals_drawn();
+        const std::size_t consumed = 300;
+        for (std::size_t i = 0; i < consumed; ++i) {
+            ASSERT_EQ(batch.next_index(rng),
+                      noise_table_index(clip_mv * 1e-3, noise.draw(scalar), 1025))
+                << "seed " << seed << " draw " << i;
+            batch.resync(rng);
+            ASSERT_EQ(rng.uniform(), scalar.uniform())
+                << "seed " << seed << " draw " << i;
+        }
+        EXPECT_LE(batch.normals_drawn() - before,
+                  consumed + NoiseIndexBatch::kMinFill)
+            << "seed " << seed;
+    }
+}
+
+TEST(NoiseIndexBatch, SparseInterleavesWasteNoMoreThanTheyConsume) {
+    // An interleave every 37 draws: between two interleaves the fills
+    // double from one draw, and what the next interleave discards and
+    // replays stays within the draws consumed since the previous one.
+    NoiseIndexBatch batch;
+    Rng rng(5);
+    batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched, rng);
+    Rng scalar(5);
+    const VddNoise noise(NoiseConfig{25.0, 2.0});
+    batch.start_trial();
+    const std::size_t consumed = 37 * 40;
+    for (std::size_t i = 1; i <= consumed; ++i) {
+        ASSERT_EQ(batch.next_index(rng),
+                  noise_table_index(0.05, noise.draw(scalar), 1025))
+            << "draw " << i;
+        if (i % 37 == 0) {
+            batch.resync(rng);
+            ASSERT_EQ(rng.uniform(), scalar.uniform()) << "draw " << i;
+        }
+    }
+    EXPECT_LE(batch.normals_drawn(), 2 * consumed + NoiseIndexBatch::kMinFill);
+}
+
+TEST(NoiseIndexBatch, NonInterleavingStreamGrowsFillsToTheCap) {
+    NoiseIndexBatch batch;
+    Rng rng(11);
+    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
+    batch.start_trial();
+    std::size_t largest_fill = 0;
+    const std::size_t draws = 3 * NoiseIndexBatch::kMaxFill;
+    for (std::size_t i = 0; i < draws; ++i) {
+        const bool refills = batch.pending() == 0;
+        batch.next_index(rng);
+        if (refills) largest_fill = std::max(largest_fill, batch.pending() + 1);
+    }
+    EXPECT_EQ(largest_fill, NoiseIndexBatch::kMaxFill);
+    // Without interleaves nothing is replayed: every normal drawn was
+    // handed out or still sits in the last fill.
+    EXPECT_EQ(batch.normals_drawn(), draws + batch.pending());
+}
+
+TEST(NoiseIndexBatch, ReconfiguringMidStreamGivesThePrefetchBack) {
+    // A point change in mid-stream (new sigma) drops the prefetch; the
+    // generator must first return to the scalar path's state, so the
+    // stream continues exactly as the scalar path's would.
+    NoiseIndexBatch batch;
+    Rng rng(42);
+    Rng scalar(42);
+    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
+    batch.start_trial();
+    const VddNoise noise10(NoiseConfig{10.0, 2.0});
+    for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(batch.next_index(rng),
+                  noise_table_index(0.02, noise10.draw(scalar), 1025));
+    ASSERT_GT(batch.pending(), 0u);
+    batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched, rng);
+    EXPECT_TRUE(rng == scalar);
+    const VddNoise noise25(NoiseConfig{25.0, 2.0});
+    for (int i = 0; i < 40; ++i)
+        ASSERT_EQ(batch.next_index(rng),
+                  noise_table_index(0.05, noise25.draw(scalar), 1025))
+            << "draw " << i << " after the reconfiguration";
 }
 
 // ---------------------------------------------------------------------------

@@ -20,8 +20,14 @@ struct CdfForgery {
 /// Forgeries of the TimingErrorCdfs::save stream starting at `offset` in
 /// `saved`: a huge endpoint count and a huge sample count (2^40 — no
 /// allocation may trust them), one adjacent pair of samples swapped out
-/// of order, and a NaN sample. All target the first present class and
-/// its first endpoint, which must hold two distinct sample values.
+/// of order, a NaN sample, an extra endpoint beyond the header's count
+/// (its samples later than any real one, so it would be the most
+/// critical endpoint — for a 32-endpoint store, bit 32), and a first
+/// endpoint one sample short of the header's count. The last two keep
+/// every count consistent with the bytes that follow, so only the
+/// header cross-check can catch them. All target the first present
+/// class and its first endpoint, which must hold two distinct sample
+/// values.
 inline std::vector<CdfForgery> forge_cdf_payloads(const std::string& saved,
                                                   std::size_t offset = 0) {
     // Layout: magic u32, version u32, setup_ps f64, endpoints u64,
@@ -56,10 +62,28 @@ inline std::vector<CdfForgery> forge_cdf_payloads(const std::string& saved,
     const float hi = sample(rise + 1);
     std::string swapped = patched(samples_at + 4 * rise, &hi, sizeof hi);
     std::memcpy(swapped.data() + samples_at + 4 * (rise + 1), &lo, sizeof lo);
+
+    std::uint64_t endpoints = 0;
+    std::memcpy(&endpoints, saved.data() + endpoint_count_at, sizeof endpoints);
+    const std::uint64_t more = endpoints + 1;
+    std::string extra = patched(endpoint_count_at, &more, sizeof more);
+    std::string record(sizeof n + 4 * n, '\0');
+    std::memcpy(record.data(), &n, sizeof n);
+    const float late = sample(n - 1) + 1000.0f;
+    for (std::uint64_t i = 0; i < n; ++i)
+        std::memcpy(record.data() + sizeof n + 4 * i, &late, sizeof late);
+    extra.insert(sample_count_at, record);
+
+    const std::uint64_t fewer = n - 1;
+    std::string shorter = patched(sample_count_at, &fewer, sizeof fewer);
+    shorter.erase(samples_at + 4 * (n - 1), 4);
+
     return {{"huge endpoint count", patched(endpoint_count_at, &huge, sizeof huge)},
             {"huge sample count", patched(sample_count_at, &huge, sizeof huge)},
             {"swapped sample pair", std::move(swapped)},
-            {"NaN sample", patched(samples_at, &nan, sizeof nan)}};
+            {"NaN sample", patched(samples_at, &nan, sizeof nan)},
+            {"endpoint beyond the header", std::move(extra)},
+            {"endpoint short of the header", std::move(shorter)}};
 }
 
 }  // namespace sfi::testing
