@@ -26,11 +26,11 @@
 //   --no-csv         disable CSV output
 //   --fault-sampling MODE  noise-draw sampling path for models B/B+/C:
 //                    "batched" (block-prefetched draws, bit-identical to
-//                    scalar, default), "scalar" (per-op reference path),
-//                    or "quantized" (alias-table index sampling; faster
-//                    but a distinct sampling distribution variant — model
-//                    names gain a "-q" suffix and store/cache keys are
-//                    salted so results never collide with exact runs).
+//                    one draw per op; the default) or "quantized"
+//                    (alias-table index sampling; faster but a distinct
+//                    sampling distribution variant — model names gain a
+//                    "-q" suffix and store/cache keys are salted so
+//                    results never collide with exact runs).
 //   --forensics DIR  opt-in fault forensics: every Benchmark-kernel
 //                    campaign point re-runs its first --forensics-trials
 //                    trials under the forensic probe and the
@@ -247,8 +247,8 @@ private:
         const std::string mode = cli.get("fault-sampling", "batched");
         const auto parsed = parse_fault_sampling_mode(mode);
         if (!parsed) {
-            std::cerr << "error: --fault-sampling must be one of scalar, "
-                         "batched, quantized (got \"" << mode << "\")\n";
+            std::cerr << "error: --fault-sampling must be one of batched, "
+                         "quantized (got \"" << mode << "\")\n";
             std::exit(2);
         }
         return *parsed;

@@ -1,10 +1,8 @@
 #include "apps/profile.hpp"
 
-#include <ostream>
 #include <stdexcept>
 
 #include "cpu/cpu.hpp"
-#include "util/table.hpp"
 
 namespace sfi {
 
@@ -58,26 +56,6 @@ KernelProfile profile_kernel(const Benchmark& benchmark) {
         throw std::logic_error("profile_kernel: fault-free run did not halt");
     profile.cycles = run.kernel_cycles;
     return profile;
-}
-
-void print_profile(std::ostream& os, const std::string& name,
-                   const KernelProfile& profile) {
-    os << name << ": " << profile.instructions << " kernel instructions, "
-       << profile.cycles << " cycles\n";
-    TextTable table({"class", "count", "share"});
-    for (std::size_t c = 0; c < kExClassCount; ++c) {
-        const auto cls = static_cast<ExClass>(c);
-        if (profile.count(cls) == 0) continue;
-        table.add_row({ex_class_name(cls), std::to_string(profile.count(cls)),
-                       fmt_pct(profile.fraction(cls))});
-    }
-    table.add_row({"(alu total)", std::to_string(profile.alu_ops),
-                   fmt_pct(profile.alu_fraction())});
-    table.add_row({"(branches)", std::to_string(profile.branches),
-                   fmt_pct(profile.branch_fraction())});
-    table.add_row({"(loads)", std::to_string(profile.loads), ""});
-    table.add_row({"(stores)", std::to_string(profile.stores), ""});
-    table.print(os);
 }
 
 }  // namespace sfi

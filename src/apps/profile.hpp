@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 
 #include "apps/benchmark.hpp"
 #include "isa/isa.hpp"
@@ -39,9 +38,5 @@ struct KernelProfile {
 
 /// Runs `benchmark` fault-free and collects its kernel profile.
 KernelProfile profile_kernel(const Benchmark& benchmark);
-
-/// Pretty-prints the profile (one line per non-zero instruction class).
-void print_profile(std::ostream& os, const std::string& name,
-                   const KernelProfile& profile);
 
 }  // namespace sfi

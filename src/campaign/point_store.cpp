@@ -76,12 +76,12 @@ const char* store_diagnostic_name(StoreDiagnostic::Kind kind) {
 PointStore::PointStore(std::string path, obs::Ledger* ledger)
     : path_(std::move(path)), ledger_(ledger) {
     if (!path_.empty()) {
-        load_file();
+        read_records();
         report_diagnostics();
     }
 }
 
-void PointStore::load_file() {
+void PointStore::read_records() {
     valid_bytes_ = kHeaderBytes;
     std::ifstream is(path_, std::ios::binary);
     if (!is) return;  // no file yet: created with a header on first insert

@@ -107,7 +107,7 @@ public:
     }
 
 private:
-    void load_file();
+    void read_records();
     void report_diagnostics() const;
     void append_record(std::uint64_t key, const PointSummary& summary);
 

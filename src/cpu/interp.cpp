@@ -162,7 +162,7 @@ InterpState& Cpu::ensure_interp() {
     InterpState& state = *interp_;
     const std::size_t words = mem_.size() / 4;
     if (state.uops.size() != words) {
-        state.uops.assign(words, MicroOp{});
+        state.uops = ZeroPages<MicroOp>(words);
         state.gen = 1;
         state.program_hash = 0;
         state.synced = false;

@@ -25,10 +25,11 @@
 // describes the modified byte content, which reset reverts).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "isa/isa.hpp"
+#include "util/zero_pages.hpp"
 
 namespace sfi {
 
@@ -84,7 +85,9 @@ inline constexpr std::uint8_t kUopReadsRb = 1u << 1;
 inline constexpr std::uint8_t kUopRegSink = 32;
 
 /// One lowered instruction word. Fixed 20-byte layout, one per memory
-/// word; valid iff gen == InterpState::gen.
+/// word; valid iff gen == InterpState::gen. The stream lives on
+/// demand-zero pages, where an entry starts as all-zero bytes (kind
+/// Illegal, gen 0): a slot that was never lowered.
 struct MicroOp {
     UopKind kind = UopKind::Illegal;
     std::uint8_t rd = 0;     ///< destination, r0 remapped to kUopRegSink
@@ -107,7 +110,11 @@ void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out);
 /// Per-Cpu state of the threaded interpreter: the micro-op stream plus
 /// the bookkeeping that decides when it may persist across resets.
 struct InterpState {
-    std::vector<MicroOp> uops;  ///< one per memory word
+    /// One per memory word, on demand-zero pages: a kernel lowers a few
+    /// KiB of its 1 MiB image, so only those pages become resident, and
+    /// the 5 MiB range goes back to the OS with the Cpu instead of
+    /// staying parked in the malloc heap.
+    ZeroPages<MicroOp> uops;
 
     /// Entries are valid iff entry.gen == gen. Starts at 1 (0 is the
     /// permanent "invalid" stamp fresh entries carry); bump_gen() handles
@@ -155,7 +162,7 @@ struct InterpState {
 
     void bump_gen() {
         if (++gen == 0) {
-            for (MicroOp& uop : uops) uop.gen = 0;
+            for (std::size_t i = 0; i < uops.size(); ++i) uops[i].gen = 0;
             gen = 1;
         }
         live_lo = ~std::uint32_t{0};

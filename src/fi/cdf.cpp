@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <istream>
 #include <numeric>
+#include <ostream>
 #include <stdexcept>
 
 namespace sfi {
@@ -213,18 +214,6 @@ TimingErrorCdfs TimingErrorCdfs::load(std::istream& is) {
     }
     store.rebuild_derived();
     return store;
-}
-
-void TimingErrorCdfs::save_file(const std::string& path) const {
-    std::ofstream os(path, std::ios::binary);
-    if (!os) throw std::runtime_error("TimingErrorCdfs: cannot write " + path);
-    save(os);
-}
-
-TimingErrorCdfs TimingErrorCdfs::load_file(const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) throw std::runtime_error("TimingErrorCdfs: cannot read " + path);
-    return load(is);
 }
 
 bool TimingErrorCdfs::operator==(const TimingErrorCdfs& other) const {

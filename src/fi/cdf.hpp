@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -78,8 +77,6 @@ public:
     /// endpoint count, or an endpoint whose sample count, disagrees with
     /// the header.
     static TimingErrorCdfs load(std::istream& is);
-    void save_file(const std::string& path) const;
-    static TimingErrorCdfs load_file(const std::string& path);
 
     bool operator==(const TimingErrorCdfs& other) const;
 

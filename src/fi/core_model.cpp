@@ -1,8 +1,13 @@
 #include "fi/core_model.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 
 #include "util/fingerprint.hpp"
 
@@ -34,9 +39,9 @@ std::uint64_t core_config_fingerprint(const CoreModelConfig& config) {
     fp.mix(config.dta.clk_to_q_ps);
     fp.mix(config.dta.operand_bits);
     // The sampling mode is mixed ONLY for the quantized ("B-q") variant:
-    // Scalar and Batched produce bit-identical trial results, so their
-    // stored points are interchangeable and must keep the pre-existing
-    // key. Quantized draws a different stream — separating its
+    // Batched reproduces the one-draw-per-op reference stream that every
+    // stored point was computed with, so it keeps the pre-existing,
+    // unsalted key. Quantized draws a different stream — separating its
     // fingerprint keeps old point stores from ever colliding with it.
     // (Side effect, deliberate: a quantized run also re-keys the CDF
     // cache. Conservative — the characterization itself is unchanged —
@@ -45,6 +50,36 @@ std::uint64_t core_config_fingerprint(const CoreModelConfig& config) {
         fp.mix(std::uint64_t{0x712d76617269616eULL});  // 'q-varian' salt
     return fp.value();
 }
+
+namespace {
+
+// Writes the cache file as a whole or not at all: the bytes go to a temp
+// file next to `path`, which then replaces it by rename(). A process that
+// opened the old file keeps reading the old file to its end; one that
+// opens `path` afterwards reads the new file — never a truncated or mixed
+// one. A failed write leaves the old file in place and removes the temp.
+void write_cache(const std::string& path, std::uint64_t fingerprint,
+                 const TimingErrorCdfs& cdfs) {
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(writes++);
+    bool written = false;
+    {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        if (os) {
+            os.write(reinterpret_cast<const char*>(&fingerprint),
+                     sizeof fingerprint);
+            cdfs.save(os);
+            os.close();
+            written = !os.fail();
+        }
+    }
+    std::error_code ec;
+    if (written) std::filesystem::rename(tmp, path, ec);
+    if (!written || ec) std::filesystem::remove(tmp, ec);
+}
+
+}  // namespace
 
 CharacterizedCore::CharacterizedCore(CoreModelConfig config,
                                      perf::PhaseProfile* profile)
@@ -74,14 +109,8 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
     if (!loaded) {
         const DtaResult dta = run_dta(alu_, timing_, config_.dta, profile);
         cdfs_ = std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(dta));
-        if (!config_.cdf_cache_path.empty()) {
-            std::ofstream os(config_.cdf_cache_path, std::ios::binary);
-            if (os) {
-                os.write(reinterpret_cast<const char*>(&fingerprint),
-                         sizeof fingerprint);
-                cdfs_->save(os);
-            }
-        }
+        if (!config_.cdf_cache_path.empty())
+            write_cache(config_.cdf_cache_path, fingerprint, *cdfs_);
     }
 }
 

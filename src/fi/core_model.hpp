@@ -31,14 +31,15 @@ struct CoreModelConfig {
     /// Optional binary cache for the (deterministic) DTA result.
     std::string cdf_cache_path;
     /// Draw-stream mode stamped onto models built by the factories.
-    /// Scalar and Batched are bit-identical (same results, same
-    /// fingerprint); Quantized is the alias-sampled "B-q" variant and
-    /// gets its own fingerprint so stored results never collide.
+    /// Batched keeps the fingerprint unsalted; Quantized is the
+    /// alias-sampled "B-q" variant and gets its own fingerprint so stored
+    /// results never collide.
     FaultSamplingMode fault_sampling = FaultSamplingMode::Batched;
 };
 
 /// FNV-1a hash of every CoreModelConfig knob that affects the
-/// characterization result (the cache path is deliberately excluded).
+/// characterization result (the cache path is deliberately excluded),
+/// plus a salt for the Quantized sampling variant.
 /// This is the invalidation key of the CDF cache and one ingredient of
 /// the campaign point-store keys (src/campaign/): two configs with equal
 /// fingerprints characterize to identical cores.

@@ -59,24 +59,6 @@ std::uint64_t cwc_encode_sequential(const CwcCode& code, std::uint64_t index) {
     return word;
 }
 
-std::uint64_t cwc_decode_sequential(const CwcCode& code, std::uint64_t word) {
-    std::uint64_t index = 0;
-    unsigned r = code.w;
-    if (r == 0 || code.n == 0) return 0;
-    std::uint64_t c = cwc_binomial(code.n - 1, r);
-    for (unsigned p = code.n; p-- > 0;) {
-        if (r == 0) break;
-        if ((word >> p) & 1) {
-            index += c;
-            if (p > 0) c = c * r / p;
-            --r;
-        } else if (p > 0) {
-            c = c * (p - r) / p;
-        }
-    }
-    return index;
-}
-
 // ---------------------------------------------------------------------------
 // Detection math
 // ---------------------------------------------------------------------------

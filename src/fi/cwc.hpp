@@ -72,9 +72,6 @@ struct CwcCode {
 /// (tests/fi/test_cwc.cpp).
 std::uint64_t cwc_encode_sequential(const CwcCode& code, std::uint64_t index);
 
-/// Inverse of cwc_encode_sequential.
-std::uint64_t cwc_decode_sequential(const CwcCode& code, std::uint64_t word);
-
 /// P(escape) of one corrupted block whose correct and corrupted codewords
 /// differ in `code_distance` bits: C(d, d/2) / 2^d under the partial-
 /// capture model (balanced subsets preserve the weight). d = 0 returns

@@ -76,22 +76,6 @@ std::vector<double> build_noise_window_table(const OperatingPoint& point,
     return table;
 }
 
-std::size_t noise_table_index(const OperatingPoint& point, double noise_v,
-                              std::size_t entries) {
-    const double clip_v = point.noise.clip_sigmas * point.noise.sigma_mv * 1e-3;
-    return noise_table_index(clip_v, noise_v, entries);
-}
-
-std::size_t noise_table_index(double clip_v, double noise_v,
-                              std::size_t entries) {
-    if (clip_v <= 0.0) return entries / 2;
-    const double t = (noise_v + clip_v) / (2.0 * clip_v);
-    const auto idx = static_cast<std::ptrdiff_t>(
-        t * static_cast<double>(entries - 1) + 0.5);
-    return static_cast<std::size_t>(
-        std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(entries) - 1));
-}
-
 // ---------------------------------------------------------------------------
 // Model A
 // ---------------------------------------------------------------------------
@@ -168,13 +152,12 @@ void ModelB::operating_point_changed() {
             ? base_window_ps_
             : *std::min_element(noise_window_table_.begin(),
                                 noise_window_table_.end());
-    vdd_noise_ = VddNoise(point_.noise);
-    // Violation-count tables for the batched path: for every window the
-    // model can ever see (each table entry, plus the no-noise window) the
-    // number of injected endpoints is a pure function of the window — the
-    // count of leading order_ entries with window_ps_ > window, exactly
-    // the scalar loop's break condition. Precomputing it turns a batched
-    // corrupt() into one count load and one cum_mask_ apply.
+    // Violation-count tables: for every window the model can ever see
+    // (each table entry, plus the no-noise window) the number of injected
+    // endpoints is a pure function of the window — the count of leading
+    // order_ entries with window_ps_ > window, exactly the break condition
+    // of the reference per-endpoint walk. Precomputing it turns corrupt()
+    // into one count load and one cum_mask_ apply.
     const auto leading_violations = [&](double window) {
         std::uint8_t count = 0;
         for (const std::uint32_t endpoint : order_) {
@@ -191,9 +174,9 @@ void ModelB::operating_point_changed() {
 }
 
 void ModelB::refresh_sampling() {
-    // clip_mv / clip_v are spelled with VddNoise::draw's and max_abs_v()'s
-    // own expressions so the batch's conversion constants are bitwise the
-    // scalar path's.
+    // clip_mv / clip_v are spelled with the reference draw's own
+    // expressions (clamp in mV, clip level in volts) so the batch's
+    // conversion constants are bitwise the reference's.
     batch_.configure(point_.noise.sigma_mv,
                      point_.noise.clip_sigmas * point_.noise.sigma_mv,
                      noise_clip_v_, noise_window_table_.size(),
@@ -235,30 +218,13 @@ double ModelB::first_fault_frequency_mhz() const {
 }
 
 std::uint32_t ModelB::corrupt(const ExEvent& ev, std::uint32_t correct) {
-    if (sampling_mode_ == FaultSamplingMode::Scalar) {
-        // Reference path: one noise draw, table lookup and per-endpoint
-        // walk per op. The batched path below is proven bit-identical to
-        // this by the differential suite (tests/fi, tests/mc).
-        double window = base_window_ps_;
-        if (!noise_window_table_.empty()) {
-            const double n = vdd_noise_.draw(rng_);
-            window = noise_window_table_[noise_table_index(
-                noise_clip_v_, n, noise_window_table_.size())];
-        }
-        if (max_window_ps_ <= window) return correct;  // whole stage safe
-        std::uint32_t result = correct;
-        for (const std::uint32_t endpoint : order_) {
-            if (window_ps_[endpoint] <= window) break;  // sorted: rest are safe
-            result = apply_fault(result, endpoint, ev.prev_result);
-        }
-        return result;
-    }
-    // Batched/quantized path: the window never leaves integer space — the
-    // precomputed violation count selects a cumulative mask that applies
-    // all violating endpoints at once. Batched draws the count through a
-    // prefetched (bit-identical) table index; quantized samples it
-    // directly from the count alias (2 raw u64 draws, not bit-identical:
-    // the "B-q" variant).
+    // The window never leaves integer space: the precomputed violation
+    // count selects a cumulative mask that applies all violating
+    // endpoints at once. Batched draws the count through a prefetched
+    // table index, bit-identical to the one-draw-per-op reference walk
+    // (tests/testing/reference_model_b.hpp); quantized samples it directly
+    // from the count alias (2 raw u64 draws, not bit-identical: the "B-q"
+    // variant).
     std::size_t count;
     if (noise_window_table_.empty())
         count = base_violation_count_;
@@ -324,7 +290,6 @@ void ModelC::operating_point_changed() {
             ? base_window_ps_
             : *std::min_element(noise_window_table_.begin(),
                                 noise_window_table_.end());
-    vdd_noise_ = VddNoise(point_.noise);
     samples_ = static_cast<double>(cdfs_->samples_per_endpoint());
     // Hoist the per-class store lookups (corrupt() runs once per ALU op
     // and the store is immutable) and lay out the count memo. A class
@@ -385,20 +350,13 @@ double ModelC::first_fault_frequency_mhz(ExClass cls) const {
 std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
     // Step 1 (Fig. 3): derive the capture window at Vref from clock
     // frequency, supply voltage and this cycle's noise draw — a row of
-    // the noise-window table, taken from the prefetched index batch
-    // unless in scalar reference mode. Without noise the one row is the
-    // base window.
+    // the noise-window table, taken from the prefetched index batch.
+    // Without noise the one row is the base window.
     std::size_t row = 0;
     double window = base_window_ps_;
-    bool batched_draw = false;
-    if (!noise_window_table_.empty()) {
-        if (sampling_mode_ == FaultSamplingMode::Scalar) {
-            row = noise_table_index(noise_clip_v_, vdd_noise_.draw(rng_),
-                                    noise_window_table_.size());
-        } else {
-            row = batch_.next_index(rng_);
-            batched_draw = true;
-        }
+    const bool noisy = !noise_window_table_.empty();
+    if (noisy) {
+        row = batch_.next_index(rng_);
         window = noise_window_table_[row];
     }
     // Step 2+3: evaluate the instruction's endpoint CDFs at the scaled
@@ -411,10 +369,10 @@ std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
     if (view.max_window_ps <= window) return correct;
     // The Bernoulli walk consumes uniforms from the same stream the noise
     // draws come from. In exact batched mode, resync the batch so those
-    // uniforms appear exactly where the scalar path would take them
-    // (bit-identity); quantized mode has no such contract and simply
-    // continues from the current generator state.
-    if (batched_draw && batch_.exact()) batch_.resync(rng_);
+    // uniforms appear exactly where the one-draw-per-op reference walk
+    // takes them (bit-identity); quantized mode has no such contract and
+    // simply continues from the current generator state.
+    if (noisy && batch_.exact()) batch_.resync(rng_);
     // p = count / samples is the very double violation_prob computes, so
     // every rng_.chance(p) below decides as it would without the memo.
     std::uint32_t* counts =

@@ -127,12 +127,12 @@ public:
     virtual void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
     /// Selects how the noise-modulated models consume their per-op draws
-    /// (fi/sampling_batch.hpp). Memoized like set_operating_point; the
-    /// Scalar and Batched modes produce bit-identical corrupt() streams,
-    /// Quantized is the fingerprinted "B-q" variant. Virtual so decorators
-    /// forward to their inner model. A switch mid-trial gives back any
-    /// prefetched draws first, so Scalar <-> Batched switches keep the
-    /// stream exact.
+    /// (fi/sampling_batch.hpp). Memoized like set_operating_point;
+    /// Batched reproduces the one-draw-per-op reference walk
+    /// (tests/testing/) bit for bit, Quantized is the fingerprinted "B-q"
+    /// variant. Virtual so decorators forward to their inner model. A
+    /// switch mid-trial gives back any prefetched draws first, so the Rng
+    /// then sits where the reference walk's would.
     virtual void set_sampling_mode(FaultSamplingMode mode) {
         if (mode == sampling_mode_) return;
         sampling_mode_ = mode;
@@ -144,8 +144,9 @@ public:
     void reset_stats() { stats_ = FiStats{}; }
 
     /// The model's draw stream (testing aid). In Batched mode it runs
-    /// ahead of the scalar path by the batch's unconsumed prefetch until
-    /// the next interleave or configuration change gives the lead back.
+    /// ahead of the reference walk's by the batch's unconsumed prefetch
+    /// until the next interleave or configuration change (a new point, or
+    /// a switch to Quantized) gives the lead back.
     const Rng& rng() const { return rng_; }
 
     /// Attaches a forensic probe (null detaches; null is the default and
@@ -289,14 +290,12 @@ private:
     // index — both hoisted out of the per-ALU-op corrupt() path.
     double min_window_ps_ = 0.0;
     double noise_clip_v_ = 0.0;
-    // Hoisted noise source (satellite: no per-corrupt() VddNoise
-    // construction) and the batched-sampling decision tables: for table
-    // index i, violation_count_[i] is how many leading endpoints of
-    // order_ violate that window, and cum_mask_[k] is the XOR-cumulative
-    // bit mask of the first k endpoints of order_ — together they reduce
-    // a batched corrupt() to one index, one count load and one mask apply
-    // (provably equal to the scalar per-endpoint walk; see .cpp).
-    VddNoise vdd_noise_;
+    // The batched-sampling decision tables: for table index i,
+    // violation_count_[i] is how many leading endpoints of order_ violate
+    // that window, and cum_mask_[k] is the XOR-cumulative bit mask of the
+    // first k endpoints of order_ — together they reduce corrupt() to one
+    // index, one count load and one mask apply (provably equal to the
+    // per-endpoint walk of tests/testing/reference_model_b.hpp; see .cpp).
     std::vector<std::uint8_t> violation_count_;
     std::uint8_t base_violation_count_ = 0;  // no-noise-table counterpart
     std::vector<std::uint32_t> cum_mask_;
@@ -356,7 +355,6 @@ private:
     double min_window_ps_ = 0.0;
     double noise_clip_v_ = 0.0;
     double samples_ = 0.0;     // the store's samples per endpoint
-    VddNoise vdd_noise_;       // hoisted out of corrupt() (satellite fix)
     NoiseIndexBatch batch_;    // prefetched window-table indices
     // Per-class CDF-store lookups hoisted out of corrupt(): the store is
     // immutable for the model's lifetime, so the per-op walk reads plain
@@ -403,16 +401,5 @@ private:
 std::vector<double> build_noise_window_table(const OperatingPoint& point,
                                              const VddDelayFit& fit,
                                              std::size_t entries = 1025);
-
-/// Maps a concrete noise draw (volts) to a table index.
-std::size_t noise_table_index(const OperatingPoint& point, double noise_v,
-                              std::size_t entries);
-
-/// Same mapping with the clip level precomputed (hot-path form: the clip
-/// is a per-point constant, so the models derive it once per operating
-/// point instead of twice per ALU op). Bit-identical to the overload
-/// above — the arithmetic sequence is unchanged.
-std::size_t noise_table_index(double clip_v, double noise_v,
-                              std::size_t entries);
 
 }  // namespace sfi

@@ -1,11 +1,11 @@
 // Supply-voltage noise model (paper §3.3): zero-mean Gaussian with
 // standard deviation sigma, clipped at +/- clip_sigmas * sigma to avoid
 // physically unrealistic tail spikes. One independent value per cycle.
+// The models draw it in blocks and map each value straight to a row of
+// their noise-window table (fi/sampling_batch.hpp); the one-value-at-a-
+// time draw they must reproduce lives with the test oracles
+// (tests/testing/reference_noise.hpp).
 #pragma once
-
-#include <algorithm>
-
-#include "util/rng.hpp"
 
 namespace sfi {
 
@@ -14,29 +14,6 @@ struct NoiseConfig {
     double clip_sigmas = 2.0;  ///< saturation point (paper: 2 sigma)
 
     bool operator==(const NoiseConfig&) const = default;
-};
-
-class VddNoise {
-public:
-    explicit VddNoise(NoiseConfig config = {}) : config_(config) {}
-
-    /// Draws one per-cycle noise value in volts.
-    double draw(Rng& rng) const {
-        if (config_.sigma_mv <= 0.0) return 0.0;
-        const double clip = config_.clip_sigmas * config_.sigma_mv;
-        const double n = std::clamp(rng.normal(0.0, config_.sigma_mv), -clip, clip);
-        return n * 1e-3;  // mV -> V
-    }
-
-    /// Largest possible |noise| in volts (the clip level).
-    double max_abs_v() const {
-        return config_.clip_sigmas * config_.sigma_mv * 1e-3;
-    }
-
-    const NoiseConfig& config() const { return config_; }
-
-private:
-    NoiseConfig config_;
 };
 
 }  // namespace sfi

@@ -5,18 +5,8 @@
 
 namespace sfi {
 
-const char* fault_sampling_mode_name(FaultSamplingMode mode) {
-    switch (mode) {
-        case FaultSamplingMode::Scalar: return "scalar";
-        case FaultSamplingMode::Batched: return "batched";
-        case FaultSamplingMode::Quantized: return "quantized";
-    }
-    return "?";
-}
-
 std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     const std::string& name) {
-    if (name == "scalar") return FaultSamplingMode::Scalar;
     if (name == "batched") return FaultSamplingMode::Batched;
     if (name == "quantized") return FaultSamplingMode::Quantized;
     return std::nullopt;
@@ -26,14 +16,15 @@ void noise_draws_to_indices_scalar(const double* draws,
                                    std::uint32_t* indices, std::size_t n,
                                    double clip_mv, double clip_v,
                                    std::size_t entries) {
-    // Elementwise this must stay the exact IEEE operation sequence of
-    // VddNoise::draw + noise_table_index: clamp in mV, scale to volts,
+    // Elementwise this must stay the exact IEEE operation sequence of the
+    // reference draw + noise_table_index (tests/testing/reference_noise.hpp):
+    // clamp in mV, scale to volts,
     // affine map to [0, 1], round half up by +0.5 and truncate. The
     // default build has no -ffp-contract=fast FMA fusion, so the AVX2
     // kernel (explicit non-fused intrinsics) matches bit for bit.
     if (clip_v <= 0.0) {
-        // noise_table_index's degenerate case: no clip span, every draw
-        // maps to the middle entry.
+        // The reference's degenerate case: no clip span, every draw maps
+        // to the middle entry.
         const auto mid = static_cast<std::uint32_t>(entries / 2);
         for (std::size_t i = 0; i < n; ++i) indices[i] = mid;
         return;
@@ -90,14 +81,13 @@ std::vector<double> noise_index_masses(double sigma_mv, double clip_mv,
     if (sigma_mv <= 0.0 || entries < 2) return mass;
     mass.assign(entries, 0.0);
     if (clip_mv <= 0.0) {
-        // noise_table_index's degenerate case: every draw maps to the
-        // middle entry.
+        // The reference's degenerate case: every draw maps to the middle
+        // entry.
         mass[entries / 2] = 1.0;
         return mass;
     }
 
-    // Exact bin masses of the clamped draw under noise_table_index
-    // rounding: index i collects t in [(i-0.5)/(E-1), (i+0.5)/(E-1)),
+    // Exact bin masses of the clamped draw under round-half-up binning: index i collects t in [(i-0.5)/(E-1), (i+0.5)/(E-1)),
     // i.e. noise below (2t-1)*clip in mV; the boundary bins additionally
     // absorb the clamp mass beyond +/-clip. Masses depend only on
     // clip_mv/sigma_mv, so the table survives frequency/voltage sweeps.
@@ -212,13 +202,13 @@ void NoiseIndexBatch::resync(Rng& rng) {
     // interleave likely discards, so restart the schedule at one draw.
     next_fill_ = 1;
     // A fully consumed fill (or none at all) left the generator exactly
-    // where pos_ scalar draws would: nothing to undo.
+    // where pos_ reference draws would: nothing to undo.
     if (pos_ == size_) return;
     // pos_ draws of the current fill have been consumed (including the
     // one that opened the interleave). Rewind to the fill snapshot and
     // replay exactly those draws — bit-identical values, so the caller's
     // past decisions stay valid and the generator lands in the state the
-    // scalar path would occupy right now.
+    // reference draws would leave right now.
     rng = snapshot_;
     if (pos_ > 0) {
         rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);

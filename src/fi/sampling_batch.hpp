@@ -5,23 +5,24 @@
 // per ALU op.
 //
 // Draw-order contract (what keeps the batched path bit-identical to the
-// scalar reference in src/fi/models.cpp):
+// one-draw-per-op reference — VddNoise::draw + noise_table_index and the
+// reference walks of models B and C, all test oracles in tests/testing/):
 //
 //  * a fill of n draws consumes the Rng exactly like n successive
-//    VddNoise::draw calls (Rng::normal_fill has the prefix property:
-//    the first m <= n values of a fill equal the first m sequential
-//    draws, polar spare included);
+//    reference draws (Rng::normal_fill has the prefix property: the
+//    first m <= n values of a fill equal the first m sequential draws,
+//    polar spare included);
 //  * draws are consumed strictly in fill order, one per corrupt() call;
 //  * unconsumed draws are discarded unobservably: at trial boundaries the
 //    per-trial reseed restarts the stream, and a configuration change
 //    (new point or sampling mode) first resyncs the generator as below;
 //  * model C interleaves Bernoulli uniforms with the noise draws on the
 //    SAME stream whenever a violation is possible, so before each
-//    interleave resync() puts the generator where the scalar path would
-//    have it. A fully consumed fill needs nothing: n draws of a fill
-//    advance the Rng exactly like n scalar draws. Otherwise the batch
-//    rewinds to the snapshot it took at fill time, replays exactly the
-//    consumed draws and invalidates the rest of the prefetch;
+//    interleave resync() puts the generator where the reference walk
+//    would have it. A fully consumed fill needs nothing: n draws of a
+//    fill advance the Rng exactly like n reference draws. Otherwise the
+//    batch rewinds to the snapshot it took at fill time, replays exactly
+//    the consumed draws and invalidates the rest of the prefetch;
 //  * fills double from kMinFill at a trial start and from ONE draw after
 //    an interleave, up to kMaxFill. Interleaves cluster (a point where
 //    model C can violate usually violates again soon), so restarting
@@ -32,13 +33,13 @@
 //
 // The index conversion quantizes each clamped draw to one of the
 // `entries` window-table bins with the same IEEE double operation
-// sequence as noise_table_index (clamp, mV->V scale, affine map,
-// round-half-up via +0.5 and truncation) — an integer result, so the
-// batched decision tables (violation counts, cumulative fault masks in
+// sequence as the reference noise_table_index (clamp, mV->V scale,
+// affine map, round-half-up via +0.5 and truncation) — an integer result,
+// so the decision tables (violation counts, cumulative fault masks in
 // models.cpp) are exact, not approximate. An AVX2 variant of the pass is
 // compiled behind the SFI_ENABLE_AVX2 CMake toggle; it uses only
 // mul/add/div/min/max/cvtt intrinsics (no FMA contraction), so its
-// indices are bit-identical to the scalar loop's.
+// indices are bit-identical to the plain loop's.
 //
 // FaultSamplingMode::Quantized replaces the Gaussian draw + conversion
 // with direct alias-method sampling of the table index from the
@@ -62,24 +63,21 @@ namespace sfi {
 
 /// How the noise-modulated fault models consume their per-op draws.
 enum class FaultSamplingMode : std::uint8_t {
-    Scalar,     ///< reference path: one VddNoise::draw per corrupt() call
     Batched,    ///< block prefetch + index conversion; bit-identical
     Quantized,  ///< alias-method index sampling ("B-q"; not bit-identical)
 };
 
-const char* fault_sampling_mode_name(FaultSamplingMode mode);
-
-/// Parses a --fault-sampling flag value ("scalar" / "batched" /
-/// "quantized"); nullopt for anything else.
+/// Parses a --fault-sampling flag value ("batched" / "quantized");
+/// nullopt for anything else.
 std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     const std::string& name);
 
 /// Converts raw normal draws (mV units, mean 0 / stddev sigma as produced
 /// by Rng::normal_fill) into window-table indices. Elementwise this is
-/// exactly VddNoise::draw's clamp + mV->V scale followed by
-/// noise_table_index's affine map and round-half-up — the scalar loop is
-/// auto-vectorizable, and the AVX2 variant below produces bit-identical
-/// indices. `clip_mv` is the clamp level in mV (clip_sigmas * sigma_mv)
+/// exactly the reference draw's clamp + mV->V scale followed by the
+/// reference noise_table_index's affine map and round-half-up — the
+/// plain loop is auto-vectorizable, and the AVX2 variant below produces
+/// bit-identical indices. `clip_mv` is the clamp level in mV (clip_sigmas * sigma_mv)
 /// and `clip_v` the same level in volts, computed by the caller with the
 /// models' own expressions so no re-derivation can diverge.
 /// Requires entries >= 2 (and, for the AVX2 path, entries <= 2^31).
@@ -100,7 +98,7 @@ bool noise_conversion_uses_avx2();
 
 /// Walker alias table over the quantized clipped-normal index
 /// distribution: P(i) = probability that a clamped N(0, sigma) draw maps
-/// to table index i under noise_table_index rounding. Thresholds are
+/// to table index i under round-half-up binning. Thresholds are
 /// Q0.64 fixed point (a uniform u64 below threshold[j] accepts bin j,
 /// otherwise its alias), so sampling is two raw draws and one compare —
 /// no floating point at all.
@@ -120,7 +118,7 @@ struct AliasTable {
     }
 };
 
-/// Exact clipped-Gaussian masses of the noise_table_index rounding cells
+/// Exact clipped-Gaussian masses of the round-half-up index cells
 /// for `entries` bins at the given noise parameters (mV): element i is
 /// P(clamped N(0, sigma_mv) draw maps to index i), with the clamp mass
 /// beyond +/-clip collapsed into the boundary bins and the clip_mv <= 0
@@ -152,7 +150,7 @@ public:
     /// (Re)configures for an operating point. A no-op when nothing
     /// changed (preserves the buffered draws); otherwise resyncs `rng`
     /// (see resync) and drops the buffer, so a configuration change in
-    /// mid-stream continues exactly where the scalar path would.
+    /// mid-stream continues exactly where the reference draws would.
     /// entries == 0 disables the batch (no noise at this point).
     void configure(double sigma_mv, double clip_mv, double clip_v,
                    std::size_t entries, FaultSamplingMode mode, Rng& rng);
@@ -178,16 +176,16 @@ public:
 
     /// Exact-mode rollback for interleaved consumers (model C). When the
     /// current fill is fully consumed the generator already sits where
-    /// the scalar path would, and nothing happens; otherwise rewinds
+    /// the reference draws would put it, and nothing happens; otherwise rewinds
     /// `rng` to the fill snapshot, replays exactly the draws consumed
     /// from this fill (bit-identical values, so nothing observable
     /// changes), and invalidates the remaining prefetch. Either way the
     /// next fill starts at one draw. On return the generator state equals
-    /// the scalar path's after the same draws, and the caller may consume
+    /// the reference's after the same draws, and the caller may consume
     /// uniforms directly.
     void resync(Rng& rng);
 
-    /// True when draws are bit-identical to the scalar reference
+    /// True when draws are bit-identical to the one-draw-per-op reference
     /// (Batched); false for Quantized, whose indices come from the alias
     /// table and support no resync.
     bool exact() const { return mode_ == FaultSamplingMode::Batched; }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "isa/isa.hpp"
 
@@ -22,9 +21,5 @@ std::uint32_t encode(const Instr& instr);
 /// Decodes a 32-bit word. Returns std::nullopt for words outside the
 /// implemented subset (the ISS raises an illegal-instruction fault).
 std::optional<Instr> decode(std::uint32_t word);
-
-/// Disassembles one instruction to assembler syntax, e.g.
-/// "l.addi r3,r4,-12" or "l.bf 8" (branch offsets in instruction words).
-std::string disassemble(const Instr& instr);
 
 }  // namespace sfi

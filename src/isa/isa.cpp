@@ -99,8 +99,6 @@ std::optional<ExClass> ex_class_from_name(const std::string& name) {
     return std::nullopt;
 }
 
-std::string reg_name(std::uint8_t r) { return "r" + std::to_string(r); }
-
 std::uint32_t alu_result(ExClass c, std::uint32_t a, std::uint32_t b) {
     switch (c) {
         case ExClass::Add: return a + b;

@@ -107,9 +107,6 @@ const char* ex_class_name(ExClass c);
 /// Parses an ExClass name; returns std::nullopt for unknown names.
 std::optional<ExClass> ex_class_from_name(const std::string& name);
 
-/// Register name "r0".."r31".
-std::string reg_name(std::uint8_t r);
-
 // ---------------------------------------------------------------------------
 // ALU reference semantics. These are the *functional* results; the
 // gate-level netlist in src/circuits must agree bit-exactly (checked by

@@ -57,8 +57,9 @@ struct McConfig {
     std::size_t threads = 1;
     /// Draw-stream mode applied to the fault model each trial
     /// (fi/sampling_batch.hpp). Batched prefetches whole blocks of noise
-    /// draws and is bit-identical to Scalar (proven by the differential
-    /// suite); Quantized is the fingerprinted alias-sampled variant.
+    /// draws and is bit-identical to the one-draw-per-op reference walks
+    /// (tests/testing/); Quantized is the fingerprinted alias-sampled
+    /// variant.
     FaultSamplingMode fault_sampling = FaultSamplingMode::Batched;
 };
 

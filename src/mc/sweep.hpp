@@ -1,6 +1,6 @@
-// Parameter-sweep drivers: frequency sweeps at fixed voltage/noise,
-// voltage sweeps at fixed frequency (Fig. 7), and point-of-first-failure
-// (PoFF) extraction.
+// Grid helpers, the voltage sweep at fixed frequency (Fig. 7), and
+// point-of-first-failure (PoFF) extraction. Campaign frequency sweeps run
+// through the campaign engine (src/campaign/runner.hpp).
 #pragma once
 
 #include <functional>
@@ -23,18 +23,10 @@ std::vector<double> arange(double lo, double hi, double step);
 /// Optional per-point progress callback (e.g. console dots).
 using SweepProgress = std::function<void(const PointSummary&)>;
 
-// The sweep drivers execute points in the given order (so progress
-// callbacks and PoFF semantics stay deterministic); each point's trials
-// fan out across the runner's McConfig::threads workers via run_point
-// (src/mc/parallel.hpp), which is where the wall-clock win comes from.
-
-/// Runs one Monte-Carlo point per frequency, voltage/noise from `base`.
-std::vector<PointSummary> frequency_sweep(MonteCarloRunner& runner,
-                                          OperatingPoint base,
-                                          const std::vector<double>& freqs_mhz,
-                                          const SweepProgress& progress = {});
-
-/// Runs one point per supply voltage at fixed frequency (Fig. 7 x-axis).
+/// Runs one point per supply voltage at fixed frequency (Fig. 7 x-axis),
+/// in the given order (so progress callbacks stay deterministic); each
+/// point's trials fan out across the runner's McConfig::threads workers
+/// via run_point (src/mc/parallel.hpp).
 std::vector<PointSummary> voltage_sweep(MonteCarloRunner& runner,
                                         OperatingPoint base,
                                         const std::vector<double>& vdds,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
 #include <stdexcept>
 
 namespace sfi {
@@ -154,23 +153,6 @@ std::map<std::string, std::size_t> Netlist::type_histogram() const {
     std::map<std::string, std::size_t> hist;
     for (const Cell& cell : cells_) ++hist[cell_type_name(cell.type)];
     return hist;
-}
-
-void Netlist::write_dot(std::ostream& os, const std::string& name) const {
-    os << "digraph \"" << name << "\" {\n  rankdir=LR;\n";
-    for (NetId id = 0; id < cells_.size(); ++id) {
-        os << "  n" << id << " [label=\"" << cell_type_name(cells_[id].type)
-           << id << "\"];\n";
-        const unsigned n = cell_fanin_count(cells_[id].type);
-        for (unsigned i = 0; i < n; ++i)
-            os << "  n" << cells_[id].fanin[i] << " -> n" << id << ";\n";
-    }
-    for (const auto& [bus, nets] : outputs_)
-        for (std::size_t bit = 0; bit < nets.size(); ++bit)
-            if (nets[bit] != kNoNet)
-                os << "  n" << nets[bit] << " -> \"" << bus << "[" << bit
-                   << "]\";\n";
-    os << "}\n";
 }
 
 void Netlist::eval_into(std::vector<std::uint8_t>& values) const {

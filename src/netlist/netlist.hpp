@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -106,9 +105,6 @@ public:
 
     /// Per-cell-type population, for reports.
     std::map<std::string, std::size_t> type_histogram() const;
-
-    /// Graphviz dump (for documentation / debugging of small blocks).
-    void write_dot(std::ostream& os, const std::string& name) const;
 
     // ---- functional evaluation -----------------------------------------
     /// Evaluates all cells given input bus values (LSB-first bit packing).

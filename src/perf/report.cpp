@@ -74,12 +74,10 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
 
     json.key("fault_sampling");
     json.begin_object();
-    json.field("scalar_ops_per_sec", report.fault_sampling.scalar_ops_per_sec);
     json.field("batched_ops_per_sec",
                report.fault_sampling.batched_ops_per_sec);
     json.field("quantized_ops_per_sec",
                report.fault_sampling.quantized_ops_per_sec);
-    json.field("batched_speedup", report.fault_sampling.batched_speedup);
     json.field("avx2", report.fault_sampling.avx2);
     json.end_object();
 

@@ -6,7 +6,7 @@
 //
 //   {
 //     "schema": "sfi-bench-core",
-//     "schema_version": 5,
+//     "schema_version": 6,
 //     "config":   { seed, dta_cycles, trials, benchmark },
 //                 (v5: dropped v2's "dispatch" — the ISS has one engine)
 //     "phases":   [ { phase, seconds, calls, items } x kPhaseCount ],
@@ -18,11 +18,11 @@
 //                     trials, fast_path,
 //                     scaling: [ { threads, seconds, trials_per_sec } ] } ],
 //     "fast_path": { sim_trials_per_sec, fastpath_trials_per_sec, speedup },
-//     "fault_sampling": { scalar_ops_per_sec, batched_ops_per_sec,
-//                         quantized_ops_per_sec, batched_speedup, avx2 },
-//                 (v3: within-run comparison of the draw->index sampling
-//                  kernels; batched_speedup is machine-independent like
-//                  fast_path.speedup and is held to a baseline floor)
+//     "fault_sampling": { batched_ops_per_sec, quantized_ops_per_sec,
+//                         avx2 },
+//                 (v3: throughput of the draw->index sampling kernels;
+//                  v6: dropped scalar_ops_per_sec and batched_speedup —
+//                  the per-op scalar draw is now a test oracle only)
 //     "campaign":  { figure, seconds, trials_spent } | null,
 //     "metrics":  { counters: [ { name, value } ],
 //                   gauges:   [ { name, value } ] },
@@ -49,7 +49,7 @@
 
 namespace sfi::perf {
 
-inline constexpr int kSchemaVersion = 5;
+inline constexpr int kSchemaVersion = 6;
 
 /// One (thread count, duration) sample of a kernel bench.
 struct ThreadSample {
@@ -79,16 +79,13 @@ struct FastPathResult {
     double speedup = 0.0;                  ///< fastpath / sim
 };
 
-/// Within-run throughput of the draw -> table-index sampling paths
+/// Throughput of the draw -> table-index sampling paths
 /// (bench_fault_sampling in bench/sfi_perf.cpp): synthetic ALU-op streams
-/// through model B+ under each FaultSamplingMode. batched_speedup
-/// (batched / scalar) is machine-independent, like FastPathResult's
-/// ratio, so the regression gate holds it to a hard floor.
+/// through model B+ under each FaultSamplingMode. The regression gate
+/// holds batched_ops_per_sec to an absolute floor.
 struct FaultSamplingResult {
-    double scalar_ops_per_sec = 0.0;
     double batched_ops_per_sec = 0.0;
     double quantized_ops_per_sec = 0.0;
-    double batched_speedup = 0.0;  ///< batched / scalar
     bool avx2 = false;  ///< AVX2 conversion kernel compiled in and active
 };
 

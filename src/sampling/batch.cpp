@@ -46,17 +46,4 @@ PointSummary BatchedExecutor::run_fixed(const OperatingPoint& point,
     return summary;
 }
 
-PointSummary merge_point_summaries(const PointSummary& a,
-                                   const PointSummary& b) {
-    PointSummary out = a;
-    out.trials += b.trials;
-    out.finished_count += b.finished_count;
-    out.correct_count += b.correct_count;
-    out.error_stats.merge(b.error_stats);
-    out.fi_rate_stats.merge(b.fi_rate_stats);
-    out.fi_rate = out.fi_rate_stats.mean();
-    out.mean_error = out.error_stats.mean();
-    return out;
-}
-
 }  // namespace sfi::sampling

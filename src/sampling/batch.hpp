@@ -17,15 +17,6 @@
 //  * each batch's outcomes are folded into the summary in trial-index
 //    order via accumulate_trials (src/mc/montecarlo.hpp), i.e. the exact
 //    floating-point accumulation sequence of the one-shot path.
-//
-// Note on RunningStats::merge (src/util/stats.hpp): merging two Welford
-// accumulators is algebraically exact (Chan et al.) but rounds
-// differently from feeding the same values through one accumulator, so
-// the bitwise-contract path above deliberately replays trial-ordered
-// add()s instead. merge_point_summaries below — which does use
-// RunningStats::merge — is for cross-summary aggregation (PoFF probe
-// roll-ups, trial-budget reporting) where counts must be exact but
-// bitwise reproduction of a serial pass is not part of the contract.
 #pragma once
 
 #include <cstddef>
@@ -93,15 +84,5 @@ private:
     obs::Ledger* ledger_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
 };
-
-/// Merges two summaries over disjoint trial sets: integer counts add
-/// exactly, the moment accumulators combine via RunningStats::merge
-/// (algebraically exact — see the header comment for why this is not the
-/// bitwise-contract path), and the derived means are recomputed. The
-/// operating point of `a` is kept, so merging summaries of different
-/// points (e.g. rolling up PoFF probes) yields totals labelled with the
-/// first probe's point.
-PointSummary merge_point_summaries(const PointSummary& a,
-                                   const PointSummary& b);
 
 }  // namespace sfi::sampling

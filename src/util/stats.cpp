@@ -22,23 +22,6 @@ void RunningStats::add(double x) {
     m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
-}
-
 void RunningStats::reset() { *this = RunningStats{}; }
 
 void RunningStats::save(std::ostream& os) const {

@@ -14,7 +14,6 @@ namespace sfi {
 class RunningStats {
 public:
     void add(double x);
-    void merge(const RunningStats& other);
     void reset();
 
     std::size_t count() const { return n_; }

@@ -2,9 +2,10 @@
 // memory only once it is written (reads of an untouched page see the
 // kernel's shared zero page), and destruction unmaps the whole range, so
 // the memory goes back to the OS instead of staying parked in the heap.
-// Memory's 1 MiB SRAM image (kernels touch a few KiB of it) and model C's
-// per-point violation-count memo (filled lazily, row by row) are the two
-// users.
+// Memory's 1 MiB SRAM image (kernels touch a few KiB of it), the ISS
+// micro-op stream over that image (one 20-byte entry per word, lowered
+// only where a kernel executes) and model C's per-point violation-count
+// memo (filled lazily, row by row) are the users.
 #pragma once
 
 #include <cstddef>
@@ -20,12 +21,15 @@ void* map_zero_pages(std::size_t bytes);
 void unmap_zero_pages(void* data, std::size_t bytes);
 }  // namespace detail
 
-/// Fixed-size array of `size` zero-initialized T on demand-zero pages.
-/// Move-only: the owner decides what a copy means (see ModelC's memo).
+/// Fixed-size array of `size` T on demand-zero pages. Elements start as
+/// all-zero bytes, not as T's default member initializers, so a T made of
+/// zero bytes must be a valid value to its owner. Move-only: the owner
+/// decides what a copy means (see ModelC's memo).
 template <typename T>
 class ZeroPages {
-    static_assert(std::is_trivial_v<T>,
-                  "zero bytes must be a valid T and no destructor may run");
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "T's lifetime must start in the mapped bytes and no "
+                  "destructor may run");
 
 public:
     ZeroPages() = default;

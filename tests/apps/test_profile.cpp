@@ -58,15 +58,6 @@ TEST(Profile, CountsAreConsistent) {
     EXPECT_GT(p.cycles, p.instructions);  // stalls/flushes exist
 }
 
-TEST(Profile, PrintedReportMentionsClasses) {
-    const KernelProfile p = profile_kernel(*make_benchmark(BenchmarkId::Median));
-    std::ostringstream os;
-    print_profile(os, "median", p);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("cmp"), std::string::npos);
-    EXPECT_NE(out.find("(branches)"), std::string::npos);
-}
-
 // The kernel mix recounted step by step on the reference interpreter
 // (tests/testing/reference_cpu.hpp): an instruction counts when the FI
 // window is open as it is fetched, and a branch is taken when the next pc

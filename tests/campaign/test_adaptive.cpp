@@ -22,9 +22,12 @@
 
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
+#include "testing/frequency_sweep.hpp"
 
 namespace sfi::campaign {
 namespace {
+
+using sfi::testing::frequency_sweep;
 
 namespace fs = std::filesystem;
 

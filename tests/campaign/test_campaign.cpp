@@ -25,10 +25,13 @@
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
 #include "power/power_model.hpp"
+#include "testing/frequency_sweep.hpp"
 #include "util/table.hpp"
 
 namespace sfi::campaign {
 namespace {
+
+using sfi::testing::frequency_sweep;
 
 namespace fs = std::filesystem;
 

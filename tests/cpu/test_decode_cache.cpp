@@ -9,9 +9,14 @@
 //     Memory::clear() bypass the Cpu entirely and must still invalidate
 //     the stream (write-generation coherence guard),
 //   * prime_decode() — priming is idempotent and never makes a stale
-//     stream trusted before a reset.
+//     stream trusted before a reset,
+//   * footprint — the stream spans the whole image, but only the pages
+//     of words a kernel actually lowers become resident.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
 #include <vector>
 
 #include "cpu/cpu.hpp"
@@ -167,6 +172,31 @@ TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
     EXPECT_EQ(cpu.prime_decode(exit_with(4)), 2u);
     cpu.reset(exit_with(4));
     EXPECT_EQ(cpu.run().exit_code, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Resident footprint.
+// ---------------------------------------------------------------------------
+
+/// The process's resident set in bytes, per /proc/self/statm.
+std::int64_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t pages = 0;
+    std::int64_t resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<std::int64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(DecodeCache, StreamOverAFullImageStaysOffTheResidentSet) {
+    // One 20-byte micro-op per word of a 1 MiB image is a 5 MiB stream. A
+    // two-instruction kernel lowers two words of it: the run may make a
+    // page or two resident, never the stream.
+    const std::int64_t before = resident_bytes();
+    Memory mem;
+    Cpu cpu(mem);
+    cpu.reset(exit_with(7));
+    EXPECT_EQ(cpu.run().exit_code, 7u);
+    EXPECT_LT(resident_bytes() - before, std::int64_t{1} << 20);
 }
 
 }  // namespace

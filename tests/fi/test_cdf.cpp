@@ -209,15 +209,6 @@ TEST(TimingErrorCdfs, LoadRejectsMoreThan32Endpoints) {
     EXPECT_THROW(TimingErrorCdfs::load(past_cap), std::runtime_error);
 }
 
-TEST(TimingErrorCdfs, FileRoundTrip) {
-    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
-    const std::string path = std::string(::testing::TempDir()) + "cdfs.bin";
-    cdfs.save_file(path);
-    const auto loaded = TimingErrorCdfs::load_file(path);
-    EXPECT_TRUE(loaded == cdfs);
-    std::remove(path.c_str());
-}
-
 TEST(TimingErrorCdfs, MonotoneInWindow) {
     const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
     double prev = 1.0;

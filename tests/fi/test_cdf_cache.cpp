@@ -1,7 +1,9 @@
 // CDF cache round-trip of CharacterizedCore (see docs/ARCHITECTURE.md):
 // a second construction with the same configuration and cache path must
 // load the cached store instead of re-running DTA; a configuration
-// change or a corrupt payload must fall back to recharacterization.
+// change or a corrupt payload must fall back to recharacterization; and a
+// rewrite replaces the file whole, so a reader that opened it earlier
+// still reads the complete old file.
 #include "fi/core_model.hpp"
 
 #include <gtest/gtest.h>
@@ -36,7 +38,19 @@ protected:
                           .string();
         fs::remove(cache_path_);
     }
-    void TearDown() override { fs::remove(cache_path_); }
+    void TearDown() override { fs::remove_all(cache_path_); }
+
+    // Files in the cache's directory whose names extend the cache file's
+    // (where a rewrite stages its bytes).
+    std::vector<std::string> staged_files() const {
+        const fs::path cache(cache_path_);
+        const std::string prefix = cache.filename().string() + ".";
+        std::vector<std::string> found;
+        for (const auto& entry : fs::directory_iterator(cache.parent_path()))
+            if (entry.path().filename().string().rfind(prefix, 0) == 0)
+                found.push_back(entry.path().string());
+        return found;
+    }
 
     // Short DTA kernel: the cache mechanics are length-independent.
     CoreModelConfig config(std::size_t cycles = 256) const {
@@ -129,6 +143,41 @@ TEST_F(CdfCacheTest, ForgedPayloadFallsBackToCharacterization) {
         EXPECT_TRUE(*again.cdfs() == *first.cdfs()) << forgery.label;
         EXPECT_EQ(read_file(cache_path_), cached) << forgery.label;
     }
+}
+
+TEST_F(CdfCacheTest, RewriteLeavesAnEarlierReaderTheCompleteOldFile) {
+    const CharacterizedCore first(config(256));
+    const std::vector<char> old_bytes = read_file(cache_path_);
+    ASSERT_GT(old_bytes.size(), 8u);
+    // Another process opens the cache a moment before this one replaces
+    // it with a different characterization (new fingerprint, same path).
+    std::ifstream reader(cache_path_, std::ios::binary);
+    ASSERT_TRUE(reader);
+    const CharacterizedCore second(config(512));
+    ASSERT_NE(read_file(cache_path_), old_bytes);
+
+    // The early reader gets every byte of the old file, and nothing else:
+    // the fingerprint it checks and the payload it loads belong together.
+    const std::vector<char> seen{std::istreambuf_iterator<char>(reader),
+                                 std::istreambuf_iterator<char>()};
+    EXPECT_EQ(seen, old_bytes);
+    std::istringstream payload(std::string(seen.begin() + 8, seen.end()));
+    EXPECT_TRUE(TimingErrorCdfs::load(payload) == *first.cdfs());
+    // A later reader gets the new file, and no staging file stays behind.
+    const CharacterizedCore third(config(512));
+    EXPECT_TRUE(*third.cdfs() == *second.cdfs());
+    EXPECT_TRUE(staged_files().empty());
+}
+
+TEST_F(CdfCacheTest, FailedRewriteLeavesNoStagingFileBehind) {
+    // A directory squats on the cache path, so the cache can be neither
+    // read nor replaced: characterization still succeeds, the directory
+    // stays, and the staged bytes are cleaned up.
+    fs::create_directory(cache_path_);
+    const CharacterizedCore core(config());
+    EXPECT_GT(core.cdfs()->samples_per_endpoint(), 0u);
+    EXPECT_TRUE(fs::is_directory(cache_path_));
+    EXPECT_TRUE(staged_files().empty());
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ TEST(CwcCode, SequentialSchemeMatchesEnumerative) {
         for (std::uint64_t index = 0; index < code.codewords(); ++index) {
             const std::uint64_t word = cwc_encode_enumerative(code, index);
             EXPECT_EQ(cwc_encode_sequential(code, index), word);
-            EXPECT_EQ(cwc_decode_sequential(code, word), index);
         }
     }
     // k = 16 (92378 codewords): sampled plus the edges.
@@ -95,7 +94,6 @@ TEST(CwcCode, SequentialSchemeMatchesEnumerative) {
          index += (index % 997) + 1) {
         const std::uint64_t word = cwc_encode_enumerative(code16, index);
         EXPECT_EQ(cwc_encode_sequential(code16, index), word);
-        EXPECT_EQ(cwc_decode_sequential(code16, word), index);
     }
     const std::uint64_t last = code16.codewords() - 1;
     EXPECT_EQ(cwc_encode_sequential(code16, last),

@@ -6,7 +6,7 @@
 // streams that mix classes, at sigma 0/10/25 mV, at frequencies below, at
 // and above each class's first fault, under both fault policies, through
 // a mid-stream point change A -> B -> A, a mid-stream clone and an
-// attached forensic probe, in Scalar and Batched modes.
+// attached forensic probe, under Batched sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,13 +73,11 @@ void expect_same_stats(const FiStats& a, const FiStats& b,
 /// batch is reconfigured mid-stream), back to A, then a clone of the
 /// model carries on, then a probed stretch. Returns the injections.
 std::uint64_t differential_stream(double freq_mhz, double sigma_mv,
-                                  FaultPolicy policy, FaultSamplingMode mode,
-                                  std::uint64_t seed) {
+                                  FaultPolicy policy, std::uint64_t seed) {
     const std::string where =
         "f=" + std::to_string(freq_mhz) + " sigma=" +
         std::to_string(sigma_mv) + " policy=" +
-        std::to_string(static_cast<int>(policy)) + " mode=" +
-        fault_sampling_mode_name(mode);
+        std::to_string(static_cast<int>(policy));
     const std::vector<ExClass> classes = characterized_classes();
     const OperatingPoint a = point_at(freq_mhz, sigma_mv);
     const OperatingPoint b =
@@ -87,7 +85,7 @@ std::uint64_t differential_stream(double freq_mhz, double sigma_mv,
 
     std::unique_ptr<FaultModel> model = shared_core().make_model_c();
     ReferenceModelC oracle(shared_core().cdfs(), shared_core().lib().fit());
-    model->set_sampling_mode(mode);
+    EXPECT_EQ(model->sampling_mode(), FaultSamplingMode::Batched) << where;
     model->set_policy(policy);
     oracle.set_policy(policy);
     model->set_operating_point(a);
@@ -127,10 +125,10 @@ std::uint64_t differential_stream(double freq_mhz, double sigma_mv,
     }
 
     expect_same_stats(model->stats(), oracle.stats(), where);
-    // Batched mode runs ahead of the scalar stream by its prefetch; a
-    // switch to Scalar gives that lead back, after which the generators
-    // must agree to the bit.
-    model->set_sampling_mode(FaultSamplingMode::Scalar);
+    // Batched mode runs ahead of the reference stream by its prefetch; a
+    // switch to Quantized first gives that lead back, after which the
+    // generators must agree to the bit.
+    model->set_sampling_mode(FaultSamplingMode::Quantized);
     EXPECT_TRUE(model->rng() == oracle.rng()) << where;
     return oracle.stats().injections;
 }
@@ -149,18 +147,75 @@ TEST(ModelCOracle, MemoizedWalkMatchesTheReferenceWalk) {
             for (const double factor : {0.97, 1.0, 1.04, 1.25}) {
                 for (const FaultPolicy policy :
                      {FaultPolicy::BitFlip, FaultPolicy::StaleCapture}) {
-                    for (const FaultSamplingMode mode :
-                         {FaultSamplingMode::Scalar, FaultSamplingMode::Batched}) {
-                        injections += differential_stream(
-                            first_fault * factor, sigma_mv, policy, mode, seed++);
-                        if (::testing::Test::HasFatalFailure()) return;
-                    }
+                    injections += differential_stream(
+                        first_fault * factor, sigma_mv, policy, seed++);
+                    if (::testing::Test::HasFatalFailure()) return;
                 }
             }
         }
         EXPECT_GT(injections, 0u)
             << "sigma " << sigma_mv << ": no stream injected anything";
     }
+}
+
+TEST(ModelCOracle, SameShapedPointChangeRecountsTheMemo) {
+    // Two noise-free points whose capture windows fall into the same gap
+    // between consecutive endpoint max windows (over every characterized
+    // class) violate the same classes and the same leading endpoints, so
+    // model C lays out a count memo of the same shape for both — yet the
+    // counts differ. The gap is the one whose two windows differ most in
+    // total violation count; the memo must start empty at the second
+    // point all the same.
+    const TimingErrorCdfs& cdfs = *shared_core().cdfs();
+    const std::vector<ExClass> classes = characterized_classes();
+    std::vector<double> maxima;
+    for (const ExClass cls : classes) {
+        const std::vector<double>& windows = cdfs.endpoint_max_windows_ps(cls);
+        maxima.insert(maxima.end(), windows.begin(), windows.end());
+    }
+    std::sort(maxima.begin(), maxima.end());
+    const auto count_gap = [&](double wide, double narrow) {
+        std::size_t gained = 0;
+        for (const ExClass cls : classes)
+            for (std::size_t e = 0; e < cdfs.endpoint_count(); ++e)
+                gained += cdfs.violation_count(cls, e, narrow) -
+                          cdfs.violation_count(cls, e, wide);
+        return gained;
+    };
+    double wide = 0.0, narrow = 0.0;
+    std::size_t most_gained = 0;
+    for (std::size_t i = 1; i < maxima.size(); ++i) {
+        const double lo = maxima[i - 1];
+        const double hi = maxima[i];
+        if (hi <= lo) continue;
+        const double w_wide = lo + 0.75 * (hi - lo);
+        const double w_narrow = lo + 0.25 * (hi - lo);
+        const std::size_t gained = count_gap(w_wide, w_narrow);
+        if (gained > most_gained) {
+            most_gained = gained;
+            wide = w_wide;
+            narrow = w_narrow;
+        }
+    }
+    ASSERT_GT(most_gained, 0u) << "no gap changes any count";
+
+    // window = period / factor(vdd), so f = 1e6 / (window * factor).
+    const double factor = shared_core().lib().fit().factor(0.7);
+    const OperatingPoint a = point_at(1.0e6 / (wide * factor), 0.0);
+    const OperatingPoint b = point_at(1.0e6 / (narrow * factor), 0.0);
+    std::unique_ptr<FaultModel> model = shared_core().make_model_c();
+    ReferenceModelC oracle(shared_core().cdfs(), shared_core().lib().fit());
+    model->reseed(99);
+    oracle.reseed(99);
+    Rng ops(0xab5eedULL);
+    model->set_operating_point(a);
+    oracle.set_operating_point(a);
+    run_ops(*model, oracle, classes, ops, 2000, "wide window");
+    model->set_operating_point(b);
+    oracle.set_operating_point(b);
+    run_ops(*model, oracle, classes, ops, 2000, "narrow window");
+    expect_same_stats(model->stats(), oracle.stats(), "same-shaped points");
+    EXPECT_GT(oracle.stats().injections, 0u);
 }
 
 TEST(ModelCOracle, ReferenceWalkRejectsUncharacterizedClassesLikeModelC) {

@@ -348,12 +348,5 @@ TEST(NoiseWindowTable, MonotoneAndCenteredOnBaseWindow) {
     EXPECT_NEAR(table[50], p.period_ps() / fit.factor(0.7), 0.05);
 }
 
-TEST(NoiseWindowTable, IndexClampsToRange) {
-    const OperatingPoint p = point(700.0, 0.7, 10.0);
-    EXPECT_EQ(noise_table_index(p, -1.0, 101), 0u);
-    EXPECT_EQ(noise_table_index(p, +1.0, 101), 100u);
-    EXPECT_EQ(noise_table_index(p, 0.0, 101), 50u);
-}
-
 }  // namespace
 }  // namespace sfi

@@ -1,4 +1,7 @@
-#include "fi/noise.hpp"
+// The reference supply-noise draw (tests/testing/reference_noise.hpp):
+// the clipped Gaussian of paper §3.3 that the models' batched sampling
+// must reproduce draw for draw.
+#include "testing/reference_noise.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,17 +10,17 @@
 namespace sfi {
 namespace {
 
+using testing::VddNoise;
+
 TEST(VddNoise, ZeroSigmaIsSilent) {
     VddNoise noise;
     Rng rng(1);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(noise.draw(rng), 0.0);
-    EXPECT_EQ(noise.max_abs_v(), 0.0);
 }
 
 TEST(VddNoise, ClippedAtTwoSigma) {
     const VddNoise noise({.sigma_mv = 10.0, .clip_sigmas = 2.0});
     Rng rng(2);
-    EXPECT_DOUBLE_EQ(noise.max_abs_v(), 0.020);
     for (int i = 0; i < 100000; ++i) {
         const double n = noise.draw(rng);
         EXPECT_LE(std::abs(n), 0.020 + 1e-15);

@@ -1,20 +1,24 @@
-// Contracts of the batched fault-sampling pipeline (fi/sampling_batch.*):
+// Contracts of the batched fault-sampling pipeline (fi/sampling_batch.*)
+// against the one-draw-per-op reference (tests/testing/reference_noise.hpp):
 //
-//  * noise_table_index rounding at the exact boundaries (half-steps round
-//    up, clip_v <= 0 degenerates to the middle entry, 2-entry tables);
-//  * the block conversion is elementwise bit-identical to the scalar
-//    reference VddNoise::draw + noise_table_index, including the AVX2
-//    kernel when this build carries one;
-//  * NoiseIndexBatch reproduces the scalar index stream draw for draw at
-//    fixed seeds (golden vectors pin the stream itself against lockstep
-//    drift), resync() and a mid-stream reconfiguration leave the Rng in
-//    the scalar path's state, and the normals it draws stay within a
+//  * the reference noise_table_index rounds at the exact boundaries
+//    (half-steps round up, clip_v <= 0 degenerates to the middle entry,
+//    2-entry tables);
+//  * the block conversion is elementwise bit-identical to the reference
+//    VddNoise::draw + noise_table_index, including the AVX2 kernel when
+//    this build carries one;
+//  * NoiseIndexBatch reproduces the reference index stream draw for draw
+//    at fixed seeds (golden vectors pin the stream itself against
+//    lockstep drift), resync() and a mid-stream reconfiguration leave the
+//    Rng in the reference's state, and the normals it draws stay within a
 //    bound of those consumed (fills restart at one draw after an
 //    interleave, yet still grow to kMaxFill without interleaves);
 //  * the quantized alias tables reproduce the exact clipped-Gaussian bin
-//    masses, and the "B-q" variant separates by fingerprint;
-//  * models B/B+/C produce bit-identical corrupt() streams and FiStats
-//    under Scalar and Batched modes.
+//    masses, and the "B-q" variant separates by fingerprint while Batched
+//    keeps the unsalted one;
+//  * models B+ and C under Batched sampling produce corrupt() streams and
+//    FiStats bit-identical to their reference walks
+//    (tests/testing/reference_model_{b,c}.hpp).
 #include "fi/sampling_batch.hpp"
 
 #include <gtest/gtest.h>
@@ -22,21 +26,28 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fi/core_model.hpp"
 #include "fi/models.hpp"
-#include "fi/noise.hpp"
+#include "testing/reference_model_b.hpp"
+#include "testing/reference_model_c.hpp"
+#include "testing/reference_noise.hpp"
 #include "testing/shared_core.hpp"
 #include "util/rng.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::noise_table_index;
+using testing::ReferenceModelB;
+using testing::ReferenceModelC;
 using testing::shared_core;
+using testing::VddNoise;
 
 // ---------------------------------------------------------------------------
-// noise_table_index rounding boundaries
+// Reference noise_table_index rounding boundaries
 // ---------------------------------------------------------------------------
 
 TEST(NoiseTableIndex, ExactHalfStepRoundsUp) {
@@ -79,22 +90,12 @@ TEST(NoiseTableIndex, ClampsOutOfRangeDraws) {
     EXPECT_EQ(noise_table_index(0.02, +10.0, 1025), 1024u);
 }
 
-TEST(NoiseTableIndex, PointOverloadMatchesClipOverload) {
-    OperatingPoint p;
-    p.noise.sigma_mv = 10.0;
-    p.noise.clip_sigmas = 2.0;
-    const double clip_v = p.noise.clip_sigmas * p.noise.sigma_mv * 1e-3;
-    for (const double noise_v : {-0.03, -0.011, 0.0, 0.004, 0.02, 0.05})
-        EXPECT_EQ(noise_table_index(p, noise_v, 1025),
-                  noise_table_index(clip_v, noise_v, 1025));
-}
-
 // ---------------------------------------------------------------------------
-// Block conversion vs the scalar reference draw
+// Block conversion vs the reference draw
 // ---------------------------------------------------------------------------
 
-/// The scalar reference stream: one VddNoise::draw + noise_table_index
-/// per element, exactly as the models' Scalar mode samples.
+/// The reference stream: one VddNoise::draw + noise_table_index per
+/// element, exactly as the reference walks of models B and C sample.
 std::vector<std::uint32_t> reference_indices(std::uint64_t seed,
                                              const NoiseConfig& config,
                                              std::size_t entries,
@@ -109,7 +110,7 @@ std::vector<std::uint32_t> reference_indices(std::uint64_t seed,
     return out;
 }
 
-TEST(NoiseDrawsToIndices, ConversionMatchesScalarReferencePerElement) {
+TEST(NoiseDrawsToIndices, ConversionMatchesTheReferencePerElement) {
     NoiseConfig config;
     config.sigma_mv = 10.0;
     config.clip_sigmas = 2.0;
@@ -165,10 +166,10 @@ TEST(NoiseDrawsToIndices, Avx2DispatchMatchesScalarKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// NoiseIndexBatch: bit-identity with the scalar stream, golden vectors
+// NoiseIndexBatch: bit-identity with the reference stream, golden vectors
 // ---------------------------------------------------------------------------
 
-TEST(NoiseIndexBatch, ReproducesScalarIndexStreamAcrossTrials) {
+TEST(NoiseIndexBatch, ReproducesTheReferenceIndexStreamAcrossTrials) {
     NoiseConfig config;
     config.sigma_mv = 10.0;
     config.clip_sigmas = 2.0;
@@ -197,7 +198,7 @@ TEST(NoiseIndexBatch, ReproducesScalarIndexStreamAcrossTrials) {
 }
 
 TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
-    // Pinned scalar-reference streams: a change that altered BOTH paths in
+    // Pinned reference streams: a change that altered BOTH paths in
     // lockstep would pass the differential tests above but break these
     // committed vectors (and with them every stored experiment).
     const std::uint32_t golden_1025[12] = {488, 238, 210, 900, 903, 415,
@@ -225,7 +226,7 @@ TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
         ASSERT_EQ(batch.next_index(rng), expected);
 }
 
-TEST(NoiseIndexBatch, ResyncRestoresTheScalarRngState) {
+TEST(NoiseIndexBatch, ResyncRestoresTheReferenceRngState) {
     NoiseConfig config;
     config.sigma_mv = 10.0;
     config.clip_sigmas = 2.0;
@@ -239,7 +240,7 @@ TEST(NoiseIndexBatch, ResyncRestoresTheScalarRngState) {
 
     for (const std::size_t consumed : {std::size_t{1}, std::size_t{7},
                                        std::size_t{16}, std::size_t{23}}) {
-        // Scalar path: draw `consumed` noise values, then one uniform (the
+        // Reference: draw `consumed` noise values, then one uniform (the
         // model C interleave), then one more noise value.
         Rng scalar_rng(42);
         std::vector<double> scalar_noise;
@@ -346,8 +347,8 @@ TEST(NoiseIndexBatch, NonInterleavingStreamGrowsFillsToTheCap) {
 
 TEST(NoiseIndexBatch, ReconfiguringMidStreamGivesThePrefetchBack) {
     // A point change in mid-stream (new sigma) drops the prefetch; the
-    // generator must first return to the scalar path's state, so the
-    // stream continues exactly as the scalar path's would.
+    // generator must first return to the reference's state, so the
+    // stream continues exactly as the reference's would.
     NoiseIndexBatch batch;
     Rng rng(42);
     Rng scalar(42);
@@ -401,10 +402,10 @@ TEST(NoiseIndexMasses, DegenerateInputs) {
     }
 }
 
-TEST(NoiseIndexMasses, MatchTheEmpiricalScalarQuantization) {
+TEST(NoiseIndexMasses, MatchTheEmpiricalReferenceQuantization) {
     // The masses claim to be the exact pushforward of the clamped draw
-    // through noise_table_index; check against the scalar path's actual
-    // empirical index distribution.
+    // through noise_table_index; check against the reference draw's
+    // actual empirical index distribution.
     NoiseConfig config;
     config.sigma_mv = 10.0;
     config.clip_sigmas = 2.0;
@@ -457,41 +458,40 @@ TEST(AliasTable, NoiseIndexAliasIsDeterministicPerSeed) {
 // Mode plumbing and fingerprints
 // ---------------------------------------------------------------------------
 
-TEST(FaultSamplingMode, NamesAndParsingRoundTrip) {
-    EXPECT_STREQ(fault_sampling_mode_name(FaultSamplingMode::Scalar),
-                 "scalar");
-    EXPECT_STREQ(fault_sampling_mode_name(FaultSamplingMode::Batched),
-                 "batched");
-    EXPECT_STREQ(fault_sampling_mode_name(FaultSamplingMode::Quantized),
-                 "quantized");
-    EXPECT_EQ(parse_fault_sampling_mode("scalar"), FaultSamplingMode::Scalar);
+TEST(FaultSamplingMode, ParsesBatchedAndQuantizedOnly) {
     EXPECT_EQ(parse_fault_sampling_mode("batched"),
               FaultSamplingMode::Batched);
     EXPECT_EQ(parse_fault_sampling_mode("quantized"),
               FaultSamplingMode::Quantized);
+    // The one-draw-per-op reference is a test oracle, not a mode.
+    EXPECT_EQ(parse_fault_sampling_mode("scalar"), std::nullopt);
     EXPECT_EQ(parse_fault_sampling_mode("avx2"), std::nullopt);
     EXPECT_EQ(parse_fault_sampling_mode(""), std::nullopt);
 }
 
+// core_config_fingerprint(CoreModelConfig{}): the key ingredient of every
+// point a default-core campaign has stored since batched sampling shipped.
+constexpr std::uint64_t kDefaultCoreFingerprint = 0x04b894b6b93744f2ULL;
+
 TEST(FaultSamplingMode, QuantizedSeparatesTheCoreFingerprint) {
-    CoreModelConfig scalar_config;
-    scalar_config.fault_sampling = FaultSamplingMode::Scalar;
     CoreModelConfig batched_config;
     batched_config.fault_sampling = FaultSamplingMode::Batched;
     CoreModelConfig quantized_config;
     quantized_config.fault_sampling = FaultSamplingMode::Quantized;
 
-    // Scalar and Batched are bit-identical streams: SAME fingerprint, so
-    // the batched rollout revisits no stored point. Quantized ("B-q") is a
-    // different stream: its summaries must live under their own keys.
-    EXPECT_EQ(core_config_fingerprint(scalar_config),
-              core_config_fingerprint(batched_config));
+    // Batched reproduces the reference stream, so it keeps the unsalted
+    // key: the default core's fingerprint is pinned, and every store
+    // written for the default core keeps hitting. Quantized
+    // ("B-q") is a different stream: its summaries live under their own
+    // keys.
+    EXPECT_EQ(core_config_fingerprint(batched_config),
+              kDefaultCoreFingerprint);
     EXPECT_NE(core_config_fingerprint(quantized_config),
               core_config_fingerprint(batched_config));
 }
 
 // ---------------------------------------------------------------------------
-// Model-level differential: Scalar vs Batched bit-identity
+// Model-level differential: Batched vs the reference walks, bit for bit
 // ---------------------------------------------------------------------------
 
 ExEvent make_event(ExClass cls, std::uint32_t a, std::uint32_t b,
@@ -514,7 +514,7 @@ OperatingPoint noisy_point(double freq_mhz, double sigma_mv) {
 
 /// Runs `trials` reseeded trials of `ops` ALU ops each through `model`
 /// and folds every corrupt() output plus the final stats into one
-/// signature — any single-bit divergence between two modes changes it.
+/// signature — any single-bit divergence between two models changes it.
 std::uint64_t corrupt_stream_signature(FaultModel& model, std::size_t trials,
                                        std::size_t ops) {
     std::uint64_t signature = 0;
@@ -542,79 +542,89 @@ std::uint64_t corrupt_stream_signature(FaultModel& model, std::size_t trials,
     return signature;
 }
 
-TEST(SamplingModeDifferential, ModelBPlusScalarAndBatchedAreBitIdentical) {
+std::unique_ptr<FaultModel> reference_model_b() {
+    return std::make_unique<ReferenceModelB>(shared_core().sta(),
+                                             shared_core().lib().fit());
+}
+
+TEST(SamplingModeDifferential, ModelBPlusBatchedMatchesTheReferenceWalk) {
     // Just below the STA limit with noise: faulting yet not saturated —
     // the regime where the draw stream actually steers outcomes.
     const double fsta = shared_core().sta_fmax_mhz(0.7);
-    auto scalar_model = shared_core().make_model_b();
+    auto reference = reference_model_b();
     auto batched_model = shared_core().make_model_b();
-    scalar_model->set_sampling_mode(FaultSamplingMode::Scalar);
-    batched_model->set_sampling_mode(FaultSamplingMode::Batched);
-    scalar_model->set_operating_point(noisy_point(fsta * 0.97, 10.0));
+    ASSERT_EQ(batched_model->sampling_mode(), FaultSamplingMode::Batched);
+    reference->set_operating_point(noisy_point(fsta * 0.97, 10.0));
     batched_model->set_operating_point(noisy_point(fsta * 0.97, 10.0));
-    EXPECT_EQ(corrupt_stream_signature(*scalar_model, 40, 500),
+    EXPECT_EQ(corrupt_stream_signature(*reference, 40, 500),
               corrupt_stream_signature(*batched_model, 40, 500));
-    EXPECT_GT(scalar_model->stats().injections, 0u)
+    EXPECT_GT(reference->stats().injections, 0u)
         << "operating point too safe: the differential proved nothing";
+    // A new noise level reconfigures the batch, which first gives its
+    // prefetch back: the generators then agree to the bit.
+    reference->set_operating_point(noisy_point(fsta * 0.97, 25.0));
+    batched_model->set_operating_point(noisy_point(fsta * 0.97, 25.0));
+    EXPECT_TRUE(batched_model->rng() == reference->rng());
 }
 
-TEST(SamplingModeDifferential, ModelCScalarAndBatchedAreBitIdentical) {
+TEST(SamplingModeDifferential, ModelCBatchedMatchesTheReferenceWalk) {
     // Model C interleaves Bernoulli uniforms with the noise draws on the
     // same stream — the resync()-heavy path.
-    auto scalar_model = shared_core().make_model_c();
+    ReferenceModelC reference(shared_core().cdfs(), shared_core().lib().fit());
     auto batched_model = shared_core().make_model_c();
-    const double f0 = scalar_model->first_fault_frequency_mhz(ExClass::Mul);
-    scalar_model->set_sampling_mode(FaultSamplingMode::Scalar);
-    batched_model->set_sampling_mode(FaultSamplingMode::Batched);
-    scalar_model->set_operating_point(noisy_point(f0 * 1.02, 10.0));
+    ASSERT_EQ(batched_model->sampling_mode(), FaultSamplingMode::Batched);
+    const double f0 = batched_model->first_fault_frequency_mhz(ExClass::Mul);
+    reference.set_operating_point(noisy_point(f0 * 1.02, 10.0));
     batched_model->set_operating_point(noisy_point(f0 * 1.02, 10.0));
-    EXPECT_EQ(corrupt_stream_signature(*scalar_model, 40, 500),
+    EXPECT_EQ(corrupt_stream_signature(reference, 40, 500),
               corrupt_stream_signature(*batched_model, 40, 500));
-    EXPECT_GT(scalar_model->stats().injections, 0u)
+    EXPECT_GT(reference.stats().injections, 0u)
         << "operating point too safe: the differential proved nothing";
+    batched_model->set_sampling_mode(FaultSamplingMode::Quantized);
+    EXPECT_TRUE(batched_model->rng() == reference.rng());
 }
 
-TEST(SamplingModeDifferential, SwitchingModesBackRestoresTheScalarStream) {
-    // Scalar -> Batched -> Scalar must land exactly where Scalar alone
-    // would: mode switches rebuild derived state, never leak stream
+TEST(SamplingModeDifferential, SwitchingModesBackRestoresTheBatchedStream) {
+    // Batched -> Quantized -> Batched must land exactly where Batched
+    // alone would: mode switches rebuild derived state, never leak stream
     // position.
     const double fsta = shared_core().sta_fmax_mhz(0.7);
     auto model = shared_core().make_model_b();
     model->set_operating_point(noisy_point(fsta * 0.97, 10.0));
-    model->set_sampling_mode(FaultSamplingMode::Scalar);
     const std::uint64_t before = corrupt_stream_signature(*model, 10, 200);
-    model->set_sampling_mode(FaultSamplingMode::Batched);
+    model->set_sampling_mode(FaultSamplingMode::Quantized);
     corrupt_stream_signature(*model, 10, 200);
-    model->set_sampling_mode(FaultSamplingMode::Scalar);
+    model->set_sampling_mode(FaultSamplingMode::Batched);
     model->reset_stats();
     EXPECT_EQ(corrupt_stream_signature(*model, 10, 200), before);
 }
 
-TEST(SamplingModeQuantized, ModelBRateMatchesScalarStatistically) {
+TEST(SamplingModeQuantized, ModelBRateMatchesTheReferenceStatistically) {
     // "B-q" is NOT bit-identical — it draws the violation count from the
     // alias table directly — but it must be the same distribution: the
-    // per-op injection rate agrees with the scalar reference within
+    // per-op injection rate agrees with the reference walk within
     // Monte-Carlo tolerance, and the name advertises the variant.
     const double fsta = shared_core().sta_fmax_mhz(0.7);
-    auto scalar_model = shared_core().make_model_b();
+    auto reference = reference_model_b();
     auto quantized_model = shared_core().make_model_b();
-    scalar_model->set_sampling_mode(FaultSamplingMode::Scalar);
     quantized_model->set_sampling_mode(FaultSamplingMode::Quantized);
-    scalar_model->set_operating_point(noisy_point(fsta * 0.99, 10.0));
+    reference->set_operating_point(noisy_point(fsta * 0.99, 10.0));
     quantized_model->set_operating_point(noisy_point(fsta * 0.99, 10.0));
     EXPECT_EQ(quantized_model->name(), "B-q");
-    EXPECT_EQ(scalar_model->name(), "B+");
+    quantized_model->set_sampling_mode(FaultSamplingMode::Batched);
+    EXPECT_EQ(quantized_model->name(), "B+");
+    quantized_model->set_sampling_mode(FaultSamplingMode::Quantized);
 
     const std::size_t ops = 200000;
-    corrupt_stream_signature(*scalar_model, 1, ops);
+    corrupt_stream_signature(*reference, 1, ops);
     corrupt_stream_signature(*quantized_model, 1, ops);
-    const double scalar_rate =
-        static_cast<double>(scalar_model->stats().injections) / ops;
+    const double reference_rate =
+        static_cast<double>(reference->stats().injections) / ops;
     const double quantized_rate =
         static_cast<double>(quantized_model->stats().injections) / ops;
-    ASSERT_GT(scalar_rate, 0.0);
-    EXPECT_NEAR(quantized_rate, scalar_rate,
-                5.0 * std::sqrt(scalar_rate / ops) + 0.05 * scalar_rate);
+    ASSERT_GT(reference_rate, 0.0);
+    EXPECT_NEAR(quantized_rate, reference_rate,
+                5.0 * std::sqrt(reference_rate / ops) + 0.05 * reference_rate);
 
     // Determinism per seed still holds for the alias stream.
     quantized_model->reset_stats();

@@ -5,11 +5,13 @@
 
 #include "mc/sweep.hpp"
 #include "power/power_model.hpp"
+#include "testing/frequency_sweep.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::frequency_sweep;
 using testing::shared_core;
 
 OperatingPoint op(double f, double vdd = 0.7, double sigma = 0.0) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/disassemble.hpp"
 #include "util/rng.hpp"
 
 namespace sfi {
 namespace {
+
+using testing::disassemble;
 
 // Hand-checked golden encodings against the OpenRISC 1000 manual.
 TEST(Encode, GoldenWords) {

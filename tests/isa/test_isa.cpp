@@ -7,10 +7,13 @@
 #include <utility>
 #include <vector>
 
+#include "testing/disassemble.hpp"
 #include "util/rng.hpp"
 
 namespace sfi {
 namespace {
+
+using testing::reg_name;
 
 TEST(OpInfo, MnemonicsAreUniqueAndPrefixed) {
     std::set<std::string> seen;

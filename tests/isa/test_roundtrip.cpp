@@ -4,10 +4,13 @@
 
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
+#include "testing/disassemble.hpp"
 #include "util/rng.hpp"
 
 namespace sfi {
 namespace {
+
+using testing::disassemble;
 
 std::uint32_t first_word(const Program& p) {
     for (const auto& s : p.sections)

@@ -22,12 +22,13 @@
 #include <vector>
 
 #include "fi/mitigation.hpp"
-#include "mc/sweep.hpp"
+#include "testing/frequency_sweep.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::frequency_sweep;
 using testing::shared_core;
 
 OperatingPoint point(double f, double vdd = 0.7, double sigma = 0.0) {

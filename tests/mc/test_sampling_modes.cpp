@@ -1,11 +1,12 @@
-// Scalar-vs-batched differential suite at the Monte-Carlo level: the
+// Batched-vs-reference differential suite at the Monte-Carlo level: the
 // FaultSamplingMode::Batched pipeline must produce byte-identical
-// PointSummaries (accumulator state included) to the Scalar reference,
-// for every noise-modulated model, serial and threaded, with and without
-// the mitigation decorator. This is the end-to-end form of the
-// bit-identity contract pinned per-draw in tests/fi/test_sampling_batch.cpp
-// — figure CSVs are a pure function of these summaries, so equality here
-// is what keeps batched campaign artifacts byte-identical to scalar ones.
+// PointSummaries (accumulator state included) to the one-draw-per-op
+// reference walks of models B and C (tests/testing/), for every
+// noise-modulated model, serial and threaded, with and without the
+// mitigation decorator. This is the end-to-end form of the bit-identity
+// contract pinned per-draw in tests/fi/test_sampling_batch.cpp — figure
+// CSVs are a pure function of these summaries, so equality here is what
+// keeps campaign artifacts byte-identical to the paper's per-cycle draw.
 #include "mc/montecarlo.hpp"
 
 #include <gtest/gtest.h>
@@ -17,11 +18,15 @@
 
 #include "campaign/point_store.hpp"
 #include "fi/mitigation.hpp"
+#include "testing/reference_model_b.hpp"
+#include "testing/reference_model_c.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::ReferenceModelB;
+using testing::ReferenceModelC;
 using testing::shared_core;
 
 std::size_t max_threads() {
@@ -67,39 +72,49 @@ std::string run_bytes(const Benchmark& bench, MakeModel make_model,
     return bytes_of(runner.run_point(point));
 }
 
-template <typename MakeModel>
-void expect_modes_identical(MakeModel make_model, const OperatingPoint& point,
-                            const char* label) {
+/// The reference walk's summary at one thread against the production
+/// model's under Batched sampling at 1 and max_threads() threads.
+template <typename MakeReference, typename MakeModel>
+void expect_matches_reference(MakeReference make_reference,
+                              MakeModel make_model,
+                              const OperatingPoint& point, const char* label) {
     const auto bench = make_benchmark(BenchmarkId::Median);
-    const std::string reference =
-        run_bytes(*bench, make_model, point, FaultSamplingMode::Scalar, 1);
+    const std::string reference = run_bytes(
+        *bench, make_reference, point, FaultSamplingMode::Batched, 1);
     for (const std::size_t threads : {std::size_t{1}, max_threads()}) {
         EXPECT_EQ(run_bytes(*bench, make_model, point,
                             FaultSamplingMode::Batched, threads),
                   reference)
-            << label << ": batched diverged at threads=" << threads;
-        if (threads != 1) {
-            EXPECT_EQ(run_bytes(*bench, make_model, point,
-                                FaultSamplingMode::Scalar, threads),
-                      reference)
-                << label << ": scalar not thread-count independent";
-        }
+            << label << ": batched diverged from the reference walk at "
+            << "threads=" << threads;
     }
+}
+
+std::unique_ptr<FaultModel> reference_model_b() {
+    return std::make_unique<ReferenceModelB>(shared_core().sta(),
+                                             shared_core().lib().fit());
+}
+
+std::unique_ptr<FaultModel> reference_model_c() {
+    return std::make_unique<ReferenceModelC>(shared_core().cdfs(),
+                                             shared_core().lib().fit());
 }
 
 TEST(SamplingModeEquivalence, ModelBPlusSummariesAreByteIdentical) {
     // Transition region of B+ (noise straddles the STA limit): outcomes
     // mix, so the draw stream fully determines the summary.
     const double fsta = shared_core().sta_fmax_mhz(0.7);
-    expect_modes_identical([] { return shared_core().make_model_b(); },
-                           noisy_point(fsta * 0.995), "model B+");
+    expect_matches_reference(reference_model_b,
+                             [] { return shared_core().make_model_b(); },
+                             noisy_point(fsta * 0.995), "model B+");
 }
 
 TEST(SamplingModeEquivalence, ModelCSummariesAreByteIdentical) {
     auto probe = shared_core().make_model_c();
     const double f0 = probe->first_fault_frequency_mhz(ExClass::Mul);
-    expect_modes_identical([] { return shared_core().make_model_c(); },
-                           noisy_point(f0 * 1.02), "model C");
+    expect_matches_reference(reference_model_c,
+                             [] { return shared_core().make_model_c(); },
+                             noisy_point(f0 * 1.02), "model C");
 }
 
 TEST(SamplingModeEquivalence, RazorDecoratedModelIsByteIdentical) {
@@ -107,18 +122,23 @@ TEST(SamplingModeEquivalence, RazorDecoratedModelIsByteIdentical) {
     // stream (detection draws) around the inner model's noise draws.
     auto probe = shared_core().make_model_c();
     const double f0 = probe->first_fault_frequency_mhz(ExClass::Mul);
-    const auto make_razor = [] {
-        RazorConfig razor;
-        razor.detection_coverage = 0.7;
-        return std::make_unique<ErrorDetectionModel>(
-            shared_core().make_model_c(), razor);
-    };
-    expect_modes_identical(make_razor, noisy_point(f0 * 1.02), "razor(C)");
+    RazorConfig razor;
+    razor.detection_coverage = 0.7;
+    expect_matches_reference(
+        [&razor] {
+            return std::make_unique<ErrorDetectionModel>(reference_model_c(),
+                                                         razor);
+        },
+        [&razor] {
+            return std::make_unique<ErrorDetectionModel>(
+                shared_core().make_model_c(), razor);
+        },
+        noisy_point(f0 * 1.02), "razor(C)");
 }
 
 TEST(SamplingModeEquivalence, QuantizedIsDeterministicButItsOwnStream) {
-    // "B-q" has no bit-identity contract with Scalar — only per-seed
-    // determinism and thread-count independence.
+    // "B-q" has no bit-identity contract with the reference walk — only
+    // per-seed determinism and thread-count independence.
     const double fsta = shared_core().sta_fmax_mhz(0.7);
     const auto bench = make_benchmark(BenchmarkId::Median);
     const OperatingPoint point = noisy_point(fsta * 0.995);

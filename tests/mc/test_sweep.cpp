@@ -7,11 +7,13 @@
 #include <sstream>
 
 #include "mc/report.hpp"
+#include "testing/frequency_sweep.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::frequency_sweep;
 using testing::shared_core;
 
 TEST(Linspace, EndpointsAndSpacing) {

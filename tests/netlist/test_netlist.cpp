@@ -112,16 +112,6 @@ TEST(Netlist, TypeHistogramCounts) {
     EXPECT_EQ(hist.at("nand2"), 1u);
 }
 
-TEST(Netlist, DotExportMentionsCellsAndOutputs) {
-    const Netlist n = make_xor_pair();
-    std::ostringstream os;
-    n.write_dot(os, "pair");
-    const std::string dot = os.str();
-    EXPECT_NE(dot.find("digraph"), std::string::npos);
-    EXPECT_NE(dot.find("xor2"), std::string::npos);
-    EXPECT_NE(dot.find("y[0]"), std::string::npos);
-}
-
 TEST(Netlist, TiesEvaluateConstant) {
     Netlist n;
     const NetId t1 = n.add_tie(true);

@@ -341,7 +341,7 @@ PerfReport make_report() {
     kernel.scaling.push_back({4, 0.0625, 4096.0});
     report.kernels.push_back(kernel);
     report.fast_path = {700.0, 42000.0, 60.0};
-    report.fault_sampling = {2.9e7, 4.3e7, 8.9e7, 1.48, false};
+    report.fault_sampling = {4.3e7, 8.9e7, false};
     report.campaign = CampaignSample{"fig1", 1.5, 330};
     report.metrics.add("campaign.points", 33);
     report.metrics.add("campaign.trials_spent", 330);
@@ -380,8 +380,9 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
     EXPECT_EQ(doc->at("config").at("seed").number, 7.0);
     EXPECT_EQ(doc->at("config").at("benchmark").string, "median");
     // Schema v5 dropped v2's "dispatch" from the config block: the ISS
-    // has one execution engine (scripts/perf_baseline.json pins v5).
-    EXPECT_EQ(kSchemaVersion, 5);
+    // has one execution engine. v6 dropped the scalar sampling column
+    // (scripts/perf_baseline.json pins v6).
+    EXPECT_EQ(kSchemaVersion, 6);
     const std::vector<std::string> config_keys = {"seed", "dta_cycles",
                                                   "trials", "benchmark"};
     EXPECT_EQ(doc->at("config").object_key_order, config_keys);
@@ -414,16 +415,16 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
         4096.0);
 
     EXPECT_DOUBLE_EQ(doc->at("fast_path").at("speedup").number, 60.0);
-    // Schema v3: the within-run fault-sampling comparison the perf gate
-    // reads (batched_speedup is its machine-independent floor metric).
-    EXPECT_DOUBLE_EQ(doc->at("fault_sampling").at("scalar_ops_per_sec").number,
-                     2.9e7);
+    // Schema v3: the fault-sampling throughputs the perf gate reads (it
+    // floors batched_ops_per_sec). v6 dropped the scalar column and the
+    // batched/scalar ratio with the scalar draw path.
+    const std::vector<std::string> sampling_keys = {
+        "batched_ops_per_sec", "quantized_ops_per_sec", "avx2"};
+    EXPECT_EQ(doc->at("fault_sampling").object_key_order, sampling_keys);
     EXPECT_DOUBLE_EQ(
         doc->at("fault_sampling").at("batched_ops_per_sec").number, 4.3e7);
     EXPECT_DOUBLE_EQ(
         doc->at("fault_sampling").at("quantized_ops_per_sec").number, 8.9e7);
-    EXPECT_DOUBLE_EQ(doc->at("fault_sampling").at("batched_speedup").number,
-                     1.48);
     EXPECT_FALSE(doc->at("fault_sampling").at("avx2").boolean);
     EXPECT_EQ(doc->at("campaign").at("figure").string, "fig1");
     EXPECT_EQ(doc->at("campaign").at("trials_spent").number, 330.0);

@@ -3,9 +3,7 @@
 //    BYTE-identical to the seed MonteCarloRunner::run_point path at 1, 2
 //    and 8 worker threads, for every batch size;
 //  * after k batches the accumulated summary equals a serial run of the
-//    same trial prefix, bit for bit (resumability);
-//  * merge_point_summaries is exact on the integer counts / min / max
-//    and algebraically exact on the moments.
+//    same trial prefix, bit for bit (resumability).
 #include "sampling/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -110,58 +108,6 @@ TEST(BatchedExecutor, ZeroTrialFixedRunMatchesRunPoint) {
     sampling::BatchedExecutor executor(runner, 2);
     EXPECT_EQ(bytes_of(executor.run_fixed(cliff_point(), 0, 8)),
               bytes_of(runner.run_point(cliff_point())));
-}
-
-TEST(MergePointSummaries, SplitHalvesMatchSinglePass) {
-    const auto bench = make_benchmark(BenchmarkId::Median);
-    auto model = shared_core().make_model_c();
-    MonteCarloRunner runner(*bench, *model, config_for(20, 2));
-    sampling::BatchedExecutor executor(runner, 2);
-
-    const PointSummary whole = executor.run_fixed(cliff_point(), 20, 20);
-    const PointSummary first = executor.run_fixed(cliff_point(), 10, 10);
-    PointSummary second;
-    second.point = cliff_point();
-    second.trials = 10;  // start the block at trial 10 (covers 10..19)
-    executor.run_batch(second, cliff_point(), 10);
-    second.trials -= 10;  // make it a standalone 10-trial half
-
-    const PointSummary merged = sampling::merge_point_summaries(first, second);
-    EXPECT_EQ(merged.trials, whole.trials);
-    EXPECT_EQ(merged.finished_count, whole.finished_count);
-    EXPECT_EQ(merged.correct_count, whole.correct_count);
-    EXPECT_EQ(merged.fi_rate_stats.count(), whole.fi_rate_stats.count());
-    EXPECT_DOUBLE_EQ(merged.fi_rate_stats.min(), whole.fi_rate_stats.min());
-    EXPECT_DOUBLE_EQ(merged.fi_rate_stats.max(), whole.fi_rate_stats.max());
-    EXPECT_NEAR(merged.fi_rate, whole.fi_rate, 1e-12);
-    EXPECT_NEAR(merged.mean_error, whole.mean_error, 1e-9);
-    EXPECT_NEAR(merged.error_stats.variance(), whole.error_stats.variance(),
-                1e-9);
-}
-
-TEST(MergePointSummaries, EmptyAndPointLabel) {
-    PointSummary a;
-    a.point = cliff_point();
-    a.trials = 3;
-    a.finished_count = 2;
-    a.correct_count = 1;
-    a.error_stats.add(0.5);
-    a.fi_rate_stats.add(1.0);
-    a.fi_rate = a.fi_rate_stats.mean();
-    a.mean_error = a.error_stats.mean();
-
-    PointSummary empty;
-    empty.point.freq_mhz = 999.0;
-
-    const PointSummary left = sampling::merge_point_summaries(a, empty);
-    EXPECT_EQ(bytes_of(left), bytes_of(a));  // identity on the right
-
-    const PointSummary right = sampling::merge_point_summaries(empty, a);
-    EXPECT_EQ(right.trials, 3u);
-    EXPECT_EQ(right.correct_count, 1u);
-    EXPECT_DOUBLE_EQ(right.mean_error, a.mean_error);
-    // The label comes from the first operand, even when it is empty.
-    EXPECT_DOUBLE_EQ(right.point.freq_mhz, 999.0);
 }
 
 }  // namespace

@@ -30,9 +30,11 @@ std::uint32_t ReferenceModelC::corrupt(const ExEvent& ev,
     // Step 1: the capture window at Vref for this cycle's noise draw.
     double window = base_window_ps_;
     if (!noise_window_table_.empty()) {
+        const double clip_v =
+            point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
         const double noise_v = vdd_noise_.draw(rng_);
         window = noise_window_table_[noise_table_index(
-            point_, noise_v, noise_window_table_.size())];
+            clip_v, noise_v, noise_window_table_.size())];
     }
     // Steps 2+3: each endpoint's CDF at that window, one Bernoulli trial
     // per endpoint that can violate it.

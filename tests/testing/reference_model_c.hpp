@@ -2,11 +2,11 @@
 // the paper's per-op procedure (Fig. 3) over the same CDF store, noise
 // model and noise-window table as sfi::ModelC (src/fi/models.hpp).
 //
-// One scalar VddNoise draw per op picks the capture window; then every
-// endpoint of the op's class, most critical first, evaluates
-// TimingErrorCdfs::violation_prob at that window and flips a Bernoulli
-// coin — no count memo, no prefetched draws, no hoisted views. ModelC in
-// Scalar and Batched mode must be bit-identical to it in everything
+// One scalar VddNoise draw per op (reference_noise.hpp) picks the capture
+// window; then every endpoint of the op's class, most critical first,
+// evaluates TimingErrorCdfs::violation_prob at that window and flips a
+// Bernoulli coin — no count memo, no prefetched draws, no hoisted views.
+// ModelC in Batched mode must be bit-identical to it in everything
 // observable (tests/fi/test_model_c_oracle.cpp): latched values, FiStats,
 // forensic records and the final Rng state. Speed is a non-goal.
 #pragma once
@@ -17,7 +17,7 @@
 
 #include "fi/cdf.hpp"
 #include "fi/models.hpp"
-#include "fi/noise.hpp"
+#include "testing/reference_noise.hpp"
 #include "timing/vdd_model.hpp"
 
 namespace sfi::testing {

@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace sfi {
 namespace {
 
@@ -34,85 +32,6 @@ TEST(RunningStats, KnownMeanAndVariance) {
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-    RunningStats all, a, b;
-    Rng rng(1);
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.uniform(-5, 5);
-        all.add(v);
-        (i % 2 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-    RunningStats a, empty;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 2u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(RunningStats, MergeOfTwoEmptiesStaysEmpty) {
-    RunningStats a, b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeSingletons) {
-    // Singleton merges are the smallest non-trivial case of Chan's
-    // formula (m2 contributions come only from the delta term).
-    RunningStats a, b;
-    a.add(2.0);
-    b.add(6.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_NEAR(a.variance(), 8.0, 1e-12);  // sample variance of {2, 6}
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-
-    RunningStats c, single;
-    single.add(-1.0);
-    for (double v : {1.0, 2.0, 3.0}) c.add(v);
-    c.merge(single);
-    RunningStats reference;
-    for (double v : {1.0, 2.0, 3.0, -1.0}) reference.add(v);
-    EXPECT_EQ(c.count(), reference.count());
-    EXPECT_NEAR(c.mean(), reference.mean(), 1e-12);
-    EXPECT_NEAR(c.variance(), reference.variance(), 1e-12);
-    EXPECT_DOUBLE_EQ(c.min(), -1.0);
-}
-
-TEST(RunningStats, MergeOfContiguousHalvesMatchesSinglePass) {
-    // The split-halves case (first half / second half, not interleaved)
-    // is what the batched executor's cross-summary roll-ups see.
-    RunningStats all, first, second;
-    Rng rng(7);
-    for (int i = 0; i < 500; ++i) {
-        const double v = rng.uniform(-100, 100);
-        all.add(v);
-        (i < 250 ? first : second).add(v);
-    }
-    first.merge(second);
-    EXPECT_EQ(first.count(), all.count());
-    EXPECT_NEAR(first.mean(), all.mean(), 1e-10);
-    EXPECT_NEAR(first.variance(), all.variance(), 1e-7);
-    EXPECT_DOUBLE_EQ(first.min(), all.min());
-    EXPECT_DOUBLE_EQ(first.max(), all.max());
-    EXPECT_NEAR(first.sum(), all.sum(), 1e-8);
 }
 
 TEST(Quantile, MedianOfOddSample) {
