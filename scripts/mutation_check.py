@@ -19,7 +19,8 @@ instead.
 
 The test binaries share the CDF cache in /tmp (tests/testing/
 shared_core.hpp), so a mutant must not change what characterization
-writes: keep mutants to the sampling, fault-model, ISS and loader code.
+writes: keep mutants to the sampling, fault-model, ISA, ISS, test-oracle
+and loader code.
 
 Usage:
   scripts/mutation_check.py [--work-dir DIR] [--list]
@@ -44,9 +45,17 @@ CONTRACT_TARGETS = {
     "sfi_campaign_sampling_equivalence": "sfi_campaign",
 }
 
+
+def macro_lines(*lines):
+    """Lines of a multi-line macro, each padded to its backslash column."""
+    return "".join(line.ljust(70) + "\\\n" for line in lines)
+
+
 SAMPLING = "sfi_fi_test_sampling_batch"
 ORACLE_C = "sfi_fi_test_model_c_oracle"
 MODES = "sfi_mc_test_sampling_modes"
+DIFFERENTIAL = "sfi_cpu_test_differential"
+ENCODING = "sfi_isa_test_encoding"
 
 MUTANTS = [
     # --- The batch's draw accounting and resync (src/fi/sampling_batch.cpp)
@@ -142,6 +151,59 @@ MUTANTS = [
                    "            state.uops[i] = MicroOp{};\n")],
         "tests": ["sfi_cpu_test_decode_cache"],
     },
+    # --- The ISS against its reference interpreter (src/cpu/interp.cpp,
+    # tests/testing/reference_cpu.cpp)
+    {
+        "name": "trace-not-routed-through-top-after-loads",
+        "file": "src/cpu/interp.cpp",
+        "edits": [(macro_lines("#define SFI_NEXT_AFTER_LOAD()", "    do {",
+                               "        if constexpr (Policy::kTrace) goto top;"),
+                   macro_lines("#define SFI_NEXT_AFTER_LOAD()", "    do {"))],
+        "tests": [DIFFERENTIAL],
+    },
+    {
+        "name": "oracle-drops-ex-event-window",
+        "file": "tests/testing/reference_cpu.cpp",
+        "edits": [("        ev.window = static_cast<std::uint32_t>(fi_windows_);\n",
+                   "")],
+        "tests": [DIFFERENTIAL],
+    },
+    {
+        "name": "oracle-traces-after-kernel-begin-toggle",
+        "file": "tests/testing/reference_cpu.cpp",
+        "edits": [("    if (trace_) trace_(pc_, instr, fi_active_);\n", ""),
+                  ("        fi_active_ = true;\n    }\n",
+                   "        fi_active_ = true;\n    }\n"
+                   "    if (trace_) trace_(pc_, instr, fi_active_);\n")],
+        "tests": [DIFFERENTIAL],
+    },
+    # --- The opcode table (src/isa/isa.hpp) and the lowering special cases
+    # it leaves (src/cpu/interp.cpp). Encode and decode read the same row,
+    # so only pinned words catch a wrong one.
+    {
+        "name": "table-srl-sra-select-values-swapped",
+        "file": "src/isa/isa.hpp",
+        "edits": [('"l.srl",    Alu,      0x38, 0x3cf,      0x048',
+                   '"l.srl",    Alu,      0x38, 0x3cf,      0x088'),
+                  ('"l.sra",    Alu,      0x38, 0x3cf,      0x088',
+                   '"l.sra",    Alu,      0x38, 0x3cf,      0x048')],
+        "tests": [ENCODING],
+    },
+    {
+        "name": "table-shift-imm-mask-without-bit-5",
+        "file": "src/isa/isa.hpp",
+        "edits": [(f'"l.{op}",   ShiftImm, 0x2e, 0x0e0',
+                   f'"l.{op}",   ShiftImm, 0x2e, 0x0c0')
+                  for op in ("slli", "srli", "srai")],
+        "tests": [ENCODING],
+    },
+    {
+        "name": "lowering-without-jal-link-r9",
+        "file": "src/cpu/interp.cpp",
+        "edits": [("            out.rd = 9;  // link register, fixed by the ISA\n",
+                   "")],
+        "tests": [DIFFERENTIAL],
+    },
     # --- The CDF store's loader and cache file (src/fi/)
     {
         "name": "cdf-loader-count-checks-removed",
@@ -157,6 +219,14 @@ MUTANTS = [
                     "the header");
 """, "            (void)get<std::uint64_t>(is);\n"),
         ],
+        "tests": ["sfi_fi_test_cdf", "sfi_fi_test_cdf_cache"],
+    },
+    {
+        "name": "cdf-loader-accepts-unsorted-samples",
+        "file": "src/fi/cdf.cpp",
+        "edits": [("""        if (i > 0 && samples[i] < samples[i - 1])
+            throw std::runtime_error("TimingErrorCdfs: unsorted samples");
+""", "")],
         "tests": ["sfi_fi_test_cdf", "sfi_fi_test_cdf_cache"],
     },
     {
@@ -235,7 +305,7 @@ def main():
 
     if args.list:
         for m in MUTANTS:
-            print(f"{m['name']:42s} {m['file']:26s} {' '.join(m['tests'])}")
+            print(f"{m['name']:42s} {m['file']:32s} {' '.join(m['tests'])}")
         return
 
     work = args.work_dir or tempfile.mkdtemp(prefix="sfi_mutation_")

@@ -17,7 +17,8 @@
 // in the EX stage while the benchmark kernel is active. The hook may
 // corrupt the 32-bit EX result; corrupted compare results propagate into
 // the flag via the same downstream logic as the hardware
-// (compare_flag_from_diff), so wrong branching behaviour emerges naturally.
+// (compare_flag_from_diff_kind), so wrong branching behaviour emerges
+// naturally.
 #pragma once
 
 #include <array>

@@ -44,19 +44,6 @@
 
 namespace sfi {
 
-// The ALU micro-op kinds mirror the ExClass declaration order so lowering
-// is base + (class - Add); pin that correspondence.
-static_assert(static_cast<int>(UopKind::SubReg) - static_cast<int>(UopKind::AddReg) ==
-              static_cast<int>(ExClass::Sub) - static_cast<int>(ExClass::Add));
-static_assert(static_cast<int>(UopKind::XorReg) - static_cast<int>(UopKind::AddReg) ==
-              static_cast<int>(ExClass::Xor) - static_cast<int>(ExClass::Add));
-static_assert(static_cast<int>(UopKind::SraReg) - static_cast<int>(UopKind::AddReg) ==
-              static_cast<int>(ExClass::Sra) - static_cast<int>(ExClass::Add));
-static_assert(static_cast<int>(UopKind::MulReg) - static_cast<int>(UopKind::AddReg) ==
-              static_cast<int>(ExClass::Mul) - static_cast<int>(ExClass::Add));
-static_assert(static_cast<int>(UopKind::MulImm) - static_cast<int>(UopKind::AddImm) ==
-              static_cast<int>(ExClass::Mul) - static_cast<int>(ExClass::Add));
-
 namespace {
 
 inline void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
@@ -85,8 +72,20 @@ std::uint64_t hash_program(const Program& program) {
     return h;
 }
 
+namespace {
+
+// The micro-op kind of each Op: the opcode table's uop column.
+constexpr UopKind kUopKindOf[] = {
+#define SFI_UOP_KIND(name, mnem, form, opc, mask, match, cls, uop) UopKind::uop,
+    SFI_FORALL_OPS(SFI_UOP_KIND)
+#undef SFI_UOP_KIND
+};
+
+/// Lowers one decoded instruction at byte address `pc` into `out`
+/// (everything except the validity stamp).
 void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out) {
     const OpInfo& info = op_info(instr.op);
+    out.kind = kUopKindOf[static_cast<std::size_t>(instr.op)];
     out.rd = instr.rd == 0 ? kUopRegSink : instr.rd;
     out.ra = instr.ra;
     out.rb = instr.rb;
@@ -94,68 +93,50 @@ void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out) {
                                           (info.reads_rb ? kUopReadsRb : 0));
     out.op = instr.op;
     out.cls = info.ex_class;
+    out.aux = 0;
     out.imm = instr.imm;
     out.target = pc + static_cast<std::uint32_t>(instr.imm) * 4;
-    switch (instr.op) {
-        case Op::NOP:
+    switch (out.kind) {
+        case UopKind::Nop:
             // The kernel-begin marker compares the full immediate; exit
             // and kernel-end compare the low 16 bits (the ISA's l.nop
             // control codes, docs/ISA.md).
-            if (instr.imm == kNopKernelBegin) {
+            if (instr.imm == kNopKernelBegin)
                 out.kind = UopKind::NopKernelBegin;
-                break;
-            }
-            switch (static_cast<std::uint16_t>(instr.imm)) {
-                case kNopExit: out.kind = UopKind::NopExit; break;
-                case kNopKernelEnd: out.kind = UopKind::NopKernelEnd; break;
-                default: out.kind = UopKind::Nop; break;
-            }
+            else if (static_cast<std::uint16_t>(instr.imm) == kNopExit)
+                out.kind = UopKind::NopExit;
+            else if (static_cast<std::uint16_t>(instr.imm) == kNopKernelEnd)
+                out.kind = UopKind::NopKernelEnd;
             break;
-        case Op::MOVHI:
-            out.kind = UopKind::Movhi;
+        case UopKind::Movhi:
             // Pre-shift so the kernel is a plain register store.
             out.imm = static_cast<std::int32_t>(
                 static_cast<std::uint32_t>(instr.imm) << 16);
             break;
-        case Op::J:
-            out.kind = instr.imm == 0 ? UopKind::JSelfLoop : UopKind::J;
+        case UopKind::J:
+            if (instr.imm == 0) out.kind = UopKind::JSelfLoop;
             break;
-        case Op::JAL:
-            out.kind = UopKind::Jal;
+        case UopKind::Bf:
+            if (instr.imm == 0) out.kind = UopKind::BfSelfLoop;
+            break;
+        case UopKind::Bnf:
+            if (instr.imm == 0) out.kind = UopKind::BnfSelfLoop;
+            break;
+        case UopKind::Jal:
             out.rd = 9;  // link register, fixed by the ISA
             break;
-        case Op::JR: out.kind = UopKind::Jr; break;
-        case Op::JALR: out.kind = UopKind::Jalr; break;
-        case Op::BF:
-            out.kind = instr.imm == 0 ? UopKind::BfSelfLoop : UopKind::Bf;
+        case UopKind::CmpReg:
+        case UopKind::CmpImm:
+            // Resolve the predicate once; the compare kernel evaluates it
+            // inline instead of re-deriving it from the opcode.
+            out.aux = static_cast<std::uint8_t>(cmp_kind(instr.op));
             break;
-        case Op::BNF:
-            out.kind = instr.imm == 0 ? UopKind::BnfSelfLoop : UopKind::Bnf;
+        default:
             break;
-        case Op::LWZ: out.kind = UopKind::Lwz; break;
-        case Op::LBZ: out.kind = UopKind::Lbz; break;
-        case Op::LHZ: out.kind = UopKind::Lhz; break;
-        case Op::SW: out.kind = UopKind::Sw; break;
-        case Op::SB: out.kind = UopKind::Sb; break;
-        case Op::SH: out.kind = UopKind::Sh; break;
-        default: {
-            assert(info.ex_class != ExClass::None);
-            if (info.sets_flag) {
-                out.kind = info.has_imm ? UopKind::CmpImm : UopKind::CmpReg;
-                // Resolve the predicate once; the compare kernel evaluates
-                // it inline instead of re-deriving it from the opcode.
-                out.aux = static_cast<std::uint8_t>(cmp_kind(instr.op));
-                break;
-            }
-            const auto cls_offset = static_cast<std::size_t>(info.ex_class) -
-                                    static_cast<std::size_t>(ExClass::Add);
-            const auto base = static_cast<std::size_t>(
-                info.has_imm ? UopKind::AddImm : UopKind::AddReg);
-            out.kind = static_cast<UopKind>(base + cls_offset);
-            break;
-        }
     }
 }
+
+}  // namespace
 
 InterpState& Cpu::ensure_interp() {
     if (!interp_) interp_ = std::make_unique<InterpState>();
@@ -533,7 +514,7 @@ RunResult Cpu::run_threaded_impl(std::uint64_t max_cycles, Policy policy) {
         &&K_Lbz, &&K_Lhz, &&K_Sw, &&K_Sb, &&K_Sh,
         &&K_AddReg, &&K_SubReg, &&K_AndReg, &&K_OrReg, &&K_XorReg,
         &&K_SllReg, &&K_SrlReg, &&K_SraReg, &&K_MulReg,
-        &&K_AddImm, &&K_SubImm, &&K_AndImm, &&K_OrImm, &&K_XorImm,
+        &&K_AddImm, &&K_AndImm, &&K_OrImm, &&K_XorImm,
         &&K_SllImm, &&K_SrlImm, &&K_SraImm, &&K_MulImm,
         &&K_CmpReg, &&K_CmpImm,
     };
@@ -763,7 +744,7 @@ top:
                          addr, static_cast<std::uint16_t>(r[up->rb])))
 
     SFI_ALU_KERNEL_PAIR(Add, a + b)
-    SFI_ALU_KERNEL_PAIR(Sub, a - b)
+    SFI_ALU_KERNEL(Sub, Reg, r[up->rb], a - b)  // no l.subi
     SFI_ALU_KERNEL_PAIR(And, a & b)
     SFI_ALU_KERNEL_PAIR(Or, a | b)
     SFI_ALU_KERNEL_PAIR(Xor, a ^ b)

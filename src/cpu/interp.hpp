@@ -35,12 +35,14 @@ namespace sfi {
 
 struct Program;  // isa/assembler.hpp
 
-/// Micro-op kinds: one kernel per kind. ALU kinds are specialized per
-/// ExClass and operand form so each kernel body is a single expression
-/// instead of a switch; compare kinds stay generic over the ten l.sf*
-/// predicates (MicroOp::op carries the predicate for
-/// compare_flag_from_diff). Jump/branch kinds with a statically known
-/// self-loop (imm == 0) are lowered to dedicated stop kinds.
+/// Micro-op kinds: one kernel per kind. Each opcode's kind is the uop
+/// column of its SFI_FORALL_OPS row (isa/isa.hpp). ALU kinds are
+/// specialized per ExClass and operand form so each kernel body is a
+/// single expression instead of a switch; compare kinds stay generic over
+/// the ten l.sf* predicates (MicroOp::aux carries the CmpKind for
+/// compare_flag_from_diff_kind). Lowering refines some row kinds: each
+/// l.nop control code gets its own kind, and l.j/l.bf/l.bnf with a
+/// statically known self-loop (imm == 0) get dedicated stop kinds.
 enum class UopKind : std::uint8_t {
     Illegal,  ///< word does not decode; must stay kind 0 (zero-init)
     Nop,      ///< plain l.nop / l.nop 0x2 (report)
@@ -64,8 +66,8 @@ enum class UopKind : std::uint8_t {
     Sb,
     Sh,
     AddReg, SubReg, AndReg, OrReg, XorReg, SllReg, SrlReg, SraReg, MulReg,
-    AddImm, SubImm, AndImm, OrImm, XorImm, SllImm, SrlImm, SraImm, MulImm,
-    CmpReg,  ///< l.sf* register form (flag from compare_flag_from_diff)
+    AddImm, AndImm, OrImm, XorImm, SllImm, SrlImm, SraImm, MulImm,
+    CmpReg,  ///< l.sf* register form (flag from compare_flag_from_diff_kind)
     CmpImm,  ///< l.sf*i immediate form
     kCount,
 };
@@ -101,11 +103,6 @@ struct MicroOp {
     std::uint32_t target = 0;     ///< absolute branch target (byte PC)
     std::uint32_t gen = 0;        ///< validity stamp (0 = never valid)
 };
-
-/// Lowers one decoded instruction at byte address `pc` into `out`
-/// (everything except the validity stamp). Exposed for the lowering-table
-/// unit tests; the interpreter calls it through Cpu's lazy/prime paths.
-void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out);
 
 /// Per-Cpu state of the threaded interpreter: the micro-op stream plus
 /// the bookkeeping that decides when it may persist across resets.

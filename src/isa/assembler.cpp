@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "isa/encoding.hpp"
 
@@ -233,6 +235,16 @@ private:
         return static_cast<std::uint8_t>(v);
     }
 
+    /// An instruction's immediate operand. A value that does not fit in 32
+    /// bits is an error here, before narrowing; encode() then checks the
+    /// range of the instruction's own field.
+    std::int32_t parse_imm(const std::string& text, std::size_t line, bool emit) {
+        const std::int64_t v = eval(text, line, /*allow_undef=*/!emit);
+        if (v < INT32_MIN || v > UINT32_MAX)
+            throw AsmError(line, "operand does not fit in 32 bits: '" + text + "'");
+        return static_cast<std::int32_t>(v);
+    }
+
     /// Parses "imm(rA)" used by loads and stores.
     std::pair<std::int32_t, std::uint8_t> parse_mem(const std::string& text,
                                                     std::size_t line, bool emit) {
@@ -242,9 +254,7 @@ private:
             throw AsmError(line, "expected mem operand imm(rA), got '" + text + "'");
         const std::string imm_text = strip(text.substr(0, open));
         const std::uint8_t ra = parse_reg(text.substr(open + 1, close - open - 1), line);
-        const std::int64_t imm =
-            imm_text.empty() ? 0 : eval(imm_text, line, /*allow_undef=*/!emit);
-        return {static_cast<std::int32_t>(imm), ra};
+        return {imm_text.empty() ? 0 : parse_imm(imm_text, line, emit), ra};
     }
 
     /// Branch target: label (-> relative word offset) or literal offset.
@@ -253,7 +263,7 @@ private:
         const std::string t = strip(text);
         const bool literal = !t.empty() && (std::isdigit(static_cast<unsigned char>(t[0])) ||
                                             t[0] == '-' || t[0] == '+');
-        if (literal) return static_cast<std::int32_t>(eval(t, line, !emit));
+        if (literal) return parse_imm(t, line, emit);
         if (!emit) return 0;
         const std::int64_t target = resolve_symbol(t, line);
         const std::int64_t delta = target - static_cast<std::int64_t>(pc_);
@@ -376,7 +386,6 @@ private:
         if (!op) throw AsmError(st.line, "unknown mnemonic '" + st.head + "'");
         Instr i;
         i.op = *op;
-        const OpInfo& info = op_info(*op);
         const auto& ops = st.operands;
         auto need = [&](std::size_t n) {
             if (ops.size() != n)
@@ -384,61 +393,59 @@ private:
                                             " operand(s), got " +
                                             std::to_string(ops.size()));
         };
-        const bool undef_ok = !emit;
-        switch (*op) {
-            case Op::J: case Op::JAL: case Op::BF: case Op::BNF:
+        auto reg = [&](std::size_t k) { return parse_reg(ops[k], st.line); };
+        auto imm = [&](std::size_t k) { return parse_imm(ops[k], st.line, emit); };
+        switch (op_info(*op).form) {
+            case Form::Jump:
                 need(1);
                 i.imm = parse_branch_target(ops[0], st.line, emit);
                 break;
-            case Op::JR: case Op::JALR:
+            case Form::JumpReg:
                 need(1);
-                i.rb = parse_reg(ops[0], st.line);
+                i.rb = reg(0);
                 break;
-            case Op::NOP:
+            case Form::Nop:
                 if (ops.size() > 1) need(1);
-                i.imm = ops.empty() ? 0
-                                    : static_cast<std::int32_t>(
-                                          eval(ops[0], st.line, undef_ok));
+                if (!ops.empty()) i.imm = imm(0);
                 break;
-            case Op::MOVHI:
+            case Form::Movhi:
                 need(2);
-                i.rd = parse_reg(ops[0], st.line);
-                i.imm = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(eval(ops[1], st.line, undef_ok)) & 0xffffu);
+                i.rd = reg(0);
+                i.imm = imm(1);
                 break;
-            case Op::LWZ: case Op::LBZ: case Op::LHZ: {
+            case Form::Load:
                 need(2);
-                i.rd = parse_reg(ops[0], st.line);
-                const auto [imm, ra] = parse_mem(ops[1], st.line, emit);
-                i.imm = imm;
-                i.ra = ra;
+                i.rd = reg(0);
+                std::tie(i.imm, i.ra) = parse_mem(ops[1], st.line, emit);
                 break;
-            }
-            case Op::SW: case Op::SB: case Op::SH: {
+            case Form::Store:
                 need(2);
-                const auto [imm, ra] = parse_mem(ops[0], st.line, emit);
-                i.imm = imm;
-                i.ra = ra;
-                i.rb = parse_reg(ops[1], st.line);
+                std::tie(i.imm, i.ra) = parse_mem(ops[0], st.line, emit);
+                i.rb = reg(1);
                 break;
-            }
-            default:
-                if (info.sets_flag) {
-                    need(2);
-                    i.ra = parse_reg(ops[0], st.line);
-                    if (info.has_imm)
-                        i.imm = static_cast<std::int32_t>(eval(ops[1], st.line, undef_ok));
-                    else
-                        i.rb = parse_reg(ops[1], st.line);
-                } else {
-                    need(3);
-                    i.rd = parse_reg(ops[0], st.line);
-                    i.ra = parse_reg(ops[1], st.line);
-                    if (info.has_imm)
-                        i.imm = static_cast<std::int32_t>(eval(ops[2], st.line, undef_ok));
-                    else
-                        i.rb = parse_reg(ops[2], st.line);
-                }
+            case Form::Alu:
+                need(3);
+                i.rd = reg(0);
+                i.ra = reg(1);
+                i.rb = reg(2);
+                break;
+            case Form::AluImm:
+            case Form::AluImmU:
+            case Form::ShiftImm:
+                need(3);
+                i.rd = reg(0);
+                i.ra = reg(1);
+                i.imm = imm(2);
+                break;
+            case Form::Cmp:
+                need(2);
+                i.ra = reg(0);
+                i.rb = reg(1);
+                break;
+            case Form::CmpImm:
+                need(2);
+                i.ra = reg(0);
+                i.imm = imm(1);
                 break;
         }
         std::uint32_t word = 0;

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "cpu/cpu.hpp"
+#include "cpu/interp.hpp"
 #include "isa/isa.hpp"
 
 namespace sfi {
@@ -232,6 +235,23 @@ TEST(DijkstraBenchmark, KernelAvoidsMultiplier) {
     cpu.reset(bench->program());
     cpu.run();
     EXPECT_FALSE(saw_mul);
+}
+
+// The assembled images at the default seed. The assembler and encoder
+// read the opcode table, so these pins catch a row that changes what the
+// benchmarks run even when encode and decode still agree with each other.
+TEST(BenchmarkRegistry, ImagesArePinned) {
+    const std::pair<BenchmarkId, std::uint64_t> pins[] = {
+        {BenchmarkId::Median, 0x8bfa7d75648fcb98ull},
+        {BenchmarkId::MatMult8, 0xcc92dc048dec70abull},
+        {BenchmarkId::MatMult16, 0x3da51418ae333496ull},
+        {BenchmarkId::KMeans, 0x4c82be99cdd1e7aeull},
+        {BenchmarkId::Dijkstra, 0xea897b86dc6b2041ull},
+    };
+    ASSERT_EQ(std::size(pins), all_benchmarks().size());
+    for (const auto& [id, hash] : pins)
+        EXPECT_EQ(hash_program(make_benchmark(id, 42)->program()), hash)
+            << benchmark_name(id);
 }
 
 TEST(BenchmarkRegistry, NamesAreUniqueAndStable) {

@@ -162,6 +162,28 @@ TEST(Assembler, ImmediateOverflowReportsLine) {
     }
 }
 
+// An instruction operand is range-checked before it is narrowed to the
+// 32-bit Instr::imm: wider values used to wrap silently (0x100000000
+// became 0, turning l.j into a self-loop) and l.movhi masked its operand
+// to 16 bits. Data directives still truncate.
+TEST(Assembler, OperandsOutOfRangeAreRejectedNotWrapped) {
+    for (const char* source :
+         {"l.addi r3,r3,0x100000000\n", "l.j 0x100000000\n",
+          "l.lwz r3,0x100000008(r4)\n", "l.sw 0x100000008(r4),r3\n",
+          "l.sfeqi r3,0x100000000\n", "l.slli r3,r3,0x100000001\n",
+          "l.nop 0x100000001\n", "l.movhi r3,0x12345\n",
+          "l.movhi r3,-1\n"}) {
+        EXPECT_THROW(assemble(source), AsmError) << source;
+    }
+    const Program p = assemble(
+        "l.movhi r3,0xffff\n"
+        "l.addi r3,r3,0xffffffff\n"
+        ".word 0x100000005\n");
+    EXPECT_EQ(word_at(p, 0), encode({Op::MOVHI, 3, 0, 0, 0xffff}));
+    EXPECT_EQ(word_at(p, 4), encode({Op::ADDI, 3, 3, 0, -1}));
+    EXPECT_EQ(word_at(p, 8), 5u);
+}
+
 TEST(Assembler, MultipleLabelsOnOneAddress) {
     const Program p = assemble(
         "a: b:\n"

@@ -32,7 +32,7 @@ TEST_P(DisasmRoundTrip, AssemblingDisassemblyReproducesTheWord) {
     for (int trial = 0; trial < 64; ++trial) {
         Instr instr;
         instr.op = op;
-        if (info.writes_rd && op != Op::JAL && op != Op::JALR) instr.rd = reg();
+        if (info.writes_rd) instr.rd = reg();  // not l.jal/l.jalr's implicit r9
         if (info.reads_ra) instr.ra = reg();
         if (info.reads_rb) instr.rb = reg();
         switch (op) {

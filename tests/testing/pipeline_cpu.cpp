@@ -144,7 +144,8 @@ std::optional<StopReason> PipelineCpu::exec_ex(const IdLatch& id, ExOut& out,
             }
             prev_ex_result_ = result;
             if (info.sets_flag) {
-                flag_ = compare_flag_from_diff(instr.op, a, b, result);
+                flag_ = compare_flag_from_diff_kind(cmp_kind(instr.op), a, b,
+                                                    result);
             } else {
                 out.dest = instr.rd;
                 out.writes = true;

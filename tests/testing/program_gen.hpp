@@ -89,7 +89,10 @@ inline RandomProgram generate_alu_program(std::uint64_t seed,
                                     ? static_cast<std::uint32_t>(instr.imm)
                                     : regs[instr.rb];
         if (info.sets_flag) {
-            flag = compare_flag(instr.op, a, b);
+            flag = flag_from(cmp_kind(instr.op), a == b,
+                             static_cast<std::int32_t>(a) <
+                                 static_cast<std::int32_t>(b),
+                             a < b);
         } else if (info.writes_rd && instr.rd != 0) {
             regs[instr.rd] = alu_result(info.ex_class, a, b);
         }

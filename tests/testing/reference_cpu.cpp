@@ -192,7 +192,8 @@ std::optional<StopReason> ReferenceCpu::step() {
                 // Flag logic consumes the latched (possibly corrupted)
                 // difference, exactly like the hardware downstream of the
                 // 32 ALU endpoints.
-                flag_ = compare_flag_from_diff(instr.op, a, b, result);
+                flag_ = compare_flag_from_diff_kind(cmp_kind(instr.op), a, b,
+                                                    result);
             } else {
                 set_reg(instr.rd, result);
             }
