@@ -89,24 +89,33 @@ int main(int argc, char** argv) {
 
     std::size_t total_hits = 0, total_misses = 0;
     bool all_completed = true;
-    for (const std::string& name : selected) {
-        campaign::CampaignSpec spec = campaign::figures::make_figure(
-            name, ctx.core_config, ctx.trials, ctx.seed);
-        ctx.apply_to(spec);  // --watchdog-factor / --sampling / --ci-target
-        campaign::RunOptions options = ctx.campaign_options();
-        options.cancelled = [] { return g_interrupted != 0; };
-        std::cout << "=== campaign " << name << " ===\n";
-        campaign::CampaignRunner runner(std::move(spec), std::move(options));
-        const campaign::CampaignResult result = runner.run();
-        total_hits += result.store_hits;
-        total_misses += result.store_misses;
-        if (!result.completed) {
-            all_completed = false;
-            std::cout << "[interrupted — completed points are persisted; "
-                         "re-run to resume]\n";
-            break;
+    // A failed artifact write (CSV, manifest, trace ledger) throws; report
+    // it instead of aborting.
+    try {
+        for (const std::string& name : selected) {
+            campaign::CampaignSpec spec = campaign::figures::make_figure(
+                name, ctx.core_config, ctx.trials, ctx.seed);
+            ctx.apply_to(spec);  // --watchdog-factor / --sampling / --ci-target
+            campaign::RunOptions options = ctx.campaign_options();
+            options.cancelled = [] { return g_interrupted != 0; };
+            std::cout << "=== campaign " << name << " ===\n";
+            campaign::CampaignRunner runner(std::move(spec),
+                                            std::move(options));
+            const campaign::CampaignResult result = runner.run();
+            total_hits += result.store_hits;
+            total_misses += result.store_misses;
+            if (!result.completed) {
+                all_completed = false;
+                std::cout << "[interrupted — completed points are persisted; "
+                             "re-run to resume]\n";
+                break;
+            }
+            std::cout << "\n";
         }
-        std::cout << "\n";
+    } catch (const std::exception& e) {
+        std::cout.flush();
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
     }
 
     std::cout << "store: " << total_hits << " hits, " << total_misses

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
 
     const auto bench_app = make_benchmark(bench_id);
     ForensicSink sink;
-    perf::PhaseProfile profile;
+    double forensic_s = 0.0;
     std::vector<VariantResult> results;
     bool all_ok = true;
 
@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
         point.noise.sigma_mv = variant.sigma_mv;
 
         MonteCarloRunner mc(*bench_app, *variant.model, ctx.mc_config());
-        mc.set_perf_profile(&profile);
         sampling::BatchedExecutor executor(mc, ctx.threads);
 
         // Summary via the ordinary path, then the forensic re-run of the
@@ -96,13 +95,10 @@ int main(int argc, char** argv) {
         res.name = variant.name;
         res.summary = executor.run_fixed(point, ctx.trials, ctx.trials);
 
-        std::vector<TrialForensics> fxs;
-        {
-            const perf::ScopedPhaseTimer timer(&profile,
-                                               perf::Phase::Forensics,
-                                               ctx.trials);
-            fxs = executor.run_forensics(point, ctx.trials);
-        }
+        const perf::Stopwatch forensic_watch;
+        std::vector<TrialForensics> fxs =
+            executor.run_forensics(point, ctx.trials);
+        forensic_s += forensic_watch.seconds();
 
         const std::uint32_t pid = sink.begin_point(
             variant.name, variant.name, benchmark_name(bench_id), point);
@@ -191,8 +187,7 @@ int main(int argc, char** argv) {
                 "(forensics phase: %.2f s)\n",
                 static_cast<unsigned long long>(sink.records().size()),
                 static_cast<unsigned long long>(sink.trials_recorded()),
-                forensics_dir.c_str(),
-                profile.stats(perf::Phase::Forensics).seconds);
+                forensics_dir.c_str(), forensic_s);
     std::printf("[reconciliation] %s\n", all_ok ? "OK" : "FAILED");
     ctx.footer();
     return all_ok ? 0 : 1;

@@ -3,8 +3,9 @@
 // in the stable schema of src/perf/report.hpp.
 //
 // What is measured:
-//   * characterization phases — DTA evaluation and event-sim settle cost
-//     (skipped on a CDF-cache hit: delete the cache for a cold timing);
+//   * characterization phases — calibration, per-class DTA, CDF build and
+//     cache I/O (DTA is skipped on a CDF-cache hit: delete the cache for a
+//     cold timing);
 //   * fault-sampling ops/sec — the models' corrupt() path in isolation;
 //   * trial-kernel throughput (trials/sec) for models A, B, B+ and C at
 //     fig. 1-style operating points, with per-thread scaling;
@@ -12,6 +13,11 @@
 //     fast path off vs. on (a machine-independent within-run ratio);
 //   * a small end-to-end fig1 campaign (store disabled: every point is
 //     computed).
+//
+// The report's "phases" rows are summed (perf::phase_rows) from a
+// wall-mode run ledger kept in memory: the core, the fault-sampling loops
+// and the measured kernel samples record their spans on it. The fig1
+// campaign records on the --trace ledger only.
 //
 // CI runs this under scripts/check_perf_regression.py against
 // scripts/perf_baseline.json; see docs/ARCHITECTURE.md ("Performance
@@ -23,6 +29,7 @@
 // (default 10), --no-campaign.
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "bench_common.hpp"
 
@@ -33,14 +40,13 @@ using namespace sfi;
 // One timed run_point: returns the ThreadSample for `threads` workers.
 perf::ThreadSample time_point(const Benchmark& bench, FaultModel& model,
                               const OperatingPoint& point, McConfig config,
-                              std::size_t threads,
-                              perf::PhaseProfile* profile) {
+                              std::size_t threads, obs::Ledger* ledger) {
     config.threads = threads;
     MonteCarloRunner runner(bench, model, config);
     runner.run_point(point);  // warm-up: page in code, clone contexts once
-    // Attach the profile only now so the phases table counts exactly the
+    // Attach the ledger only now so the phases table counts exactly the
     // measured samples, not the warm-ups.
-    runner.set_perf_profile(profile);
+    runner.set_ledger(ledger);
     perf::Stopwatch watch;
     runner.run_point(point);
     perf::ThreadSample sample;
@@ -65,7 +71,7 @@ perf::KernelBench bench_kernel(const std::string& label, const Benchmark& bench,
                                FaultModel& model, const OperatingPoint& point,
                                McConfig config,
                                const std::vector<std::size_t>& threads,
-                               perf::PhaseProfile* profile) {
+                               obs::Ledger* ledger) {
     perf::KernelBench kernel;
     kernel.label = label;
     model.set_operating_point(point);
@@ -78,7 +84,7 @@ perf::KernelBench bench_kernel(const std::string& label, const Benchmark& bench,
     kernel.fast_path = config.zero_fault_fast_path;
     for (const std::size_t t : threads)
         kernel.scaling.push_back(
-            time_point(bench, model, point, config, t, profile));
+            time_point(bench, model, point, config, t, ledger));
     const perf::ThreadSample& serial = kernel.scaling.front();
     std::printf("  %-26s %-6s f=%7.1f MHz sigma=%4.1f  %9.1f trials/s @1thr",
                 label.c_str(), kernel.model.c_str(), kernel.freq_mhz,
@@ -91,13 +97,11 @@ perf::KernelBench bench_kernel(const std::string& label, const Benchmark& bench,
     return kernel;
 }
 
-// The models' corrupt() path in isolation: synthetic add-class events.
-// Model A's run charges Phase::FaultSampling; the noise-modulated models'
-// batched/quantized runs charge Phase::FaultSamplingBatch. Returns the
-// measured ops/sec.
+// The models' corrupt() path in isolation: synthetic add-class events,
+// one "fault_sampling" span (items = ops) each. Returns the measured
+// ops/sec.
 double bench_fault_sampling(FaultModel& model, const OperatingPoint& point,
-                            std::size_t ops, perf::PhaseProfile& profile,
-                            perf::Phase phase) {
+                            std::size_t ops, obs::Ledger& ledger) {
     model.set_operating_point(point);
     model.reset_stats();
     model.reseed(0xFA57ULL);
@@ -105,6 +109,7 @@ double bench_fault_sampling(FaultModel& model, const OperatingPoint& point,
     ev.op = Op::ADD;
     ev.cls = ExClass::Add;
     Rng rng(42);
+    ledger.begin("fault_sampling");
     perf::Stopwatch watch;
     std::uint32_t sink = 0;
     for (std::size_t i = 0; i < ops; ++i) {
@@ -114,7 +119,7 @@ double bench_fault_sampling(FaultModel& model, const OperatingPoint& point,
         sink = model.on_ex_result(ev, ev.operand_a + ev.operand_b);
     }
     const double seconds = watch.seconds();
-    profile.add(phase, seconds, ops);
+    ledger.end("fault_sampling", {{"items", static_cast<std::uint64_t>(ops)}});
     return seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
 }
 
@@ -139,10 +144,12 @@ int main(int argc, char** argv) {
     report.dta_cycles = ctx.core_config.dta.cycles;
     report.trials = ctx.trials;
     perf::Stopwatch total_watch;
+    std::stringstream phase_text;
+    obs::Ledger phases(phase_text, obs::TraceMode::Wall);
 
-    // Characterization (DTA phases land in the profile on a cache miss).
+    // Characterization (the DTA spans land in the ledger on a cache miss).
     perf::Stopwatch core_watch;
-    CharacterizedCore core(ctx.core_config, &report.phases);
+    CharacterizedCore core(ctx.core_config, &phases);
     const double core_s = core_watch.seconds();
     std::printf("[core] %zu cells, f_STA(0.7 V) = %.1f MHz, DTA %zu "
                 "cycles/class, characterization %.1f s\n",
@@ -182,26 +189,22 @@ int main(int argc, char** argv) {
     fault_bplus.freq_mhz = f0_bplus * 1.01;
     OperatingPoint fault_c = base;
     fault_c.freq_mhz = f0_c * 1.02;
-    bench_fault_sampling(*model_a, fault_b, sampling_ops, report.phases,
-                         perf::Phase::FaultSampling);
+    bench_fault_sampling(*model_a, fault_b, sampling_ops, phases);
     // Model B+ under each sampling mode — the report's "fault_sampling"
     // object (the batched throughput has a floor in CI).
     model_b->set_sampling_mode(FaultSamplingMode::Batched);
     report.fault_sampling.batched_ops_per_sec =
-        bench_fault_sampling(*model_b, fault_bplus, sampling_ops,
-                             report.phases, perf::Phase::FaultSamplingBatch);
+        bench_fault_sampling(*model_b, fault_bplus, sampling_ops, phases);
     model_b->set_sampling_mode(FaultSamplingMode::Quantized);
     report.fault_sampling.quantized_ops_per_sec =
-        bench_fault_sampling(*model_b, fault_bplus, sampling_ops,
-                             report.phases, perf::Phase::FaultSamplingBatch);
+        bench_fault_sampling(*model_b, fault_bplus, sampling_ops, phases);
     model_b->set_sampling_mode(ctx.core_config.fault_sampling);
     report.fault_sampling.avx2 = noise_conversion_uses_avx2();
     std::printf("  B+ corrupt(): batched %.2e, quantized %.2e ops/s%s\n",
                 report.fault_sampling.batched_ops_per_sec,
                 report.fault_sampling.quantized_ops_per_sec,
                 report.fault_sampling.avx2 ? " [avx2]" : "");
-    bench_fault_sampling(*model_c, fault_c, sampling_ops, report.phases,
-                         perf::Phase::FaultSamplingBatch);
+    bench_fault_sampling(*model_c, fault_c, sampling_ops, phases);
 
     std::printf("\n[trial kernels] %zu trials/sample, %s benchmark\n",
                 ctx.trials, report.benchmark.c_str());
@@ -211,7 +214,7 @@ int main(int argc, char** argv) {
 
     report.kernels.push_back(bench_kernel("fig1-modelB-fault", *bench,
                                           *model_b, fault_b, mc, ladder,
-                                          &report.phases));
+                                          &phases));
     {
         // The fig1 model-B workhorse: a sub-threshold clean run with the
         // fast path disabled, i.e. the full ISS simulation cost per trial.
@@ -219,11 +222,11 @@ int main(int argc, char** argv) {
         sim_mc.zero_fault_fast_path = false;
         report.kernels.push_back(bench_kernel("fig1-modelB-clean-sim", *bench,
                                               *model_b, clean_b, sim_mc,
-                                              ladder, &report.phases));
+                                              ladder, &phases));
     }
     report.kernels.push_back(bench_kernel("fig1-modelBplus-sigma10", *bench,
                                           *model_b, fault_bplus, mc, ladder,
-                                          &report.phases));
+                                          &phases));
     {
         // Same point under the quantized (B-q) sampling variant. The
         // runner stamps the mode from McConfig, so it needs its own
@@ -233,20 +236,20 @@ int main(int argc, char** argv) {
         model_b->set_sampling_mode(FaultSamplingMode::Quantized);
         report.kernels.push_back(bench_kernel("fig1-modelBplus-sigma10-q",
                                               *bench, *model_b, fault_bplus,
-                                              q_mc, {1}, &report.phases));
+                                              q_mc, {1}, &phases));
         model_b->set_sampling_mode(ctx.core_config.fault_sampling);
     }
     report.kernels.push_back(bench_kernel("modelC-fault", *bench, *model_c,
-                                          fault_c, mc, {1}, &report.phases));
+                                          fault_c, mc, {1}, &phases));
     report.kernels.push_back(bench_kernel("modelA-p1e-4", *bench, *model_a,
-                                          fault_b, mc, {1}, &report.phases));
+                                          fault_b, mc, {1}, &phases));
     {
         // CWC decorator cost on top of model C: same point as modelC-fault,
         // so the delta is the per-op weight-check overhead.
         CwcDetectionModel cwc(core.make_model_c(), CwcConfig{});
         report.kernels.push_back(bench_kernel("modelC-cwc8", *bench, cwc,
                                               fault_c, mc, {1},
-                                              &report.phases));
+                                              &phases));
     }
 
     // Zero-fault fast path: same point, fast path off vs. on (serial).
@@ -297,6 +300,8 @@ int main(int argc, char** argv) {
                     sample.seconds);
     }
 
+    phases.flush();
+    report.phases = perf::phase_rows(obs::read_ledger(phase_text));
     report.wall_clock_s = total_watch.seconds();
     std::ofstream os(out_path);
     if (!os) {

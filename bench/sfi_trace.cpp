@@ -6,13 +6,17 @@
 //                                          (load OUT.json in Perfetto or
 //                                          chrome://tracing)
 //
-// The summary reports, per panel: points, Monte-Carlo trials, stopping
-// classifications and probe counts; campaign-wide it reports the point
-// store hit ratio, worker-lane utilization and the accuracy of the live
-// ETA estimates. Ratio/utilization/ETA sections need wall-mode data and
-// print "n/a (logical ledger)" on a logical-mode file. When a forensic
-// artifact (forensics_points.csv from bench --forensics) sits next to the
-// ledger, the panel table grows per-panel outcome-class tallies.
+// The summary prints one line per campaign of the ledger (a driver run
+// with several --figures writes them all into one file), then per panel:
+// points, Monte-Carlo trials, stopping classifications and probe counts.
+// Over all campaigns it reports the point store hit ratio (counted from
+// the store_hit/store_miss instants), worker-lane utilization over the
+// summed campaign spans, and the accuracy of the live ETA estimates, each
+// scored against the end of the panel that emitted it. Ratio/utilization/
+// ETA sections need wall-mode data and print "n/a (logical ledger)" on a
+// logical-mode file. When a forensic artifact (forensics_points.csv from
+// bench --forensics) sits next to the ledger, the panel table grows
+// per-panel outcome-class tallies.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -40,36 +44,49 @@ struct PanelRow {
     bool completed = true;
 };
 
-struct Summary {
-    std::string campaign;
+struct CampaignRow {
+    std::string name;
     std::string fingerprint;
-    std::string mode;
     bool completed = true;
     bool cancelled = false;
     std::uint64_t trials_spent = 0;
     double span_us = 0.0;  ///< campaign B -> E (wall mode)
+};
+
+struct Summary {
+    std::string mode;
+    std::vector<CampaignRow> campaigns;
     std::vector<PanelRow> panels;
-    std::map<std::string, std::uint64_t> counters;  ///< ledger "C" events
+    std::uint64_t store_hits = 0;
+    std::uint64_t store_misses = 0;
     std::map<std::uint64_t, double> worker_busy_us;
-    std::vector<std::pair<double, double>> eta;  ///< (ts_us, eta_s) samples
+    /// Live ETA estimates, each scored against its own panel's end.
+    std::size_t eta_estimates = 0;
+    double eta_abs_err_s = 0.0;
     std::vector<std::string> warnings;
 };
 
 Summary summarize(const LedgerFile& file) {
     Summary s;
     s.mode = sfi::obs::trace_mode_name(file.mode);
-    // Panels never nest, so B/E "panel" events pair up in stream order;
-    // the same holds for the single "campaign" span.
-    PanelRow* open_panel = nullptr;
+    // Campaigns and panels never nest in their own kind, so their B/E
+    // events pair up in stream order.
+    double campaign_begin_us = 0.0;
+    bool panel_open = false;
+    std::vector<std::pair<double, double>> panel_eta;  ///< (ts_us, eta_s)
     for (const LedgerEvent& ev : file.events) {
         if (ev.name == "campaign") {
             if (ev.ph == 'B') {
-                s.campaign = ev.arg_string("name");
-                s.fingerprint = ev.arg_string("spec_fingerprint");
-            } else if (ev.ph == 'E') {
-                s.trials_spent = ev.arg_uint("trials_spent");
-                s.completed = ev.arg_bool("completed");
-                s.span_us = ev.ts_us;
+                CampaignRow row;
+                row.name = ev.arg_string("name");
+                row.fingerprint = ev.arg_string("spec_fingerprint");
+                s.campaigns.push_back(std::move(row));
+                campaign_begin_us = ev.ts_us;
+            } else if (ev.ph == 'E' && !s.campaigns.empty()) {
+                CampaignRow& row = s.campaigns.back();
+                row.trials_spent = ev.arg_uint("trials_spent");
+                row.completed = ev.arg_bool("completed");
+                row.span_us = ev.ts_us - campaign_begin_us;
             }
         } else if (ev.name == "panel") {
             if (ev.ph == 'B') {
@@ -79,30 +96,41 @@ Summary summarize(const LedgerFile& file) {
                 row.model = ev.arg_string("model");
                 row.kernel = ev.arg_string("kernel");
                 s.panels.push_back(std::move(row));
-                open_panel = &s.panels.back();
-            } else if (ev.ph == 'E' && open_panel != nullptr) {
-                open_panel->points = ev.arg_uint("points");
-                open_panel->trials = ev.arg_uint("trials_spent");
+                panel_open = true;
+            } else if (ev.ph == 'E' && panel_open) {
+                PanelRow& row = s.panels.back();
+                row.points = ev.arg_uint("points");
+                row.trials = ev.arg_uint("trials_spent");
                 if (ev.has_arg("completed"))
-                    open_panel->completed = ev.arg_bool("completed");
-                open_panel = nullptr;
+                    row.completed = ev.arg_bool("completed");
+                for (const auto& [ts_us, eta_s] : panel_eta) {
+                    if (ts_us >= ev.ts_us) continue;
+                    s.eta_abs_err_s +=
+                        std::fabs(eta_s - (ev.ts_us - ts_us) / 1e6);
+                    ++s.eta_estimates;
+                }
+                panel_eta.clear();
+                panel_open = false;
             }
         } else if (ev.name == "point" && ev.ph == 'E') {
-            if (open_panel != nullptr)
-                ++open_panel->stops[ev.arg_string("stop")];
+            if (panel_open) ++s.panels.back().stops[ev.arg_string("stop")];
         } else if (ev.name == "probe") {
-            if (open_panel != nullptr) ++open_panel->probes;
+            if (panel_open) ++s.panels.back().probes;
+        } else if (ev.name == "store_hit") {
+            ++s.store_hits;
+        } else if (ev.name == "store_miss") {
+            ++s.store_misses;
         } else if (ev.name == "cancelled") {
-            s.cancelled = true;
+            if (!s.campaigns.empty()) s.campaigns.back().cancelled = true;
         } else if (ev.name == "store_warning") {
             s.warnings.push_back(ev.arg_string("kind") + " on " +
                                  ev.arg_string("path"));
         } else if (ev.name == "progress" && ev.ph == 'i') {
+            // The instant predicted its panel's remaining time; the
+            // panel's end event above scores it against the actual one.
             const double eta_s = ev.arg_double("eta_s", -1.0);
-            if (eta_s >= 0.0) s.eta.emplace_back(ev.ts_us, eta_s);
-        } else if (ev.ph == 'C') {
-            s.counters[ev.name] =
-                static_cast<std::uint64_t>(ev.arg_double("value", 0.0));
+            if (eta_s >= 0.0 && panel_open)
+                panel_eta.emplace_back(ev.ts_us, eta_s);
         } else if (ev.ph == 'X' && ev.tid >= 1) {
             s.worker_busy_us[ev.tid] += ev.dur_us;
         }
@@ -148,15 +176,17 @@ void print_forensics(
 void print_summary(const Summary& s,
                    const std::map<std::string, sfi::ForensicPanelTally>&
                        forensic_tallies) {
-    std::printf("campaign %s  (%s)\n",
-                s.campaign.empty() ? "<unnamed>" : s.campaign.c_str(),
-                s.fingerprint.c_str());
     std::printf("mode     %s\n", s.mode.c_str());
-    std::printf("status   %s\n", s.cancelled          ? "cancelled"
-                                 : s.completed        ? "completed"
-                                                      : "incomplete");
-    std::printf("trials   %llu\n\n",
-                static_cast<unsigned long long>(s.trials_spent));
+    if (s.campaigns.empty()) std::printf("campaign <none>\n");
+    for (const CampaignRow& c : s.campaigns)
+        std::printf("campaign %-24s %s  %-10s %llu trials\n",
+                    c.name.empty() ? "<unnamed>" : c.name.c_str(),
+                    c.fingerprint.c_str(),
+                    c.cancelled   ? "cancelled"
+                    : c.completed ? "completed"
+                                  : "incomplete",
+                    static_cast<unsigned long long>(c.trials_spent));
+    std::printf("\n");
 
     if (!s.panels.empty()) {
         std::printf("%-24s %-8s %-5s %-10s %7s %10s  %s\n", "panel", "kind",
@@ -187,12 +217,8 @@ void print_summary(const Summary& s,
     // accuracy only exist in wall-mode ledgers (logical mode records the
     // spec narrative only — see obs/ledger.hpp).
     const bool logical = s.mode == "logical";
-    const auto counter = [&](const char* name) -> std::uint64_t {
-        const auto it = s.counters.find(name);
-        return it == s.counters.end() ? 0 : it->second;
-    };
-    const std::uint64_t hits = counter("run.store_hits");
-    const std::uint64_t misses = counter("run.store_misses");
+    const std::uint64_t hits = s.store_hits;
+    const std::uint64_t misses = s.store_misses;
     if (logical)
         std::printf("store    n/a (logical ledger)\n");
     else if (hits + misses == 0)
@@ -204,45 +230,34 @@ void print_summary(const Summary& s,
                     100.0 * static_cast<double>(hits) /
                         static_cast<double>(hits + misses));
 
+    double campaigns_us = 0.0;
+    for (const CampaignRow& c : s.campaigns) campaigns_us += c.span_us;
     if (logical) {
         std::printf("workers  n/a (logical ledger)\n");
     } else if (s.worker_busy_us.empty()) {
         std::printf("workers  no worker lanes recorded\n");
     } else {
         std::printf("workers  %zu lanes", s.worker_busy_us.size());
-        if (s.span_us > 0.0) {
+        if (campaigns_us > 0.0) {
             double busy = 0.0;
             for (const auto& [tid, us] : s.worker_busy_us) busy += us;
             const double util =
-                busy / (s.span_us *
+                busy / (campaigns_us *
                         static_cast<double>(s.worker_busy_us.size()));
-            std::printf(", %.1f%% mean utilization over the campaign span",
+            std::printf(", %.1f%% mean utilization over the campaign spans",
                         100.0 * util);
         }
         std::printf("\n");
     }
 
-    if (logical) {
+    if (logical)
         std::printf("eta      n/a (logical ledger)\n");
-    } else if (s.eta.size() < 2 || s.span_us <= 0.0) {
+    else if (s.eta_estimates == 0)
         std::printf("eta      not enough progress samples\n");
-    } else {
-        // Each progress instant predicted the remaining time; the ledger
-        // knows the actual remainder (campaign end minus the instant).
-        double abs_err_s = 0.0;
-        std::size_t n = 0;
-        for (const auto& [ts_us, eta_s] : s.eta) {
-            if (ts_us >= s.span_us) continue;
-            const double actual_s = (s.span_us - ts_us) / 1e6;
-            abs_err_s += std::fabs(eta_s - actual_s);
-            ++n;
-        }
-        if (n == 0)
-            std::printf("eta      not enough progress samples\n");
-        else
-            std::printf("eta      %zu estimates, mean abs error %.2f s\n", n,
-                        abs_err_s / static_cast<double>(n));
-    }
+    else
+        std::printf("eta      %zu estimates, mean abs error %.2f s\n",
+                    s.eta_estimates,
+                    s.eta_abs_err_s / static_cast<double>(s.eta_estimates));
 
     for (const std::string& warning : s.warnings)
         std::printf("warning  store recovery: %s\n", warning.c_str());

@@ -19,8 +19,8 @@ instead.
 
 The test binaries share the CDF cache in /tmp (tests/testing/
 shared_core.hpp), so a mutant must not change what characterization
-writes: keep mutants to the sampling, fault-model, ISA, ISS, test-oracle
-and loader code.
+writes: keep mutants to the sampling, fault-model, ISA, ISS, test-oracle,
+loader and instrumentation code.
 
 Usage:
   scripts/mutation_check.py [--work-dir DIR] [--list]
@@ -39,10 +39,11 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# ctest entries that are not test binaries, and the target they run.
+# ctest entries that are not test binaries, and the targets they run.
 CONTRACT_TARGETS = {
-    "sfi_campaign_contract": "sfi_campaign",
-    "sfi_campaign_sampling_equivalence": "sfi_campaign",
+    "sfi_campaign_contract": ["sfi_campaign"],
+    "sfi_campaign_sampling_equivalence": ["sfi_campaign"],
+    "sfi_campaign_trace_contract": ["sfi_campaign", "sfi_trace"],
 }
 
 
@@ -56,6 +57,8 @@ ORACLE_C = "sfi_fi_test_model_c_oracle"
 MODES = "sfi_mc_test_sampling_modes"
 DIFFERENTIAL = "sfi_cpu_test_differential"
 ENCODING = "sfi_isa_test_encoding"
+DECODE = "sfi_perf_test_decode_phase"
+TRACE_CONTRACT = "sfi_campaign_trace_contract"
 
 MUTANTS = [
     # --- The batch's draw accounting and resync (src/fi/sampling_batch.cpp)
@@ -238,6 +241,47 @@ MUTANTS = [
 """)],
         "tests": ["sfi_fi_test_cdf_cache"],
     },
+    # --- The wall-only instrumentation spans (src/fi/core_model.cpp,
+    # src/mc/parallel.cpp, src/cpu/interp.cpp) and sfi_trace's summary
+    {
+        "name": "characterization-spans-in-logical-ledgers",
+        "file": "src/fi/core_model.cpp",
+        "edits": [("    obs::Ledger* const wall = obs::wall_ledger(ledger);\n",
+                   "    obs::Ledger* const wall = ledger;\n")],
+        "tests": [TRACE_CONTRACT],
+    },
+    {
+        "name": "trace-store-totals-from-the-last-counter",
+        "file": "bench/sfi_trace.cpp",
+        "edits": [("""        } else if (ev.name == "store_miss") {
+            ++s.store_misses;
+""", """        } else if (ev.ph == 'C' && ev.name == "run.store_misses") {
+            s.store_misses = ev.arg_uint("value");
+""")],
+        "tests": [TRACE_CONTRACT],
+    },
+    {
+        "name": "decode-span-counts-one-context",
+        "file": "src/mc/parallel.cpp",
+        "edits": [("        lowered += context->cpu.prime_decode(",
+                   "        lowered = context->cpu.prime_decode(")],
+        "tests": [DECODE],
+    },
+    {
+        "name": "decode-count-carried-across-calls",
+        "file": "src/mc/parallel.cpp",
+        "edits": [("    std::uint64_t lowered = 0;\n",
+                   "    static std::uint64_t lowered = 0;\n")],
+        "tests": [DECODE],
+    },
+    {
+        "name": "uop-stream-relowered-every-run",
+        "file": "src/cpu/interp.cpp",
+        "edits": [("    if (!state.synced || state.expected_write_gen != "
+                   "mem_.write_generation()) {\n",
+                   "    if (true) {\n")],
+        "tests": [DECODE],
+    },
 ]
 
 
@@ -273,7 +317,8 @@ def sync_tree(dest):
 
 
 def targets_of(tests):
-    return sorted({CONTRACT_TARGETS.get(t, t) for t in tests})
+    return sorted({target for t in tests
+                   for target in CONTRACT_TARGETS.get(t, [t])})
 
 
 def build(build_dir, tests):

@@ -196,7 +196,9 @@ const CharacterizedCore& CampaignRunner::core() {
     const std::uint64_t fp = core_config_fingerprint(spec_.core);
     auto it = cores_.find(fp);
     if (it == cores_.end())
-        it = cores_.emplace(fp, std::make_unique<CharacterizedCore>(spec_.core))
+        it = cores_
+                 .emplace(fp, std::make_unique<CharacterizedCore>(
+                                  spec_.core, options_.ledger))
                  .first;
     return *it->second;
 }
@@ -208,7 +210,7 @@ const CharacterizedCore& CampaignRunner::core_for(const PanelSpec& panel) {
     if (it == cores_.end())
         it = cores_
                  .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  *panel.core_override))
+                                  *panel.core_override, options_.ledger))
                  .first;
     return *it->second;
 }
@@ -250,7 +252,7 @@ std::shared_ptr<const TimingErrorCdfs> CampaignRunner::conditioned_store(
     result.setup_ps = panel_core.timing().setup_ps();
     result.cycles = dta.cycles;
     result.classes = {run_dta_class(panel_core.alu(), panel_core.timing(),
-                                    panel.kernel.cls, dta)};
+                                    panel.kernel.cls, dta, options_.ledger)};
     result.worst_arrival_ps = result.classes[0].max_arrival_ps;
     auto store =
         std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(result));
@@ -380,7 +382,7 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
     const std::vector<double>& axis_values = resolved.axis_values;
 
     obs::Ledger* const led = options_.ledger;
-    const bool wall = led != nullptr && !led->logical();
+    const bool wall = obs::wall_ledger(led) != nullptr;
     if (led != nullptr)
         led->begin(
             "panel",
@@ -414,9 +416,10 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             config.threads = options_.threads;
             config.fault_sampling = panel_core.config().fault_sampling;
             mc = std::make_unique<MonteCarloRunner>(*bench, *model, config);
+            mc->set_ledger(options_.ledger);
             executor = std::make_unique<sampling::BatchedExecutor>(
                 *mc, options_.threads);
-            executor->set_observer(options_.ledger, &metrics());
+            executor->set_metrics(&metrics());
         }
     };
 
@@ -479,8 +482,7 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             ensure_executor();
             const std::size_t sample =
                 std::min<std::size_t>(options_.forensics_trials, summary.trials);
-            const perf::ScopedPhaseTimer forensic_timer(
-                mc->perf_profile(), perf::Phase::Forensics, sample);
+            if (wall) led->begin("forensic_trials");
             const std::uint32_t pid = forensic_sink_->begin_point(
                 panel.name, forensic_model, forensic_kernel, point);
             for (TrialForensics& fx : executor->run_forensics(point, sample))
@@ -489,6 +491,9 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
                                           fx.razor_escaped,
                                           std::move(fx.records),
                                           fx.detection_latencies);
+            if (wall)
+                led->end("forensic_trials",
+                         {{"items", static_cast<std::uint64_t>(sample)}});
             metrics().add("run.forensic_trials", sample);
         }
 
@@ -775,7 +780,7 @@ CampaignResult CampaignRunner::run() {
     described_cores_.clear();
 
     obs::Ledger* const led = options_.ledger;
-    const bool wall = led != nullptr && !led->logical();
+    const bool wall = obs::wall_ledger(led) != nullptr;
     if (led != nullptr)
         led->begin("campaign",
                    {{"name", spec_.name},

@@ -32,10 +32,6 @@
 
 namespace sfi {
 
-namespace perf {
-class PhaseProfile;  // perf/perf.hpp
-}
-
 /// One EX-stage ALU computation offered to the fault-injection hook.
 struct ExEvent {
     Op op = Op::NOP;
@@ -128,15 +124,16 @@ public:
     /// Eagerly lowers every word of `program`'s sections into the
     /// micro-op stream (a no-op when the stream already matches the
     /// program's content hash). Returns the number of words lowered — the
-    /// Phase::Decode item count. Safe to call before reset(): the stream
+    /// "decode" span's item count. Safe to call before reset(): the stream
     /// is not trusted until a reset synchronizes memory with the program
     /// image.
     std::size_t prime_decode(const Program& program);
 
-    /// Attaches a perf profile (null detaches); runs charge lazy micro-op
-    /// lowering to Phase::Decode. Dispatch-thread only — give
-    /// each worker Cpu its own profile (or none), never a shared one.
-    void set_perf_profile(perf::PhaseProfile* profile) { profile_ = profile; }
+    /// Words run() has lowered lazily since construction (store-to-code,
+    /// unprimed or invalidated streams); priming is not counted. A clean
+    /// run on a primed Cpu adds nothing — MonteCarloRunner's "trial_run"
+    /// span reports the delta.
+    std::uint64_t lazily_lowered() const { return lazily_lowered_; }
 
     /// Runs until halt / fault / watchdog. `max_cycles` bounds total
     /// simulated cycles (0 means the built-in default of 100M). Throws
@@ -190,7 +187,7 @@ private:
     PipelineTiming timing_;
     ExFaultHook* hook_ = nullptr;
     TraceFn trace_;
-    perf::PhaseProfile* profile_ = nullptr;
+    std::uint64_t lazily_lowered_ = 0;
     std::unique_ptr<InterpState> interp_;  // allocated on first reset/prime
 
     std::array<std::uint32_t, 32> regs_{};

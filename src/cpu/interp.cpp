@@ -30,7 +30,6 @@
 #include "fi/models.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
-#include "perf/perf.hpp"
 
 // Computed goto (a GNU extension, also supported by Clang) removes the
 // bounds check and the shared indirect-branch site a switch would emit.
@@ -788,12 +787,10 @@ done:
 
     policy.finish(kcycles - kcycles_at_entry);
 
-    // Lazy re-lowering (store-to-code, unprimed streams) is charged by
-    // item count; its wall time is interleaved with execution and not
-    // separable without per-word clock reads, so priming carries the
-    // measured decode seconds.
-    if (lazy_lowered != 0 && profile_ != nullptr)
-        profile_->add(perf::Phase::Decode, 0.0, lazy_lowered);
+    // Lazy re-lowering (store-to-code, unprimed streams) is counted, not
+    // timed: its wall time is interleaved with execution and not
+    // separable without per-word clock reads.
+    lazily_lowered_ += lazy_lowered;
 
     RunResult result;
     result.stop = stop_reason;

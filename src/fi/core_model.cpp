@@ -9,6 +9,7 @@
 #include <string>
 #include <system_error>
 
+#include "obs/ledger.hpp"
 #include "util/fingerprint.hpp"
 
 namespace sfi {
@@ -82,18 +83,25 @@ void write_cache(const std::string& path, std::uint64_t fingerprint,
 }  // namespace
 
 CharacterizedCore::CharacterizedCore(CoreModelConfig config,
-                                     perf::PhaseProfile* profile)
+                                     obs::Ledger* ledger)
     : config_(std::move(config)),
       alu_(build_alu(config_.alu)),
       lib_(config_.lib),
       timing_(alu_.netlist, lib_) {
+    obs::Ledger* const wall = obs::wall_ledger(ledger);
+    if (wall) {
+        wall->begin("characterize");
+        wall->begin("calibrate");
+    }
     calibration_ = calibrate_alu(alu_, timing_, config_.calibration);
     sta_ = endpoint_worst_sta(alu_, timing_);
+    if (wall) wall->end("calibrate");
 
     const std::uint64_t fingerprint = core_config_fingerprint(config_);
     bool loaded = false;
     if (!config_.cdf_cache_path.empty() &&
         std::filesystem::exists(config_.cdf_cache_path)) {
+        if (wall) wall->begin("cdf_cache_load");
         std::ifstream is(config_.cdf_cache_path, std::ios::binary);
         std::uint64_t stored = 0;
         is.read(reinterpret_cast<char*>(&stored), sizeof stored);
@@ -105,13 +113,20 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
                 loaded = false;  // corrupt cache: recharacterize
             }
         }
+        if (wall) wall->end("cdf_cache_load");
     }
     if (!loaded) {
-        const DtaResult dta = run_dta(alu_, timing_, config_.dta, profile);
+        const DtaResult dta = run_dta(alu_, timing_, config_.dta, wall);
+        if (wall) wall->begin("cdf_build");
         cdfs_ = std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(dta));
-        if (!config_.cdf_cache_path.empty())
+        if (wall) wall->end("cdf_build");
+        if (!config_.cdf_cache_path.empty()) {
+            if (wall) wall->begin("cdf_cache_save");
             write_cache(config_.cdf_cache_path, fingerprint, *cdfs_);
+            if (wall) wall->end("cdf_cache_save");
+        }
     }
+    if (wall) wall->end("characterize", {{"cached", loaded}});
 }
 
 double CharacterizedCore::sta_fmax_mhz(double vdd) const {

@@ -23,6 +23,10 @@
 
 namespace sfi {
 
+namespace obs {
+class Ledger;
+}
+
 struct CoreModelConfig {
     AluConfig alu;
     TimingLibConfig lib;
@@ -47,12 +51,14 @@ std::uint64_t core_config_fingerprint(const CoreModelConfig& config);
 
 class CharacterizedCore {
 public:
-    /// `profile`, when given, receives the DTA phase timings
-    /// (Phase::DtaEval / Phase::EventSimSettle) of the characterization —
-    /// nothing is recorded on a CDF-cache hit, which is itself a useful
-    /// signal in BENCH_core.json.
+    /// A wall-mode `ledger` gets a "characterize" span {cached} around
+    /// the constructor body, with child spans "calibrate" (calibration +
+    /// STA), "cdf_cache_load" (when the cache file exists) and, when the
+    /// cache misses, the ten "dta_class" spans, "cdf_build" and
+    /// "cdf_cache_save". Logical ledgers get nothing: a warm and a cold
+    /// cache must read alike there.
     explicit CharacterizedCore(CoreModelConfig config = {},
-                               perf::PhaseProfile* profile = nullptr);
+                               obs::Ledger* ledger = nullptr);
 
     const Alu& alu() const { return alu_; }
     const TimingLib& lib() const { return lib_; }

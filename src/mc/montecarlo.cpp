@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mc/parallel.hpp"
+#include "obs/ledger.hpp"
 
 namespace sfi {
 
@@ -42,8 +43,8 @@ MonteCarloRunner::MonteCarloRunner(const Benchmark& benchmark, FaultModel& model
       trial_seeder_(config.seed) {
     // Lower the program into the micro-op stream once, up front: the
     // golden run and every serial trial reuse it across resets (content
-    // hash match), so no run on this Cpu ever decodes lazily. No profile
-    // is attached yet — this one-time cost is construction, not a phase.
+    // hash match), so no run on this Cpu ever decodes lazily. No ledger
+    // is attached yet — this one-time cost is construction, not a span.
     cpu_.prime_decode(benchmark.program());
     // Fault-free reference run: establishes the golden cycle count and
     // validates the kernel against its C++ replica. The counting hook is
@@ -213,23 +214,25 @@ TrialForensics MonteCarloRunner::run_trial_forensic(const OperatingPoint& point,
 }
 
 PointSummary MonteCarloRunner::run_point(const OperatingPoint& point) {
+    obs::Ledger* const wall = obs::wall_ledger(ledger_);
+    if (wall) wall->begin("trial_run");
+    const std::uint64_t lowered_before = cpu_.lazily_lowered();
     std::vector<TrialOutcome> outcomes;
-    {
-        const perf::ScopedPhaseTimer trial_timer(profile_, perf::Phase::TrialRun,
-                                                 config_.trials);
-        // Worker-count resolution/clamping is owned by run_trials_parallel;
-        // here we only decide serial vs. parallel.
-        if (config_.trials > 1 && resolve_thread_count(config_.threads) > 1) {
-            outcomes = run_trials_parallel(*this, point, config_.threads);
-        } else {
-            outcomes.reserve(config_.trials);
-            for (std::size_t trial = 0; trial < config_.trials; ++trial)
-                outcomes.push_back(run_trial(point, trial));
-        }
+    // Worker-count resolution/clamping is owned by run_trials_parallel;
+    // here we only decide serial vs. parallel.
+    if (config_.trials > 1 && resolve_thread_count(config_.threads) > 1) {
+        outcomes = run_trials_parallel(*this, point, config_.threads);
+    } else {
+        outcomes.reserve(config_.trials);
+        for (std::size_t trial = 0; trial < config_.trials; ++trial)
+            outcomes.push_back(run_trial(point, trial));
     }
-    const perf::ScopedPhaseTimer fold_timer(profile_, perf::Phase::Aggregation,
-                                            outcomes.size());
-    return summarize_trials(point, outcomes);
+    PointSummary summary = summarize_trials(point, outcomes);
+    if (wall)
+        wall->end("trial_run",
+                  {{"items", static_cast<std::uint64_t>(outcomes.size())},
+                   {"lazy_lowered", cpu_.lazily_lowered() - lowered_before}});
+    return summary;
 }
 
 PointSummary summarize_trials(const OperatingPoint& point,

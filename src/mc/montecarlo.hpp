@@ -16,11 +16,14 @@
 #include "cpu/cpu.hpp"
 #include "fi/forensics.hpp"
 #include "fi/models.hpp"
-#include "perf/perf.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace sfi {
+
+namespace obs {
+class Ledger;
+}
 
 struct McConfig {
     /// Independent runs per operating point (paper: >= 100).
@@ -193,18 +196,15 @@ public:
                golden_.cycles <= watchdog_cycles_;
     }
 
-    /// Attaches a perf profile (null detaches). run_point charges the
-    /// trial loop to Phase::TrialRun and the summary fold to
-    /// Phase::Aggregation (items = trials); micro-op lowering is charged
-    /// to Phase::Decode (parallel context priming in make_trial_contexts,
-    /// plus any lazy re-lowering on the runner's own Cpu). Dispatch-thread
-    /// only: parallel sections are timed as a whole, workers never touch
-    /// the profile.
-    void set_perf_profile(perf::PhaseProfile* profile) {
-        profile_ = profile;
-        cpu_.set_perf_profile(profile);
-    }
-    perf::PhaseProfile* perf_profile() const { return profile_; }
+    /// Attaches a run ledger (null detaches). Wall-mode ledgers get a
+    /// "trial_run" span per run_point, whose end carries items = trials
+    /// and lazy_lowered = the words the runner's own Cpu lowered lazily
+    /// (0 on clean runs: the constructor primes it), and a "decode" span
+    /// per make_trial_contexts (items = words primed). BatchedExecutor
+    /// reads its batch and worker-lane spans' ledger from here too.
+    /// Dispatch-thread only: workers never touch the ledger.
+    void set_ledger(obs::Ledger* ledger) { ledger_ = ledger; }
+    obs::Ledger* ledger() const { return ledger_; }
 
 private:
     const Benchmark* benchmark_;
@@ -229,7 +229,7 @@ private:
     /// Per-trial stream derivation base (seeded once from config_.seed;
     /// fork(trial) is const, so sharing it across threads is safe).
     Rng trial_seeder_;
-    perf::PhaseProfile* profile_ = nullptr;
+    obs::Ledger* ledger_ = nullptr;
 };
 
 /// Aggregates `outcomes` (indexed by trial) exactly like the historical

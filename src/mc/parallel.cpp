@@ -79,12 +79,11 @@ std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
     contexts.reserve(threads);
     // Micro-op priming happens here, on the dispatching thread: every
     // context lowers the full program once, so worker trials never decode
-    // lazily. That keeps the Phase::Decode counters a pure function of
-    // the context count (the self-scheduling pool gives no guarantee that
-    // every worker even executes a trial) and keeps PhaseProfile off the
-    // worker threads entirely.
-    perf::ScopedPhaseTimer decode_timer(runner.perf_profile(),
-                                        perf::Phase::Decode);
+    // lazily. That keeps the "decode" span's item count a pure function
+    // of the context count (the self-scheduling pool gives no guarantee
+    // that every worker even executes a trial).
+    obs::Ledger* const wall = obs::wall_ledger(runner.ledger());
+    if (wall) wall->begin("decode");
     std::uint64_t lowered = 0;
     for (std::size_t index = 0; index < threads; ++index) {
         auto context = std::make_unique<TrialContext>(runner.benchmark(),
@@ -92,7 +91,7 @@ std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
         lowered += context->cpu.prime_decode(runner.benchmark().program());
         contexts.push_back(std::move(context));
     }
-    decode_timer.set_items(lowered);
+    if (wall) wall->end("decode", {{"items", lowered}});
     return contexts;
 }
 
@@ -129,7 +128,7 @@ std::vector<TrialOutcome> run_trial_block(
     // thread only after the join below — the ledger itself is never
     // touched from a worker. Ledger::now_us() is const over immutable
     // state, so concurrent reads are safe.
-    const bool record = ledger != nullptr && !ledger->logical();
+    const bool record = obs::wall_ledger(ledger) != nullptr;
     struct alignas(64) WorkerActivity {
         double first_us = 0.0;
         double last_us = 0.0;

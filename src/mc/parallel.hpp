@@ -72,7 +72,9 @@ std::vector<TrialOutcome> run_trials_parallel(const MonteCarloRunner& runner,
 /// Builds one TrialContext per worker for `runner`'s benchmark/model —
 /// the reusable half of run_trials_parallel, split out so the batched
 /// executor (src/sampling/batch.hpp) can keep the contexts alive across
-/// many trial blocks instead of re-cloning the model per batch.
+/// many trial blocks instead of re-cloning the model per batch. Primes
+/// every context's micro-op stream; a wall-mode runner.ledger() gets one
+/// "decode" span with items = contexts x program words.
 std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
     const MonteCarloRunner& runner, std::size_t threads);
 

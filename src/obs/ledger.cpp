@@ -56,7 +56,8 @@ Field::Field(std::string_view key, std::uint64_t value)
 Field::Field(std::string_view key, std::int64_t value)
     : key(key), json(std::to_string(value)) {}
 
-Ledger::Ledger(const std::string& path, TraceMode mode) : mode_(mode) {
+Ledger::Ledger(const std::string& path, TraceMode mode)
+    : mode_(mode), name_(path) {
     owned_ = std::make_unique<std::ofstream>(path, std::ios::binary |
                                                        std::ios::trunc);
     if (!*owned_) {
@@ -68,12 +69,12 @@ Ledger::Ledger(const std::string& path, TraceMode mode) : mode_(mode) {
 }
 
 Ledger::Ledger(std::ostream& os, TraceMode mode)
-    : mode_(mode), external_(&os) {
+    : mode_(mode), name_("<stream>"), external_(&os) {
     epoch_ns_ = steady_now_ns();
     write_header();
 }
 
-Ledger::~Ledger() { flush(); }
+Ledger::~Ledger() { out().flush(); }
 
 void Ledger::write_header() {
     std::string line = "{\"schema\":\"sfi-ledger\",\"version\":1,\"mode\":\"";
@@ -151,13 +152,12 @@ void Ledger::emit_metrics(const MetricsRegistry& metrics) {
         if (logical() && volatile_metric_name(name)) continue;
         emit('C', 0, name, ts, 0.0, false, {Field("value", value)});
     }
-    for (const auto& [name, value] : metrics.gauges()) {
-        if (logical() && volatile_metric_name(name)) continue;
-        emit('C', 0, name, ts, 0.0, false, {Field("value", value)});
-    }
 }
 
-void Ledger::flush() { out().flush(); }
+void Ledger::flush() {
+    if (!out().flush())
+        throw std::runtime_error("cannot write trace ledger: " + name_);
+}
 
 // ---------------------------------------------------------------------------
 // Reader: a minimal parser for the flat JSON this file emits (objects,

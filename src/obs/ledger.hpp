@@ -28,7 +28,11 @@
 // reruns (modulo the header line) for any healthy store; store-corruption
 // warnings are emitted in both modes and are the documented exception.
 // Wall mode records everything with real timestamps for humans and the
-// Chrome exporter.
+// Chrome exporter, including the instrumentation spans that say where
+// the dispatch thread's time went (characterize / calibrate / dta_class /
+// cdf_build / cdf_cache_{load,save}, decode, trial_run, forensic_trials).
+// Those stay out of logical ledgers because a warm CDF cache and a cold
+// one must read alike; emitters guard them with wall_ledger().
 //
 // Threading. All emission happens on the dispatch thread. Workers never
 // touch the Ledger directly: per-thread buffers (e.g. the per-worker
@@ -108,7 +112,7 @@ public:
     void worker_span(std::uint64_t tid, std::string_view name, double ts_us,
                      double dur_us, std::initializer_list<Field> args = {});
 
-    /// Emits one "C" event per metric. Logical mode skips volatile
+    /// Emits one "C" event per counter. Logical mode skips volatile
     /// ("run."-prefixed) names so the output stays byte-stable.
     void emit_metrics(const MetricsRegistry& metrics);
 
@@ -116,6 +120,9 @@ public:
     /// so event payloads stay byte-stable.
     double now_us() const;
 
+    /// Flushes the stream; throws std::runtime_error naming the ledger
+    /// once the stream has failed (a full disk, a closed pipe), so a lost
+    /// trace is never silent. The destructor flushes without throwing.
     void flush();
     std::uint64_t events_written() const { return seq_; }
 
@@ -126,11 +133,18 @@ private:
     std::ostream& out() { return owned_ ? *owned_ : *external_; }
 
     TraceMode mode_;
+    std::string name_;  ///< the file path, or "<stream>"; for diagnostics
     std::unique_ptr<std::ofstream> owned_;
     std::ostream* external_ = nullptr;
     std::uint64_t seq_ = 0;
     std::int64_t epoch_ns_ = 0;  // steady_clock epoch for now_us()
 };
+
+/// `ledger` when it records wall-clock spans, else null: the guard of the
+/// wall-only instrumentation spans (see the determinism contract above).
+inline Ledger* wall_ledger(Ledger* ledger) {
+    return ledger != nullptr && !ledger->logical() ? ledger : nullptr;
+}
 
 /// Parsed event (reader side, used by sfi_trace and the exporter).
 struct LedgerEvent {

@@ -15,33 +15,9 @@ void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
     }
 }
 
-void MetricsRegistry::set_gauge(std::string_view name, double value) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-        gauges_.emplace(std::string(name), value);
-    } else {
-        it->second = value;
-    }
-}
-
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
     const auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
-}
-
-double MetricsRegistry::gauge(std::string_view name) const {
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-    for (const auto& [name, value] : other.counters_) counters_[name] += value;
-    for (const auto& [name, value] : other.gauges_) gauges_[name] = value;
-}
-
-void MetricsRegistry::clear() {
-    counters_.clear();
-    gauges_.clear();
 }
 
 }  // namespace sfi::obs

@@ -1,18 +1,15 @@
-// Deterministic named counters and gauges for run telemetry.
+// Deterministic named counters for run telemetry.
 //
-// The registry follows the PhaseProfile merge discipline (src/perf): each
-// worker accumulates into its own instance (or the dispatch thread owns a
-// single one) and partial registries are merged on the dispatch thread —
-// the class itself is NOT thread-safe. Counters merge by addition, which
-// is associative and commutative, so any merge order yields identical
-// totals; gauges are last-writer-wins point samples.
+// A registry belongs to one campaign run (or to a driver that threads one
+// registry through several runs) and is touched only on the dispatch
+// thread — the class is NOT thread-safe. Where time went is not counted
+// here: it is recorded as spans on the run ledger (obs/ledger.hpp).
 //
 // Naming convention: metrics whose name starts with "run." describe the
-// specific execution (store hits, batch counts, wall-clock-dependent
-// values) and are excluded from logical-mode ledger emission so that warm
-// reruns and different thread counts stay byte-identical. Everything else
-// must be a pure function of the campaign spec and is emitted in both
-// trace modes.
+// specific execution (store hits, batch counts, forensic trials) and are
+// excluded from logical-mode ledger emission so that warm reruns and
+// different thread counts stay byte-identical. Everything else must be a
+// pure function of the campaign spec and is emitted in both trace modes.
 #pragma once
 
 #include <cstdint>
@@ -31,33 +28,17 @@ public:
     /// Adds `delta` to the named counter, creating it at zero first.
     void add(std::string_view name, std::uint64_t delta = 1);
 
-    /// Sets the named gauge to `value` (last writer wins).
-    void set_gauge(std::string_view name, double value);
-
     /// Current counter value; absent counters read as 0.
     std::uint64_t counter(std::string_view name) const;
 
-    /// Current gauge value; absent gauges read as 0.0.
-    double gauge(std::string_view name) const;
-
-    /// Folds `other` into this registry: counters add, gauges overwrite.
-    void merge(const MetricsRegistry& other);
-
-    void clear();
-    bool empty() const { return counters_.empty() && gauges_.empty(); }
-
-    /// Ordered views (std::map keeps lexicographic key order, which is
+    /// Ordered view (std::map keeps lexicographic key order, which is
     /// what makes emission deterministic).
     const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
         return counters_;
     }
-    const std::map<std::string, double, std::less<>>& gauges() const {
-        return gauges_;
-    }
 
 private:
     std::map<std::string, std::uint64_t, std::less<>> counters_;
-    std::map<std::string, double, std::less<>> gauges_;
 };
 
 }  // namespace sfi::obs

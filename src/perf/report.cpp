@@ -1,10 +1,36 @@
 #include "perf/report.hpp"
 
 #include <ostream>
+#include <stdexcept>
 
 #include "perf/json_writer.hpp"
 
 namespace sfi::perf {
+
+std::vector<PhaseRow> phase_rows(const obs::LedgerFile& ledger) {
+    std::vector<PhaseRow> rows;
+    // Open dispatch-lane spans: (row index, begin timestamp).
+    std::vector<std::pair<std::size_t, double>> open;
+    for (const obs::LedgerEvent& ev : ledger.events) {
+        if (ev.tid != 0) continue;
+        if (ev.ph == 'B') {
+            std::size_t row = 0;
+            while (row < rows.size() && rows[row].phase != ev.name) ++row;
+            if (row == rows.size()) rows.push_back(PhaseRow{ev.name});
+            open.emplace_back(row, ev.ts_us);
+        } else if (ev.ph == 'E') {
+            if (open.empty() || rows[open.back().first].phase != ev.name)
+                throw std::runtime_error("ledger span \"" + ev.name +
+                                         "\" ends without a matching begin");
+            PhaseRow& row = rows[open.back().first];
+            row.seconds += (ev.ts_us - open.back().second) * 1e-6;
+            row.calls += 1;
+            row.items += ev.arg_uint("items");
+            open.pop_back();
+        }
+    }
+    return rows;
+}
 
 void write_bench_core_json(std::ostream& os, const PerfReport& report) {
     JsonWriter json(os);
@@ -22,18 +48,12 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
 
     json.key("phases");
     json.begin_array();
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-        const Phase phase = static_cast<Phase>(i);
-        const PhaseStats& stats = report.phases.stats(phase);
-        // The forensics row appears only when forensics actually ran:
-        // keeps BENCH_core.json byte-identical for forensics-off runs
-        // (the zero-overhead-off guarantee, docs/ARCHITECTURE.md).
-        if (phase == Phase::Forensics && stats.calls == 0) continue;
+    for (const PhaseRow& row : report.phases) {
         json.begin_object();
-        json.field("phase", phase_name(phase));
-        json.field("seconds", stats.seconds);
-        json.field("calls", stats.calls);
-        json.field("items", stats.items);
+        json.field("phase", row.phase);
+        json.field("seconds", row.seconds);
+        json.field("calls", row.calls);
+        json.field("items", row.items);
         json.end_object();
     }
     json.end_array();
@@ -86,15 +106,6 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
     json.key("counters");
     json.begin_array();
     for (const auto& [name, value] : report.metrics.counters()) {
-        json.begin_object();
-        json.field("name", name);
-        json.field("value", value);
-        json.end_object();
-    }
-    json.end_array();
-    json.key("gauges");
-    json.begin_array();
-    for (const auto& [name, value] : report.metrics.gauges()) {
         json.begin_object();
         json.field("name", name);
         json.field("value", value);

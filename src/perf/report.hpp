@@ -6,14 +6,17 @@
 //
 //   {
 //     "schema": "sfi-bench-core",
-//     "schema_version": 6,
+//     "schema_version": 7,
 //     "config":   { seed, dta_cycles, trials, benchmark },
 //                 (v5: dropped v2's "dispatch" — the ISS has one engine)
-//     "phases":   [ { phase, seconds, calls, items } x kPhaseCount ],
-//                 (v2: the phase list gained "decode" — micro-op lowering
-//                  for the threaded-dispatch interpreter; v3: it gained
-//                  "fault_sampling_batch" — block-prefetched draw
-//                  sampling, fi/sampling_batch.hpp)
+//     "phases":   [ { phase, seconds, calls, items } ],
+//                 (v7: a view of sfi_perf's wall-mode run ledger — one row
+//                  per dispatch-lane span name, in order of first
+//                  appearance, summed by phase_rows() below: characterize,
+//                  calibrate, cdf_cache_load, dta_class, cdf_build,
+//                  cdf_cache_save, fault_sampling, trial_run, decode.
+//                  v6's event_sim_settle folded into dta_class and
+//                  aggregation into trial_run; decode counts priming only)
 //     "kernels":  [ { label, model, benchmark, freq_mhz, vdd, sigma_mv,
 //                     trials, fast_path,
 //                     scaling: [ { threads, seconds, trials_per_sec } ] } ],
@@ -24,18 +27,20 @@
 //                  v6: dropped scalar_ops_per_sec and batched_speedup —
 //                  the per-op scalar draw is now a test oracle only)
 //     "campaign":  { figure, seconds, trials_spent } | null,
-//     "metrics":  { counters: [ { name, value } ],
-//                   gauges:   [ { name, value } ] },
+//     "metrics":  { counters: [ { name, value } ] },
 //                 (v4: the obs::MetricsRegistry the report's campaign
 //                  sample accumulated into — named counters in sorted
-//                  order, so the block is deterministic for equal work)
+//                  order, so the block is deterministic for equal work;
+//                  v7: dropped "gauges", which nothing ever set)
 //     "wall_clock_s": ...
 //   }
 //
 // "kernels" carries the machine-dependent absolute throughputs (compared
 // against the checked-in baseline with a noise margin); "fast_path" is a
 // within-run ratio and therefore machine-independent — the regression
-// gate holds it to a hard floor.
+// gate holds it to a hard floor. The gate reads no phase row: their
+// calls/items are deterministic for equal flags and cache state, their
+// seconds are for humans.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +49,27 @@
 #include <string>
 #include <vector>
 
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "perf/perf.hpp"
 
 namespace sfi::perf {
 
-inline constexpr int kSchemaVersion = 6;
+inline constexpr int kSchemaVersion = 7;
+
+/// One "phases" row: every dispatch-lane span of one name, summed.
+/// `items` adds up the "items" argument of the spans' end events.
+struct PhaseRow {
+    std::string phase;
+    double seconds = 0.0;
+    std::uint64_t calls = 0;
+    std::uint64_t items = 0;
+};
+
+/// Sums the dispatch-lane (tid 0) B/E spans of `ledger` by name, in order
+/// of first appearance. Nested spans count toward their own rows only,
+/// so a parent's seconds include its children's. Throws
+/// std::runtime_error on an end event that closes no open span.
+std::vector<PhaseRow> phase_rows(const obs::LedgerFile& ledger);
 
 /// One (thread count, duration) sample of a kernel bench.
 struct ThreadSample {
@@ -102,12 +122,12 @@ struct PerfReport {
     std::size_t dta_cycles = 0;
     std::size_t trials = 0;
     std::string benchmark;
-    PhaseProfile phases;
+    std::vector<PhaseRow> phases;
     std::vector<KernelBench> kernels;
     FastPathResult fast_path;
     FaultSamplingResult fault_sampling;
     std::optional<CampaignSample> campaign;
-    /// Campaign counters/gauges (v4) — what the report's campaign sample
+    /// Campaign counters (v4) — what the report's campaign sample
     /// accumulated through obs::MetricsRegistry; empty when no campaign
     /// figure was run.
     obs::MetricsRegistry metrics;

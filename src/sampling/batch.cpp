@@ -10,23 +10,23 @@ void BatchedExecutor::run_batch(PointSummary& summary,
                                 const OperatingPoint& point,
                                 std::size_t count) {
     if (count == 0) return;
-    const bool wall = ledger_ != nullptr && !ledger_->logical();
+    obs::Ledger* const wall = obs::wall_ledger(runner_->ledger());
     const bool first_batch = summary.trials == 0;
     if (wall)
-        ledger_->begin("batch",
-                       {{"first_trial", summary.trials}, {"count", count}});
+        wall->begin("batch",
+                    {{"first_trial", summary.trials}, {"count", count}});
     const std::vector<TrialOutcome> outcomes =
         run_trial_block(*runner_, point, summary.trials, count, contexts_,
-                        wall ? ledger_ : nullptr);
+                        wall);
     accumulate_trials(summary, outcomes);
     if (metrics_ != nullptr) metrics_->add("run.batches");
     if ((wall || metrics_ != nullptr) && first_batch && !contexts_.empty() &&
         runner_->fast_path_active(*contexts_.front()->model, point)) {
         if (metrics_ != nullptr) metrics_->add("run.fastpath_points");
         if (wall)
-            ledger_->instant("fast_path", {{"freq_mhz", point.freq_mhz}});
+            wall->instant("fast_path", {{"freq_mhz", point.freq_mhz}});
     }
-    if (wall) ledger_->end("batch", {{"trials", summary.trials}});
+    if (wall) wall->end("batch", {{"trials", summary.trials}});
 }
 
 std::vector<TrialForensics> BatchedExecutor::run_forensics(

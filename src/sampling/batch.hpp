@@ -64,24 +64,19 @@ public:
 
     const MonteCarloRunner& runner() const { return *runner_; }
 
-    /// Attaches observability sinks (either may be null). Wall-mode
+    /// Attaches the registry that counts "run.batches" and
+    /// "run.fastpath_points" (volatile by the "run." naming convention);
+    /// null = no counting. Spans go to runner().ledger(): wall-mode
     /// ledgers get a "batch" span per run_batch call, per-worker "trials"
-    /// lanes (via run_trial_block) and a "fast_path" instant on points the
-    /// zero-fault fast path serves; logical-mode ledgers get nothing here
-    /// — batch structure is volatile (a warm rerun has no batches at
-    /// all). The registry counts "run.batches" / "run.fastpath_points",
-    /// volatile by the "run." naming convention.
-    void set_observer(obs::Ledger* ledger, obs::MetricsRegistry* metrics) {
-        ledger_ = ledger;
-        metrics_ = metrics;
-    }
-    obs::Ledger* ledger() const { return ledger_; }
-    obs::MetricsRegistry* metrics() const { return metrics_; }
+    /// lanes (via run_trial_block) and a "fast_path" instant on points
+    /// the zero-fault fast path serves; logical-mode ledgers get nothing
+    /// here — batch structure is volatile (a warm rerun has no batches at
+    /// all).
+    void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
 private:
     const MonteCarloRunner* runner_;
     std::vector<std::unique_ptr<TrialContext>> contexts_;
-    obs::Ledger* ledger_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
 };
 

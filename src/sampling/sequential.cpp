@@ -138,8 +138,7 @@ SequentialResult run_point_sequential(BatchedExecutor& executor,
     // Stopping-trajectory telemetry is wall-mode only: which batches ran
     // (and their half-width snapshots) is volatile — a warm rerun serves
     // the point from the store without batching at all.
-    obs::Ledger* ledger = executor.ledger();
-    if (ledger != nullptr && ledger->logical()) ledger = nullptr;
+    obs::Ledger* const ledger = obs::wall_ledger(executor.runner().ledger());
     const auto record_stop = [&](const char* decision) {
         if (ledger != nullptr)
             ledger->instant(

@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "circuits/alu.hpp"
-#include "perf/perf.hpp"
 #include "timing/event_sim.hpp"
 #include "timing/timing_lib.hpp"
 
 namespace sfi {
+
+namespace obs {
+class Ledger;
+}
 
 struct DtaConfig {
     std::size_t cycles = 8192;  ///< characterization kernel length (paper: 8 k)
@@ -45,17 +48,17 @@ struct DtaResult {
     double worst_arrival_ps = 0.0;  ///< max over classes
 };
 
-/// Characterizes every instruction class of `alu`. When `profile` is
-/// non-null it receives one Phase::DtaEval record per class (items =
-/// kernel cycles) and the aggregated Phase::EventSimSettle cost of the
-/// settle loop inside each class.
+/// Characterizes every instruction class of `alu`: one run_dta_class per
+/// class, each recording its span on `ledger`.
 DtaResult run_dta(const Alu& alu, const InstanceTiming& timing,
-                  const DtaConfig& config = {},
-                  perf::PhaseProfile* profile = nullptr);
+                  const DtaConfig& config = {}, obs::Ledger* ledger = nullptr);
 
 /// Characterizes a single class (used by tests and focused experiments).
+/// A wall-mode `ledger` gets a "dta_class" span {class, operand_bits}
+/// whose end carries items = kernel cycles and the simulated events;
+/// logical ledgers get nothing (obs::wall_ledger).
 DtaClassResult run_dta_class(const Alu& alu, const InstanceTiming& timing,
                              ExClass cls, const DtaConfig& config = {},
-                             perf::PhaseProfile* profile = nullptr);
+                             obs::Ledger* ledger = nullptr);
 
 }  // namespace sfi

@@ -161,6 +161,12 @@ TEST_F(ObsCampaignTest, LogicalLedgerIsByteStableAcrossThreadsAndWarmth) {
     const obs::LedgerFile file = obs::read_ledger(is);
     std::size_t points = 0, counters = 0;
     for (const obs::LedgerEvent& ev : file.events) {
+        // The instrumentation spans are wall-only: a warm and a cold CDF
+        // cache must read alike here.
+        for (const char* wall_only :
+             {"characterize", "calibrate", "cdf_cache_load", "dta_class",
+              "cdf_build", "cdf_cache_save", "decode", "trial_run"})
+            EXPECT_NE(ev.name, wall_only);
         if (ev.name == "point" && ev.ph == 'E') {
             ++points;
             EXPECT_FALSE(ev.arg_string("stop").empty());
@@ -211,6 +217,14 @@ TEST_F(ObsCampaignTest, WallLedgerRecordsTheVolatileStoryWithBalancedSpans) {
     EXPECT_EQ(names["i:run_stats"], 1u);
     EXPECT_GT(names["i:progress"], 0u);
     EXPECT_TRUE(saw_worker_lane);
+    // Where the dispatch thread's time went: the core's characterization
+    // (its CDFs come from the shared cache unless this process filled
+    // it), micro-op priming of the MC panel's worker contexts, and the
+    // op-stream panel's conditioned DTA inside its first point.
+    EXPECT_EQ(names["B:characterize"], 1u);
+    EXPECT_EQ(names["B:calibrate"], 1u);
+    EXPECT_EQ(names["B:decode"], 1u);
+    EXPECT_GE(names["B:dta_class"], 1u);
 
     // Warm rerun: hits instead of misses, and no batches at all.
     const std::ostringstream warm = traced_run("w", obs::TraceMode::Wall, 2);

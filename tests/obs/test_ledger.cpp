@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 
 namespace sfi::obs {
@@ -115,8 +118,7 @@ TEST(Ledger, LogicalEmitMetricsSkipsVolatileNames) {
     MetricsRegistry metrics;
     metrics.add("campaign.points", 4);
     metrics.add("run.store_hits", 9);
-    metrics.set_gauge("run.wall_s", 1.5);
-    metrics.set_gauge("panel.eta", 2.0);
+    metrics.add("panel.fig1.points", 7);
 
     std::ostringstream logical_os, wall_os;
     {
@@ -136,9 +138,9 @@ TEST(Ledger, LogicalEmitMetricsSkipsVolatileNames) {
     EXPECT_EQ(logical.events[0].name, "campaign.points");
     EXPECT_EQ(logical.events[0].ph, 'C');
     EXPECT_EQ(logical.events[0].arg_uint("value"), 4u);
-    EXPECT_EQ(logical.events[1].name, "panel.eta");
+    EXPECT_EQ(logical.events[1].name, "panel.fig1.points");
 
-    ASSERT_EQ(wall.events.size(), 4u);  // wall mode emits everything
+    ASSERT_EQ(wall.events.size(), 3u);  // wall mode emits everything
 }
 
 TEST(Ledger, LogicalStreamIsByteStableModuloHeader) {
@@ -174,6 +176,43 @@ TEST(Ledger, RejectsForeignStreams) {
 TEST(Ledger, FileConstructorThrowsOnUnwritablePath) {
     EXPECT_THROW(Ledger("/nonexistent-dir/x/ledger.jsonl", TraceMode::Wall),
                  std::runtime_error);
+}
+
+/// A sink that refuses every byte, like a full disk.
+class FailingBuf : public std::streambuf {
+protected:
+    int_type overflow(int_type) override { return traits_type::eof(); }
+    std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+// A ledger that cannot be written is never lost silently: flush() throws
+// and says which ledger failed, while the destructor still never throws.
+TEST(Ledger, FlushThrowsOnceTheStreamHasFailed) {
+    FailingBuf buf;
+    std::ostream os(&buf);
+    Ledger ledger(os, TraceMode::Wall);
+    ledger.begin("campaign");
+    try {
+        ledger.flush();
+        FAIL() << "flush() on a failed stream did not throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("<stream>"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Ledger, FlushNamesTheFileThatCannotBeWritten) {
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    Ledger ledger("/dev/full", TraceMode::Wall);
+    ledger.begin("campaign", {{"name", std::string(8192, 'x')}});
+    try {
+        ledger.flush();
+        FAIL() << "flush() to /dev/full did not throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Ledger, WallModeTimestampsAreMonotonic) {

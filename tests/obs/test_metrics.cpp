@@ -1,7 +1,7 @@
-// MetricsRegistry contract: counters merge by addition (associative and
-// commutative, the PhaseProfile discipline), gauges are last-writer-wins,
-// and the "run." naming convention separates volatile run telemetry from
-// the spec-pure counters the logical ledger may emit.
+// MetricsRegistry contract: counters accumulate from zero, the ordered
+// view is sorted (what makes ledger and BENCH_core.json emission
+// deterministic), and the "run." naming convention separates volatile run
+// telemetry from the spec-pure counters the logical ledger may emit.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -11,65 +11,12 @@ namespace {
 
 TEST(Metrics, CountersAccumulateAndDefaultToZero) {
     MetricsRegistry m;
-    EXPECT_TRUE(m.empty());
+    EXPECT_TRUE(m.counters().empty());
     EXPECT_EQ(m.counter("campaign.points"), 0u);
     m.add("campaign.points");
     m.add("campaign.points", 4);
     EXPECT_EQ(m.counter("campaign.points"), 5u);
-    EXPECT_FALSE(m.empty());
-}
-
-TEST(Metrics, GaugesAreLastWriterWins) {
-    MetricsRegistry m;
-    EXPECT_EQ(m.gauge("eta"), 0.0);
-    m.set_gauge("eta", 12.5);
-    m.set_gauge("eta", 3.25);
-    EXPECT_EQ(m.gauge("eta"), 3.25);
-}
-
-MetricsRegistry reg(std::uint64_t a, std::uint64_t b, double g) {
-    MetricsRegistry m;
-    if (a > 0) m.add("alpha", a);
-    if (b > 0) m.add("beta", b);
-    m.set_gauge("g", g);
-    return m;
-}
-
-TEST(Metrics, MergeIsAssociative) {
-    const MetricsRegistry a = reg(1, 0, 1.0);
-    const MetricsRegistry b = reg(2, 5, 2.0);
-    const MetricsRegistry c = reg(4, 0, 3.0);
-
-    MetricsRegistry left = a;   // (a + b) + c
-    left.merge(b);
-    left.merge(c);
-    MetricsRegistry bc = b;     // a + (b + c)
-    bc.merge(c);
-    MetricsRegistry right = a;
-    right.merge(bc);
-
-    EXPECT_EQ(left.counters(), right.counters());
-    EXPECT_EQ(left.gauges(), right.gauges());
-    EXPECT_EQ(left.counter("alpha"), 7u);
-    EXPECT_EQ(left.counter("beta"), 5u);
-    EXPECT_EQ(left.gauge("g"), 3.0);  // last writer in merge order
-}
-
-TEST(Metrics, CounterMergeIsCommutative) {
-    const MetricsRegistry a = reg(3, 1, 0.0);
-    const MetricsRegistry b = reg(9, 2, 0.0);
-    MetricsRegistry ab = a;
-    ab.merge(b);
-    MetricsRegistry ba = b;
-    ba.merge(a);
-    EXPECT_EQ(ab.counters(), ba.counters());
-}
-
-TEST(Metrics, ClearEmpties) {
-    MetricsRegistry m = reg(1, 2, 3.0);
-    m.clear();
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.counter("alpha"), 0u);
+    EXPECT_EQ(m.counters().size(), 1u);
 }
 
 TEST(Metrics, VolatileNamingConvention) {

@@ -1,8 +1,9 @@
-// Contracts of the perf instrumentation subsystem (src/perf/):
+// Contracts of the perf reporting subsystem (src/perf/):
 //  * Stopwatch is monotonic (steady clock, never negative, never
 //    decreasing);
-//  * PhaseProfile counters are deterministic and merge exactly — the
-//    counter columns of BENCH_core.json must not depend on scheduling;
+//  * phase_rows() sums a ledger's dispatch-lane spans by name — the
+//    BENCH_core.json phase rows are a view of the run ledger, so their
+//    calls/items columns are exactly the ledger's;
 //  * the JSON emitter is stable (same input -> identical bytes) and
 //    produces well-formed JSON: a minimal recursive-descent parser here
 //    round-trips a full PerfReport and checks the schema keys.
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/ledger.hpp"
 #include "perf/json_writer.hpp"
 #include "perf/perf.hpp"
 #include "perf/report.hpp"
@@ -28,7 +30,7 @@ namespace sfi::perf {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Stopwatch / ScopedPhaseTimer
+// Stopwatch
 // ---------------------------------------------------------------------------
 
 TEST(Stopwatch, Monotonic) {
@@ -57,73 +59,80 @@ TEST(Stopwatch, RestartRearms) {
     EXPECT_GE(restarted, 0.0);
 }
 
-TEST(ScopedPhaseTimer, ChargesPhaseOnDestruction) {
-    PhaseProfile profile;
+// ---------------------------------------------------------------------------
+// phase_rows: BENCH_core.json's phases as a view of the run ledger
+// ---------------------------------------------------------------------------
+
+obs::LedgerEvent event(char ph, std::string name, double ts_us,
+                       std::uint64_t tid = 0, std::string items = "") {
+    obs::LedgerEvent ev;
+    ev.ph = ph;
+    ev.name = std::move(name);
+    ev.ts_us = ts_us;
+    ev.tid = tid;
+    if (!items.empty()) ev.args.emplace_back("items", std::move(items));
+    return ev;
+}
+
+TEST(PhaseRows, SumsDispatchLaneSpansByNameInFirstAppearanceOrder) {
+    obs::LedgerFile ledger;
+    ledger.events = {
+        event('B', "characterize", 0.0),
+        event('B', "dta_class", 10.0),
+        event('E', "dta_class", 1010.0, 0, "1024"),
+        event('B', "dta_class", 1010.0),
+        event('E', "dta_class", 3010.0, 0, "1024"),
+        event('E', "characterize", 4000.0),
+        event('B', "trial_run", 5000.0),
+        event('i', "fast_path", 5100.0),
+        event('B', "decode", 5200.0),
+        event('E', "decode", 5300.0, 0, "660"),
+        // Worker lanes run beside the dispatch thread: not a phase.
+        event('X', "trials", 5300.0, 1, "8"),
+        event('E', "trial_run", 9000.0, 0, "8"),
+    };
+    const std::vector<PhaseRow> rows = phase_rows(ledger);
+    ASSERT_EQ(rows.size(), 4u);
+    EXPECT_EQ(rows[0].phase, "characterize");
+    EXPECT_EQ(rows[0].calls, 1u);
+    EXPECT_EQ(rows[0].items, 0u);
+    EXPECT_DOUBLE_EQ(rows[0].seconds, 4000e-6);  // includes its children
+    EXPECT_EQ(rows[1].phase, "dta_class");
+    EXPECT_EQ(rows[1].calls, 2u);
+    EXPECT_EQ(rows[1].items, 2048u);
+    EXPECT_DOUBLE_EQ(rows[1].seconds, 3000e-6);
+    EXPECT_EQ(rows[2].phase, "trial_run");
+    EXPECT_EQ(rows[2].items, 8u);
+    EXPECT_EQ(rows[3].phase, "decode");
+    EXPECT_EQ(rows[3].items, 660u);
+    EXPECT_DOUBLE_EQ(rows[3].seconds, 100e-6);
+}
+
+TEST(PhaseRows, ReadsALedgerAsWritten) {
+    std::stringstream text;
     {
-        ScopedPhaseTimer timer(&profile, Phase::TrialRun, 42);
+        obs::Ledger ledger(text, obs::TraceMode::Wall);
+        for (int i = 0; i < 3; ++i) {
+            ledger.begin("fault_sampling");
+            ledger.end("fault_sampling", {{"items", std::uint64_t{1000}}});
+        }
+        ledger.flush();
     }
-    EXPECT_EQ(profile.stats(Phase::TrialRun).calls, 1u);
-    EXPECT_EQ(profile.stats(Phase::TrialRun).items, 42u);
-    EXPECT_GE(profile.stats(Phase::TrialRun).seconds, 0.0);
-    EXPECT_EQ(profile.stats(Phase::Aggregation).calls, 0u);
+    const std::vector<PhaseRow> rows = phase_rows(obs::read_ledger(text));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].phase, "fault_sampling");
+    EXPECT_EQ(rows[0].calls, 3u);
+    EXPECT_EQ(rows[0].items, 3000u);
+    EXPECT_GE(rows[0].seconds, 0.0);
 }
 
-TEST(ScopedPhaseTimer, NullProfileIsNoOp) {
-    ScopedPhaseTimer timer(nullptr, Phase::DtaEval, 7);  // must not crash
-}
-
-// ---------------------------------------------------------------------------
-// PhaseProfile determinism
-// ---------------------------------------------------------------------------
-
-TEST(PhaseProfile, CountersAccumulateExactly) {
-    PhaseProfile profile;
-    for (std::uint64_t i = 0; i < 100; ++i)
-        profile.add(Phase::FaultSampling, 0.001, i);
-    EXPECT_EQ(profile.stats(Phase::FaultSampling).calls, 100u);
-    EXPECT_EQ(profile.stats(Phase::FaultSampling).items, 99u * 100u / 2u);
-}
-
-// The supported concurrent pattern: one profile per worker, merged on the
-// dispatch thread. The merged counter columns must equal a serial run's
-// regardless of how the threads interleaved.
-TEST(PhaseProfile, PerWorkerMergeIsDeterministicAcrossThreads) {
-    constexpr std::size_t kWorkers = 8;
-    constexpr std::uint64_t kAddsPerWorker = 1000;
-
-    std::vector<PhaseProfile> profiles(kWorkers);
-    std::vector<std::thread> pool;
-    for (std::size_t w = 0; w < kWorkers; ++w)
-        pool.emplace_back([&profiles, w] {
-            for (std::uint64_t i = 0; i < kAddsPerWorker; ++i)
-                profiles[w].add(Phase::TrialRun, 1e-9, /*items=*/3);
-        });
-    for (std::thread& t : pool) t.join();
-
-    PhaseProfile merged;
-    for (const PhaseProfile& p : profiles) merged.merge(p);
-
-    PhaseProfile serial;
-    for (std::size_t w = 0; w < kWorkers; ++w)
-        for (std::uint64_t i = 0; i < kAddsPerWorker; ++i)
-            serial.add(Phase::TrialRun, 1e-9, 3);
-
-    EXPECT_EQ(merged.stats(Phase::TrialRun).calls,
-              serial.stats(Phase::TrialRun).calls);
-    EXPECT_EQ(merged.stats(Phase::TrialRun).items,
-              serial.stats(Phase::TrialRun).items);
-}
-
-TEST(PhaseProfile, PhaseNamesAreStableIdentifiers) {
-    EXPECT_STREQ(phase_name(Phase::DtaEval), "dta_eval");
-    EXPECT_STREQ(phase_name(Phase::EventSimSettle), "event_sim_settle");
-    EXPECT_STREQ(phase_name(Phase::FaultSampling), "fault_sampling");
-    EXPECT_STREQ(phase_name(Phase::Decode), "decode");
-    EXPECT_STREQ(phase_name(Phase::TrialRun), "trial_run");
-    EXPECT_STREQ(phase_name(Phase::Aggregation), "aggregation");
-    EXPECT_STREQ(phase_name(Phase::FaultSamplingBatch),
-                 "fault_sampling_batch");
-    EXPECT_STREQ(phase_name(Phase::Forensics), "forensics");
+TEST(PhaseRows, RejectsAnEndWithoutItsBegin) {
+    obs::LedgerFile ledger;
+    ledger.events = {event('B', "characterize", 0.0),
+                     event('E', "calibrate", 1.0)};
+    EXPECT_THROW(phase_rows(ledger), std::runtime_error);
+    ledger.events = {event('E', "decode", 1.0)};
+    EXPECT_THROW(phase_rows(ledger), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,10 +333,9 @@ PerfReport make_report() {
     report.dta_cycles = 1024;
     report.trials = 256;
     report.benchmark = "median";
-    report.phases.add(Phase::DtaEval, 1.25, 10240);
-    report.phases.add(Phase::EventSimSettle, 1.125, 10240);
-    report.phases.add(Phase::Decode, 0.0625, 512);
-    report.phases.add(Phase::TrialRun, 0.5, 2560);
+    report.phases = {{"dta_class", 1.25, 10, 10240},
+                     {"trial_run", 0.5, 10, 2560},
+                     {"decode", 0.0625, 4, 512}};
     KernelBench kernel;
     kernel.label = "fig1-modelB-fault";
     kernel.model = "B";
@@ -346,7 +354,6 @@ PerfReport make_report() {
     report.metrics.add("campaign.points", 33);
     report.metrics.add("campaign.trials_spent", 330);
     report.metrics.add("run.store_misses", 33);
-    report.metrics.set_gauge("example.gauge", 2.5);
     report.wall_clock_s = 5.75;
     return report;
 }
@@ -367,8 +374,7 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
 
     // Top-level schema: exact keys in exact order (the stability contract
     // scripts/check_perf_regression.py and artifact diffs rely on).
-    // Schema v4 inserted "metrics" (campaign counters/gauges) before
-    // "campaign".
+    // Schema v4 inserted "metrics" (campaign counters) before "campaign".
     const std::vector<std::string> expected_keys = {
         "schema",    "schema_version", "config",  "phases",
         "kernels",   "fast_path",      "fault_sampling",
@@ -380,29 +386,28 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
     EXPECT_EQ(doc->at("config").at("seed").number, 7.0);
     EXPECT_EQ(doc->at("config").at("benchmark").string, "median");
     // Schema v5 dropped v2's "dispatch" from the config block: the ISS
-    // has one execution engine. v6 dropped the scalar sampling column
-    // (scripts/perf_baseline.json pins v6).
-    EXPECT_EQ(kSchemaVersion, 6);
+    // has one execution engine. v6 dropped the scalar sampling column; v7
+    // made the phases a view of the run ledger and dropped the gauges
+    // (scripts/perf_baseline.json pins v7).
+    EXPECT_EQ(kSchemaVersion, 7);
     const std::vector<std::string> config_keys = {"seed", "dta_cycles",
                                                   "trials", "benchmark"};
     EXPECT_EQ(doc->at("config").object_key_order, config_keys);
 
-    // One phase row per taxonomy entry, in enum order, values preserved —
-    // except "forensics", which is emitted only when it ran (calls > 0):
-    // make_report never touches it, so exactly kPhaseCount - 1 rows here.
-    // Schema v2 inserted "decode" (micro-op lowering) before "trial_run".
+    // Schema v7: the rows as given (phase_rows' first-appearance order),
+    // named after ledger spans, values preserved.
     const auto& phases = doc->at("phases").array;
-    ASSERT_EQ(phases.size(), kPhaseCount - 1);
-    EXPECT_EQ(phases[0]->at("phase").string, "dta_eval");
+    ASSERT_EQ(phases.size(), 3u);
+    const std::vector<std::string> row_keys = {"phase", "seconds", "calls",
+                                               "items"};
+    EXPECT_EQ(phases[0]->object_key_order, row_keys);
+    EXPECT_EQ(phases[0]->at("phase").string, "dta_class");
     EXPECT_DOUBLE_EQ(phases[0]->at("seconds").number, 1.25);
+    EXPECT_EQ(phases[0]->at("calls").number, 10.0);
     EXPECT_EQ(phases[0]->at("items").number, 10240.0);
-    EXPECT_EQ(phases[3]->at("phase").string, "decode");
-    EXPECT_EQ(phases[3]->at("items").number, 512.0);
-    EXPECT_EQ(phases[4]->at("phase").string, "trial_run");
-    EXPECT_EQ(phases[5]->at("phase").string, "aggregation");
-    EXPECT_EQ(phases[5]->at("calls").number, 0.0);
-    // Schema v3 appended "fault_sampling_batch" (block-prefetched draws).
-    EXPECT_EQ(phases[6]->at("phase").string, "fault_sampling_batch");
+    EXPECT_EQ(phases[1]->at("phase").string, "trial_run");
+    EXPECT_EQ(phases[2]->at("phase").string, "decode");
+    EXPECT_EQ(phases[2]->at("items").number, 512.0);
 
     const auto& kernels = doc->at("kernels").array;
     ASSERT_EQ(kernels.size(), 1u);
@@ -429,32 +434,17 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
     EXPECT_EQ(doc->at("campaign").at("figure").string, "fig1");
     EXPECT_EQ(doc->at("campaign").at("trials_spent").number, 330.0);
 
-    // Schema v4: counters in sorted name order, gauges likewise.
+    // Schema v4: counters in sorted name order (v7: counters only).
+    const std::vector<std::string> metrics_keys = {"counters"};
+    EXPECT_EQ(doc->at("metrics").object_key_order, metrics_keys);
     const auto& counters = doc->at("metrics").at("counters").array;
     ASSERT_EQ(counters.size(), 3u);
     EXPECT_EQ(counters[0]->at("name").string, "campaign.points");
     EXPECT_EQ(counters[0]->at("value").number, 33.0);
     EXPECT_EQ(counters[1]->at("name").string, "campaign.trials_spent");
     EXPECT_EQ(counters[2]->at("name").string, "run.store_misses");
-    const auto& gauges = doc->at("metrics").at("gauges").array;
-    ASSERT_EQ(gauges.size(), 1u);
-    EXPECT_EQ(gauges[0]->at("name").string, "example.gauge");
-    EXPECT_DOUBLE_EQ(gauges[0]->at("value").number, 2.5);
 
     EXPECT_DOUBLE_EQ(doc->at("wall_clock_s").number, 5.75);
-}
-
-TEST(BenchCoreJson, ForensicsPhaseRowOnlyWhenRun) {
-    PerfReport report = make_report();
-    report.phases.add(Phase::Forensics, 0.25, 64);
-    std::ostringstream os;
-    write_bench_core_json(os, report);
-    const auto doc = JsonParser(os.str()).parse();
-    const auto& phases = doc->at("phases").array;
-    ASSERT_EQ(phases.size(), kPhaseCount);
-    EXPECT_EQ(phases[7]->at("phase").string, "forensics");
-    EXPECT_DOUBLE_EQ(phases[7]->at("seconds").number, 0.25);
-    EXPECT_EQ(phases[7]->at("items").number, 64.0);
 }
 
 TEST(BenchCoreJson, AbsentCampaignIsNull) {
