@@ -2,7 +2,8 @@
 //
 // Every bench accepts:
 //   --trials N       Monte-Carlo trials per data point (default varies)
-//   --threads N      MC worker threads per data point (default 0 = one per
+//   --threads N      worker threads for the MC trials of each data point
+//                    and for DTA characterization (default 0 = one per
 //                    hardware thread; results are bit-identical at any N)
 //   --dta-cycles N   DTA characterization kernel length (default 8192)
 //   --seed S         Monte-Carlo base seed
@@ -55,10 +56,10 @@
 // Flags outside this set (plus a bench's declared extras) produce a
 // warning on stderr but are still parsed — typos like `--trails` no
 // longer pass silently, while binaries that forward foreign flags keep
-// working. Negative --trials/--seed/--dta-cycles and non-finite or
-// non-positive --watchdog-factor/--ci-target are rejected with a clear
-// message instead of running a nonsense experiment (the same rationale
-// as Cli::get_threads's clamping).
+// working. Negative --trials/--seed/--dta-cycles, --dta-cycles 0 and
+// non-finite or non-positive --watchdog-factor/--ci-target are rejected
+// with a clear message instead of running a nonsense experiment (the
+// same rationale as Cli::get_threads's clamping).
 #pragma once
 
 #include <algorithm>
@@ -125,6 +126,11 @@ struct Context {
         sampling = parse_sampling_policy();
         core_config.dta.cycles =
             static_cast<std::size_t>(checked_uint("dta-cycles", 8192));
+        if (core_config.dta.cycles == 0) {
+            // An empty kernel characterizes a core that never faults.
+            std::cerr << "error: --dta-cycles must be positive\n";
+            std::exit(2);
+        }
         core_config.cdf_cache_path = cli.get("cache", "sfi_cdf_cache.bin");
         // No eager mkdir: the CSV sinks (CsvWriter, CampaignRunner)
         // create missing directories themselves, so pure-query
@@ -161,7 +167,7 @@ struct Context {
     /// Builds the characterized core (prints a one-line summary).
     CharacterizedCore make_core() const {
         const auto t0 = std::chrono::steady_clock::now();
-        CharacterizedCore core(core_config);
+        CharacterizedCore core(core_config, nullptr, threads);
         const double dt = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();

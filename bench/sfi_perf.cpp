@@ -3,9 +3,9 @@
 // in the stable schema of src/perf/report.hpp.
 //
 // What is measured:
-//   * characterization phases — calibration, per-class DTA, CDF build and
-//     cache I/O (DTA is skipped on a CDF-cache hit: delete the cache for a
-//     cold timing);
+//   * characterization phases — calibration, per-class DTA (its chunks on
+//     --threads workers), CDF build and cache I/O (DTA is skipped on a
+//     CDF-cache hit: delete the cache for a cold timing);
 //   * fault-sampling ops/sec — the models' corrupt() path in isolation;
 //   * trial-kernel throughput (trials/sec) for models A, B, B+ and C at
 //     fig. 1-style operating points, with per-thread scaling;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
 
     // Characterization (the DTA spans land in the ledger on a cache miss).
     perf::Stopwatch core_watch;
-    CharacterizedCore core(ctx.core_config, &phases);
+    CharacterizedCore core(ctx.core_config, &phases, ctx.threads);
     const double core_s = core_watch.seconds();
     std::printf("[core] %zu cells, f_STA(0.7 V) = %.1f MHz, DTA %zu "
                 "cycles/class, characterization %.1f s\n",

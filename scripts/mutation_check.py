@@ -17,10 +17,13 @@ mutated area, and give every new oracle or contract a mutant of its own.
 A mutant that survives marks a test gap to close; never drop the mutant
 instead.
 
-The test binaries share the CDF cache in /tmp (tests/testing/
-shared_core.hpp), so a mutant must not change what characterization
-writes: keep mutants to the sampling, fault-model, ISA, ISS, test-oracle,
-loader and instrumentation code.
+Most test binaries share the CDF cache in /tmp (tests/testing/
+shared_core.hpp). A mutant may change what characterization computes
+only if every test it lists builds its own core and never opens that
+cache: sfi_timing_test_dta, sfi_timing_test_event_sim,
+sfi_fi_test_cdf_cache (temp-dir caches) and the contracts (their own
+work directories). Every other mutant stays in the sampling,
+fault-model, ISA, ISS, test-oracle, loader and instrumentation code.
 
 Usage:
   scripts/mutation_check.py [--work-dir DIR] [--list]
@@ -59,8 +62,45 @@ DIFFERENTIAL = "sfi_cpu_test_differential"
 ENCODING = "sfi_isa_test_encoding"
 DECODE = "sfi_perf_test_decode_phase"
 TRACE_CONTRACT = "sfi_campaign_trace_contract"
+DTA = "sfi_timing_test_dta"
+EVENT_SIM = "sfi_timing_test_event_sim"
+CDF_CACHE = "sfi_fi_test_cdf_cache"
 
 MUTANTS = [
+    # --- The DTA kernel's pop order and its chunks (src/timing/). These
+    # change characterization, so they list only tests that build their
+    # own cores (see the module docstring).
+    {
+        "name": "event-heap-ties-to-left-child",
+        "file": "src/timing/event_sim.hpp",
+        "edits": [("child -= static_cast<std::size_t>(heap_[child] > "
+                   "heap_[child - 1]);",
+                   "child -= static_cast<std::size_t>(!(heap_[child - 1] > "
+                   "heap_[child]));")],
+        "tests": [DTA, EVENT_SIM],
+    },
+    {
+        "name": "dta-chunk-seeded-with-its-own-first-operands",
+        "file": "src/timing/dta.cpp",
+        "edits": [("""        sim.set_input("a", operands[first].a);
+        sim.set_input("b", operands[first].b);
+""", """        sim.set_input("a", operands[first + 1].a);
+        sim.set_input("b", operands[first + 1].b);
+""")],
+        "tests": [DTA],
+    },
+    {
+        # At one worker consecutive chunks need no initialize(): only the
+        # thread-count equivalence checks can see this one.
+        "name": "dta-worker-skips-initialize-between-chunks",
+        "file": "src/timing/dta.cpp",
+        "edits": [("        if (!slot) slot.emplace(",
+                   "        const bool fresh = !slot;\n"
+                   "        if (!slot) slot.emplace("),
+                  ("        sim.initialize();\n",
+                   "        if (fresh) sim.initialize();\n")],
+        "tests": [DTA, CDF_CACHE, TRACE_CONTRACT],
+    },
     # --- The batch's draw accounting and resync (src/fi/sampling_batch.cpp)
     {
         "name": "resync-no-fully-consumed-skip",

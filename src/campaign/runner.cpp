@@ -198,7 +198,8 @@ const CharacterizedCore& CampaignRunner::core() {
     if (it == cores_.end())
         it = cores_
                  .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  spec_.core, options_.ledger))
+                                  spec_.core, options_.ledger,
+                                  options_.threads))
                  .first;
     return *it->second;
 }
@@ -210,7 +211,8 @@ const CharacterizedCore& CampaignRunner::core_for(const PanelSpec& panel) {
     if (it == cores_.end())
         it = cores_
                  .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  *panel.core_override, options_.ledger))
+                                  *panel.core_override, options_.ledger,
+                                  options_.threads))
                  .first;
     return *it->second;
 }
@@ -252,7 +254,8 @@ std::shared_ptr<const TimingErrorCdfs> CampaignRunner::conditioned_store(
     result.setup_ps = panel_core.timing().setup_ps();
     result.cycles = dta.cycles;
     result.classes = {run_dta_class(panel_core.alu(), panel_core.timing(),
-                                    panel.kernel.cls, dta, options_.ledger)};
+                                    panel.kernel.cls, dta, options_.ledger,
+                                    options_.threads)};
     result.worst_arrival_ps = result.classes[0].max_arrival_ps;
     auto store =
         std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(result));

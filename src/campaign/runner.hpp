@@ -53,8 +53,10 @@ struct RunOptions {
     /// Manifest JSON path; empty = `<csv_dir>/<campaign>_manifest.json`
     /// when csv_dir is set, else no manifest.
     std::string manifest_path;
-    /// MC worker threads per point (McConfig::threads semantics: 0 = one
-    /// per hardware thread, 1 = serial; bit-identical at any value).
+    /// Worker threads (McConfig::threads semantics: 0 = one per hardware
+    /// thread, 1 = serial; bit-identical at any value): the MC trials of
+    /// each point, and the DTA chunks of every core this runner
+    /// characterizes and of fig4's operand-conditioned stores.
     std::size_t threads = 1;
     /// Console report; null = quiet. Each completed panel prints its
     /// title and table: frequency panels add the PoFF line, voltage

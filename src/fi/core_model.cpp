@@ -83,7 +83,7 @@ void write_cache(const std::string& path, std::uint64_t fingerprint,
 }  // namespace
 
 CharacterizedCore::CharacterizedCore(CoreModelConfig config,
-                                     obs::Ledger* ledger)
+                                     obs::Ledger* ledger, std::size_t threads)
     : config_(std::move(config)),
       alu_(build_alu(config_.alu)),
       lib_(config_.lib),
@@ -116,7 +116,7 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
         if (wall) wall->end("cdf_cache_load");
     }
     if (!loaded) {
-        const DtaResult dta = run_dta(alu_, timing_, config_.dta, wall);
+        const DtaResult dta = run_dta(alu_, timing_, config_.dta, wall, threads);
         if (wall) wall->begin("cdf_build");
         cdfs_ = std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(dta));
         if (wall) wall->end("cdf_build");

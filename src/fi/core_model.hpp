@@ -56,9 +56,13 @@ public:
     /// STA), "cdf_cache_load" (when the cache file exists) and, when the
     /// cache misses, the ten "dta_class" spans, "cdf_build" and
     /// "cdf_cache_save". Logical ledgers get nothing: a warm and a cold
-    /// cache must read alike there.
+    /// cache must read alike there. A cache miss characterizes each
+    /// class on `threads` workers (run_dta_class; 0 = one per hardware
+    /// thread). The thread count never changes the result, so it is not
+    /// part of the fingerprint.
     explicit CharacterizedCore(CoreModelConfig config = {},
-                               obs::Ledger* ledger = nullptr);
+                               obs::Ledger* ledger = nullptr,
+                               std::size_t threads = 1);
 
     const Alu& alu() const { return alu_; }
     const TimingLib& lib() const { return lib_; }

@@ -1,7 +1,8 @@
 // Parallel Monte-Carlo trial engine: fans the trials of one operating
-// point out over a chunked, self-scheduling worker pool while keeping the
-// aggregate bit-identical to the serial loop (ROADMAP: scale "as fast as
-// the hardware allows" without changing the statistical output).
+// point out over the self-scheduling pool of util/parallel.hpp
+// (for_each_trial) while keeping the aggregate bit-identical to the
+// serial loop (ROADMAP: scale "as fast as the hardware allows" without
+// changing the statistical output).
 //
 // Determinism contract (verified by tests/mc/test_parallel.cpp):
 //  * every trial derives its RNG stream from (McConfig::seed, trial index)
@@ -17,21 +18,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "mc/montecarlo.hpp"
+#include "util/parallel.hpp"
 
 namespace sfi::obs {
 class Ledger;
 }
 
 namespace sfi {
-
-/// Resolves a requested worker count: 0 = one per hardware thread
-/// (at least 1), anything else is taken literally.
-std::size_t resolve_thread_count(std::size_t requested);
 
 /// Per-worker execution state: own memory image, own ISS bound to it, and
 /// an own clone of the prototype fault model. Contexts are built on the
@@ -44,22 +41,6 @@ struct TrialContext {
     std::unique_ptr<FaultModel> model;
     Cpu cpu;  // bound to `memory`; declared after it (init order)
 };
-
-/// Chunked self-scheduling parallel-for over trial indices [0, trials):
-/// `threads` workers (the calling thread is one of them) atomically grab
-/// `chunk` consecutive indices at a time from a shared counter — dynamic
-/// load balancing without per-trial locking, which matters because trial
-/// cost varies by ~an order of magnitude (watchdog runs are
-/// `watchdog_factor`× longer than clean runs). Calls fn(worker, trial)
-/// at most once per index (exactly once when no worker throws); each
-/// worker index is used by one thread only. The first exception thrown by
-/// any worker is rethrown after all workers stopped; a failure flag makes
-/// the surviving workers quit at their next chunk boundary instead of
-/// finishing work whose results will be discarded.
-void for_each_trial(std::size_t trials, std::size_t threads,
-                    std::size_t chunk,
-                    const std::function<void(std::size_t worker,
-                                             std::uint64_t trial)>& fn);
 
 /// Runs runner.config().trials independent trials at `point` across
 /// `threads` worker contexts and returns the outcomes indexed by trial —

@@ -60,6 +60,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/fingerprint.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -7,8 +7,15 @@
 // for the timing-error-probability CDFs of fault model C:
 //     P_{E,V,I}(f) = v_f / n_I
 // with v_f the number of cycles whose arrival (+ setup) exceeds 1/f.
+//
+// The kernel runs in chunks of kDtaChunkCycles cycles, each on a worker of
+// util/parallel.hpp. A chunk starts with EventSim::initialize() on the
+// operands of the cycle before it, which puts the simulator in exactly the
+// state the previous cycle's settle() left, so the chunks reproduce the
+// serial kernel bit for bit at any thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +28,10 @@ namespace sfi {
 namespace obs {
 class Ledger;
 }
+
+/// Cycles per characterization chunk. Not a knob: chunking never changes
+/// a result, and the constant only sets the unit of parallel work.
+inline constexpr std::size_t kDtaChunkCycles = 128;
 
 struct DtaConfig {
     std::size_t cycles = 8192;  ///< characterization kernel length (paper: 8 k)
@@ -49,16 +60,28 @@ struct DtaResult {
 };
 
 /// Characterizes every instruction class of `alu`: one run_dta_class per
-/// class, each recording its span on `ledger`.
+/// class, each recording its span on `ledger` and running its chunks on
+/// `threads` workers.
 DtaResult run_dta(const Alu& alu, const InstanceTiming& timing,
-                  const DtaConfig& config = {}, obs::Ledger* ledger = nullptr);
+                  const DtaConfig& config = {}, obs::Ledger* ledger = nullptr,
+                  std::size_t threads = 1);
 
-/// Characterizes a single class (used by tests and focused experiments).
+/// Characterizes a single class. The operands are drawn up front in the
+/// serial kernel's order; the cycles then run in kDtaChunkCycles chunks
+/// on `threads` workers (0 = one per hardware thread; the calling thread
+/// is one of them, and with one worker the chunks run in order). The
+/// result is identical at every thread count: arrivals are stored by
+/// cycle, events summed and maxima taken over the chunks.
+///
 /// A wall-mode `ledger` gets a "dta_class" span {class, operand_bits}
-/// whose end carries items = kernel cycles and the simulated events;
-/// logical ledgers get nothing (obs::wall_ledger).
+/// on the calling thread, closed after the workers joined, whose end
+/// carries items = kernel cycles and the simulated events; logical
+/// ledgers get nothing (obs::wall_ledger). Workers never touch the
+/// ledger. Throws std::invalid_argument when config.cycles is 0: an empty
+/// kernel would yield a class that never faults.
 DtaClassResult run_dta_class(const Alu& alu, const InstanceTiming& timing,
                              ExClass cls, const DtaConfig& config = {},
-                             obs::Ledger* ledger = nullptr);
+                             obs::Ledger* ledger = nullptr,
+                             std::size_t threads = 1);
 
 }  // namespace sfi

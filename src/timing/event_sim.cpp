@@ -14,15 +14,23 @@ EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
                    std::string watch_bus, EventSimConfig config)
     : netlist_(&netlist), fixed_inputs_(std::move(fixed_inputs)) {
     const std::size_t count = netlist.cell_count();
-    value_.assign(count, 0);
+    const NetId zero_net = static_cast<NetId>(count);
+    value_.assign(count + 1, 0);
     pending_valid_.assign(count, 0);
     pending_value_.assign(count, 0);
     seq_.assign(count, 0);
-    rise_fs_.resize(count);
-    fall_fs_.resize(count);
+    gates_.resize(count);
     for (NetId id = 0; id < count; ++id) {
-        rise_fs_[id] = std::llround(timing.rise_ps(id) * 1000.0);
-        fall_fs_[id] = std::llround(timing.fall_ps(id) * 1000.0);
+        const Cell& cell = netlist.cell(id);
+        Gate& gate = gates_[id];
+        for (std::size_t pin = 0; pin < 3; ++pin)
+            gate.fanin[pin] = cell.fanin[pin] == kNoNet ? zero_net : cell.fanin[pin];
+        gate.truth = 0;
+        for (unsigned index = 0; index < 8; ++index)
+            if (cell_eval(cell.type, index & 1u, index & 2u, index & 4u))
+                gate.truth |= static_cast<std::uint8_t>(1u << index);
+        gate.rise_fs = std::llround(timing.rise_ps(id) * 1000.0);
+        gate.fall_fs = std::llround(timing.fall_ps(id) * 1000.0);
     }
     clk_to_q_fs_ = std::llround(
         (config.clk_to_q_ps < 0.0 ? timing.clk_to_q_ps() : config.clk_to_q_ps) *
@@ -39,7 +47,7 @@ EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
     // (cancelled entries linger until popped, so the true peak can exceed
     // it); reserving that much up front makes settle() growth-free in the
     // common case.
-    heap_.reserve(active_cells_ + 1);
+    queue_.reserve(active_cells_ + 1);
 
     // CSR fanout adjacency restricted to active sinks.
     std::vector<std::uint32_t> degree(count, 0);
@@ -83,18 +91,10 @@ void EventSim::set_input(const std::string& bus, std::uint64_t value) {
     it->second.second = value;
 }
 
-bool EventSim::eval_cell(NetId id) const {
-    const Cell& cell = netlist_->cell(id);
-    const bool a = cell.fanin[0] != kNoNet && value_[cell.fanin[0]];
-    const bool b = cell.fanin[1] != kNoNet && value_[cell.fanin[1]];
-    const bool c = cell.fanin[2] != kNoNet && value_[cell.fanin[2]];
-    return cell_eval(cell.type, a, b, c);
-}
-
 void EventSim::initialize() {
     // Re-establish the steady state in the persistent value buffer — no
-    // per-call allocation, so re-initializing a simulator (DTA warm
-    // restarts, multi-seed characterization) reuses the settle buffers.
+    // per-call allocation, so re-initializing a simulator (every DTA
+    // chunk) reuses the settle buffers. The 0 net past the cells stays 0.
     std::fill(value_.begin(), value_.end(), 0);
     for (const auto& [bus, value] : fixed_inputs_) {
         const auto& nets = netlist_->input_bus(bus);
@@ -108,7 +108,7 @@ void EventSim::initialize() {
     }
     netlist_->eval_into(value_);
     std::fill(pending_valid_.begin(), pending_valid_.end(), 0);
-    heap_.clear();
+    queue_.clear();
     initialized_ = true;
 }
 
@@ -117,31 +117,29 @@ void EventSim::schedule_input_change(NetId net, bool value) {
     ++seq_[net];
     pending_valid_[net] = 1;
     pending_value_[net] = value;
-    heap_.push_back(Event{clk_to_q_fs_, net, static_cast<std::uint8_t>(value),
-                          seq_[net]});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    queue_.push({clk_to_q_fs_, net, seq_[net]});
 }
 
 void EventSim::propagate(NetId net, std::int64_t now_fs) {
     for (std::uint32_t e = fanout_offset_[net]; e < fanout_offset_[net + 1]; ++e) {
-        const NetId gate = fanout_edges_[e];
-        const bool target = eval_cell(gate);
+        const NetId id = fanout_edges_[e];
+        const Gate& gate = gates_[id];
+        const unsigned index = value_[gate.fanin[0]] |
+                               value_[gate.fanin[1]] << 1 |
+                               value_[gate.fanin[2]] << 2;
+        const std::uint8_t target = (gate.truth >> index) & 1u;
         const std::uint8_t effective =
-            pending_valid_[gate] ? pending_value_[gate] : value_[gate];
-        if (static_cast<std::uint8_t>(target) == effective) continue;
-        if (static_cast<std::uint8_t>(target) == value_[gate]) {
+            pending_valid_[id] ? pending_value_[id] : value_[id];
+        if (target == effective) continue;
+        ++seq_[id];
+        if (target == value_[id]) {
             // Inertial cancellation: the pending pulse never happens.
-            ++seq_[gate];
-            pending_valid_[gate] = 0;
+            pending_valid_[id] = 0;
             continue;
         }
-        ++seq_[gate];
-        pending_valid_[gate] = 1;
-        pending_value_[gate] = target;
-        const std::int64_t delay = target ? rise_fs_[gate] : fall_fs_[gate];
-        heap_.push_back(Event{now_fs + delay, gate,
-                              static_cast<std::uint8_t>(target), seq_[gate]});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        pending_valid_[id] = 1;
+        pending_value_[id] = target;
+        queue_.push({now_fs + (target ? gate.rise_fs : gate.fall_fs), id, seq_[id]});
     }
 }
 
@@ -154,14 +152,13 @@ const std::vector<double>& EventSim::settle() {
             if (nets[bit] != kNoNet)
                 schedule_input_change(nets[bit], (value >> bit) & 1u);
     }
-    while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        const Event ev = heap_.back();
-        heap_.pop_back();
+    while (!queue_.empty()) {
+        const EventQueue::Event ev = queue_.pop();
         if (ev.seq != seq_[ev.net]) continue;  // cancelled
         pending_valid_[ev.net] = 0;
-        if (value_[ev.net] == ev.value) continue;
-        value_[ev.net] = ev.value;
+        const std::uint8_t value = pending_value_[ev.net];
+        if (value_[ev.net] == value) continue;
+        value_[ev.net] = value;
         ++total_events_;
         const std::int32_t w = watch_index_[ev.net];
         if (w >= 0)

@@ -4,7 +4,9 @@
 #   1. the warm run is served entirely from the point store (0 misses),
 #   2. it rewrites the cold run's CSVs and manifests byte for byte (the
 #      manifest's volatile "run" line excepted), and
-#   3. both runs print every panel title that `sfi_campaign --list` names.
+#   3. both runs print every panel title that `sfi_campaign --list` names;
+#   4. `--dta-cycles 0` exits 2 with a diagnostic instead of characterizing
+#      a core that never faults.
 # Runs under ctest (label "contract"); by hand:
 #
 #   cmake -DSFI_CAMPAIGN=build/sfi_campaign -DWORK_DIR=/tmp/contract \
@@ -113,6 +115,20 @@ endwhile()
 if(titles EQUAL 0)
     message(FATAL_ERROR "sfi_campaign --list named no panels:\n${listing}")
 endif()
+# 4. An empty DTA kernel is a usage error.
+execute_process(
+    COMMAND "${SFI_CAMPAIGN}" --figures fig4 --dta-cycles 0 --trials 2
+            --no-store --no-csv --quiet --cache zero_cycles_cache.bin
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE code
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+if(NOT code EQUAL 2 OR NOT err MATCHES "--dta-cycles must be positive" OR
+   EXISTS "${WORK_DIR}/zero_cycles_cache.bin")
+    message(FATAL_ERROR "--dta-cycles 0 exited ${code} (expected 2 and "
+                        "no cache file):\n${err}")
+endif()
+
 list(LENGTH cold_files artifacts)
 message(STATUS "campaign contract: ${warm_hits} warm hits, ${artifacts} "
                "identical artifacts, ${titles} panel titles")

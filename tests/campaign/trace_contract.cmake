@@ -10,7 +10,10 @@
 #      sfi_trace's store line equals the driver's `store:` totals summed
 #      over both campaigns, every "dta_class" span closes inside a
 #      "characterize" or "point" span (both kinds occur), and the Chrome
-#      export passes scripts/check_trace.py;
+#      export passes scripts/check_trace.py; its CDF cache and artifacts
+#      (fig4's operand-conditioned DTA included) are byte-identical to the
+#      --threads 1 empty-cache run's, so characterization is
+#      thread-count-free;
 #   4. a ledger that cannot be written (--trace /dev/full) fails the run.
 # Runs under ctest (label "contract"); by hand:
 #
@@ -121,6 +124,14 @@ compare_artifacts(csv_t8 csv_plain)
 # 3. A two-campaign wall run from an empty cache.
 run_tool(wall_out ${campaign} --threads 4 --cache wall_cache.bin
          --store store_wall.bin --csv-dir csv_wall --trace wall.jsonl)
+file(READ "${WORK_DIR}/logical_cache.bin" cache_t1 HEX)
+file(READ "${WORK_DIR}/wall_cache.bin" cache_t4 HEX)
+if(cache_t1 STREQUAL "" OR NOT cache_t1 STREQUAL cache_t4)
+    message(FATAL_ERROR "the CDF cache characterized at --threads 4 "
+                        "(wall_cache.bin) differs from the one at "
+                        "--threads 1 (logical_cache.bin)")
+endif()
+compare_artifacts(csv_t1 csv_wall)
 driver_store(driver_totals "${wall_out}")
 run_tool(summary ${SFI_TRACE} wall.jsonl)
 if(NOT summary MATCHES "\nstore +([0-9]+) hits / ([0-9]+) misses")
@@ -196,5 +207,6 @@ if(EXISTS /dev/full)
 endif()
 
 message(STATUS "trace contract: logical ledgers identical (empty cache, "
-               "threads 8, warm store); store ${driver_totals} hits/misses "
+               "threads 8, warm store); CDF cache and artifacts identical "
+               "at threads 1 and 4; store ${driver_totals} hits/misses "
                "agree; ${in_characterize} + ${in_point} dta_class spans nest")

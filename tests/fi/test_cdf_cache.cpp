@@ -1,9 +1,10 @@
 // CDF cache round-trip of CharacterizedCore (see docs/ARCHITECTURE.md):
 // a second construction with the same configuration and cache path must
 // load the cached store instead of re-running DTA; a configuration
-// change or a corrupt payload must fall back to recharacterization; and a
-// rewrite replaces the file whole, so a reader that opened it earlier
-// still reads the complete old file.
+// change or a corrupt payload must fall back to recharacterization; the
+// thread count never changes the bytes; and a rewrite replaces the file
+// whole, so a reader that opened it earlier still reads the complete old
+// file.
 #include "fi/core_model.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,25 @@ TEST_F(CdfCacheTest, SameConfigReproducesIdenticalStore) {
     const CharacterizedCore first(config());
     const CharacterizedCore second(config());
     EXPECT_TRUE(*second.cdfs() == *first.cdfs());
+}
+
+// The thread count is not in the fingerprint because it cannot change a
+// byte. 640 cycles are five chunks per class, so at four workers one of
+// them runs a second chunk.
+TEST_F(CdfCacheTest, ThreadCountNeverChangesTheCacheBytes) {
+    CoreModelConfig serial = config(640);
+    CoreModelConfig parallel = serial;
+    parallel.cdf_cache_path = cache_path_ + ".threads4";
+    {
+        const CharacterizedCore one(serial, nullptr, 1);
+        const CharacterizedCore four(parallel, nullptr, 4);
+        EXPECT_EQ(one.fingerprint(), four.fingerprint());
+    }
+    const std::vector<char> one = read_file(serial.cdf_cache_path);
+    const std::vector<char> four = read_file(parallel.cdf_cache_path);
+    fs::remove(parallel.cdf_cache_path);
+    ASSERT_GT(one.size(), 8u);
+    EXPECT_TRUE(one == four);
 }
 
 TEST_F(CdfCacheTest, FingerprintChangeInvalidatesCache) {

@@ -16,9 +16,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "fi/mitigation.hpp"
@@ -418,68 +416,6 @@ TEST(TrialIndependence, FreshTrialContextMatchesRunnerOutcomes) {
             expected,
             runner.run_trial_with(context.cpu, *context.model, p, trial));
     }
-}
-
-// ---------------------------------------------------------------------------
-// The pool itself.
-// ---------------------------------------------------------------------------
-
-TEST(TrialPool, CoversEveryTrialExactlyOnce) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{5}}) {
-        for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                        std::size_t{16}}) {
-            SCOPED_TRACE("threads " + std::to_string(threads) + " chunk " +
-                         std::to_string(chunk));
-            constexpr std::size_t kTrials = 101;
-            // Distinct trials land in distinct slots, so plain ints are
-            // race-free; any double visit would show up as a 2.
-            std::vector<int> visits(kTrials, 0);
-            for_each_trial(kTrials, threads, chunk,
-                           [&](std::size_t, std::uint64_t trial) {
-                               ++visits[trial];
-                           });
-            for (std::size_t i = 0; i < kTrials; ++i)
-                ASSERT_EQ(visits[i], 1) << "trial " << i;
-        }
-    }
-}
-
-TEST(TrialPool, WorkerIndicesStayInRange) {
-    constexpr std::size_t kThreads = 4;
-    std::vector<int> seen(kThreads, 0);
-    std::mutex mutex;
-    for_each_trial(64, kThreads, 2, [&](std::size_t worker, std::uint64_t) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        ASSERT_LT(worker, kThreads);
-        ++seen[worker];
-    });
-    int total = 0;
-    for (const int count : seen) total += count;
-    EXPECT_EQ(total, 64);
-}
-
-TEST(TrialPool, PropagatesWorkerExceptions) {
-    EXPECT_THROW(
-        for_each_trial(100, 4, 1,
-                       [](std::size_t, std::uint64_t trial) {
-                           if (trial == 37)
-                               throw std::runtime_error("trial exploded");
-                       }),
-        std::runtime_error);
-}
-
-TEST(TrialPool, ZeroTrialsIsANoop) {
-    bool called = false;
-    for_each_trial(0, 4, 1,
-                   [&](std::size_t, std::uint64_t) { called = true; });
-    EXPECT_FALSE(called);
-}
-
-TEST(TrialPool, ResolveThreadCount) {
-    EXPECT_GE(resolve_thread_count(0), 1u);
-    EXPECT_EQ(resolve_thread_count(1), 1u);
-    EXPECT_EQ(resolve_thread_count(6), 6u);
 }
 
 }  // namespace

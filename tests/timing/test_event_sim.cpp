@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <vector>
+
 #include "circuits/alu.hpp"
 #include "timing/sta.hpp"
 #include "util/rng.hpp"
@@ -189,6 +194,81 @@ TEST(EventSim, FixedBusNotSettable) {
     EventSim sim(alu.netlist, timing, {{"op", 0}});
     EXPECT_THROW(sim.set_input("op", 1), std::invalid_argument);
 }
+
+// A seeded push/pop sequence over few distinct times, so most pops choose
+// among equal times. `push` and `pop` act on the queue under test and
+// `size` reports its size.
+template <typename Push, typename Pop, typename Size>
+void drive_tie_heavy(Push push, Pop pop, Size size) {
+    Rng rng(19);
+    std::uint32_t seq = 0;
+    for (int round = 0; round < 40; ++round) {
+        // Grow to a random size (odd and even), then drain part of it.
+        const std::size_t target = 1 + rng.bounded(300);
+        while (size() < target)
+            push(EventQueue::Event{static_cast<std::int64_t>(rng.bounded(12)),
+                                   static_cast<NetId>(rng.bounded(4000)), ++seq});
+        const std::size_t keep = rng.bounded(target / 2 + 1);
+        while (size() > keep) {
+            pop();
+            if (rng.bounded(3) == 0)
+                push(EventQueue::Event{static_cast<std::int64_t>(rng.bounded(12)),
+                                       static_cast<NetId>(rng.bounded(4000)),
+                                       ++seq});
+        }
+    }
+    while (size() > 0) pop();
+}
+
+TEST(EventQueue, PopsTheEarliestPendingTime) {
+    EventQueue queue;
+    std::multiset<std::int64_t> pending;
+    std::size_t pops = 0;
+    drive_tie_heavy(
+        [&](const EventQueue::Event& event) {
+            queue.push(event);
+            pending.insert(event.time_fs);
+        },
+        [&] {
+            ASSERT_FALSE(queue.empty());
+            const EventQueue::Event event = queue.pop();
+            ASSERT_EQ(event.time_fs, *pending.begin());
+            pending.erase(pending.begin());
+            ++pops;
+        },
+        [&] { return queue.size(); });
+    EXPECT_TRUE(queue.empty());
+    EXPECT_GT(pops, 1000u);
+}
+
+#ifdef __GLIBCXX__
+// The CDF caches were first written with libstdc++'s heap order, which
+// EventQueue reproduces: every pop, ties included, is the event that
+// std::pop_heap with std::greater would have moved to the back.
+TEST(EventQueue, PopOrderIsLibstdcxxHeapOrder) {
+    EventQueue queue;
+    std::vector<EventQueue::Event> reference;
+    std::size_t pops = 0;
+    drive_tie_heavy(
+        [&](const EventQueue::Event& event) {
+            queue.push(event);
+            reference.push_back(event);
+            std::push_heap(reference.begin(), reference.end(), std::greater<>{});
+        },
+        [&] {
+            std::pop_heap(reference.begin(), reference.end(), std::greater<>{});
+            const EventQueue::Event expected = reference.back();
+            reference.pop_back();
+            const EventQueue::Event got = queue.pop();
+            ASSERT_EQ(got.time_fs, expected.time_fs) << "pop " << pops;
+            ASSERT_EQ(got.net, expected.net) << "pop " << pops;
+            ASSERT_EQ(got.seq, expected.seq) << "pop " << pops;
+            ++pops;
+        },
+        [&] { return queue.size(); });
+    EXPECT_GT(pops, 1000u);
+}
+#endif
 
 }  // namespace
 }  // namespace sfi
