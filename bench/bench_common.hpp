@@ -56,10 +56,10 @@
 // Flags outside this set (plus a bench's declared extras) produce a
 // warning on stderr but are still parsed — typos like `--trails` no
 // longer pass silently, while binaries that forward foreign flags keep
-// working. Negative --trials/--seed/--dta-cycles, --dta-cycles 0 and
-// non-finite or non-positive --watchdog-factor/--ci-target are rejected
-// with a clear message instead of running a nonsense experiment (the
-// same rationale as Cli::get_threads's clamping).
+// working. Negative or malformed --trials/--seed/--threads/--dta-cycles,
+// --dta-cycles 0 and non-finite or non-positive
+// --watchdog-factor/--ci-target are rejected with a clear message (exit
+// 2) instead of running a nonsense experiment.
 #pragma once
 
 #include <algorithm>
@@ -120,7 +120,7 @@ struct Context {
         trials = static_cast<std::size_t>(
             checked_uint("trials", static_cast<std::uint64_t>(default_trials)));
         seed = checked_uint("seed", 1);
-        threads = cli.get_threads();
+        threads = static_cast<std::size_t>(checked_uint("threads", 0));
         watchdog_factor = checked_positive_double("watchdog-factor", 8.0);
         core_config.fault_sampling = parse_fault_sampling_flag();
         sampling = parse_sampling_policy();
@@ -185,7 +185,6 @@ struct Context {
         config.seed = seed;
         config.watchdog_factor = watchdog_factor;
         config.threads = threads;  // parallel MC; output is bit-identical
-        config.fault_sampling = core_config.fault_sampling;
         return config;
     }
 

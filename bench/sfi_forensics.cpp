@@ -87,17 +87,15 @@ int main(int argc, char** argv) {
         point.noise.sigma_mv = variant.sigma_mv;
 
         MonteCarloRunner mc(*bench_app, *variant.model, ctx.mc_config());
-        sampling::BatchedExecutor executor(mc, ctx.threads);
 
         // Summary via the ordinary path, then the forensic re-run of the
         // same trial indices — the pair the taxonomy must reconcile with.
         VariantResult res;
         res.name = variant.name;
-        res.summary = executor.run_fixed(point, ctx.trials, ctx.trials);
+        res.summary = mc.run_point(point);
 
         const perf::Stopwatch forensic_watch;
-        std::vector<TrialForensics> fxs =
-            executor.run_forensics(point, ctx.trials);
+        std::vector<TrialForensics> fxs = mc.run_forensics(point, ctx.trials);
         forensic_s += forensic_watch.seconds();
 
         const std::uint32_t pid = sink.begin_point(

@@ -228,15 +228,13 @@ int main(int argc, char** argv) {
                                           *model_b, fault_bplus, mc, ladder,
                                           &phases));
     {
-        // Same point under the quantized (B-q) sampling variant. The
-        // runner stamps the mode from McConfig, so it needs its own
-        // config; the model is stamped up front so the label reads "B-q".
-        McConfig q_mc = mc;
-        q_mc.fault_sampling = FaultSamplingMode::Quantized;
+        // Same point under the quantized (B-q) sampling variant: the
+        // runner's worker contexts clone the model's mode, and the label
+        // reads "B-q".
         model_b->set_sampling_mode(FaultSamplingMode::Quantized);
         report.kernels.push_back(bench_kernel("fig1-modelBplus-sigma10-q",
                                               *bench, *model_b, fault_bplus,
-                                              q_mc, {1}, &phases));
+                                              mc, {1}, &phases));
         model_b->set_sampling_mode(ctx.core_config.fault_sampling);
     }
     report.kernels.push_back(bench_kernel("modelC-fault", *bench, *model_c,

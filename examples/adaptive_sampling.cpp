@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
     for (const double factor : {0.7, 1.02}) {
         OperatingPoint point = base;
         point.freq_mhz = factor * fsta;
-        const auto result =
-            run_point_sequential(runner, point, policy, mc.threads);
+        const auto result = run_point_sequential(runner, point, policy);
         std::cout << fmt_fixed(point.freq_mhz, 1) << " MHz: correct "
                   << fmt_pct(result.summary.correct_frac()) << " after "
                   << result.summary.trials << " trials ("
@@ -58,8 +57,7 @@ int main(int argc, char** argv) {
     search.lo_mhz = 0.8 * fsta;
     search.hi_mhz = 1.1 * fsta;
     search.tol_mhz = 2.0;
-    const auto poff =
-        find_poff_bisection(runner, base, search, policy, mc.threads);
+    const auto poff = find_poff_bisection(runner, base, search, policy);
     if (poff.bracketed)
         std::cout << "\nPoFF in (" << fmt_fixed(poff.lo_mhz, 1) << ", "
                   << fmt_fixed(poff.hi_mhz, 1) << "] MHz after "

@@ -47,6 +47,7 @@ CONTRACT_TARGETS = {
     "sfi_campaign_contract": ["sfi_campaign"],
     "sfi_campaign_sampling_equivalence": ["sfi_campaign"],
     "sfi_campaign_trace_contract": ["sfi_campaign", "sfi_trace"],
+    "sfi_forensics_contract": ["sfi_forensics", "sfi_campaign"],
 }
 
 
@@ -65,6 +66,11 @@ TRACE_CONTRACT = "sfi_campaign_trace_contract"
 DTA = "sfi_timing_test_dta"
 EVENT_SIM = "sfi_timing_test_event_sim"
 CDF_CACHE = "sfi_fi_test_cdf_cache"
+DECODE_CACHE = "sfi_cpu_test_decode_cache"
+BATCH = "sfi_sampling_test_batch"
+SEQUENTIAL = "sfi_sampling_test_sequential"
+FORENSICS = "sfi_fi_test_forensics"
+FORENSICS_CONTRACT = "sfi_forensics_contract"
 
 MUTANTS = [
     # --- The DTA kernel's pop order and its chunks (src/timing/). These
@@ -192,7 +198,7 @@ MUTANTS = [
                    "        state.uops = ZeroPages<MicroOp>(words);\n"
                    "        for (std::size_t i = 0; i < words; ++i)\n"
                    "            state.uops[i] = MicroOp{};\n")],
-        "tests": ["sfi_cpu_test_decode_cache"],
+        "tests": [DECODE_CACHE],
     },
     # --- The ISS against its reference interpreter (src/cpu/interp.cpp,
     # tests/testing/reference_cpu.cpp)
@@ -282,7 +288,8 @@ MUTANTS = [
         "tests": ["sfi_fi_test_cdf_cache"],
     },
     # --- The wall-only instrumentation spans (src/fi/core_model.cpp,
-    # src/mc/parallel.cpp, src/cpu/interp.cpp) and sfi_trace's summary
+    # src/mc/parallel.cpp), the micro-op stream's reuse (src/cpu/interp.cpp)
+    # and sfi_trace's summary
     {
         "name": "characterization-spans-in-logical-ledgers",
         "file": "src/fi/core_model.cpp",
@@ -320,7 +327,46 @@ MUTANTS = [
         "edits": [("    if (!state.synced || state.expected_write_gen != "
                    "mem_.write_generation()) {\n",
                    "    if (true) {\n")],
+        "tests": [DECODE_CACHE],
+    },
+    # --- The trial engine: its trial indexing, its worker contexts and the
+    # forensic re-run (src/mc/montecarlo.cpp)
+    {
+        "name": "trial-block-ignores-first-trial",
+        "file": "src/mc/montecarlo.cpp",
+        "edits": [("                                          first_trial + "
+                   "offset);\n",
+                   "                                          offset);\n")],
+        "tests": [BATCH, SEQUENTIAL],
+    },
+    {
+        "name": "worker-contexts-rebuilt-every-block",
+        "file": "src/mc/montecarlo.cpp",
+        "edits": [("    if (contexts_.empty())\n", "    if (true)\n")],
         "tests": [DECODE],
+    },
+    {
+        "name": "forensic-fast-path-classified-from-context",
+        "file": "src/mc/montecarlo.cpp",
+        "edits": [("""    if (takes_fast_path(model)) {
+        fx.outcome = run_trial_with(cpu, model, point, trial);
+        fx.cls = OutcomeClass::Masked;
+        return fx;
+    }
+""", "")],
+        "tests": [FORENSICS, FORENSICS_CONTRACT],
+    },
+    {
+        "name": "forensic-results-in-completion-order",
+        "file": "src/mc/montecarlo.cpp",
+        "edits": [("#include <algorithm>\n",
+                   "#include <algorithm>\n#include <atomic>\n"),
+                  ("    std::vector<TrialForensics> results(count);\n",
+                   "    std::vector<TrialForensics> results(count);\n"
+                   "    std::atomic<std::size_t> done{0};\n"),
+                  ("        results[trial] = run_trial_forensic(",
+                   "        results[done++] = run_trial_forensic(")],
+        "tests": [FORENSICS, FORENSICS_CONTRACT],
     },
 ]
 

@@ -192,27 +192,20 @@ CampaignRunner::CampaignRunner(CampaignSpec spec, RunOptions options)
 
 CampaignRunner::~CampaignRunner() = default;
 
-const CharacterizedCore& CampaignRunner::core() {
-    const std::uint64_t fp = core_config_fingerprint(spec_.core);
-    auto it = cores_.find(fp);
-    if (it == cores_.end())
-        it = cores_
-                 .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  spec_.core, options_.ledger,
-                                  options_.threads))
-                 .first;
-    return *it->second;
-}
+const CharacterizedCore& CampaignRunner::core() { return core_of(spec_.core); }
 
 const CharacterizedCore& CampaignRunner::core_for(const PanelSpec& panel) {
-    if (!panel.core_override) return core();
-    const std::uint64_t fp = core_config_fingerprint(*panel.core_override);
+    return core_of(panel.core_override ? *panel.core_override : spec_.core);
+}
+
+const CharacterizedCore& CampaignRunner::core_of(
+    const CoreModelConfig& config) {
+    const std::uint64_t fp = core_config_fingerprint(config);
     auto it = cores_.find(fp);
     if (it == cores_.end())
         it = cores_
                  .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  *panel.core_override, options_.ledger,
-                                  options_.threads))
+                                  config, options_.ledger, options_.threads))
                  .first;
     return *it->second;
 }
@@ -282,11 +275,8 @@ std::unique_ptr<FaultModel> CampaignRunner::make_model(
                 model = panel_core.make_model_c();
             break;
     }
-    // The factory paths stamp the core's sampling mode already (memoized
-    // no-op here); the directly-constructed conditioned ModelC does not.
-    // Mode and policy land on the inner model BEFORE a decorator wraps it:
+    // The policy lands on the inner model BEFORE a decorator wraps it:
     // set_policy is non-virtual, so it must reach the model that injects.
-    model->set_sampling_mode(panel_core.config().fault_sampling);
     model->set_policy(panel.model.policy);
     switch (panel.model.mitigation) {
         case ModelSpec::Mitigation::None:
@@ -296,7 +286,6 @@ std::unique_ptr<FaultModel> CampaignRunner::make_model(
                 std::move(model),
                 RazorConfig{panel.model.razor_coverage,
                             panel.model.razor_replay_cycles});
-            model->set_sampling_mode(panel_core.config().fault_sampling);
             break;
         case ModelSpec::Mitigation::Cwc: {
             CwcConfig config;
@@ -304,10 +293,14 @@ std::unique_ptr<FaultModel> CampaignRunner::make_model(
             config.recovery_penalty_cycles = panel.model.cwc_recovery_cycles;
             model = std::make_unique<CwcDetectionModel>(std::move(model),
                                                         config);
-            model->set_sampling_mode(panel_core.config().fault_sampling);
             break;
         }
     }
+    // The core's sampling mode, stamped once on the finished model: the
+    // decorators forward it to the model they wrap, and every clone (the
+    // trial engine's worker contexts) copies it. The factory paths set it
+    // already; the directly-constructed conditioned ModelC does not.
+    model->set_sampling_mode(panel_core.config().fault_sampling);
     return model;
 }
 
@@ -320,10 +313,8 @@ PointSummary CampaignRunner::compute_op_stream_point(
     const std::uint32_t mask = kernel.operand_bits >= 32
                                    ? 0xffffffffu
                                    : ((1u << kernel.operand_bits) - 1);
-    PointSummary summary;
-    summary.point = point;
-    summary.trials = spec_.trials;
-    for (std::size_t trial = 0; trial < spec_.trials; ++trial) {
+    std::vector<TrialOutcome> outcomes(spec_.trials);
+    for (TrialOutcome& outcome : outcomes) {
         model.reset_stats();
         double sum_sq = 0.0;
         for (std::size_t i = 0; i < kernel.ops_per_trial; ++i) {
@@ -341,15 +332,13 @@ PointSummary CampaignRunner::compute_op_stream_point(
         }
         // A raw instruction stream always runs to completion; "correct"
         // means every result of the trial was exact.
-        ++summary.finished_count;
-        if (sum_sq == 0.0) ++summary.correct_count;
-        summary.error_stats.add(
-            sum_sq / static_cast<double>(kernel.ops_per_trial));
-        summary.fi_rate_stats.add(model.stats().fi_per_kcycle());
+        outcome.finished = true;
+        outcome.correct = sum_sq == 0.0;
+        outcome.output_error =
+            sum_sq / static_cast<double>(kernel.ops_per_trial);
+        outcome.fi = model.stats();
     }
-    summary.fi_rate = summary.fi_rate_stats.mean();
-    summary.mean_error = summary.error_stats.mean();
-    return summary;
+    return summarize_trials(point, outcomes);
 }
 
 PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
@@ -399,14 +388,14 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
         progress_->begin_panel(panel.name,
                                panel.poff ? 0 : axis_values.size());
 
-    // The executors are built lazily: a fully warm panel (every point in
-    // the store) skips model construction, the golden reference run and
-    // any conditioned re-characterization entirely.
+    // The runner is built lazily: a fully warm panel (every point in the
+    // store) skips model construction, the golden reference run and any
+    // conditioned re-characterization entirely; its worker contexts wait
+    // for its first block.
     std::unique_ptr<Benchmark> bench;
     std::unique_ptr<FaultModel> model;
     std::unique_ptr<MonteCarloRunner> mc;
-    std::unique_ptr<sampling::BatchedExecutor> executor;
-    const auto ensure_executor = [&] {
+    const auto ensure_runner = [&] {
         if (model) return;
         model = make_model(panel, panel_core);
         model->set_operating_point(base);
@@ -417,12 +406,9 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             config.seed = spec_.seed + panel.seed_offset;
             config.watchdog_factor = spec_.watchdog_factor;
             config.threads = options_.threads;
-            config.fault_sampling = panel_core.config().fault_sampling;
             mc = std::make_unique<MonteCarloRunner>(*bench, *model, config);
             mc->set_ledger(options_.ledger);
-            executor = std::make_unique<sampling::BatchedExecutor>(
-                *mc, options_.threads);
-            executor->set_metrics(&metrics());
+            mc->set_metrics(&metrics());
         }
     };
 
@@ -461,12 +447,10 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             summary = std::move(*stored);
         } else {
             if (wall) led->instant("store_miss", {{"key", "0x" + hex64(key)}});
-            ensure_executor();
+            ensure_runner();
             summary =
                 panel.kernel.kind == KernelSpec::Kind::Benchmark
-                    ? sampling::run_point_sequential(*executor, point, policy,
-                                                     spec_.trials)
-                          .summary
+                    ? sampling::run_point_sequential(*mc, point, policy).summary
                     : compute_op_stream_point(panel, *model, point);
             if (wall) led->begin("store_insert", {{"key", "0x" + hex64(key)}});
             store_.insert(key, summary);
@@ -482,21 +466,18 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
         // whether its summary was cached.
         if (forensic_sink_ != nullptr &&
             panel.kernel.kind == KernelSpec::Kind::Benchmark) {
-            ensure_executor();
+            ensure_runner();
             const std::size_t sample =
                 std::min<std::size_t>(options_.forensics_trials, summary.trials);
-            if (wall) led->begin("forensic_trials");
+            std::vector<TrialForensics> fxs = mc->run_forensics(point, sample);
             const std::uint32_t pid = forensic_sink_->begin_point(
                 panel.name, forensic_model, forensic_kernel, point);
-            for (TrialForensics& fx : executor->run_forensics(point, sample))
+            for (TrialForensics& fx : fxs)
                 forensic_sink_->add_trial(pid, fx.cls, fx.outcome.finished,
                                           fx.outcome.correct, fx.razor_detected,
                                           fx.razor_escaped,
                                           std::move(fx.records),
                                           fx.detection_latencies);
-            if (wall)
-                led->end("forensic_trials",
-                         {{"items", static_cast<std::uint64_t>(sample)}});
             metrics().add("run.forensic_trials", sample);
         }
 

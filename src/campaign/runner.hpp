@@ -5,8 +5,8 @@
 //
 // Scheduling layers point-level dispatch over the existing trial-level
 // pool: points run serially in spec order — preserving progress output
-// and PoFF semantics — while each point's trials fan out across
-// RunOptions::threads workers via MonteCarloRunner::run_point
+// and PoFF semantics — while each point's trials fan out across the
+// RunOptions::threads worker contexts of the panel's MonteCarloRunner
 // (src/mc/parallel.hpp). Completed points are appended to the point
 // store before the next point starts, so an interrupted campaign can be
 // re-run and every finished point is served from the store. By the PR 2
@@ -15,8 +15,8 @@
 // run's — the resume guarantee, enforced by tests/campaign/ and CI.
 //
 // Benchmark-kernel points execute through the adaptive sampling engine
-// (src/sampling/): a fixed-N policy runs through the batched executor and
-// stays byte-identical to the historical run_point path, while adaptive
+// (src/sampling/): a fixed-N policy runs in MonteCarloRunner::run_batch
+// batches and stays byte-identical to run_point, while adaptive
 // policies (CampaignSpec::sampling / PanelSpec::sampling) stop early once
 // the Wilson intervals are tight enough, and PoffSearchSpec panels
 // replace their grid with a store-backed bisection search. Adaptive
@@ -192,6 +192,8 @@ private:
     };
     ResolvedPanel resolve_panel(const PanelSpec& panel);
 
+    /// The cached core of `config`, characterized on first use.
+    const CharacterizedCore& core_of(const CoreModelConfig& config);
     std::unique_ptr<FaultModel> make_model(const PanelSpec& panel,
                                            const CharacterizedCore& core);
     std::shared_ptr<const TimingErrorCdfs> conditioned_store(

@@ -131,8 +131,7 @@ public:
 
     /// Words run() has lowered lazily since construction (store-to-code,
     /// unprimed or invalidated streams); priming is not counted. A clean
-    /// run on a primed Cpu adds nothing — MonteCarloRunner's "trial_run"
-    /// span reports the delta.
+    /// run on a primed Cpu adds nothing.
     std::uint64_t lazily_lowered() const { return lazily_lowered_; }
 
     /// Runs until halt / fault / watchdog. `max_cycles` bounds total

@@ -6,6 +6,7 @@
 
 #include "mc/parallel.hpp"
 #include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
 
 namespace sfi {
 
@@ -94,10 +95,6 @@ TrialOutcome MonteCarloRunner::run_trial_with(Cpu& cpu, FaultModel& model,
                                               const OperatingPoint& point,
                                               std::uint64_t trial) const {
     model.set_operating_point(point);
-    // Memoized like the point: a no-op after the first trial. Applied
-    // before reseed() so a mode switch's batch invalidation cannot drop
-    // draws from the fresh stream.
-    model.set_sampling_mode(config_.fault_sampling);
     model.reset_stats();
     // Independent, reproducible stream per trial: (seed, trial) fully
     // determines the model's draws, so equal indices reproduce identical
@@ -110,8 +107,7 @@ TrialOutcome MonteCarloRunner::run_trial_with(Cpu& cpu, FaultModel& model,
     // covers watchdog_factor < 1 configurations where even the clean run
     // would be cut short. RNG state needs no special handling: every trial
     // reseeds above, so skipped draws cannot leak into other trials.
-    if (config_.zero_fault_fast_path && !model.can_inject() &&
-        golden_.cycles <= watchdog_cycles_) {
+    if (takes_fast_path(model)) {
         model.adopt_stats(clean_outcome_.fi);  // model.stats() stays faithful
         return clean_outcome_;
     }
@@ -176,16 +172,12 @@ TrialForensics MonteCarloRunner::run_trial_forensic(Cpu& cpu, FaultModel& model,
     TrialForensics fx;
 
     model.set_operating_point(point);
-    // Fast-path trials ARE the golden run: vacuously Masked, zero records.
-    // Mirrors run_trial_with exactly so the forensic re-run of a point
-    // classifies the same trials the summary counted.
-    if (config_.zero_fault_fast_path && !model.can_inject() &&
-        golden_.cycles <= watchdog_cycles_) {
-        model.set_sampling_mode(config_.fault_sampling);
-        model.reset_stats();
-        model.reseed(trial_seeder_.fork(trial)());
-        model.adopt_stats(clean_outcome_.fi);
-        fx.outcome = clean_outcome_;
+    // Fast-path trials ARE the golden run: vacuously Masked, zero records,
+    // whatever state an earlier trial left in `cpu`. Mirrors
+    // run_trial_with exactly so the forensic re-run of a point classifies
+    // the same trials the summary counted.
+    if (takes_fast_path(model)) {
+        fx.outcome = run_trial_with(cpu, model, point, trial);
         fx.cls = OutcomeClass::Masked;
         return fx;
     }
@@ -213,26 +205,119 @@ TrialForensics MonteCarloRunner::run_trial_forensic(const OperatingPoint& point,
     return run_trial_forensic(cpu_, *model_, point, trial, probe);
 }
 
+MonteCarloRunner::~MonteCarloRunner() = default;
+
+void MonteCarloRunner::ensure_contexts() {
+    if (contexts_.empty())
+        contexts_ = make_trial_contexts(*this, config_.threads);
+}
+
+void MonteCarloRunner::run_block(
+    const OperatingPoint& point, std::size_t count,
+    const std::function<void(std::size_t, std::uint64_t)>& fn) {
+    const std::size_t threads = std::clamp<std::size_t>(
+        contexts_.size(), 1, std::max<std::size_t>(count, 1));
+    // Per-point derived state (noise tables, model C's count memo) is
+    // allocated here, once per worker, instead of on the workers, whose
+    // own set_operating_point in run_trial_with becomes a memoized no-op.
+    for (std::size_t worker = 0; worker < threads; ++worker)
+        contexts_[worker]->model->set_operating_point(point);
+    // Small chunks keep workers balanced across the clean-run/watchdog-run
+    // cost spread; 8 grabs per worker amortizes the counter traffic.
+    const std::size_t chunk = std::max<std::size_t>(count / (threads * 8), 1);
+    for_each_trial(count, threads, chunk, fn);
+}
+
+std::vector<TrialOutcome> MonteCarloRunner::run_trials(
+    const OperatingPoint& point, std::uint64_t first_trial, std::size_t count,
+    obs::Ledger* lanes) {
+    // Per-worker activity buffers: each is written by exactly one worker
+    // (cache-line padded against false sharing) and read by the dispatch
+    // thread only after the join — the ledger itself is never touched
+    // from a worker. Ledger::now_us() is const over immutable state, so
+    // concurrent reads are safe.
+    struct alignas(64) WorkerActivity {
+        double first_us = 0.0;
+        double last_us = 0.0;
+        std::uint64_t trials = 0;
+    };
+    std::vector<WorkerActivity> activity(lanes ? contexts_.size() : 0);
+
+    std::vector<TrialOutcome> outcomes(count);
+    run_block(point, count, [&](std::size_t worker, std::uint64_t offset) {
+        if (lanes && activity[worker].trials == 0)
+            activity[worker].first_us = lanes->now_us();
+        TrialContext& context = *contexts_[worker];
+        outcomes[offset] = run_trial_with(context.cpu, *context.model, point,
+                                          first_trial + offset);
+        if (lanes) {
+            activity[worker].last_us = lanes->now_us();
+            ++activity[worker].trials;
+        }
+    });
+    for (std::size_t worker = 0; worker < activity.size(); ++worker) {
+        const WorkerActivity& a = activity[worker];
+        if (a.trials == 0) continue;
+        lanes->worker_span(
+            worker + 1, "trials", a.first_us,
+            std::max(0.0, a.last_us - a.first_us),
+            {{"trials", a.trials}, {"first_trial", first_trial}});
+    }
+    return outcomes;
+}
+
 PointSummary MonteCarloRunner::run_point(const OperatingPoint& point) {
     obs::Ledger* const wall = obs::wall_ledger(ledger_);
     if (wall) wall->begin("trial_run");
-    const std::uint64_t lowered_before = cpu_.lazily_lowered();
-    std::vector<TrialOutcome> outcomes;
-    // Worker-count resolution/clamping is owned by run_trials_parallel;
-    // here we only decide serial vs. parallel.
-    if (config_.trials > 1 && resolve_thread_count(config_.threads) > 1) {
-        outcomes = run_trials_parallel(*this, point, config_.threads);
-    } else {
-        outcomes.reserve(config_.trials);
-        for (std::size_t trial = 0; trial < config_.trials; ++trial)
-            outcomes.push_back(run_trial(point, trial));
-    }
-    PointSummary summary = summarize_trials(point, outcomes);
+    ensure_contexts();
+    PointSummary summary =
+        summarize_trials(point, run_trials(point, 0, config_.trials, nullptr));
     if (wall)
         wall->end("trial_run",
-                  {{"items", static_cast<std::uint64_t>(outcomes.size())},
-                   {"lazy_lowered", cpu_.lazily_lowered() - lowered_before}});
+                  {{"items", static_cast<std::uint64_t>(config_.trials)}});
     return summary;
+}
+
+void MonteCarloRunner::run_batch(PointSummary& summary,
+                                 const OperatingPoint& point,
+                                 std::size_t count) {
+    if (count == 0) return;
+    // Contexts first: their "decode" span precedes the batch, as a
+    // sibling inside the caller's point span.
+    ensure_contexts();
+    obs::Ledger* const wall = obs::wall_ledger(ledger_);
+    const bool first_batch = summary.trials == 0;
+    if (wall)
+        wall->begin("batch",
+                    {{"first_trial", summary.trials}, {"count", count}});
+    accumulate_trials(summary, run_trials(point, summary.trials, count, wall));
+    if (metrics_ != nullptr) metrics_->add("run.batches");
+    if ((wall || metrics_ != nullptr) && first_batch &&
+        fast_path_active(*contexts_.front()->model, point)) {
+        if (metrics_ != nullptr) metrics_->add("run.fastpath_points");
+        if (wall) wall->instant("fast_path", {{"freq_mhz", point.freq_mhz}});
+    }
+    if (wall) wall->end("batch", {{"trials", summary.trials}});
+}
+
+std::vector<TrialForensics> MonteCarloRunner::run_forensics(
+    const OperatingPoint& point, std::size_t count) {
+    ensure_contexts();
+    obs::Ledger* const wall = obs::wall_ledger(ledger_);
+    if (wall) wall->begin("forensic_trials");
+    // One probe per worker, reused across its trials (start_trial clears
+    // it); run_trial_forensic moves the records out before the next grab.
+    std::vector<ForensicProbe> probes(contexts_.size());
+    std::vector<TrialForensics> results(count);
+    run_block(point, count, [&](std::size_t worker, std::uint64_t trial) {
+        TrialContext& context = *contexts_[worker];
+        results[trial] = run_trial_forensic(context.cpu, *context.model, point,
+                                            trial, probes[worker]);
+    });
+    if (wall)
+        wall->end("forensic_trials",
+                  {{"items", static_cast<std::uint64_t>(count)}});
+    return results;
 }
 
 PointSummary summarize_trials(const OperatingPoint& point,

@@ -10,6 +10,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "apps/benchmark.hpp"
@@ -23,7 +25,10 @@ namespace sfi {
 
 namespace obs {
 class Ledger;
+class MetricsRegistry;
 }
+
+struct TrialContext;
 
 struct McConfig {
     /// Independent runs per operating point (paper: >= 100).
@@ -44,26 +49,15 @@ struct McConfig {
     /// for measuring the fast path's effect (bench/sfi_perf.cpp) — leave
     /// it on otherwise.
     bool zero_fault_fast_path = true;
-    /// Worker threads for run_point (and therefore the sweep drivers):
-    /// 1 = serial on the caller's model, 0 = one worker per hardware
-    /// thread, N = exactly N workers. Every setting produces a
-    /// bit-identical PointSummary — trials share no mutable state
+    /// Worker contexts of the trial engine: 0 = one per hardware thread,
+    /// N = exactly N (1 included). The runner builds them on its first
+    /// block and runs every point, batch and forensic re-run on them; the
+    /// caller's model drives only run_trial and the serial
+    /// run_trial_forensic. Every setting produces a
+    /// bit-identical PointSummary: trials share no mutable state
     /// (src/mc/parallel.hpp gives each worker its own Cpu/Memory/cloned
-    /// model) and outcomes are aggregated in trial-index order. Only the
-    /// summary is part of that contract: when run_point actually fans out
-    /// (threads != 1 and trials > 1 — single-trial points fall back to
-    /// the serial loop), the caller's model object is not driven (clones
-    /// are), so its incidental post-run state — stats() of the last
-    /// trial, Razor detected()/escaped() accumulation — stays untouched.
-    /// Workflows that read per-trial model state (bench_ext_razor) call
-    /// run_trial directly.
+    /// model) and outcomes are aggregated in trial-index order.
     std::size_t threads = 1;
-    /// Draw-stream mode applied to the fault model each trial
-    /// (fi/sampling_batch.hpp). Batched prefetches whole blocks of noise
-    /// draws and is bit-identical to the one-draw-per-op reference walks
-    /// (tests/testing/); Quantized is the fingerprinted alias-sampled
-    /// variant.
-    FaultSamplingMode fault_sampling = FaultSamplingMode::Batched;
 };
 
 /// Result of one fault-injected run of a benchmark.
@@ -123,23 +117,28 @@ public:
     /// Performs one fault-free reference run at construction; throws
     /// std::logic_error if the benchmark does not reproduce its golden
     /// output (a miscompiled kernel would silently poison every result).
+    /// `model` is the prototype of the worker contexts, cloned once at
+    /// the first block (run_point, run_batch or run_forensics); changes
+    /// made to it after that never reach the contexts.
     MonteCarloRunner(const Benchmark& benchmark, FaultModel& model,
                      McConfig config = {});
+    ~MonteCarloRunner();
 
     const RunResult& golden_run() const { return golden_; }
     const std::vector<std::uint32_t>& golden_output() const {
         return golden_output_;
     }
 
-    /// One independent trial at `point` (trial index selects the RNG
-    /// stream; equal indices reproduce identical trials regardless of what
-    /// ran before — Cpu::reset restores a pristine memory image).
+    /// One independent trial at `point` on the runner's own Cpu and the
+    /// caller's model (trial index selects the RNG stream; equal indices
+    /// reproduce identical trials regardless of what ran before —
+    /// Cpu::reset restores a pristine memory image).
     TrialOutcome run_trial(const OperatingPoint& point, std::uint64_t trial);
 
     /// The same trial computation on caller-provided execution state; this
-    /// is what the parallel engine (src/mc/parallel.hpp) calls with its
-    /// per-thread contexts. Reads only immutable runner state, so it is
-    /// safe to call concurrently with distinct `cpu`/`model` pairs.
+    /// is what the block engine calls with its per-worker contexts. Reads
+    /// only immutable runner state, so it is safe to call concurrently
+    /// with distinct `cpu`/`model` pairs.
     TrialOutcome run_trial_with(Cpu& cpu, FaultModel& model,
                                 const OperatingPoint& point,
                                 std::uint64_t trial) const;
@@ -175,14 +174,34 @@ public:
     /// bytes outside them are zero by Memory's class invariant.
     bool arch_state_differs(const Cpu& cpu) const;
 
-    /// config.trials independent trials, aggregated in trial-index order.
-    /// Fans out over McConfig::threads workers when threads != 1; the
-    /// result is bit-identical to the serial loop.
+    /// config.trials independent trials as one block over [0, trials) on
+    /// the worker contexts, aggregated in trial-index order.
     PointSummary run_point(const OperatingPoint& point);
+
+    /// Runs the `count` trials following summary.trials at `point` as one
+    /// block and folds them into `summary` in trial-index order. Trial
+    /// indices are absolute — trial i draws from the (seed, i) stream
+    /// wherever the batch boundaries fall — so after any sequence of
+    /// batches the summary equals the serial loop over the same trial
+    /// prefix bit for bit, at any thread count (start from a
+    /// default-constructed summary with `point` set). The adaptive
+    /// sampling engine (src/sampling/sequential.hpp) looks at the partial
+    /// summary between batches.
+    void run_batch(PointSummary& summary, const OperatingPoint& point,
+                   std::size_t count);
+
+    /// Forensic re-run of trials [0, count) at `point` on the worker
+    /// contexts, one ForensicProbe per worker. Purely observational: the
+    /// results never feed a PointSummary, and each trial outcome is
+    /// bit-identical to what run_batch produces for the same index.
+    /// Results are indexed by trial, so feeding them to a ForensicSink in
+    /// order yields a record stream bitwise identical at any thread count.
+    std::vector<TrialForensics> run_forensics(const OperatingPoint& point,
+                                              std::size_t count);
 
     const McConfig& config() const { return config_; }
     const Benchmark& benchmark() const { return *benchmark_; }
-    /// Prototype fault model (cloned once per parallel worker).
+    /// Prototype fault model (cloned once per worker context).
     const FaultModel& model() const { return *model_; }
 
     /// True when run_trial_with would take the zero-fault fast path for
@@ -192,21 +211,50 @@ public:
     /// Used by the observability layer to tag fast-path points.
     bool fast_path_active(FaultModel& model, const OperatingPoint& point) const {
         model.set_operating_point(point);
-        return config_.zero_fault_fast_path && !model.can_inject() &&
-               golden_.cycles <= watchdog_cycles_;
+        return takes_fast_path(model);
     }
 
     /// Attaches a run ledger (null detaches). Wall-mode ledgers get a
-    /// "trial_run" span per run_point, whose end carries items = trials
-    /// and lazy_lowered = the words the runner's own Cpu lowered lazily
-    /// (0 on clean runs: the constructor primes it), and a "decode" span
-    /// per make_trial_contexts (items = words primed). BatchedExecutor
-    /// reads its batch and worker-lane spans' ledger from here too.
-    /// Dispatch-thread only: workers never touch the ledger.
+    /// "decode" span when the worker contexts are built (items = words
+    /// primed, contexts x program words), a "trial_run" span per
+    /// run_point (items = trials), a "batch" span per run_batch with one
+    /// "trials" span per active worker lane and a "fast_path" instant on
+    /// the first batch of a point the zero-fault fast path serves, and a
+    /// "forensic_trials" span per run_forensics (items = trials).
+    /// Logical-mode ledgers get nothing here — block structure is
+    /// volatile (a warm rerun runs no trials at all). Dispatch-thread
+    /// only: workers never touch the ledger.
     void set_ledger(obs::Ledger* ledger) { ledger_ = ledger; }
     obs::Ledger* ledger() const { return ledger_; }
 
+    /// Attaches the registry that counts "run.batches" and
+    /// "run.fastpath_points" per run_batch (volatile by the "run."
+    /// naming convention); null = no counting.
+    void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+
 private:
+    /// The zero-fault fast-path condition for a model already at its
+    /// point: it cannot inject there and the golden run fits the
+    /// watchdog.
+    bool takes_fast_path(const FaultModel& model) const {
+        return config_.zero_fault_fast_path && !model.can_inject() &&
+               golden_.cycles <= watchdog_cycles_;
+    }
+    /// Builds the worker contexts on first use (make_trial_contexts).
+    void ensure_contexts();
+    /// The block engine: stamps `point` on the contexts' models from the
+    /// dispatching thread and calls fn(worker, offset) once per offset in
+    /// [0, count) over min(contexts, count) workers (for_each_trial).
+    void run_block(const OperatingPoint& point, std::size_t count,
+                   const std::function<void(std::size_t, std::uint64_t)>& fn);
+    /// Outcomes of trials [first_trial, first_trial + count), indexed
+    /// relative to the block start. A wall-mode `lanes` ledger gets one
+    /// "trials" span per active worker lane.
+    std::vector<TrialOutcome> run_trials(const OperatingPoint& point,
+                                         std::uint64_t first_trial,
+                                         std::size_t count,
+                                         obs::Ledger* lanes);
+
     const Benchmark* benchmark_;
     FaultModel* model_;
     McConfig config_;
@@ -229,13 +277,16 @@ private:
     /// Per-trial stream derivation base (seeded once from config_.seed;
     /// fork(trial) is const, so sharing it across threads is safe).
     Rng trial_seeder_;
+    /// One per worker, built at the first block (src/mc/parallel.hpp).
+    std::vector<std::unique_ptr<TrialContext>> contexts_;
     obs::Ledger* ledger_ = nullptr;
+    obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 /// Aggregates `outcomes` (indexed by trial) exactly like the historical
 /// serial loop: iterating in trial-index order makes the floating-point
 /// accumulation independent of the order in which trials finished, which
-/// is what makes parallel and serial run_point bit-identical.
+/// is what makes run_point bit-identical at every thread count.
 PointSummary summarize_trials(const OperatingPoint& point,
                               const std::vector<TrialOutcome>& outcomes);
 
@@ -243,8 +294,8 @@ PointSummary summarize_trials(const OperatingPoint& point,
 /// an existing summary with the exact accumulation sequence of
 /// summarize_trials, then refreshes the derived means. Feeding the blocks
 /// of a trial prefix in order therefore reproduces summarize_trials over
-/// that prefix bit for bit — the foundation of the batched executor's
-/// determinism contract (src/sampling/batch.hpp).
+/// that prefix bit for bit — the foundation of run_batch's determinism
+/// contract.
 void accumulate_trials(PointSummary& summary,
                        const std::vector<TrialOutcome>& outcomes);
 

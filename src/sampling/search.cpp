@@ -134,12 +134,10 @@ PoffSearchResult find_poff_bisection(const ProbeFn& probe,
     return result;
 }
 
-PoffSearchResult find_poff_bisection(const MonteCarloRunner& runner,
+PoffSearchResult find_poff_bisection(MonteCarloRunner& runner,
                                      const OperatingPoint& base,
                                      const PoffSearchConfig& config,
-                                     const SamplingPolicy& policy,
-                                     std::size_t threads) {
-    BatchedExecutor executor(runner, threads);
+                                     const SamplingPolicy& policy) {
     // Quote pass_risk at the policy's confidence, not the default z —
     // a policy running at z = 3 expects its residual risk bound at the
     // same level its stopping rule used.
@@ -147,9 +145,7 @@ PoffSearchResult find_poff_bisection(const MonteCarloRunner& runner,
     cfg.z = policy.z;
     return find_poff_bisection(
         [&](const OperatingPoint& point) {
-            return run_point_sequential(executor, point, policy,
-                                        runner.config().trials)
-                .summary;
+            return run_point_sequential(runner, point, policy).summary;
         },
         base, cfg);
 }

@@ -97,10 +97,9 @@ PoffSearchResult find_poff_bisection(const ProbeFn& probe,
 
 /// Convenience overload: probes via run_point_sequential on `runner`
 /// under `policy` (fixed-N probes use runner.config().trials).
-PoffSearchResult find_poff_bisection(const MonteCarloRunner& runner,
+PoffSearchResult find_poff_bisection(MonteCarloRunner& runner,
                                      const OperatingPoint& base,
                                      const PoffSearchConfig& config,
-                                     const SamplingPolicy& policy,
-                                     std::size_t threads);
+                                     const SamplingPolicy& policy);
 
 }  // namespace sfi::sampling

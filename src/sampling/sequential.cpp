@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/ledger.hpp"
 #include "util/fingerprint.hpp"
 
 namespace sfi::sampling {
@@ -116,20 +117,21 @@ StopRule classify_stop(const PointSummary& summary,
     return StopRule::MaxTrials;
 }
 
-SequentialResult run_point_sequential(BatchedExecutor& executor,
+SequentialResult run_point_sequential(MonteCarloRunner& runner,
                                       const OperatingPoint& point,
-                                      const SamplingPolicy& policy,
-                                      std::size_t fixed_trials) {
+                                      const SamplingPolicy& policy) {
     SequentialResult result;
     result.summary.point = point;
 
     if (!policy.adaptive()) {
-        result.summary =
-            executor.run_fixed(point, fixed_trials, policy.batch_size);
-        result.batches = policy.batch_size
-                             ? (fixed_trials + policy.batch_size - 1) /
-                                   policy.batch_size
-                             : (fixed_trials ? 1 : 0);
+        const std::size_t trials = runner.config().trials;
+        const std::size_t batch =
+            policy.batch_size ? policy.batch_size : trials;
+        while (result.summary.trials < trials) {
+            runner.run_batch(result.summary, point,
+                             std::min(batch, trials - result.summary.trials));
+            ++result.batches;
+        }
         result.converged = true;
         result.stop = StopRule::Fixed;
         return result;
@@ -138,7 +140,7 @@ SequentialResult run_point_sequential(BatchedExecutor& executor,
     // Stopping-trajectory telemetry is wall-mode only: which batches ran
     // (and their half-width snapshots) is volatile — a warm rerun serves
     // the point from the store without batching at all.
-    obs::Ledger* const ledger = obs::wall_ledger(executor.runner().ledger());
+    obs::Ledger* const ledger = obs::wall_ledger(runner.ledger());
     const auto record_stop = [&](const char* decision) {
         if (ledger != nullptr)
             ledger->instant(
@@ -161,7 +163,7 @@ SequentialResult run_point_sequential(BatchedExecutor& executor,
         // never runs.
         const std::size_t screen =
             std::min(std::max<std::size_t>(policy.screen_trials, 1), ceiling);
-        executor.run_batch(result.summary, point, screen);
+        runner.run_batch(result.summary, point, screen);
         ++result.batches;
         if (screen_decided(result.summary, policy)) {
             result.converged = true;
@@ -188,19 +190,10 @@ SequentialResult run_point_sequential(BatchedExecutor& executor,
             return result;
         }
         record_stop("continue");
-        executor.run_batch(result.summary, point,
+        runner.run_batch(result.summary, point,
                            std::min(batch, ceiling - done));
         ++result.batches;
     }
-}
-
-SequentialResult run_point_sequential(const MonteCarloRunner& runner,
-                                      const OperatingPoint& point,
-                                      const SamplingPolicy& policy,
-                                      std::size_t threads) {
-    BatchedExecutor executor(runner, threads);
-    return run_point_sequential(executor, point, policy,
-                                runner.config().trials);
 }
 
 }  // namespace sfi::sampling

@@ -1,5 +1,5 @@
-// Sequential stopping rules on top of the batched executor: run trial
-// batches until the Wilson confidence intervals on the point's
+// Sequential stopping rules on top of MonteCarloRunner::run_batch: run
+// trial batches until the Wilson confidence intervals on the point's
 // finished/correct fractions are tight enough (or a trial ceiling hits),
 // instead of spending the paper's flat "at least 100 simulations"
 // (PAPER §2.3) on points that are trivially decided.
@@ -13,7 +13,7 @@
 // Determinism: for a given (runner seed, policy) the whole procedure is
 // a pure function — batch b always covers the same absolute trial
 // indices, the partial summaries are bit-identical at any thread count
-// (src/sampling/batch.hpp), and the stopping decision only reads integer
+// (MonteCarloRunner::run_batch), and the stopping decision only reads integer
 // counts out of them. Re-running an adaptive point reproduces the same
 // trials-spent and the same summary, byte for byte.
 #pragma once
@@ -23,7 +23,7 @@
 #include <optional>
 #include <string>
 
-#include "sampling/batch.hpp"
+#include "mc/montecarlo.hpp"
 #include "util/stats.hpp"
 
 namespace sfi::sampling {
@@ -38,8 +38,8 @@ struct SamplingPolicy {
     };
 
     Kind kind = Kind::FixedN;
-    /// Trials per batch for the adaptive kinds (and for fixed-N routed
-    /// through the batched executor — any value gives identical bytes).
+    /// Trials per batch (fixed-N runs its trials in batches of this size
+    /// too — any value gives identical bytes).
     std::size_t batch_size = 25;
     /// Adaptive floor: never stop before this many trials, however tight
     /// the interval looks (tiny samples make Wilson intervals lie).
@@ -122,23 +122,13 @@ struct SequentialResult {
     StopRule stop = StopRule::Fixed;
 };
 
-/// Runs `point` under `policy` on `executor`:
-///  * FixedN: fixed_trials trials through the batched executor —
+/// Runs `point` under `policy` on `runner`'s trial engine:
+///  * FixedN: runner.config().trials trials in batches of batch_size —
 ///    byte-identical to MonteCarloRunner::run_point (the equivalence
 ///    suite's contract);
 ///  * TargetCi / TwoStage: batches until the rule above says stop.
-/// `fixed_trials` is the fixed-N trial count (typically
-/// runner.config().trials); the adaptive kinds ignore it.
-SequentialResult run_point_sequential(BatchedExecutor& executor,
+SequentialResult run_point_sequential(MonteCarloRunner& runner,
                                       const OperatingPoint& point,
-                                      const SamplingPolicy& policy,
-                                      std::size_t fixed_trials);
-
-/// Convenience wrapper that builds a throwaway executor. Prefer the
-/// executor overload inside sweeps — it reuses the worker contexts.
-SequentialResult run_point_sequential(const MonteCarloRunner& runner,
-                                      const OperatingPoint& point,
-                                      const SamplingPolicy& policy,
-                                      std::size_t threads);
+                                      const SamplingPolicy& policy);
 
 }  // namespace sfi::sampling

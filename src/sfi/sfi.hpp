@@ -47,7 +47,6 @@
 #include "perf/perf.hpp"
 #include "perf/report.hpp"
 #include "power/power_model.hpp"
-#include "sampling/batch.hpp"
 #include "sampling/search.hpp"
 #include "sampling/sequential.hpp"
 #include "timing/calibration.hpp"

@@ -101,9 +101,7 @@ double Cli::get_positive_double(const std::string& name, double def) const {
 }
 
 std::size_t Cli::get_threads(std::size_t def) const {
-    const std::int64_t value =
-        get_int("threads", static_cast<std::int64_t>(def));
-    return value < 0 ? 0 : static_cast<std::size_t>(value);
+    return static_cast<std::size_t>(get_uint("threads", def));
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {

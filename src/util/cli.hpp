@@ -42,10 +42,11 @@ public:
     /// get_uint.
     double get_positive_double(const std::string& name, double def) const;
 
-    /// The shared `--threads` parser for McConfig::threads: non-negative
-    /// worker count, where 0 means one worker per hardware thread.
-    /// Negative values would wrap std::size_t to a huge count, so they are
-    /// clamped to 0 (= auto) in this one place.
+    /// The shared `--threads` parser for McConfig::threads: a non-negative
+    /// worker count, where 0 means one worker per hardware thread. Parsed
+    /// like get_uint — a negative or malformed value throws
+    /// std::invalid_argument naming the flag instead of silently running
+    /// at some other count.
     std::size_t get_threads(std::size_t def = 0) const;
 
     /// Positional (non-option) arguments, in order.

@@ -6,7 +6,8 @@
 #      manifest's volatile "run" line excepted), and
 #   3. both runs print every panel title that `sfi_campaign --list` names;
 #   4. `--dta-cycles 0` exits 2 with a diagnostic instead of characterizing
-#      a core that never faults.
+#      a core that never faults, and a `--threads` that is not a
+#      non-negative integer exits 2 instead of running at some other count.
 # Runs under ctest (label "contract"); by hand:
 #
 #   cmake -DSFI_CAMPAIGN=build/sfi_campaign -DWORK_DIR=/tmp/contract \
@@ -128,6 +129,22 @@ if(NOT code EQUAL 2 OR NOT err MATCHES "--dta-cycles must be positive" OR
     message(FATAL_ERROR "--dta-cycles 0 exited ${code} (expected 2 and "
                         "no cache file):\n${err}")
 endif()
+
+# 5. So is a worker count that is not a non-negative integer.
+foreach(threads abc -2)
+    execute_process(
+        COMMAND "${SFI_CAMPAIGN}" --figures fig4 --trials 1 --dta-cycles 128
+                --threads=${threads} --no-store --no-csv --quiet
+        WORKING_DIRECTORY "${WORK_DIR}"
+        RESULT_VARIABLE code
+        OUTPUT_QUIET
+        ERROR_VARIABLE err)
+    if(NOT code EQUAL 2 OR
+       NOT err MATCHES "error: --threads must be a non-negative integer")
+        message(FATAL_ERROR "--threads=${threads} exited ${code} (expected 2 "
+                            "and a diagnostic):\n${err}")
+    endif()
+endforeach()
 
 list(LENGTH cold_files artifacts)
 message(STATUS "campaign contract: ${warm_hits} warm hits, ${artifacts} "

@@ -8,8 +8,10 @@
 //   * external memory mutation between reset() and run() — writes and
 //     Memory::clear() bypass the Cpu entirely and must still invalidate
 //     the stream (write-generation coherence guard),
-//   * prime_decode() — priming is idempotent and never makes a stale
-//     stream trusted before a reset,
+//   * prime_decode() — priming is idempotent, never makes a stale stream
+//     trusted before a reset, and a primed Cpu never re-lowers a word on
+//     clean runs (the worker contexts of the Monte-Carlo engine rely on
+//     it),
 //   * footprint — the stream spans the whole image, but only the pages
 //     of words a kernel actually lowers become resident.
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <vector>
 
+#include "apps/benchmark.hpp"
 #include "cpu/cpu.hpp"
 #include "isa/encoding.hpp"
 #include "isa/isa.hpp"
@@ -172,6 +175,20 @@ TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
     EXPECT_EQ(cpu.prime_decode(exit_with(4)), 2u);
     cpu.reset(exit_with(4));
     EXPECT_EQ(cpu.run().exit_code, 4u);
+}
+
+TEST(DecodeCache, PrimedCpuNeverRelowersOnCleanRuns) {
+    const auto benchmark = make_median(42, 33);
+    const Program& program = benchmark->program();
+    Memory mem;
+    Cpu cpu(mem);
+    ASSERT_GT(cpu.prime_decode(program), 0u);
+    for (int run = 0; run < 3; ++run) {
+        cpu.reset(program);
+        ASSERT_EQ(int(cpu.run().stop), int(StopReason::Halted));
+        EXPECT_EQ(benchmark->read_output(mem), benchmark->golden_output());
+        EXPECT_EQ(cpu.lazily_lowered(), 0u) << "run " << run;
+    }
 }
 
 // ---------------------------------------------------------------------------

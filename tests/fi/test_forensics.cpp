@@ -163,9 +163,15 @@ TEST(Classification, ZeroInjectionTrialsAreMaskedVacuously) {
         auto model = shared_core().make_model_b();
         McConfig config = fast_config(4);
         config.zero_fault_fast_path = fast_path;
+        config.threads = 2;
         MonteCarloRunner runner(*bench, *model, config);
-        for (std::uint64_t trial = 0; trial < 4; ++trial) {
-            const TrialForensics fx = runner.run_trial_forensic(p, trial);
+        // The block engine first, while its worker contexts are fresh
+        // (never reset, never run): a fast-path trial classifies without
+        // looking at them. Then the serial form on the runner's own Cpu.
+        std::vector<TrialForensics> results = runner.run_forensics(p, 4);
+        for (std::uint64_t trial = 0; trial < 4; ++trial)
+            results.push_back(runner.run_trial_forensic(p, trial));
+        for (const TrialForensics& fx : results) {
             EXPECT_EQ(fx.cls, OutcomeClass::Masked);
             EXPECT_TRUE(fx.records.empty());
             EXPECT_TRUE(fx.outcome.finished);
@@ -358,9 +364,10 @@ TEST(ForensicDeterminism, RecordStreamBitwiseIdenticalAcrossThreadCounts) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        const auto contexts = make_trial_contexts(runner, threads);
-        const auto parallel = run_forensic_block(runner, p, 0, kTrials,
-                                                 contexts);
+        McConfig config = fast_config(kTrials);
+        config.threads = threads;
+        MonteCarloRunner engine(*bench, *model, config);
+        const auto parallel = engine.run_forensics(p, kTrials);
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < parallel.size(); ++i) {
             EXPECT_EQ(parallel[i].cls, serial[i].cls) << "trial " << i;

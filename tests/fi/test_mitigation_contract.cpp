@@ -16,6 +16,7 @@
 #include "fi/forensics.hpp"
 #include "fi/mitigation.hpp"
 #include "mc/montecarlo.hpp"
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
@@ -203,11 +204,8 @@ TEST_P(MitigationContract, SerialAndParallelPointsAreBitIdentical) {
         mc.trials = 12;
         mc.threads = threads;
         MonteCarloRunner runner(*bench, *model, mc);
+        if (threads == 1) serial = testing::serial_point(runner, point);
         const PointSummary s = runner.run_point(point);
-        if (threads == 1) {
-            serial = s;
-            continue;
-        }
         EXPECT_EQ(s.trials, serial.trials) << threads << " threads";
         EXPECT_EQ(s.finished_count, serial.finished_count)
             << threads << " threads";

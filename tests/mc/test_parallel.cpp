@@ -1,8 +1,9 @@
-// Trial-level equivalence suite for the parallel Monte-Carlo engine:
+// Trial-level equivalence suite for the Monte-Carlo block engine:
 //
-//  * parallel run_point / frequency_sweep are bit-identical to the serial
-//    path for models A, B, B+, C and the Razor decorator at 1, 2 and 8
-//    worker threads (override the widest count with SFI_TEST_THREADS);
+//  * run_point / frequency_sweep are bit-identical to the serial trial
+//    loop (tests/testing/serial_point.hpp) for models A, B, B+, C and the
+//    Razor decorator at 1, 2 and 8 worker threads (override the widest
+//    count with SFI_TEST_THREADS), and never drive the caller's model;
 //  * FaultModel::clone() fidelity — a clone reproduces the original's
 //    corrupt() stream, both after reseed() and mid-stream;
 //  * FiStats/RunningStats aggregation is a pure function of the
@@ -21,12 +22,14 @@
 
 #include "fi/mitigation.hpp"
 #include "testing/frequency_sweep.hpp"
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
 using testing::frequency_sweep;
+using testing::serial_point;
 using testing::shared_core;
 
 OperatingPoint point(double f, double vdd = 0.7, double sigma = 0.0) {
@@ -125,7 +128,7 @@ std::vector<ModelCase> model_cases() {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole (a): parallel run_point / frequency_sweep == serial, bitwise.
+// Tentpole (a): run_point / frequency_sweep == the serial loop, bitwise.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelEquivalence, RunPointBitIdenticalAcrossModelsAndThreadCounts) {
@@ -133,7 +136,7 @@ TEST(ParallelEquivalence, RunPointBitIdenticalAcrossModelsAndThreadCounts) {
     for (ModelCase& c : model_cases()) {
         SCOPED_TRACE("model " + c.label);
         MonteCarloRunner serial(*bench, *c.model, fast_config());
-        const PointSummary reference = serial.run_point(c.at);
+        const PointSummary reference = serial_point(serial, c.at);
         // The point must actually exercise the model for the comparison to
         // mean anything (model A's p and the thresholds guarantee it).
         EXPECT_GT(reference.fi_rate_stats.max(), 0.0);
@@ -148,23 +151,46 @@ TEST(ParallelEquivalence, RunPointBitIdenticalAcrossModelsAndThreadCounts) {
     }
 }
 
+// The block engine's per-trial results (run_forensics returns them by
+// trial index) against run_trial on the runner's own Cpu, field by field.
 TEST(ParallelEquivalence, EngineOutcomesMatchSerialPerTrialIndex) {
     const auto bench = make_benchmark(BenchmarkId::Median);
     auto model = shared_core().make_model_c();
-    MonteCarloRunner runner(*bench, *model, fast_config(12));
+    MonteCarloRunner serial(*bench, *model, fast_config(12));
     const OperatingPoint p = point(model_c_active_mhz(1.05), 0.7, 10.0);
     std::vector<TrialOutcome> reference;
     for (std::uint64_t trial = 0; trial < 12; ++trial)
-        reference.push_back(runner.run_trial(p, trial));
+        reference.push_back(serial.run_trial(p, trial));
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, wide_thread_count()}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        const auto outcomes = run_trials_parallel(runner, p, threads);
-        ASSERT_EQ(outcomes.size(), reference.size());
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        McConfig config = fast_config(12);
+        config.threads = threads;
+        MonteCarloRunner runner(*bench, *model, config);
+        const auto results = runner.run_forensics(p, 12);
+        ASSERT_EQ(results.size(), reference.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
             SCOPED_TRACE("trial " + std::to_string(i));
-            expect_outcomes_identical(reference[i], outcomes[i]);
+            expect_outcomes_identical(reference[i], results[i].outcome);
         }
+    }
+}
+
+// The engine clones the caller's model into its worker contexts at the
+// first block and never drives the original, at one thread as at many.
+TEST(ParallelEquivalence, RunPointNeverDrivesTheCallersModel) {
+    const auto bench = make_benchmark(BenchmarkId::Median);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto model = shared_core().make_model_c();
+        McConfig config = fast_config(4);
+        config.threads = threads;
+        MonteCarloRunner runner(*bench, *model, config);
+        const PointSummary s =
+            runner.run_point(point(model_c_active_mhz(), 0.7, 10.0));
+        EXPECT_GT(s.fi_rate, 0.0);
+        EXPECT_EQ(model->stats().alu_ops, 0u);
+        EXPECT_EQ(model->stats().injections, 0u);
     }
 }
 
@@ -177,7 +203,12 @@ TEST(ParallelEquivalence, FrequencySweepBitIdenticalToSerial) {
 
     auto serial_model = shared_core().make_model_c();
     MonteCarloRunner serial(*bench, *serial_model, fast_config(8));
-    const auto reference = frequency_sweep(serial, base, freqs);
+    std::vector<PointSummary> reference;
+    for (const double f : freqs) {
+        OperatingPoint p = base;
+        p.freq_mhz = f;
+        reference.push_back(serial_point(serial, p));
+    }
 
     auto parallel_model = shared_core().make_model_c();
     McConfig config = fast_config(8);

@@ -51,24 +51,24 @@ std::string bytes_of(const PointSummary& summary) {
     return os.str();
 }
 
-McConfig config_for(FaultSamplingMode mode, std::size_t threads,
-                    std::size_t trials = 24) {
+McConfig config_for(std::size_t threads, std::size_t trials = 24) {
     McConfig config;
     config.trials = trials;
     config.seed = 77;
     config.threads = threads;
-    config.fault_sampling = mode;
     return config;
 }
 
-/// Runs one point under `mode` at `threads` on a fresh model from
-/// `make_model` and returns the summary's exact bytes.
+/// Runs one point at `threads` on a fresh model from `make_model` set to
+/// `mode` (the runner's worker contexts clone it) and returns the
+/// summary's exact bytes.
 template <typename MakeModel>
 std::string run_bytes(const Benchmark& bench, MakeModel make_model,
                       const OperatingPoint& point, FaultSamplingMode mode,
                       std::size_t threads) {
     auto model = make_model();
-    MonteCarloRunner runner(bench, *model, config_for(mode, threads));
+    model->set_sampling_mode(mode);
+    MonteCarloRunner runner(bench, *model, config_for(threads));
     return bytes_of(runner.run_point(point));
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sfi {
 namespace {
@@ -68,11 +69,23 @@ TEST(Cli, GetThreadsParsesWorkerCount) {
     EXPECT_EQ(make({"prog"}).get_threads(2), 2u);
 }
 
-TEST(Cli, GetThreadsClampsNegativeToAuto) {
-    // A negative count must not wrap to a huge std::size_t and spawn one
-    // context per trial.
-    EXPECT_EQ(make({"prog", "--threads=-1"}).get_threads(), 0u);
-    EXPECT_EQ(make({"prog", "--threads=-100"}).get_threads(3), 0u);
+TEST(Cli, GetThreadsRejectsNegativeAndMalformedCounts) {
+    // A negative count must not wrap to a huge std::size_t, and neither it
+    // nor garbage may silently run at some other count (0 = auto, or the
+    // digits before the junk).
+    for (const char* arg : {"--threads=-1", "--threads=-2", "--threads=abc",
+                            "--threads=3x", "--threads="}) {
+        SCOPED_TRACE(arg);
+        try {
+            (void)make({"prog", arg}).get_threads();
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--threads must be a non-negative integer"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Cli, GetUintParsesValuesAndDefaults) {
