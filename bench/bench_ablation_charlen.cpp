@@ -2,6 +2,9 @@
 // of randomized operands per instruction. Short kernels under-sample the
 // arrival-time tails (the rare worst-case excitations), which moves the
 // apparent dynamic limits up and distorts the onset of the CDFs.
+//
+// The ladder is derived from --dta-cycles c as {c/16, c/4, c, 4c} (each
+// at least 1); the default 8,192 gives 512, 2,048, 8,192 and 32,768.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -14,12 +17,15 @@ int main(int argc, char** argv) {
     TextTable table({"cycles", "mul fmax [MHz]", "add fmax [MHz]",
                      "cmp fmax [MHz]", "mul P(f=740MHz,b31)",
                      "DTA time [s]"});
-    for (const std::size_t cycles : {512u, 2048u, 8192u, 32768u}) {
+    const std::size_t c = ctx.core_config.dta.cycles;
+    for (const std::size_t cycles :
+         {std::max<std::size_t>(c / 16, 1), std::max<std::size_t>(c / 4, 1),
+          c, 4 * c}) {
         CoreModelConfig config = ctx.core_config;
         config.dta.cycles = cycles;
         config.cdf_cache_path.clear();
         const auto t0 = std::chrono::steady_clock::now();
-        const CharacterizedCore core(config);
+        const CharacterizedCore core(config, nullptr, ctx.threads);
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     config.lib.cell_alpha_spread = spread;
     config.cdf_cache_path.clear();
     config.dta.cycles = std::min<std::size_t>(config.dta.cycles, 4096);
-    const CharacterizedCore core(config);
+    const CharacterizedCore core(config, nullptr, ctx.threads);
 
     std::cout << "per-cell-type voltage-exponent spread: "
               << fmt_fixed(100.0 * spread, 1) << "%\n\n";
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
         // Ground truth: event-driven DTA on delays characterized at vdd.
         const InstanceTiming timing_at_v = core.timing().at_voltage(vdd);
         for (const ExClass cls : {ExClass::Add, ExClass::Mul, ExClass::Cmp}) {
-            const DtaClassResult truth =
-                run_dta_class(core.alu(), timing_at_v, cls, dta);
+            const DtaClassResult truth = run_dta_class(
+                core.alu(), timing_at_v, cls, dta, nullptr, ctx.threads);
             const double f_true =
                 1.0e6 / (truth.max_arrival_ps + timing_at_v.setup_ps());
             const double f_approx = core.dynamic_fmax_mhz(cls, vdd);

@@ -7,16 +7,14 @@
 // via the campaign engine (point store, resume, forensics all apply),
 // then joins the per-point detection counters from the forensic pass with
 // the sweeps into cwc_compare.csv — finished/correct/FI rate plus the
-// throughput/energy economics of each detector:
+// throughput/energy economics of each detector, priced by its
+// DetectorCost (src/fi/mitigation.hpp, razor_cost / cwc_cost):
 //
 //   effective_mhz = (f / (1 + latency_frac)) * K / (K + detections * penalty)
 //   power_uw      = PowerModel(vdd, f) * (1 + energy_frac)
 //
-// with K the golden kernel cycle count, penalty the per-detection replay
-// (Razor, 11 cycles) or recovery (CWC, 2 cycles) cost, and the static
-// fractions the per-detector overhead model (Razor pays energy for the
-// shadow latches; CWC pays clock rate and energy for the widened
-// datapath). cwc_poff.csv holds the per-detector PoFF and STA gain, and
+// with K the golden kernel cycle count and detections the mean per
+// forensic trial. cwc_poff.csv holds the per-detector PoFF and STA gain, and
 // cwc_coverage.csv the exact a-priori CWC coverage table that
 // scripts/check_cwc.py re-derives by brute force.
 //
@@ -38,12 +36,24 @@ namespace {
 using namespace sfi;
 
 struct DetectorSpec {
-    std::string tag;             ///< panel-name component
+    std::string tag;  ///< panel-name component
     campaign::ModelSpec model;
-    double latency_frac = 0.0;   ///< static clock-rate derating
-    double energy_frac = 0.0;    ///< static power overhead
-    unsigned penalty_cycles = 0; ///< per-detection replay/recovery cost
 };
+
+/// The panel's detector price; a bare model costs nothing.
+DetectorCost cost_of(const campaign::ModelSpec& model) {
+    switch (model.mitigation) {
+        case campaign::ModelSpec::Mitigation::Razor:
+            return razor_cost(
+                RazorConfig{model.razor_coverage, model.razor_replay_cycles});
+        case campaign::ModelSpec::Mitigation::Cwc:
+            return cwc_cost(
+                CwcConfig{model.cwc_block_bits, model.cwc_recovery_cycles});
+        case campaign::ModelSpec::Mitigation::None:
+            break;
+    }
+    return {};
+}
 
 struct PointRow {
     double freq_mhz = 0.0;
@@ -96,29 +106,16 @@ int main(int argc, char** argv) {
 
     // The detector roster: the three bare models anchor the comparison,
     // the decorated model-C panels carry the mitigation trade-off.
-    const RazorConfig razor_defaults;
-    const double cwc_check_bits = static_cast<double>(code.n - code.k);
-    const double cwc_latency_frac = 0.01 * cwc_check_bits;
-    const double cwc_energy_frac =
-        0.5 * cwc_check_bits / static_cast<double>(code.k);
     std::vector<DetectorSpec> detectors = {
         {"bareA", campaign::ModelSpec::a(1e-4)},
         {"bareB", campaign::ModelSpec::b()},
         {"bareC", campaign::ModelSpec::c()},
     };
     if (mitigation == "all" || mitigation == "razor")
-        detectors.push_back({"razor",
-                             campaign::ModelSpec::c().with_razor(
-                                 razor_defaults.detection_coverage,
-                                 razor_defaults.replay_penalty_cycles),
-                             0.0, razor_defaults.energy_overhead_frac,
-                             razor_defaults.replay_penalty_cycles});
+        detectors.push_back({"razor", campaign::ModelSpec::c().with_razor()});
     if (mitigation == "all" || mitigation == "cwc")
-        detectors.push_back(
-            {"cwc" + std::to_string(code.k),
-             campaign::ModelSpec::c().with_cwc(code.k,
-                                               /*recovery_cycles=*/2),
-             cwc_latency_frac, cwc_energy_frac, /*penalty_cycles=*/2});
+        detectors.push_back({"cwc" + std::to_string(code.k),
+                             campaign::ModelSpec::c().with_cwc(code.k)});
 
     std::cout << "Mitigation comparison: CWC(" << code.k << "," << code.n
               << "," << code.w << ") vs Razor vs bare A/B+/C\n\n";
@@ -207,6 +204,7 @@ int main(int argc, char** argv) {
         for (const DetectorSpec& detector : detectors) {
             const std::string name = panel_name(kernel_name, detector.tag);
             const campaign::PanelResult& panel = result.panel(name);
+            const DetectorCost cost = cost_of(detector.model);
 
             // Forensic rows for this panel, in point order.
             std::vector<const ForensicPointRow*> probe;
@@ -232,16 +230,10 @@ int main(int argc, char** argv) {
                         ? static_cast<double>(row.detected) /
                               static_cast<double>(row.probe_trials)
                         : 0.0;
-                const double derated =
-                    row.freq_mhz / (1.0 + detector.latency_frac);
-                const double dilation =
-                    static_cast<double>(kernel_cycles) /
-                    (static_cast<double>(kernel_cycles) +
-                     per_trial * detector.penalty_cycles);
-                row.effective_mhz = derated * dilation;
-                row.power_uw =
-                    power.core_power_uw(summary.point.vdd, row.freq_mhz) *
-                    (1.0 + detector.energy_frac);
+                row.effective_mhz =
+                    cost.effective_mhz(row.freq_mhz, kernel_cycles, per_trial);
+                row.power_uw = cost.power_uw(
+                    power.core_power_uw(summary.point.vdd, row.freq_mhz));
                 rows.push_back(row);
 
                 compare.cell(kernel_name)

@@ -36,10 +36,9 @@ int main(int argc, char** argv) {
         RazorConfig razor;
         razor.detection_coverage = coverage;
         razor.replay_penalty_cycles = penalty;
-        auto model = std::make_unique<ErrorDetectionModel>(core.make_model_c(),
-                                                           razor);
-        ErrorDetectionModel* razor_model = model.get();
-        MonteCarloRunner runner(*bench, *model, ctx.mc_config());
+        const DetectorCost cost = razor_cost(razor);
+        ErrorDetectionModel model(core.make_model_c(), razor);
+        MonteCarloRunner runner(*bench, model, ctx.mc_config());
         OperatingPoint point = base;
         point.freq_mhz = f;
 
@@ -47,19 +46,18 @@ int main(int argc, char** argv) {
         std::uint64_t detected = 0, escaped = 0;
         double eff_sum = 0.0;
         RunningStats raw_rate;
-        // Serial run_trial loop (not run_point): this bench reads the
-        // Razor model's detection counters after every trial, which the
-        // parallel engine's per-worker clones don't expose — so --threads
-        // has no effect here.
-        for (std::size_t trial = 0; trial < ctx.trials; ++trial) {
-            razor_model->reset_mitigation_stats();
-            const TrialOutcome outcome = runner.run_trial(point, trial);
-            finished += outcome.finished;
-            correct += outcome.correct;
-            detected += razor_model->detected();
-            escaped += razor_model->escaped();
-            raw_rate.add(outcome.fi.fi_per_kcycle());
-            eff_sum += razor_model->effective_mhz(f, outcome.kernel_cycles);
+        // Every trial under the forensic probe, on the runner's workers:
+        // the probe counts each trial's verdicts, and the trial's own
+        // kernel cycles price them.
+        for (const TrialForensics& fx :
+             runner.run_forensics(point, ctx.trials)) {
+            finished += fx.outcome.finished;
+            correct += fx.outcome.correct;
+            detected += fx.razor_detected;
+            escaped += fx.razor_escaped;
+            raw_rate.add(fx.outcome.fi.fi_per_kcycle());
+            eff_sum += cost.effective_mhz(f, fx.outcome.kernel_cycles,
+                                          fx.razor_detected);
         }
         const double eff = eff_sum / static_cast<double>(ctx.trials);
         if (eff > best_eff && finished == ctx.trials) {

@@ -64,13 +64,12 @@ int main(int argc, char** argv) {
                   << fmt_sci(cdfs.violation_prob(ExClass::Mul, bit, window), 3)
                   << "\n";
 
-    // (5) fault injection into the ISS
+    // (5) fault injection into the ISS: trial 0 of the point, on the
+    // trial engine
     auto model = core.make_model_c();
-    model->set_operating_point(point);
-    model->reseed(ctx.seed);
     const auto bench = make_benchmark(bench_id);
     MonteCarloRunner runner(*bench, *model, ctx.mc_config());
-    const TrialOutcome outcome = runner.run_trial(point, 0);
+    const TrialOutcome outcome = runner.run_forensics(point, 1).front().outcome;
     std::cout << "[ISS]       " << bench->name() << ": "
               << stop_reason_name(outcome.stop) << ", "
               << outcome.kernel_cycles << " kernel cycles, "

@@ -8,7 +8,8 @@
 //     CDF-cache hit: delete the cache for a cold timing);
 //   * fault-sampling ops/sec — the models' corrupt() path in isolation;
 //   * trial-kernel throughput (trials/sec) for models A, B, B+ and C at
-//     fig. 1-style operating points, with per-thread scaling;
+//     fig. 1-style operating points, with per-thread scaling — each rung
+//     the median of kTimedSamples timed points;
 //   * the zero-fault fast path — the same sub-threshold point with the
 //     fast path off vs. on (a machine-independent within-run ratio);
 //   * a small end-to-end fig1 campaign (store disabled: every point is
@@ -27,6 +28,7 @@
 // (scaling sweep ceiling; default --threads, i.e. hardware), --benchmark
 // NAME (default median, the fig. 1 kernel), --campaign-trials N
 // (default 10), --no-campaign.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -37,7 +39,14 @@ namespace {
 
 using namespace sfi;
 
-// One timed run_point: returns the ThreadSample for `threads` workers.
+// Timed run_points per rung. A fixed count, not a time budget, keeps
+// the phase rows' calls/items equal for equal flags; the median of the
+// samples is what a rung reports, so one preempted sample cannot move it
+// (the fast-path kernels finish a point in well under a millisecond).
+constexpr std::size_t kTimedSamples = 7;
+
+// kTimedSamples timed run_points after one warm-up: returns the
+// ThreadSample of the median sample for `threads` workers.
 perf::ThreadSample time_point(const Benchmark& bench, FaultModel& model,
                               const OperatingPoint& point, McConfig config,
                               std::size_t threads, obs::Ledger* ledger) {
@@ -47,11 +56,17 @@ perf::ThreadSample time_point(const Benchmark& bench, FaultModel& model,
     // Attach the ledger only now so the phases table counts exactly the
     // measured samples, not the warm-ups.
     runner.set_ledger(ledger);
-    perf::Stopwatch watch;
-    runner.run_point(point);
+    std::vector<double> seconds(kTimedSamples);
+    for (double& s : seconds) {
+        perf::Stopwatch watch;
+        runner.run_point(point);
+        s = watch.seconds();
+    }
+    std::nth_element(seconds.begin(), seconds.begin() + kTimedSamples / 2,
+                     seconds.end());
     perf::ThreadSample sample;
     sample.threads = threads;
-    sample.seconds = watch.seconds();
+    sample.seconds = seconds[kTimedSamples / 2];
     sample.trials_per_sec =
         sample.seconds > 0.0
             ? static_cast<double>(config.trials) / sample.seconds

@@ -48,6 +48,10 @@ CONTRACT_TARGETS = {
     "sfi_campaign_sampling_equivalence": ["sfi_campaign"],
     "sfi_campaign_trace_contract": ["sfi_campaign", "sfi_trace"],
     "sfi_forensics_contract": ["sfi_forensics", "sfi_campaign"],
+    "sfi_bench_drivers_contract": [
+        "bench_table1", "bench_table2", "bench_fig3_pipeline",
+        "bench_ext_razor", "bench_ablation_voltage",
+        "bench_ablation_charlen", "bench_cwc_compare"],
 }
 
 
@@ -71,6 +75,9 @@ BATCH = "sfi_sampling_test_batch"
 SEQUENTIAL = "sfi_sampling_test_sequential"
 FORENSICS = "sfi_fi_test_forensics"
 FORENSICS_CONTRACT = "sfi_forensics_contract"
+CWC = "sfi_fi_test_cwc"
+MITIGATION_CONTRACT = "sfi_fi_test_mitigation_contract"
+DRIVERS_CONTRACT = "sfi_bench_drivers_contract"
 
 MUTANTS = [
     # --- The DTA kernel's pop order and its chunks (src/timing/). These
@@ -367,6 +374,35 @@ MUTANTS = [
                   ("        results[trial] = run_trial_forensic(",
                    "        results[done++] = run_trial_forensic(")],
         "tests": [FORENSICS, FORENSICS_CONTRACT],
+    },
+    # --- Detection: the one count (the forensic probe) and the one price
+    # (DetectorCost, src/fi/), and a driver that reads both.
+    {
+        "name": "cwc-cost-without-clock-derating",
+        "file": "src/fi/cwc.cpp",
+        "edits": [("    cost.latency_frac = 0.01 * check_bits;\n", "")],
+        "tests": [CWC, DRIVERS_CONTRACT],
+    },
+    {
+        "name": "probe-counts-escape-as-detection",
+        "file": "src/fi/forensics.hpp",
+        "edits": [("""        } else {
+            ++escaped_;
+        }
+""", """        } else {
+            ++detected_;
+        }
+""")],
+        "tests": [MITIGATION_CONTRACT],
+    },
+    {
+        "name": "ext-razor-prices-escapes",
+        "file": "bench/bench_ext_razor.cpp",
+        "edits": [("                                          "
+                   "fx.razor_detected);\n",
+                   "                                          "
+                   "fx.razor_escaped);\n")],
+        "tests": [DRIVERS_CONTRACT],
     },
 ]
 

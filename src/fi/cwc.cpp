@@ -150,24 +150,13 @@ CwcDetectionModel::CwcDetectionModel(std::unique_ptr<FaultModel> inner,
       config_(config),
       code_(CwcCode::for_block_bits(config.block_bits)) {
     if (!inner_) throw std::invalid_argument("CwcDetectionModel: null inner");
-    const double check_bits = static_cast<double>(code_.n - code_.k);
-    latency_frac_ = config_.latency_overhead_frac > 0.0
-                        ? config_.latency_overhead_frac
-                        : 0.01 * check_bits;
-    energy_frac_ = config_.energy_overhead_frac > 0.0
-                       ? config_.energy_overhead_frac
-                       : 0.5 * check_bits / static_cast<double>(code_.k);
 }
 
 CwcDetectionModel::CwcDetectionModel(const CwcDetectionModel& other)
-    : DetectionModel(other),
+    : FaultModel(other),
       inner_(other.inner_->clone()),
       config_(other.config_),
-      code_(other.code_),
-      latency_frac_(other.latency_frac_),
-      energy_frac_(other.energy_frac_),
-      detected_(other.detected_),
-      escaped_(other.escaped_) {}
+      code_(other.code_) {}
 
 std::unique_ptr<FaultModel> CwcDetectionModel::clone() const {
     return std::unique_ptr<FaultModel>(new CwcDetectionModel(*this));
@@ -183,26 +172,22 @@ std::uint32_t CwcDetectionModel::corrupt(const ExEvent& ev,
     // statistics (and RNG stream) behave exactly as without mitigation.
     const std::uint32_t result = inner_->on_ex_result(ev, correct);
     if (result == correct) return correct;
-    const double p = cwc_detect_probability(code_, correct, result);
-    if (rng_.chance(p)) {
-        ++detected_;
-        ++stats_.injections;  // a detected violation still counts as an FI
-        if (probe_ != nullptr) probe_->mark_cwc(true);
-        return correct;       // recovered: architecturally clean
-    }
-    ++escaped_;
-    ++stats_.injections;
-    if (probe_ != nullptr) probe_->mark_cwc(false);
-    return result;
+    const bool detected =
+        rng_.chance(cwc_detect_probability(code_, correct, result));
+    ++stats_.injections;  // a detected violation still counts as an FI
+    if (probe_ != nullptr) probe_->mark_cwc(detected);
+    return detected ? correct  // recovered: architecturally clean
+                    : result;
 }
 
-double CwcDetectionModel::effective_mhz(double f_mhz,
-                                        std::uint64_t kernel_cycles) const {
-    const double derated = f_mhz / (1.0 + latency_frac_);
-    const std::uint64_t total = kernel_cycles + recovery_cycles();
-    return total ? derated * static_cast<double>(kernel_cycles) /
-                       static_cast<double>(total)
-                 : derated;
+DetectorCost cwc_cost(const CwcConfig& config) {
+    const CwcCode code = CwcCode::for_block_bits(config.block_bits);
+    const double check_bits = static_cast<double>(code.n - code.k);
+    DetectorCost cost;
+    cost.latency_frac = 0.01 * check_bits;
+    cost.energy_frac = 0.5 * check_bits / static_cast<double>(code.k);
+    cost.penalty_cycles = config.recovery_penalty_cycles;
+    return cost;
 }
 
 }  // namespace sfi

@@ -30,7 +30,7 @@
 // of a small-width ALU-result distribution, giving the exact per-
 // (ExClass, bit) single-bit-flip coverage that scripts/check_cwc.py
 // re-derives independently by brute force. docs/MITIGATIONS.md has the
-// full derivation and the overhead model.
+// full derivation and the cost model (cwc_cost).
 #pragma once
 
 #include <cstdint>
@@ -116,23 +116,24 @@ struct CwcConfig {
     /// at a relaxed (checker) path, not replayed through the pipeline, so
     /// this is a fraction of Razor's 11-cycle replay.
     unsigned recovery_penalty_cycles = 2;
-    /// Encode/decode logic in series with the EX stage lengthens the
-    /// critical path: the effective clock is f / (1 + frac). <= 0 derives
-    /// the default 0.01 * (n - k) — one percent per check bit.
-    double latency_overhead_frac = 0.0;
-    /// Switching energy of the widened (n-bit) datapath per protected
-    /// k-bit block. <= 0 derives the default 0.5 * (n - k) / k.
-    double energy_overhead_frac = 0.0;
 };
 
-/// CWC detection decorator: mirrors ErrorDetectionModel's contract (deep
-/// clone with counter carry-over, lock-step reseed of the inner model on
-/// a distinct stream, forwarded sampling mode / clean-op credit / shared
-/// forensic probe, delegated reachability), but the per-corruption
-/// verdict is drawn from the exact code-domain detection probability
-/// instead of a flat coverage knob, and detections cost recovery stalls
-/// plus a static clock-rate penalty instead of replay cycles.
-class CwcDetectionModel final : public DetectionModel {
+/// CWC's price (DetectorCost, fi/mitigation.hpp), derived from the code
+/// geometry of `config.block_bits`: the encode/decode logic in series
+/// with the EX stage derates the clock by one percent per check bit,
+/// 0.01 · (n − k); the widened n-bit datapath costs 0.5 · (n − k) / k
+/// switching energy per protected k-bit block; each detection stalls for
+/// `recovery_penalty_cycles`. Throws std::invalid_argument on a block
+/// width CwcCode::for_block_bits rejects.
+DetectorCost cwc_cost(const CwcConfig& config);
+
+/// CWC detection decorator: keeps ErrorDetectionModel's contract (deep
+/// clone, lock-step reseed of the inner model on a distinct stream,
+/// forwarded sampling mode / clean-op credit / shared forensic probe,
+/// delegated reachability), but the per-corruption verdict is drawn from
+/// the exact code-domain detection probability instead of a flat
+/// coverage knob. The probe counts the verdicts; cwc_cost prices them.
+class CwcDetectionModel final : public FaultModel {
 public:
     CwcDetectionModel(std::unique_ptr<FaultModel> inner, CwcConfig config);
 
@@ -140,34 +141,12 @@ public:
         return "cwc" + std::to_string(code_.k) + "(" + inner_->name() + ")";
     }
     ModelFeatures features() const override { return inner_->features(); }
-    /// Deep copy: clones the inner fault model and carries the detection/
-    /// escape counters over, like the Razor decorator.
+    /// Deep copy: clones the inner fault model, like the Razor decorator.
     std::unique_ptr<FaultModel> clone() const override;
 
     const FaultModel& inner() const { return *inner_; }
     const CwcCode& code() const { return code_; }
     const CwcConfig& config() const { return config_; }
-
-    std::uint64_t detected() const override { return detected_; }
-    std::uint64_t escaped() const override { return escaped_; }
-    void reset_mitigation_stats() override { detected_ = escaped_ = 0; }
-
-    /// Extra cycles spent in recovery stalls on detections.
-    std::uint64_t recovery_cycles() const {
-        return detected_ * config_.recovery_penalty_cycles;
-    }
-    /// Effective static clock-rate cost of the codec in the EX critical
-    /// path (resolved default when the config left it at "derive").
-    double latency_overhead_frac() const { return latency_frac_; }
-    /// Switching-energy overhead of the widened datapath (resolved).
-    double energy_overhead_frac() const { return energy_frac_; }
-
-    /// Throughput at clock `f_mhz`: the codec first derates the clock by
-    /// 1 + latency_overhead_frac (paid always, faults or not), then the
-    /// recovery stalls accumulated over `kernel_cycles` dilate the run
-    /// like Razor's replay cycles do.
-    double effective_mhz(double f_mhz,
-                         std::uint64_t kernel_cycles) const override;
 
     /// Reseeds the verdict-draw stream and the inner fault model on a
     /// distinct stream (a different salt than Razor's, so razor(C) and
@@ -209,10 +188,6 @@ private:
     std::unique_ptr<FaultModel> inner_;
     CwcConfig config_;
     CwcCode code_;
-    double latency_frac_ = 0.0;
-    double energy_frac_ = 0.0;
-    std::uint64_t detected_ = 0;
-    std::uint64_t escaped_ = 0;
 };
 
 }  // namespace sfi

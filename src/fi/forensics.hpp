@@ -110,8 +110,10 @@ std::vector<FaultRecord> read_fault_records(std::istream& is);
 /// set_forensic_probe for the duration of one forensic trial. The model
 /// base class drives it: begin_op from on_ex_result (stashes the event
 /// context and the record watermark of the current op), record_injection
-/// from apply_fault, mark_razor from the razor decorator's verdict.
-/// trial/point_id are stamped after the run by the caller.
+/// from apply_fault, mark_razor / mark_cwc from a detection decorator's
+/// verdict. Its detected()/escaped() are the only detection counts (the
+/// decorators keep none). trial/point_id are stamped after the run by
+/// the caller.
 class ForensicProbe {
 public:
     void start_trial() {

@@ -15,11 +15,9 @@ ErrorDetectionModel::ErrorDetectionModel(std::unique_ptr<FaultModel> inner,
 }
 
 ErrorDetectionModel::ErrorDetectionModel(const ErrorDetectionModel& other)
-    : DetectionModel(other),
+    : FaultModel(other),
       inner_(other.inner_->clone()),
-      config_(other.config_),
-      detected_(other.detected_),
-      escaped_(other.escaped_) {}
+      config_(other.config_) {}
 
 std::unique_ptr<FaultModel> ErrorDetectionModel::clone() const {
     return std::unique_ptr<FaultModel>(new ErrorDetectionModel(*this));
@@ -35,24 +33,26 @@ std::uint32_t ErrorDetectionModel::corrupt(const ExEvent& ev,
     // statistics (and RNG stream) behave exactly as without mitigation.
     const std::uint32_t result = inner_->on_ex_result(ev, correct);
     if (result == correct) return correct;
-    if (rng_.chance(config_.detection_coverage)) {
-        ++detected_;
-        ++stats_.injections;  // a detected violation still counts as an FI
-        if (probe_ != nullptr) probe_->mark_razor(true);
-        return correct;       // replayed: architecturally clean
-    }
-    ++escaped_;
-    ++stats_.injections;
-    if (probe_ != nullptr) probe_->mark_razor(false);
-    return result;
+    const bool detected = rng_.chance(config_.detection_coverage);
+    ++stats_.injections;  // a detected violation still counts as an FI
+    if (probe_ != nullptr) probe_->mark_razor(detected);
+    return detected ? correct  // replayed: architecturally clean
+                    : result;
 }
 
-double ErrorDetectionModel::effective_mhz(double f_mhz,
-                                          std::uint64_t kernel_cycles) const {
-    const std::uint64_t total = kernel_cycles + replay_cycles();
-    return total ? f_mhz * static_cast<double>(kernel_cycles) /
-                       static_cast<double>(total)
-                 : f_mhz;
+double DetectorCost::effective_mhz(double f_mhz, std::uint64_t kernel_cycles,
+                                   double detections) const {
+    const double derated = f_mhz / (1.0 + latency_frac);
+    const double k = static_cast<double>(kernel_cycles);
+    const double total = k + detections * penalty_cycles;
+    return total > 0.0 ? derated * (k / total) : derated;
+}
+
+DetectorCost razor_cost(const RazorConfig& config) {
+    DetectorCost cost;
+    cost.energy_frac = 0.03;  // Ernst et al.: ~3 % total power, Razor I
+    cost.penalty_cycles = config.replay_penalty_cycles;
+    return cost;
 }
 
 }  // namespace sfi

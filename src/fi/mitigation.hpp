@@ -7,7 +7,7 @@
 //
 // ErrorDetectionModel decorates an inner fault model: every corrupted EX
 // result is detected with probability `detection_coverage` and replayed
-// (correct result, `replay_penalty_cycles` charged); undetected
+// (correct result; razor_cost charges `replay_penalty_cycles`); undetected
 // corruptions escape to the application exactly as without mitigation.
 #pragma once
 
@@ -20,56 +20,57 @@ namespace sfi {
 struct RazorConfig {
     double detection_coverage = 1.0;    ///< P(detect | corrupted result)
     unsigned replay_penalty_cycles = 11;  ///< pipeline replay cost per detection
-    /// Shadow-latch + control switching energy relative to the bare core
-    /// (Ernst et al. report ~3% total power for Razor I).
-    double energy_overhead_frac = 0.03;
 };
 
-/// Common face of every error-detection decorator (Razor replay,
-/// constant-weight codes, ...). A detector wraps an inner FaultModel,
-/// turns some corruptions into detections, and answers for its own
-/// throughput cost — which is all the campaign/bench layers need, so a
-/// new mitigation model only has to derive from this and pass the shared
-/// contract suite (tests/fi/test_mitigation_contract.cpp).
-class DetectionModel : public FaultModel {
-public:
-    /// Corruptions caught (architecturally clean after recovery).
-    virtual std::uint64_t detected() const = 0;
-    /// Corruptions that escaped to the application.
-    virtual std::uint64_t escaped() const = 0;
-    /// Throughput at clock `f_mhz` given the recovery overhead this
-    /// detector accumulated over `kernel_cycles` of execution.
-    virtual double effective_mhz(double f_mhz,
-                                 std::uint64_t kernel_cycles) const = 0;
-    /// Clears the detection/escape counters (not the inner model's stats).
-    virtual void reset_mitigation_stats() = 0;
+/// The price of a detection stage — the one cost definition every
+/// mitigation driver reads (bench_ext_razor per trial, bench_cwc_compare
+/// per point; docs/MITIGATIONS.md, "Cost"). A checker in series with EX
+/// derates the clock for good, each detection stalls the pipeline for
+/// `penalty_cycles`, and the detection hardware adds static power. The
+/// default prices a bare model: free.
+struct DetectorCost {
+    double latency_frac = 0.0;    ///< static clock derating: f / (1 + frac)
+    double energy_frac = 0.0;     ///< static power overhead: P · (1 + frac)
+    unsigned penalty_cycles = 0;  ///< stall per detection (replay, recovery)
+
+    /// Throughput at clock `f_mhz` of a run of `kernel_cycles` with
+    /// `detections` detections (a per-trial mean may be fractional):
+    /// (f / (1 + latency_frac)) · K / (K + detections · penalty_cycles),
+    /// in this evaluation order (CSVs print it at full precision). An
+    /// empty run with no stalls runs at the derated clock.
+    double effective_mhz(double f_mhz, std::uint64_t kernel_cycles,
+                         double detections) const;
+    /// Power of the protected core given the bare core's.
+    double power_uw(double bare_uw) const {
+        return bare_uw * (1.0 + energy_frac);
+    }
 };
 
-class ErrorDetectionModel final : public DetectionModel {
+/// Razor's price: `replay_penalty_cycles` per detection, no clock
+/// derating, and the shadow latches' and control's switching energy —
+/// Ernst et al. report ~3 % total power for Razor I.
+DetectorCost razor_cost(const RazorConfig& config);
+
+/// Razor-style detection decorator. It wraps an inner FaultModel, turns
+/// some corruptions into detections, and keeps the contract every
+/// detector shares (tests/fi/test_mitigation_contract.cpp): deep clone,
+/// reseed of the inner model on a salted stream, forwarded sampling mode,
+/// clean-op credit and forensic probe, the inner model's reachability,
+/// and one verdict draw per corruption stamped on the probe
+/// (ForensicProbe::mark_razor). The probe is the only detection count;
+/// what detections cost is razor_cost's business.
+class ErrorDetectionModel final : public FaultModel {
 public:
     ErrorDetectionModel(std::unique_ptr<FaultModel> inner, RazorConfig config);
 
     std::string name() const override { return "razor(" + inner_->name() + ")"; }
     ModelFeatures features() const override { return inner_->features(); }
-    /// Deep copy: clones the inner fault model and carries over the
-    /// detection/escape counters, so a clone continues exactly where the
-    /// original stands.
+    /// Deep copy: clones the inner fault model, so a clone continues
+    /// exactly where the original stands.
     std::unique_ptr<FaultModel> clone() const override;
 
     const FaultModel& inner() const { return *inner_; }
     const RazorConfig& config() const { return config_; }
-    std::uint64_t detected() const override { return detected_; }
-    std::uint64_t escaped() const override { return escaped_; }
-    /// Extra cycles spent replaying detected errors.
-    std::uint64_t replay_cycles() const {
-        return detected_ * config_.replay_penalty_cycles;
-    }
-    /// Effective throughput at clock `f_mhz` given the replay overhead
-    /// accumulated over `kernel_cycles` of execution.
-    double effective_mhz(double f_mhz,
-                         std::uint64_t kernel_cycles) const override;
-
-    void reset_mitigation_stats() override { detected_ = escaped_ = 0; }
 
     /// Reseeds both the detection draw stream and the inner fault model.
     void reseed(std::uint64_t seed) override {
@@ -112,8 +113,6 @@ private:
 
     std::unique_ptr<FaultModel> inner_;
     RazorConfig config_;
-    std::uint64_t detected_ = 0;
-    std::uint64_t escaped_ = 0;
 };
 
 }  // namespace sfi

@@ -40,29 +40,28 @@ MonteCarloRunner::MonteCarloRunner(const Benchmark& benchmark, FaultModel& model
     : benchmark_(&benchmark),
       model_(&model),
       config_(config),
-      cpu_(memory_),
       trial_seeder_(config.seed) {
-    // Lower the program into the micro-op stream once, up front: the
-    // golden run and every serial trial reuse it across resets (content
-    // hash match), so no run on this Cpu ever decodes lazily. No ledger
-    // is attached yet — this one-time cost is construction, not a span.
-    cpu_.prime_decode(benchmark.program());
-    // Fault-free reference run: establishes the golden cycle count and
-    // validates the kernel against its C++ replica. The counting hook is
-    // functionally inert (results pass through untouched) but records the
-    // FI counters an injection-free trial reports — the fast-path
-    // template below must match a simulated clean trial field for field.
+    // Fault-free reference run on a Cpu of its own: establishes the
+    // golden cycle count and validates the kernel against its C++
+    // replica. Trials run on the worker contexts, never here. The
+    // counting hook is functionally inert (results pass through
+    // untouched) but records the FI counters an injection-free trial
+    // reports — the fast-path template below must match a simulated
+    // clean trial field for field.
+    Memory memory;
+    Cpu cpu(memory);
+    cpu.prime_decode(benchmark.program());
     CountingHook counter;
-    cpu_.set_fault_hook(&counter);
-    cpu_.reset(benchmark.program());
-    golden_ = cpu_.run();
-    cpu_.set_fault_hook(nullptr);
+    cpu.set_fault_hook(&counter);
+    cpu.reset(benchmark.program());
+    golden_ = cpu.run();
+    cpu.set_fault_hook(nullptr);
     if (golden_.stop != StopReason::Halted)
         throw std::logic_error("MonteCarloRunner: golden run of " +
                                benchmark.name() + " did not halt (" +
                                stop_reason_name(golden_.stop) + ")");
     golden_output_ = benchmark.golden_output();
-    const auto observed = benchmark.read_output(memory_);
+    const auto observed = benchmark.read_output(memory);
     if (observed != golden_output_)
         throw std::logic_error("MonteCarloRunner: golden run of " +
                                benchmark.name() +
@@ -70,17 +69,17 @@ MonteCarloRunner::MonteCarloRunner(const Benchmark& benchmark, FaultModel& model
     watchdog_cycles_ = static_cast<std::uint64_t>(
         std::ceil(config_.watchdog_factor * static_cast<double>(golden_.cycles)));
 
-    // Forensic baseline: cpu_/memory_ still hold the reference run's final
+    // Forensic baseline: cpu/memory still hold the reference run's final
     // architectural state, so snapshot it here for classify_trial. Only
     // the dirty slice of memory is copied — everything outside it is zero
     // by Memory's class invariant, for the golden run and trials alike.
-    for (std::uint8_t i = 0; i < 32; ++i) golden_regs_[i] = cpu_.reg(i);
-    golden_flag_ = cpu_.flag();
-    golden_mem_lo_ = memory_.dirty_lo();
-    golden_mem_hi_ = memory_.dirty_hi();
+    for (std::uint8_t i = 0; i < 32; ++i) golden_regs_[i] = cpu.reg(i);
+    golden_flag_ = cpu.flag();
+    golden_mem_lo_ = memory.dirty_lo();
+    golden_mem_hi_ = memory.dirty_hi();
     golden_mem_.resize(golden_mem_hi_ - golden_mem_lo_);
     for (std::uint32_t a = golden_mem_lo_; a < golden_mem_hi_; ++a)
-        golden_mem_[a - golden_mem_lo_] = memory_.read_u8_unchecked(a);
+        golden_mem_[a - golden_mem_lo_] = memory.read_u8_unchecked(a);
 
     clean_outcome_.stop = StopReason::Halted;
     clean_outcome_.finished = true;
@@ -129,11 +128,6 @@ TrialOutcome MonteCarloRunner::run_trial_with(Cpu& cpu, FaultModel& model,
         outcome.output_error = benchmark_->output_error(output);
     }
     return outcome;
-}
-
-TrialOutcome MonteCarloRunner::run_trial(const OperatingPoint& point,
-                                         std::uint64_t trial) {
-    return run_trial_with(cpu_, *model_, point, trial);
 }
 
 bool MonteCarloRunner::arch_state_differs(const Cpu& cpu) const {
@@ -197,12 +191,6 @@ TrialForensics MonteCarloRunner::run_trial_forensic(Cpu& cpu, FaultModel& model,
         rec.trial = static_cast<std::uint32_t>(trial);
     fx.detection_latencies = probe.take_latencies();
     return fx;
-}
-
-TrialForensics MonteCarloRunner::run_trial_forensic(const OperatingPoint& point,
-                                                    std::uint64_t trial) {
-    ForensicProbe probe;
-    return run_trial_forensic(cpu_, *model_, point, trial, probe);
 }
 
 MonteCarloRunner::~MonteCarloRunner() = default;

@@ -52,8 +52,7 @@ struct McConfig {
     /// Worker contexts of the trial engine: 0 = one per hardware thread,
     /// N = exactly N (1 included). The runner builds them on its first
     /// block and runs every point, batch and forensic re-run on them; the
-    /// caller's model drives only run_trial and the serial
-    /// run_trial_forensic. Every setting produces a
+    /// caller's model is only their prototype. Every setting produces a
     /// bit-identical PointSummary: trials share no mutable state
     /// (src/mc/parallel.hpp gives each worker its own Cpu/Memory/cloned
     /// model) and outcomes are aggregated in trial-index order.
@@ -79,7 +78,10 @@ struct TrialOutcome {
 struct TrialForensics {
     TrialOutcome outcome;
     OutcomeClass cls = OutcomeClass::Masked;
-    std::uint32_t razor_detected = 0;  ///< razor verdicts this trial
+    /// Detector verdicts this trial, as the probe counted them (Razor or
+    /// CWC; the names predate CWC). The one detection count: drivers
+    /// price detections from these (DetectorCost, fi/mitigation.hpp).
+    std::uint32_t razor_detected = 0;
     std::uint32_t razor_escaped = 0;
     std::vector<FaultRecord> records;  ///< injection order; trial stamped
     std::vector<std::uint32_t> detection_latencies;  ///< cycles, per detection
@@ -129,16 +131,13 @@ public:
         return golden_output_;
     }
 
-    /// One independent trial at `point` on the runner's own Cpu and the
-    /// caller's model (trial index selects the RNG stream; equal indices
-    /// reproduce identical trials regardless of what ran before —
-    /// Cpu::reset restores a pristine memory image).
-    TrialOutcome run_trial(const OperatingPoint& point, std::uint64_t trial);
-
-    /// The same trial computation on caller-provided execution state; this
-    /// is what the block engine calls with its per-worker contexts. Reads
-    /// only immutable runner state, so it is safe to call concurrently
-    /// with distinct `cpu`/`model` pairs.
+    /// One independent trial at `point` on caller-provided execution
+    /// state; this is what the block engine calls with its per-worker
+    /// contexts. The trial index selects the RNG stream, so equal indices
+    /// reproduce identical trials regardless of what ran before
+    /// (Cpu::reset restores a pristine memory image). Reads only
+    /// immutable runner state, so it is safe to call concurrently with
+    /// distinct `cpu`/`model` pairs.
     TrialOutcome run_trial_with(Cpu& cpu, FaultModel& model,
                                 const OperatingPoint& point,
                                 std::uint64_t trial) const;
@@ -154,10 +153,6 @@ public:
                                       const OperatingPoint& point,
                                       std::uint64_t trial,
                                       ForensicProbe& probe) const;
-
-    /// Convenience serial form on the runner's own Cpu and model.
-    TrialForensics run_trial_forensic(const OperatingPoint& point,
-                                      std::uint64_t trial);
 
     /// Outcome taxonomy for a completed trial: Hang (watchdog / abnormal
     /// stop), SDC (finished, wrong output), Detected (correct with razor
@@ -258,8 +253,6 @@ private:
     const Benchmark* benchmark_;
     FaultModel* model_;
     McConfig config_;
-    Memory memory_;
-    Cpu cpu_;
     RunResult golden_;
     std::vector<std::uint32_t> golden_output_;
     std::uint64_t watchdog_cycles_ = 0;

@@ -71,7 +71,8 @@ struct PhaseRow {
 /// std::runtime_error on an end event that closes no open span.
 std::vector<PhaseRow> phase_rows(const obs::LedgerFile& ledger);
 
-/// One (thread count, duration) sample of a kernel bench.
+/// One rung (thread count) of a kernel bench: the median of sfi_perf's
+/// fixed number of timed points, and the throughput it gives.
 struct ThreadSample {
     std::size_t threads = 1;
     double seconds = 0.0;

@@ -16,8 +16,8 @@ public:
     /// silently; pass a vocabulary of known option names to have the
     /// parser classify anything else into `unknown_flags()`. Unknown
     /// options are still parsed and retrievable through get*() — callers
-    /// warn instead of aborting, preserving the pass-through behavior
-    /// binaries that forward foreign flags (bench_microbench) rely on.
+    /// warn instead of aborting, so a typo is reported while a flag meant
+    /// for another tool still passes through.
     Cli(int argc, const char* const* argv);
     Cli(int argc, const char* const* argv, std::vector<std::string> known);
 

@@ -61,7 +61,9 @@ CampaignSpec obs_campaign() {
     mc.model = ModelSpec::c();
     mc.base.vdd = 0.7;
     mc.base.noise.sigma_mv = 10.0;
-    mc.grid = GridSpec::explicit_values({500.0, 745.0});
+    // A safe point and one where model C faults and outcomes mix on the
+    // 1,024-cycle core (see test_campaign.cpp's tiny_campaign).
+    mc.grid = GridSpec::explicit_values({500.0, 775.0});
     spec.panels.push_back(mc);
 
     PanelSpec stream;
@@ -255,6 +257,11 @@ TEST_F(ObsCampaignTest, ManifestStoppingBlockIsStableAcrossWarmth) {
     // points all classified as one of the adaptive rules.
     const PanelResult& mc = first.panel("obs_median");
     const PanelResult& stream = first.panel("obs_stream");
+    ASSERT_EQ(mc.sweep.size(), 2u);
+    const PointSummary& hot = mc.sweep[1];
+    EXPECT_GT(hot.fi_rate, 0.0);
+    EXPECT_GT(hot.correct_count, 0u);
+    EXPECT_LT(hot.correct_count, hot.trials);
     std::uint64_t mc_total = 0;
     for (const std::uint64_t n : mc.stopping) mc_total += n;
     EXPECT_EQ(mc_total, mc.sweep.size());

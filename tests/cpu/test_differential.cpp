@@ -12,8 +12,10 @@
 //   * architectural state: all 32 registers, pc, compare flag, the FI
 //     window flag, and the complete memory image (self-modifying stores
 //     included),
-//   * fault-model state: FiStats for models A / A-clean / B / B+ / C,
-//     razor detection/escape/inner counters,
+//   * fault-model state: FiStats for models A / A-clean / B / B+ / C and
+//     a razor decorator's inner model; and, in a second probed run, every
+//     injection record a ForensicProbe sees (with its detector fate) and
+//     the probe's detection/escape counts,
 //   * the raw hook trace: the exact sequence of on_cycles groups and
 //     on_ex_result events a generic (non-FaultModel) hook observes,
 //     including deterministic corruption fed back into the pipeline,
@@ -35,6 +37,7 @@
 
 #include "cpu/cpu.hpp"
 #include "fi/cdf.hpp"
+#include "fi/forensics.hpp"
 #include "fi/mitigation.hpp"
 #include "fi/models.hpp"
 #include "isa/encoding.hpp"
@@ -186,16 +189,21 @@ struct Observation {
     std::uint64_t instructions = 0;
     std::vector<std::uint32_t> mem;
     FiStats stats{};
-    std::uint64_t detected = 0;
-    std::uint64_t escaped = 0;
-    FiStats inner_stats{};
+    FiStats inner_stats{};  ///< a decorator's inner model
+    /// What a ForensicProbe saw (probed runs only): every injection record
+    /// with its detector fate, and the verdict counts.
+    std::vector<FaultRecord> records;
+    std::uint32_t detected = 0;
+    std::uint32_t escaped = 0;
 };
 
 /// Runs `program` on a fresh Engine (Cpu or ReferenceCpu); a non-null
-/// `trace` records the instruction walk (Cpu::set_trace's view).
+/// `trace` records the instruction walk (Cpu::set_trace's view), and
+/// `probed` attaches a ForensicProbe to the model for the run.
 template <typename Engine>
 Observation run_one(const Program& program, const FaultModel* prototype,
-                    std::uint64_t seed, std::vector<TraceStep>* trace = nullptr) {
+                    std::uint64_t seed, std::vector<TraceStep>* trace = nullptr,
+                    bool probed = false) {
     Memory mem(kMemBytes);
     Engine cpu(mem);
     if (trace) {
@@ -209,9 +217,11 @@ Observation run_one(const Program& program, const FaultModel* prototype,
             });
     }
     std::unique_ptr<FaultModel> model;
+    ForensicProbe probe;
     if (prototype) {
         model = prototype->clone();
         model->reseed(seed * 0x9e3779b97f4a7c15ULL + 1);
+        if (probed) model->set_forensic_probe(&probe);
         cpu.set_fault_hook(model.get());
     }
     cpu.reset(program);
@@ -230,11 +240,11 @@ Observation run_one(const Program& program, const FaultModel* prototype,
     if (model) {
         ob.stats = model->stats();
         if (const auto* razor =
-                dynamic_cast<const ErrorDetectionModel*>(model.get())) {
-            ob.detected = razor->detected();
-            ob.escaped = razor->escaped();
+                dynamic_cast<const ErrorDetectionModel*>(model.get()))
             ob.inner_stats = razor->inner().stats();
-        }
+        ob.records = probe.records();
+        ob.detected = probe.detected();
+        ob.escaped = probe.escaped();
     }
     return ob;
 }
@@ -273,14 +283,25 @@ void expect_equal(const Observation& want, const Observation& got,
     EXPECT_EQ(want.stats.alu_ops, got.stats.alu_ops) << ctx;
     EXPECT_EQ(want.stats.injections, got.stats.injections) << ctx;
     EXPECT_EQ(want.stats.corrupted_ops, got.stats.corrupted_ops) << ctx;
-    EXPECT_EQ(want.detected, got.detected) << ctx;
-    EXPECT_EQ(want.escaped, got.escaped) << ctx;
     EXPECT_EQ(want.inner_stats.alu_ops, got.inner_stats.alu_ops) << ctx;
     EXPECT_EQ(want.inner_stats.injections, got.inner_stats.injections)
         << ctx;
     EXPECT_EQ(want.inner_stats.corrupted_ops,
               got.inner_stats.corrupted_ops)
         << ctx;
+    EXPECT_EQ(want.detected, got.detected) << ctx;
+    EXPECT_EQ(want.escaped, got.escaped) << ctx;
+    ASSERT_EQ(want.records.size(), got.records.size()) << ctx;
+    for (std::size_t i = 0; i < want.records.size(); ++i)
+        if (!(want.records[i] == got.records[i])) {
+            ADD_FAILURE() << ctx << ": injection record " << i
+                          << " differs (reference cycle "
+                          << want.records[i].cycle << " pc 0x" << std::hex
+                          << want.records[i].pc << ", iss cycle " << std::dec
+                          << got.records[i].cycle << " pc 0x" << std::hex
+                          << got.records[i].pc << ")";
+            break;  // first divergence is the informative one
+        }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,12 +368,23 @@ TEST(OracleDifferential, FaultModelsSeveralHundredSeedsEach) {
         std::uint64_t injections = 0;
         for (std::uint64_t seed = 1; seed <= 300; ++seed) {
             const Program program = testgen::generate_fuzz_program(seed);
+            const std::string ctx =
+                config.label + " seed " + std::to_string(seed);
             const Observation want = run_one<ReferenceCpu>(
                 program, config.prototype.get(), seed);
             const Observation got =
                 run_one<Cpu>(program, config.prototype.get(), seed);
-            expect_equal(want, got,
-                         config.label + " seed " + std::to_string(seed));
+            expect_equal(want, got, ctx);
+            // Again under a forensic probe: both engines must present the
+            // same injections (cycle, pc, window, op, endpoint, bits,
+            // detector fate) and the same verdict counts.
+            const Observation want_probed = run_one<ReferenceCpu>(
+                program, config.prototype.get(), seed, nullptr, true);
+            const Observation got_probed = run_one<Cpu>(
+                program, config.prototype.get(), seed, nullptr, true);
+            expect_equal(want_probed, got_probed, ctx + " probed");
+            EXPECT_EQ(want_probed.stats.injections, want.stats.injections)
+                << ctx << ": the probe changed the run";
             injections += want.stats.injections;
             if (HasFailure()) break;
         }

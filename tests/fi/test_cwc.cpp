@@ -171,6 +171,8 @@ TEST(CwcDetection, CoverageTableMatchesDirectEnumeration) {
 
 TEST(CwcModel, DetectsAndEscapesAtTheCodeRate) {
     CwcDetectionModel model(shared_core().make_model_c(), CwcConfig{});
+    ForensicProbe probe;
+    model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
     model.reseed(1);
     for (int i = 0; i < 40000; ++i) {
@@ -179,45 +181,49 @@ TEST(CwcModel, DetectsAndEscapesAtTheCodeRate) {
     }
     // The 8-bit code's minimum distance is 2, so escape >= ... > 0: both
     // verdicts must occur over enough corruptions.
-    EXPECT_GT(model.detected(), 0u);
-    EXPECT_GT(model.escaped(), 0u);
-    EXPECT_EQ(model.stats().injections, model.detected() + model.escaped());
+    EXPECT_GT(probe.detected(), 0u);
+    EXPECT_GT(probe.escaped(), 0u);
+    EXPECT_EQ(model.stats().injections, probe.detected() + probe.escaped());
 }
 
-TEST(CwcModel, RecoveryCyclesAndEffectiveThroughput) {
+TEST(CwcCost, RecoveryCyclesAndTheCodecDerateTheClock) {
     CwcConfig config;
     config.recovery_penalty_cycles = 3;
+    const DetectorCost cost = cwc_cost(config);
+    // Derived from the code geometry: k=8 -> n=11, 3 check bits.
+    EXPECT_EQ(cost.penalty_cycles, 3u);
+    EXPECT_DOUBLE_EQ(cost.latency_frac, 0.03);
+    EXPECT_DOUBLE_EQ(cost.energy_frac, 0.5 * 3.0 / 8.0);
+
     CwcDetectionModel model(shared_core().make_model_c(), config);
+    ForensicProbe probe;
+    model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
     model.reseed(2);
     for (int i = 0; i < 10000; ++i) {
         model.on_cycle(true);
         model.on_ex_result(mul_event(i, 11u * i), 0);
     }
-    EXPECT_EQ(model.recovery_cycles(), model.detected() * 3);
-    // Defaults derive from the code geometry: k=8 -> n=11, 3 check bits.
-    EXPECT_DOUBLE_EQ(model.latency_overhead_frac(), 0.03);
-    EXPECT_DOUBLE_EQ(model.energy_overhead_frac(), 0.5 * 3.0 / 8.0);
-    const double eff = model.effective_mhz(800.0, 100000);
+    ASSERT_GT(probe.detected(), 0u);
+    const double d = static_cast<double>(probe.detected());
+    const double eff = cost.effective_mhz(800.0, 100000, d);
     const double derated = 800.0 / 1.03;
     EXPECT_LT(eff, derated);
-    EXPECT_NEAR(eff,
-                derated * 100000.0 /
-                    (100000.0 +
-                     static_cast<double>(model.recovery_cycles())),
-                1e-9);
+    EXPECT_NEAR(eff, derated * 100000.0 / (100000.0 + d * 3.0), 1e-9);
     // The static clock derating applies even with zero detections.
-    CwcDetectionModel idle(shared_core().make_model_c(), CwcConfig{});
-    EXPECT_DOUBLE_EQ(idle.effective_mhz(800.0, 1000), 800.0 / 1.03);
+    EXPECT_DOUBLE_EQ(cwc_cost(CwcConfig{}).effective_mhz(800.0, 1000, 0.0),
+                     800.0 / 1.03);
 }
 
-TEST(CwcModel, ExplicitOverheadOverridesAreHonored) {
-    CwcConfig config;
-    config.latency_overhead_frac = 0.1;
-    config.energy_overhead_frac = 0.25;
-    CwcDetectionModel model(shared_core().make_model_c(), config);
-    EXPECT_DOUBLE_EQ(model.latency_overhead_frac(), 0.1);
-    EXPECT_DOUBLE_EQ(model.energy_overhead_frac(), 0.25);
+TEST(CwcCost, GeometryFollowsTheBlockWidth) {
+    // k = 4 -> (6, 3): 2 check bits; k = 16 -> (19, 9): 3 check bits.
+    const DetectorCost k4 = cwc_cost(CwcConfig{4, 2});
+    EXPECT_DOUBLE_EQ(k4.latency_frac, 0.02);
+    EXPECT_DOUBLE_EQ(k4.energy_frac, 0.5 * 2.0 / 4.0);
+    const DetectorCost k16 = cwc_cost(CwcConfig{16, 2});
+    EXPECT_DOUBLE_EQ(k16.latency_frac, 0.03);
+    EXPECT_DOUBLE_EQ(k16.energy_frac, 0.5 * 3.0 / 16.0);
+    EXPECT_THROW(cwc_cost(CwcConfig{5, 2}), std::invalid_argument);
 }
 
 TEST(CwcModel, RejectsBadConfig) {
@@ -236,16 +242,18 @@ TEST(CwcModel, NameReportsCodeAndInner) {
 
 TEST(CwcModel, ReseedIsReproducible) {
     CwcDetectionModel model(shared_core().make_model_c(), CwcConfig{});
+    ForensicProbe probe;
+    model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
     auto run = [&] {
         model.reseed(77);
         model.reset_stats();
-        model.reset_mitigation_stats();
+        probe.start_trial();
         for (int i = 0; i < 5000; ++i) {
             model.on_cycle(true);
             model.on_ex_result(mul_event(i, 13u * i), 3u * i);
         }
-        return std::pair(model.detected(), model.escaped());
+        return std::pair(probe.detected(), probe.escaped());
     };
     EXPECT_EQ(run(), run());
 }

@@ -25,11 +25,13 @@
 
 #include "fi/mitigation.hpp"
 #include "mc/parallel.hpp"
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
 namespace {
 
+using testing::SerialTrials;
 using testing::shared_core;
 
 OperatingPoint point(double f, double vdd = 0.7, double sigma = 0.0) {
@@ -167,10 +169,11 @@ TEST(Classification, ZeroInjectionTrialsAreMaskedVacuously) {
         MonteCarloRunner runner(*bench, *model, config);
         // The block engine first, while its worker contexts are fresh
         // (never reset, never run): a fast-path trial classifies without
-        // looking at them. Then the serial form on the runner's own Cpu.
+        // looking at them. Then the serial form on a test-owned Cpu.
         std::vector<TrialForensics> results = runner.run_forensics(p, 4);
+        SerialTrials serial(runner, *model);
         for (std::uint64_t trial = 0; trial < 4; ++trial)
-            results.push_back(runner.run_trial_forensic(p, trial));
+            results.push_back(serial.run_forensic(p, trial));
         for (const TrialForensics& fx : results) {
             EXPECT_EQ(fx.cls, OutcomeClass::Masked);
             EXPECT_TRUE(fx.records.empty());
@@ -191,8 +194,7 @@ TEST(Classification, WatchdogTrialsAreNeverSdc) {
     // trials overwhelmingly blow the watchdog or die on a fatal stop.
     const OperatingPoint p = point(model_b_first_fault_mhz() + 1.0);
     std::size_t hangs = 0;
-    for (std::uint64_t trial = 0; trial < 12; ++trial) {
-        const TrialForensics fx = runner.run_trial_forensic(p, trial);
+    for (const TrialForensics& fx : runner.run_forensics(p, 12)) {
         if (!fx.outcome.finished) {
             ++hangs;
             EXPECT_EQ(fx.cls, OutcomeClass::Hang);
@@ -227,9 +229,10 @@ TEST(Classification, RazorDetectionsClassifyDetectedWithLatency) {
     ErrorDetectionModel model(shared_core().make_model_b(), razor);
     MonteCarloRunner runner(*bench, model, fast_config(6));
     const OperatingPoint p = point(model_b_first_fault_mhz() + 1.0);
+    const std::vector<TrialForensics> results = runner.run_forensics(p, 6);
     for (std::uint64_t trial = 0; trial < 6; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
-        const TrialForensics fx = runner.run_trial_forensic(p, trial);
+        const TrialForensics& fx = results[trial];
         ASSERT_TRUE(fx.outcome.finished);
         ASSERT_TRUE(fx.outcome.correct);
         ASSERT_GT(fx.razor_detected, 0u);
@@ -312,11 +315,12 @@ TEST(ProbeTransparency, ForensicOutcomeMatchesPlainTrialForEveryModel) {
     for (Case& c : cases) {
         SCOPED_TRACE("model " + c.label);
         MonteCarloRunner runner(*bench, *c.model, fast_config(6));
+        SerialTrials serial(runner, *c.model);
         std::uint64_t injections = 0;
         for (std::uint64_t trial = 0; trial < 6; ++trial) {
             SCOPED_TRACE("trial " + std::to_string(trial));
-            const TrialOutcome plain = runner.run_trial(c.at, trial);
-            const TrialForensics fx = runner.run_trial_forensic(c.at, trial);
+            const TrialOutcome plain = serial.run(c.at, trial);
+            const TrialForensics fx = serial.run_forensic(c.at, trial);
             expect_outcomes_identical(plain, fx.outcome);
             injections += plain.fi.injections;
             // Every record is stamped with the trial it belongs to.
@@ -354,8 +358,9 @@ TEST(ForensicDeterminism, RecordStreamBitwiseIdenticalAcrossThreadCounts) {
     };
 
     std::vector<TrialForensics> serial;
+    SerialTrials serial_trials(runner, *model);
     for (std::uint64_t trial = 0; trial < kTrials; ++trial)
-        serial.push_back(runner.run_trial_forensic(p, trial));
+        serial.push_back(serial_trials.run_forensic(p, trial));
     const std::string reference = drain(serial);
     std::uint64_t records = 0;
     for (const TrialForensics& fx : serial) records += fx.records.size();
@@ -397,8 +402,7 @@ TEST(ForensicSinkArtifacts, PanelTalliesRoundTripThroughCsvReader) {
     ForensicSink sink;
     const std::uint32_t pid = sink.begin_point("panel_b", "B", "median", p);
     std::array<std::uint64_t, kOutcomeClassCount> expected{};
-    for (std::uint64_t trial = 0; trial < 8; ++trial) {
-        TrialForensics fx = runner.run_trial_forensic(p, trial);
+    for (TrialForensics& fx : runner.run_forensics(p, 8)) {
         ++expected[static_cast<std::size_t>(fx.cls)];
         sink.add_trial(pid, fx.cls, fx.outcome.finished, fx.outcome.correct,
                        fx.razor_detected, fx.razor_escaped,

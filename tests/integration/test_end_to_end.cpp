@@ -6,6 +6,7 @@
 #include "mc/sweep.hpp"
 #include "power/power_model.hpp"
 #include "testing/frequency_sweep.hpp"
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
@@ -170,10 +171,10 @@ TEST(EndToEnd, WrongBranchingCanHangOrCrashPrograms) {
     const auto bench = make_benchmark(BenchmarkId::Dijkstra);
     auto model = shared_core().make_model_c();
     MonteCarloRunner runner(*bench, *model, mc(1));
+    testing::SerialTrials serial(runner, *model);
     std::size_t not_finished = 0;
     for (std::uint64_t t = 0; t < 12; ++t) {
-        const TrialOutcome outcome =
-            runner.run_trial(op(850.0, 0.7, 10.0), t);
+        const TrialOutcome outcome = serial.run(op(850.0, 0.7, 10.0), t);
         if (!outcome.finished) {
             ++not_finished;
             EXPECT_NE(outcome.stop, StopReason::Halted);

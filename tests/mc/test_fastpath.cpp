@@ -19,6 +19,7 @@
 #include "mc/montecarlo.hpp"
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
@@ -142,9 +143,11 @@ TEST(FastPath, TrialOutcomesMatchFullSimulation) {
     const double f0 = model_sim->first_fault_frequency_mhz();
     const OperatingPoint below = point_at(f0 * 0.95);
 
+    testing::SerialTrials fast_serial(fast, *model_fast);
+    testing::SerialTrials sim_serial(sim, *model_sim);
     for (std::uint64_t trial = 0; trial < 20; ++trial) {
-        const TrialOutcome a = fast.run_trial(below, trial);
-        const TrialOutcome b = sim.run_trial(below, trial);
+        const TrialOutcome a = fast_serial.run(below, trial);
+        const TrialOutcome b = sim_serial.run(below, trial);
         expect_outcomes_equal(a, b);
         // The model's own statistics stay faithful on the fast path.
         EXPECT_EQ(model_fast->stats().alu_ops, model_sim->stats().alu_ops);
@@ -212,8 +215,9 @@ TEST(FastPath, RespectsSubUnityWatchdogFactor) {
     model_sim->set_operating_point(point_at(500.0));
     const double f0 = model_sim->first_fault_frequency_mhz();
     const OperatingPoint below = point_at(f0 * 0.9);
-    const TrialOutcome a = fast.run_trial(below, 0);
-    const TrialOutcome b = sim.run_trial(below, 0);
+    const TrialOutcome a =
+        testing::SerialTrials(fast, *model_fast).run(below, 0);
+    const TrialOutcome b = testing::SerialTrials(sim, *model_sim).run(below, 0);
     EXPECT_EQ(a.stop, StopReason::Watchdog);
     expect_outcomes_equal(a, b);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/serial_point.hpp"
 #include "testing/shared_core.hpp"
 
 namespace sfi {
@@ -59,9 +60,10 @@ TEST(MonteCarloRunner, TrialsAreReproducibleByIndex) {
     const auto bench = make_benchmark(BenchmarkId::MatMult8);
     auto model = shared_core().make_model_c();
     MonteCarloRunner runner(*bench, *model, fast_config());
+    testing::SerialTrials serial(runner, *model);
     const OperatingPoint p = point(750.0, 0.7, 10.0);
-    const TrialOutcome a = runner.run_trial(p, 3);
-    const TrialOutcome b = runner.run_trial(p, 3);
+    const TrialOutcome a = serial.run(p, 3);
+    const TrialOutcome b = serial.run(p, 3);
     EXPECT_EQ(a.finished, b.finished);
     EXPECT_EQ(a.correct, b.correct);
     EXPECT_EQ(a.fi.injections, b.fi.injections);
@@ -75,10 +77,11 @@ TEST(MonteCarloRunner, DifferentTrialsDiffer) {
     const auto bench = make_benchmark(BenchmarkId::MatMult8);
     auto model = shared_core().make_model_c();
     MonteCarloRunner runner(*bench, *model, fast_config());
+    testing::SerialTrials serial(runner, *model);
     const OperatingPoint p = point(760.0, 0.7, 10.0);
     std::set<std::uint64_t> injection_counts;
     for (std::uint64_t t = 0; t < 8; ++t)
-        injection_counts.insert(runner.run_trial(p, t).fi.injections);
+        injection_counts.insert(serial.run(p, t).fi.injections);
     EXPECT_GT(injection_counts.size(), 1u);
 }
 
@@ -109,9 +112,10 @@ TEST(MonteCarloRunner, CorrectImpliesZeroErrorMetric) {
     const auto bench = make_benchmark(BenchmarkId::KMeans);
     auto model = shared_core().make_model_c();
     MonteCarloRunner runner(*bench, *model, fast_config(20));
+    testing::SerialTrials serial(runner, *model);
     const OperatingPoint p = point(740.0, 0.7, 10.0);
     for (std::uint64_t t = 0; t < 20; ++t) {
-        const TrialOutcome outcome = runner.run_trial(p, t);
+        const TrialOutcome outcome = serial.run(p, t);
         if (outcome.correct) {
             EXPECT_DOUBLE_EQ(outcome.output_error, 0.0);
         }
@@ -124,9 +128,10 @@ TEST(MonteCarloRunner, WatchdogBoundsRunawayTrials) {
     McConfig config = fast_config(20);
     config.watchdog_factor = 4.0;
     MonteCarloRunner runner(*bench, *model, config);
+    testing::SerialTrials serial(runner, *model);
     const std::uint64_t golden_cycles = runner.golden_run().cycles;
     for (std::uint64_t t = 0; t < 20; ++t) {
-        const TrialOutcome outcome = runner.run_trial(point(900.0, 0.7, 10.0), t);
+        const TrialOutcome outcome = serial.run(point(900.0, 0.7, 10.0), t);
         EXPECT_LE(outcome.cycles, golden_cycles * 4 + golden_cycles);
     }
 }

@@ -8,7 +8,7 @@
 //    corrupt() stream, both after reseed() and mid-stream;
 //  * FiStats/RunningStats aggregation is a pure function of the
 //    trial-indexed outcome array (execution order cannot leak in);
-//  * trial independence — interleaved, shuffled run_trial calls reproduce
+//  * trial independence — interleaved, shuffled serial trials reproduce
 //    the same-index serial outcomes (no hidden shared state in
 //    Cpu/Memory/model survives a trial).
 #include "mc/parallel.hpp"
@@ -20,6 +20,7 @@
 #include <numeric>
 #include <vector>
 
+#include "fi/forensics.hpp"
 #include "fi/mitigation.hpp"
 #include "testing/frequency_sweep.hpp"
 #include "testing/serial_point.hpp"
@@ -30,6 +31,7 @@ namespace {
 
 using testing::frequency_sweep;
 using testing::serial_point;
+using testing::SerialTrials;
 using testing::shared_core;
 
 OperatingPoint point(double f, double vdd = 0.7, double sigma = 0.0) {
@@ -136,7 +138,7 @@ TEST(ParallelEquivalence, RunPointBitIdenticalAcrossModelsAndThreadCounts) {
     for (ModelCase& c : model_cases()) {
         SCOPED_TRACE("model " + c.label);
         MonteCarloRunner serial(*bench, *c.model, fast_config());
-        const PointSummary reference = serial_point(serial, c.at);
+        const PointSummary reference = serial_point(serial, *c.model, c.at);
         // The point must actually exercise the model for the comparison to
         // mean anything (model A's p and the thresholds guarantee it).
         EXPECT_GT(reference.fi_rate_stats.max(), 0.0);
@@ -152,15 +154,17 @@ TEST(ParallelEquivalence, RunPointBitIdenticalAcrossModelsAndThreadCounts) {
 }
 
 // The block engine's per-trial results (run_forensics returns them by
-// trial index) against run_trial on the runner's own Cpu, field by field.
+// trial index) against the serial trials on the caller's model, field by
+// field.
 TEST(ParallelEquivalence, EngineOutcomesMatchSerialPerTrialIndex) {
     const auto bench = make_benchmark(BenchmarkId::Median);
     auto model = shared_core().make_model_c();
-    MonteCarloRunner serial(*bench, *model, fast_config(12));
+    MonteCarloRunner serial_runner(*bench, *model, fast_config(12));
+    SerialTrials serial(serial_runner, *model);
     const OperatingPoint p = point(model_c_active_mhz(1.05), 0.7, 10.0);
     std::vector<TrialOutcome> reference;
     for (std::uint64_t trial = 0; trial < 12; ++trial)
-        reference.push_back(serial.run_trial(p, trial));
+        reference.push_back(serial.run(p, trial));
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, wide_thread_count()}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
@@ -207,7 +211,7 @@ TEST(ParallelEquivalence, FrequencySweepBitIdenticalToSerial) {
     for (const double f : freqs) {
         OperatingPoint p = base;
         p.freq_mhz = f;
-        reference.push_back(serial_point(serial, p));
+        reference.push_back(serial_point(serial, *serial_model, p));
     }
 
     auto parallel_model = shared_core().make_model_c();
@@ -329,21 +333,32 @@ TEST(CloneFidelity, CloneIsIndependentOfOriginal) {
     drive_and_compare(*model, *clone, 3, 400);
 }
 
-TEST(CloneFidelity, RazorClonePreservesMitigationCounters) {
+// The verdict stream, as a probe on each side counts it: a mid-stream
+// razor clone reaches the same detections and escapes, record for record.
+TEST(CloneFidelity, RazorCloneContinuesTheVerdictStream) {
     RazorConfig razor;
     razor.detection_coverage = 0.7;
     ErrorDetectionModel model(shared_core().make_model_c(), razor);
     model.set_operating_point(
         point(shared_core().sta_fmax_mhz(0.7) * 1.1, 0.7, 10.0));
     model.reseed(31);
+    ForensicProbe before;
+    model.set_forensic_probe(&before);
     drive(model, 17, 500);
-    ASSERT_GT(model.detected() + model.escaped(), 0u);
+    model.set_forensic_probe(nullptr);
+    ASSERT_GT(before.detected() + before.escaped(), 0u);
     const auto clone = model.clone();
-    const auto* razor_clone = dynamic_cast<ErrorDetectionModel*>(clone.get());
-    ASSERT_NE(razor_clone, nullptr);
-    EXPECT_EQ(razor_clone->detected(), model.detected());
-    EXPECT_EQ(razor_clone->escaped(), model.escaped());
-    EXPECT_EQ(razor_clone->name(), model.name());
+    EXPECT_EQ(clone->name(), model.name());
+    ForensicProbe original_probe;
+    ForensicProbe clone_probe;
+    model.set_forensic_probe(&original_probe);
+    clone->set_forensic_probe(&clone_probe);
+    drive_and_compare(model, *clone, 19, 500);
+    EXPECT_GT(original_probe.detected(), 0u);
+    EXPECT_GT(original_probe.escaped(), 0u);
+    EXPECT_EQ(clone_probe.detected(), original_probe.detected());
+    EXPECT_EQ(clone_probe.escaped(), original_probe.escaped());
+    EXPECT_EQ(clone_probe.records(), original_probe.records());
 }
 
 // ---------------------------------------------------------------------------
@@ -410,13 +425,14 @@ TEST(TrialIndependence, ShuffledInterleavedTrialsMatchSerialOutcomes) {
     auto model = shared_core().make_model_c();
     constexpr std::size_t kTrials = 12;
     MonteCarloRunner runner(*bench, *model, fast_config(kTrials));
+    SerialTrials serial(runner, *model);
     const double f0 = model_c_active_mhz(1.0);
     const OperatingPoint main_point = point(f0 * 1.04, 0.7, 10.0);
     const OperatingPoint perturb_point = point(f0 * 1.12, 0.7, 25.0);
 
     std::vector<TrialOutcome> baseline;
     for (std::uint64_t trial = 0; trial < kTrials; ++trial)
-        baseline.push_back(runner.run_trial(main_point, trial));
+        baseline.push_back(serial.run(main_point, trial));
 
     // Re-run in shuffled order, interleaved with trials at a different
     // operating point: any state leaking through Cpu, Memory or the model
@@ -427,10 +443,10 @@ TEST(TrialIndependence, ShuffledInterleavedTrialsMatchSerialOutcomes) {
     for (std::size_t i = order.size(); i > 1; --i)
         std::swap(order[i - 1], order[rng.bounded(i)]);
     for (const std::uint64_t trial : order) {
-        (void)runner.run_trial(perturb_point, trial ^ 1);  // dirty the state
+        (void)serial.run(perturb_point, trial ^ 1);  // dirty the state
         SCOPED_TRACE("trial " + std::to_string(trial));
         expect_outcomes_identical(baseline[trial],
-                                  runner.run_trial(main_point, trial));
+                                  serial.run(main_point, trial));
     }
 }
 
@@ -438,11 +454,12 @@ TEST(TrialIndependence, FreshTrialContextMatchesRunnerOutcomes) {
     const auto bench = make_benchmark(BenchmarkId::Median);
     auto model = shared_core().make_model_c();
     MonteCarloRunner runner(*bench, *model, fast_config());
+    SerialTrials serial(runner, *model);
     const OperatingPoint p = point(model_c_active_mhz(1.1), 0.7, 10.0);
     TrialContext context(runner.benchmark(), runner.model());
     for (const std::uint64_t trial : {0, 3, 7}) {
         SCOPED_TRACE("trial " + std::to_string(trial));
-        const TrialOutcome expected = runner.run_trial(p, trial);
+        const TrialOutcome expected = serial.run(p, trial);
         expect_outcomes_identical(
             expected,
             runner.run_trial_with(context.cpu, *context.model, p, trial));

@@ -64,7 +64,8 @@ TEST(RunBatch, AnyBatchSizeIsByteIdenticalToTheSerialLoopAtAnyThreads) {
 
     auto serial_model = shared_core().make_model_c();
     MonteCarloRunner serial(*bench, *serial_model, config_for(trials, 1));
-    const PointSummary oracle = serial_point(serial, cliff_point());
+    const PointSummary oracle =
+        serial_point(serial, *serial_model, cliff_point());
     // Mixed outcomes, or the comparison could not tell trials apart.
     ASSERT_GT(oracle.finished_count, oracle.correct_count);
     ASSERT_GT(oracle.correct_count, 0u);
@@ -107,7 +108,8 @@ TEST(RunBatch, EveryBatchPrefixEqualsASerialPrefixRun) {
         runner.run_batch(summary, cliff_point(), batch);
         ASSERT_EQ(summary.trials, k * batch);
         EXPECT_EQ(bytes_of(summary),
-                  bytes_of(serial_point(runner, cliff_point(), k * batch)))
+                  bytes_of(serial_point(runner, *model, cliff_point(),
+                                        k * batch)))
             << "after " << k << " batches";
     }
 }
@@ -119,7 +121,8 @@ TEST(RunBatch, EmptyBatchAndZeroTrialPointMatchTheSerialLoop) {
     PointSummary summary;
     summary.point = cliff_point();
     runner.run_batch(summary, cliff_point(), 0);
-    const std::string reference = bytes_of(serial_point(runner, cliff_point()));
+    const std::string reference =
+        bytes_of(serial_point(runner, *model, cliff_point()));
     EXPECT_EQ(bytes_of(summary), reference);
     EXPECT_EQ(bytes_of(runner.run_point(cliff_point())), reference);
 }

@@ -64,7 +64,7 @@ TEST(SequentialSampling, FixedNIsByteIdenticalToTheSerialLoop) {
     EXPECT_TRUE(result.converged);
     EXPECT_EQ(result.batches, 4u);  // ceil(17 / 5)
     EXPECT_EQ(bytes_of(result.summary),
-              bytes_of(testing::serial_point(runner, safe_point())));
+              bytes_of(testing::serial_point(runner, *model, safe_point())));
 }
 
 TEST(SequentialSampling, TargetCiStopsAtFloorOnDecidedPoint) {
@@ -188,7 +188,7 @@ TEST(SequentialSampling, AdaptiveRunIsThreadCountIndependent) {
         const auto result =
             sampling::run_point_sequential(runner, cliff, policy);
         const PointSummary oracle =
-            testing::serial_point(runner, cliff, result.summary.trials);
+            testing::serial_point(runner, *model, cliff, result.summary.trials);
         ASSERT_GT(oracle.correct_count, 0u);
         ASSERT_LT(oracle.correct_count, oracle.trials);
         EXPECT_EQ(bytes_of(result.summary), bytes_of(oracle))

@@ -122,7 +122,7 @@ TEST(Cli, KnownVocabularyClassifiesUnknownFlags) {
     ASSERT_EQ(cli.unknown_flags().size(), 1u);
     EXPECT_EQ(cli.unknown_flags()[0], "trails");
     // Pass-through preserved: the unknown flag is still parsed and
-    // retrievable (bench_microbench forwards foreign flags this way).
+    // retrievable, so a flag meant for another tool survives.
     EXPECT_EQ(cli.get_int("trails", 0), 5);
     EXPECT_EQ(cli.get_int("trials", 0), 7);
 }
