@@ -5,10 +5,11 @@
 //
 // Per (kernel, detector) panel the driver emits the ordinary sweep CSV
 // via the campaign engine (point store, resume, forensics all apply),
-// then joins the per-point detection counters from the forensic pass with
-// the sweeps into cwc_compare.csv — finished/correct/FI rate plus the
-// throughput/energy economics of each detector, priced by its
-// DetectorCost (src/fi/mitigation.hpp, razor_cost / cwc_cost):
+// then joins each sweep point with its forensic pass's detection counters
+// (PanelResult::forensics, in memory) into cwc_compare.csv —
+// finished/correct/FI rate plus the throughput/energy economics of each
+// detector, priced by its DetectorCost (src/fi/mitigation.hpp,
+// detector_cost):
 //
 //   effective_mhz = (f / (1 + latency_frac)) * K / (K + detections * penalty)
 //   power_uw      = PowerModel(vdd, f) * (1 + energy_frac)
@@ -16,7 +17,9 @@
 // with K the golden kernel cycle count and detections the mean per
 // forensic trial. cwc_poff.csv holds the per-detector PoFF and STA gain, and
 // cwc_coverage.csv the exact a-priori CWC coverage table that
-// scripts/check_cwc.py re-derives by brute force.
+// scripts/check_cwc.py re-derives by brute force. Under --no-csv the
+// three CSVs and the forensic artifact (cwc_forensics/) land in the
+// working directory instead.
 //
 // Extra flags:
 //   --benchmark NAME|all  kernel selection (default median)
@@ -39,21 +42,6 @@ struct DetectorSpec {
     std::string tag;  ///< panel-name component
     campaign::ModelSpec model;
 };
-
-/// The panel's detector price; a bare model costs nothing.
-DetectorCost cost_of(const campaign::ModelSpec& model) {
-    switch (model.mitigation) {
-        case campaign::ModelSpec::Mitigation::Razor:
-            return razor_cost(
-                RazorConfig{model.razor_coverage, model.razor_replay_cycles});
-        case campaign::ModelSpec::Mitigation::Cwc:
-            return cwc_cost(
-                CwcConfig{model.cwc_block_bits, model.cwc_recovery_cycles});
-        case campaign::ModelSpec::Mitigation::None:
-            break;
-    }
-    return {};
-}
 
 struct PointRow {
     double freq_mhz = 0.0;
@@ -119,7 +107,6 @@ int main(int argc, char** argv) {
 
     std::cout << "Mitigation comparison: CWC(" << code.k << "," << code.n
               << "," << code.w << ") vs Razor vs bare A/B+/C\n\n";
-    CharacterizedCore core = ctx.make_core();
 
     OperatingPoint base;
     base.vdd = 0.7;
@@ -145,14 +132,20 @@ int main(int argc, char** argv) {
             spec.panels.push_back(std::move(panel));
         }
 
+    // Outputs go to the CSV directory, or the working directory under
+    // --no-csv.
+    const auto out_path = [&ctx](const std::string& name) {
+        const std::string path = ctx.csv_path(name);
+        return path.empty() ? name : path;
+    };
+
     // The detection counters come from the forensic pass, so it is on by
-    // default for this bench (into the CSV directory unless --forensics
-    // chose a destination). PointSummary stays the frozen store payload.
+    // default for this bench (next to the CSVs unless --forensics chose a
+    // destination). PointSummary stays the frozen store payload.
     campaign::RunOptions options = ctx.campaign_options();
     if (options.forensics_dir.empty())
-        options.forensics_dir = ctx.csv_path("cwc_forensics");
+        options.forensics_dir = out_path("cwc_forensics");
 
-    const std::string forensics_dir = options.forensics_dir;
     campaign::CampaignRunner runner(spec, std::move(options));
     const campaign::CampaignResult result = runner.run();
     if (!result.completed) {
@@ -160,27 +153,17 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // Join: sweeps (in-memory) x forensic per-point counters (artifact),
-    // keyed by panel name + point order.
-    std::vector<ForensicPointRow> forensic_rows;
-    if (!forensics_dir.empty())
-        forensic_rows = read_forensic_points(forensics_dir +
-                                             "/forensics_points.csv");
-
+    const CharacterizedCore& core = runner.core();
     const PowerModel power;
     const double fsta = core.sta_fmax_mhz(base.vdd);
 
-    CsvWriter compare(ctx.csv_path("cwc_compare.csv").empty()
-                          ? "cwc_compare.csv"
-                          : ctx.csv_path("cwc_compare.csv"));
+    CsvWriter compare(out_path("cwc_compare.csv"));
     compare.header({"kernel", "detector", "freq_mhz", "vdd", "sigma_mv",
                     "finished", "correct", "fi_per_kcycle", "trials",
                     "probe_trials", "detected", "escaped",
                     "detected_per_trial", "effective_mhz", "power_uw",
                     "uw_per_mhz"});
-    CsvWriter poff_csv(ctx.csv_path("cwc_poff.csv").empty()
-                           ? "cwc_poff.csv"
-                           : ctx.csv_path("cwc_poff.csv"));
+    CsvWriter poff_csv(out_path("cwc_poff.csv"));
     poff_csv.header({"kernel", "detector", "poff_mhz", "sta_mhz",
                      "gain_pct"});
 
@@ -204,27 +187,23 @@ int main(int argc, char** argv) {
         for (const DetectorSpec& detector : detectors) {
             const std::string name = panel_name(kernel_name, detector.tag);
             const campaign::PanelResult& panel = result.panel(name);
-            const DetectorCost cost = cost_of(detector.model);
-
-            // Forensic rows for this panel, in point order.
-            std::vector<const ForensicPointRow*> probe;
-            for (const ForensicPointRow& row : forensic_rows)
-                if (row.panel == name) probe.push_back(&row);
+            const std::optional<Detector> stage = detector.model.detector();
+            const DetectorCost cost =
+                stage ? detector_cost(*stage) : DetectorCost{};
 
             std::vector<PointRow> rows;
             for (std::size_t i = 0; i < panel.sweep.size(); ++i) {
                 const PointSummary& summary = panel.sweep[i];
+                const ForensicPointInfo& probe = panel.forensics.at(i);
                 PointRow row;
                 row.freq_mhz = summary.point.freq_mhz;
                 row.finished = summary.finished_frac();
                 row.correct = summary.correct_frac();
                 row.fi_rate = summary.fi_rate;
                 row.trials = summary.trials;
-                if (i < probe.size()) {
-                    row.probe_trials = probe[i]->trials;
-                    row.detected = probe[i]->razor_detected;
-                    row.escaped = probe[i]->razor_escaped;
-                }
+                row.probe_trials = probe.trials_sampled;
+                row.detected = probe.razor_detected;
+                row.escaped = probe.razor_escaped;
                 const double per_trial =
                     row.probe_trials
                         ? static_cast<double>(row.detected) /
@@ -290,9 +269,7 @@ int main(int argc, char** argv) {
 
     // The exact a-priori coverage table (4-bit operand enumeration keeps
     // the brute-force CI check fast) — scripts/check_cwc.py validates it.
-    const std::string coverage_path = ctx.csv_path("cwc_coverage.csv").empty()
-                                          ? "cwc_coverage.csv"
-                                          : ctx.csv_path("cwc_coverage.csv");
+    const std::string coverage_path = out_path("cwc_coverage.csv");
     write_cwc_coverage_csv(coverage_path, code, /*operand_bits=*/4);
     std::cout << "coverage table: " << coverage_path << "\n";
 

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         razor.detection_coverage = coverage;
         razor.replay_penalty_cycles = penalty;
         const DetectorCost cost = razor_cost(razor);
-        ErrorDetectionModel model(core.make_model_c(), razor);
+        DetectionModel model(core.make_model_c(), razor);
         MonteCarloRunner runner(*bench, model, ctx.mc_config());
         OperatingPoint point = base;
         point.freq_mhz = f;

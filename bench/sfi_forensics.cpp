@@ -20,12 +20,8 @@
 namespace {
 
 struct VariantResult {
-    std::string name;
     sfi::PointSummary summary;
-    std::array<std::uint64_t, sfi::kOutcomeClassCount> outcomes{};
-    std::uint64_t records = 0;
-    std::uint64_t detected = 0;
-    std::uint64_t escaped = 0;
+    sfi::ForensicPointInfo info;  ///< the sink's tallies of the point
     bool ok = true;
 };
 
@@ -68,11 +64,11 @@ int main(int argc, char** argv) {
     // and classify Detected — the taxonomy's detection path; a partial
     // coverage (0.9) variant exercises escapes feeding Hang/SDC instead.
     variants.push_back({"razor(B)",
-                        std::make_unique<ErrorDetectionModel>(
+                        std::make_unique<DetectionModel>(
                             core.make_model_b(), RazorConfig{1.0, 11}),
                         0.0, true});
     variants.push_back({"razor(B,.9)",
-                        std::make_unique<ErrorDetectionModel>(
+                        std::make_unique<DetectionModel>(
                             core.make_model_b(), RazorConfig{0.9, 11}),
                         0.0, true});
 
@@ -91,23 +87,14 @@ int main(int argc, char** argv) {
         // Summary via the ordinary path, then the forensic re-run of the
         // same trial indices — the pair the taxonomy must reconcile with.
         VariantResult res;
-        res.name = variant.name;
         res.summary = mc.run_point(point);
 
         const perf::Stopwatch forensic_watch;
         std::vector<TrialForensics> fxs = mc.run_forensics(point, ctx.trials);
         forensic_s += forensic_watch.seconds();
 
-        const std::uint32_t pid = sink.begin_point(
-            variant.name, variant.name, benchmark_name(bench_id), point);
-        std::uint64_t finished = 0, correct = 0, fi_injections = 0;
-        for (TrialForensics& fx : fxs) {
-            ++res.outcomes[static_cast<std::size_t>(fx.cls)];
-            res.records += fx.records.size();
-            res.detected += fx.razor_detected;
-            res.escaped += fx.razor_escaped;
-            if (fx.outcome.finished) ++finished;
-            if (fx.outcome.correct) ++correct;
+        std::uint64_t fi_injections = 0;
+        for (const TrialForensics& fx : fxs) {
             fi_injections += fx.outcome.fi.injections;
             if (variant.razor &&
                 fx.razor_detected + fx.razor_escaped !=
@@ -121,23 +108,23 @@ int main(int argc, char** argv) {
                                 fx.outcome.fi.injections));
                 res.ok = false;
             }
-            sink.add_trial(pid, fx.cls, fx.outcome.finished,
-                           fx.outcome.correct, fx.razor_detected,
-                           fx.razor_escaped, std::move(fx.records),
-                           fx.detection_latencies);
         }
+        res.info = sink.add_point(variant.name, variant.name,
+                                  benchmark_name(bench_id), point,
+                                  std::move(fxs));
 
-        const auto cls = [&res](OutcomeClass c) {
-            return res.outcomes[static_cast<std::size_t>(c)];
+        const ForensicPointInfo& info = res.info;
+        const auto cls = [&info](OutcomeClass c) {
+            return info.outcomes[static_cast<std::size_t>(c)];
         };
         const auto check = [&res](bool cond, const char* what) {
             if (cond) return;
-            std::printf("  MISMATCH [%s]: %s\n", res.name.c_str(), what);
+            std::printf("  MISMATCH [%s]: %s\n", res.info.model.c_str(), what);
             res.ok = false;
         };
-        check(finished == res.summary.finished_count,
+        check(info.finished == res.summary.finished_count,
               "forensic finished != summary finished");
-        check(correct == res.summary.correct_count,
+        check(info.correct == res.summary.correct_count,
               "forensic correct != summary correct");
         check(cls(OutcomeClass::Hang) ==
                   res.summary.trials - res.summary.finished_count,
@@ -150,10 +137,10 @@ int main(int argc, char** argv) {
                   res.summary.correct_count,
               "masked + latent + detected != correct");
         if (!variant.razor)
-            check(res.records == fi_injections,
+            check(info.injections == fi_injections,
                   "record count != FiStats injections");
         if (!variant.razor)
-            check(res.detected == 0 && res.escaped == 0,
+            check(info.razor_detected == 0 && info.razor_escaped == 0,
                   "razor counters nonzero without a razor stage");
 
         all_ok = all_ok && res.ok;
@@ -165,10 +152,10 @@ int main(int argc, char** argv) {
                 "hang", "detected", "records");
     for (const VariantResult& res : results) {
         const auto cls = [&res](OutcomeClass c) {
-            return res.outcomes[static_cast<std::size_t>(c)];
+            return res.info.outcomes[static_cast<std::size_t>(c)];
         };
         std::printf("%-11s %7zu %9zu %8zu %7llu %7llu %5llu %9llu %8llu %9llu\n",
-                    res.name.c_str(), res.summary.trials,
+                    res.info.model.c_str(), res.summary.trials,
                     res.summary.finished_count, res.summary.correct_count,
                     static_cast<unsigned long long>(cls(OutcomeClass::Masked)),
                     static_cast<unsigned long long>(
@@ -177,7 +164,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(cls(OutcomeClass::Hang)),
                     static_cast<unsigned long long>(
                         cls(OutcomeClass::Detected)),
-                    static_cast<unsigned long long>(res.records));
+                    static_cast<unsigned long long>(res.info.injections));
     }
 
     sink.write_artifacts(forensics_dir);

@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     {
         // CWC decorator cost on top of model C: same point as modelC-fault,
         // so the delta is the per-op weight-check overhead.
-        CwcDetectionModel cwc(core.make_model_c(), CwcConfig{});
+        DetectionModel cwc(core.make_model_c(), CwcConfig{});
         report.kernels.push_back(bench_kernel("modelC-cwc8", *bench, cwc,
                                               fault_c, mc, {1},
                                               &phases));

@@ -138,22 +138,35 @@ Summary summarize(const LedgerFile& file) {
     return s;
 }
 
-// Per-panel outcome-class tallies, printed only when a forensic artifact
-// was found next to the ledger (tallies keyed by panel name).
-void print_forensics(
-    const Summary& s,
-    const std::map<std::string, sfi::ForensicPanelTally>& tallies) {
+// Per-panel outcome-class tallies (the points of forensics_points.csv
+// summed per panel), printed only when a forensic artifact was found next
+// to the ledger.
+using PanelTallies = std::map<std::string, sfi::ForensicPointInfo>;
+
+PanelTallies panel_tallies(const std::vector<sfi::ForensicPointInfo>& points) {
+    PanelTallies tallies;
+    for (const sfi::ForensicPointInfo& point : points) {
+        sfi::ForensicPointInfo& tally = tallies[point.panel];
+        tally.trials_sampled += point.trials_sampled;
+        for (std::size_t i = 0; i < sfi::kOutcomeClassCount; ++i)
+            tally.outcomes[i] += point.outcomes[i];
+    }
+    return tallies;
+}
+
+void print_forensics(const Summary& s, const PanelTallies& tallies) {
     if (tallies.empty()) return;
     std::printf("%-24s %7s %7s %7s %5s %5s %9s\n", "forensics", "trials",
                 "masked", "latent", "sdc", "hang", "detected");
-    const auto cls = [](const sfi::ForensicPanelTally& t,
+    const auto cls = [](const sfi::ForensicPointInfo& t,
                         sfi::OutcomeClass c) -> unsigned long long {
         return t.outcomes[static_cast<std::size_t>(c)];
     };
     const auto print_row = [&](const std::string& name,
-                               const sfi::ForensicPanelTally& t) {
+                               const sfi::ForensicPointInfo& t) {
         std::printf("%-24s %7llu %7llu %7llu %5llu %5llu %9llu\n",
-                    name.c_str(), static_cast<unsigned long long>(t.trials),
+                    name.c_str(),
+                    static_cast<unsigned long long>(t.trials_sampled),
                     cls(t, sfi::OutcomeClass::Masked),
                     cls(t, sfi::OutcomeClass::LatentCorrupt),
                     cls(t, sfi::OutcomeClass::SDC),
@@ -162,7 +175,7 @@ void print_forensics(
     };
     // Ledger panel order first, then any tallies the ledger never saw
     // (e.g. an sfi_forensics artifact dropped next to a foreign ledger).
-    std::map<std::string, sfi::ForensicPanelTally> rest = tallies;
+    PanelTallies rest = tallies;
     for (const PanelRow& row : s.panels) {
         const auto it = rest.find(row.name);
         if (it == rest.end()) continue;
@@ -173,9 +186,7 @@ void print_forensics(
     std::printf("\n");
 }
 
-void print_summary(const Summary& s,
-                   const std::map<std::string, sfi::ForensicPanelTally>&
-                       forensic_tallies) {
+void print_summary(const Summary& s, const PanelTallies& forensic_tallies) {
     std::printf("mode     %s\n", s.mode.c_str());
     if (s.campaigns.empty()) std::printf("campaign <none>\n");
     for (const CampaignRow& c : s.campaigns)
@@ -305,12 +316,12 @@ int main(int argc, char** argv) {
     }
 
     // A forensic artifact next to the ledger enriches the summary with
-    // per-panel outcome-class tallies; absence is silent (empty map).
+    // per-panel outcome-class tallies; absence is silent (no rows).
     const std::size_t slash = path.find_last_of('/');
     const std::string dir =
         slash == std::string::npos ? "." : path.substr(0, slash);
     print_summary(summarize(file),
-                  sfi::read_forensic_panel_tallies(dir +
-                                                   "/forensics_points.csv"));
+                  panel_tallies(sfi::read_forensic_points(
+                      dir + "/forensics_points.csv")));
     return 0;
 }

@@ -9,7 +9,9 @@ artifact before a human reads the vulnerability tables:
      makes the stream byte-identical across worker thread counts — and
      cycles are non-decreasing within a trial;
   3. every record's detector fate is in the pinned vocabulary (0 none,
-     1 razor-detected, 2 razor-escaped, 3 cwc-detected, 4 cwc-escaped);
+     1 razor-detected, 2 razor-escaped, 3 cwc-detected, 4 cwc-escaped)
+     and in its point's family: a "razor(...)" model stamps only 0/1/2,
+     a "cwc<k>(...)" model only 0/3/4, a bare model only 0;
   4. per-point record counts reconcile with the `injections` totals in
      forensics.json, and the stream total matches `record_count`;
   5. the outcome taxonomy adds up per point, in forensics.json AND in
@@ -26,6 +28,7 @@ Exit code 0 on success, 1 with a diagnostic on the first violation.
 import csv
 import json
 import os
+import re
 import struct
 import sys
 
@@ -33,6 +36,15 @@ MAGIC = b"SFIFRNS1"
 RECORD_BYTES = 30
 OUTCOME_CLASSES = ("masked", "latent_corrupt", "sdc", "hang", "detected")
 RAZOR_FATES = (0, 1, 2, 3, 4)  # none / razor det+esc / cwc det+esc
+
+
+def family_fates(model):
+    """The fates a point's model label allows (its detector family)."""
+    if model.startswith("razor("):
+        return {0, 1, 2}
+    if re.match(r"cwc[0-9]+\(", model):
+        return {0, 3, 4}
+    return {0}
 
 
 def fail(message):
@@ -69,6 +81,7 @@ def read_records(path):
 def check_record_stream(records, path):
     prev_point, prev_trial, prev_cycle = -1, -1, -1
     per_point = {}
+    fates = {}
     for index, (point_id, trial, cycle, razor) in enumerate(records):
         where = f"{path}: record #{index}"
         if razor not in RAZOR_FATES:
@@ -87,7 +100,8 @@ def check_record_stream(records, path):
             prev_trial, prev_cycle = -1, -1
         prev_point, prev_trial, prev_cycle = point_id, trial, cycle
         per_point[point_id] = per_point.get(point_id, 0) + 1
-    return per_point
+        fates.setdefault(point_id, set()).add(razor)
+    return per_point, fates
 
 
 def check_taxonomy(label, trials, finished, correct, outcomes,
@@ -146,7 +160,8 @@ def main():
 
     records_path = os.path.join(directory, "records.bin")
     records = read_records(records_path)
-    per_point_records = check_record_stream(records, records_path)
+    per_point_records, per_point_fates = check_record_stream(records,
+                                                             records_path)
 
     json_path = os.path.join(directory, "forensics.json")
     try:
@@ -179,6 +194,11 @@ def main():
         check_taxonomy(label, point["trials_sampled"], point["finished"],
                        point["correct"], outcomes, point["razor_detected"],
                        point["razor_escaped"])
+        foreign = per_point_fates.get(pid, set()) - \
+            family_fates(point["model"])
+        if foreign:
+            fail(f"{label}: model {point['model']!r} carries foreign "
+                 f"detector fates {sorted(foreign)}")
         if per_point_records.get(pid, 0) != point["injections"]:
             fail(f"{label}: {per_point_records.get(pid, 0)} records in the "
                  f"stream, injections says {point['injections']}")

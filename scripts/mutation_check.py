@@ -47,7 +47,7 @@ CONTRACT_TARGETS = {
     "sfi_campaign_contract": ["sfi_campaign"],
     "sfi_campaign_sampling_equivalence": ["sfi_campaign"],
     "sfi_campaign_trace_contract": ["sfi_campaign", "sfi_trace"],
-    "sfi_forensics_contract": ["sfi_forensics", "sfi_campaign"],
+    "sfi_forensics_contract": ["sfi_forensics", "sfi_campaign", "sfi_trace"],
     "sfi_bench_drivers_contract": [
         "bench_table1", "bench_table2", "bench_fig3_pipeline",
         "bench_ext_razor", "bench_ablation_voltage",
@@ -78,6 +78,7 @@ FORENSICS_CONTRACT = "sfi_forensics_contract"
 CWC = "sfi_fi_test_cwc"
 MITIGATION_CONTRACT = "sfi_fi_test_mitigation_contract"
 DRIVERS_CONTRACT = "sfi_bench_drivers_contract"
+ADAPTIVE = "sfi_campaign_test_adaptive"
 
 MUTANTS = [
     # --- The DTA kernel's pop order and its chunks (src/timing/). These
@@ -379,7 +380,7 @@ MUTANTS = [
     # (DetectorCost, src/fi/), and a driver that reads both.
     {
         "name": "cwc-cost-without-clock-derating",
-        "file": "src/fi/cwc.cpp",
+        "file": "src/fi/mitigation.cpp",
         "edits": [("    cost.latency_frac = 0.01 * check_bits;\n", "")],
         "tests": [CWC, DRIVERS_CONTRACT],
     },
@@ -403,6 +404,58 @@ MUTANTS = [
                    "                                          "
                    "fx.razor_escaped);\n")],
         "tests": [DRIVERS_CONTRACT],
+    },
+    # --- The per-detector facts of the one DetectionModel
+    # (src/fi/mitigation.cpp)
+    {
+        "name": "cwc-inner-stream-on-razors-salt",
+        "file": "src/fi/mitigation.cpp",
+        "edits": [("    inner_->reseed(seed ^ (code_ ? 0x43574331ULL",
+                   "    inner_->reseed(seed ^ (code_ ? 0x52415a4fULL")],
+        "tests": [DRIVERS_CONTRACT],
+    },
+    {
+        "name": "cwc-stamps-razors-fate-pair",
+        "file": "src/fi/mitigation.cpp",
+        "edits": [("probe_->mark_detector(detected, kCwcDetected, kCwcEscaped);",
+                   "probe_->mark_detector(detected, kRazorDetected, "
+                   "kRazorEscaped);")],
+        "tests": [MITIGATION_CONTRACT, DRIVERS_CONTRACT],
+    },
+    # --- The forensic point records: the in-memory join and its order,
+    # and the two on-disk readers under forged input (src/fi/forensics.cpp)
+    {
+        "name": "poff-forensics-left-in-probe-order",
+        "file": "src/campaign/runner.cpp",
+        "edits": [("""        std::stable_sort(result.forensics.begin(), result.forensics.end(),
+                         [](const auto& lhs, const auto& rhs) {
+                             return lhs.freq_mhz < rhs.freq_mhz;
+                         });
+""", "")],
+        "tests": [ADAPTIVE],
+    },
+    {
+        "name": "cwc-compare-joins-the-previous-point",
+        "file": "bench/bench_cwc_compare.cpp",
+        "edits": [("panel.forensics.at(i);",
+                   "panel.forensics.at(i > 0 ? i - 1 : 0);")],
+        "tests": [DRIVERS_CONTRACT],
+    },
+    {
+        "name": "fault-records-trust-the-header-count",
+        "file": "src/fi/forensics.cpp",
+        "edits": [("    std::vector<FaultRecord> records;\n",
+                   "    std::vector<FaultRecord> records;\n"
+                   "    records.reserve(count);\n")],
+        "tests": [FORENSICS],
+    },
+    {
+        "name": "points-reader-accepts-a-sign",
+        "file": "src/fi/forensics.cpp",
+        "edits": [("std::from_chars(cell.data(), end, value);",
+                   "std::from_chars(\n"
+                   "                cell.data() + (cell[0] == '-'), end, value);")],
+        "tests": [FORENSICS],
     },
 ]
 

@@ -8,8 +8,6 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "fi/cwc.hpp"
-#include "fi/mitigation.hpp"
 #include "isa/isa.hpp"
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
@@ -41,22 +39,15 @@ const char* model_kind_name(ModelSpec::Kind kind) {
 }
 
 /// Model label shared by the ledger panel payload and the forensic point
-/// registry: the bare kind ("A", "B", "B+", "C") wrapped in its
-/// mitigation decorator ("razor(C)", "cwc8(B+)") when the panel has one.
+/// registry: the bare kind ("A", "B", "B+", "C") wrapped in its detector
+/// ("razor(C)", "cwc8(B+)") when the panel has one.
 std::string model_label(const PanelSpec& panel, const OperatingPoint& base) {
     const std::string bare =
         panel.model.kind == ModelSpec::Kind::B && base.noise.sigma_mv > 0.0
             ? "B+"
             : model_kind_name(panel.model.kind);
-    switch (panel.model.mitigation) {
-        case ModelSpec::Mitigation::Razor:
-            return "razor(" + bare + ")";
-        case ModelSpec::Mitigation::Cwc:
-            return "cwc" + std::to_string(panel.model.cwc_block_bits) + "(" +
-                   bare + ")";
-        case ModelSpec::Mitigation::None: break;
-    }
-    return bare;
+    const std::optional<Detector> detector = panel.model.detector();
+    return detector ? detector_name(*detector) + "(" + bare + ")" : bare;
 }
 
 const char* panel_kind_name(const PanelSpec& panel) {
@@ -278,26 +269,10 @@ std::unique_ptr<FaultModel> CampaignRunner::make_model(
     // The policy lands on the inner model BEFORE a decorator wraps it:
     // set_policy is non-virtual, so it must reach the model that injects.
     model->set_policy(panel.model.policy);
-    switch (panel.model.mitigation) {
-        case ModelSpec::Mitigation::None:
-            break;
-        case ModelSpec::Mitigation::Razor:
-            model = std::make_unique<ErrorDetectionModel>(
-                std::move(model),
-                RazorConfig{panel.model.razor_coverage,
-                            panel.model.razor_replay_cycles});
-            break;
-        case ModelSpec::Mitigation::Cwc: {
-            CwcConfig config;
-            config.block_bits = panel.model.cwc_block_bits;
-            config.recovery_penalty_cycles = panel.model.cwc_recovery_cycles;
-            model = std::make_unique<CwcDetectionModel>(std::move(model),
-                                                        config);
-            break;
-        }
-    }
+    if (const std::optional<Detector> detector = panel.model.detector())
+        model = std::make_unique<DetectionModel>(std::move(model), *detector);
     // The core's sampling mode, stamped once on the finished model: the
-    // decorators forward it to the model they wrap, and every clone (the
+    // decorator forwards it to the model it wraps, and every clone (the
     // trial engine's worker contexts) copies it. The factory paths set it
     // already; the directly-constructed conditioned ModelC does not.
     model->set_sampling_mode(panel_core.config().fault_sampling);
@@ -373,17 +348,20 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
     const OperatingPoint& base = resolved.base;
     const std::vector<double>& axis_values = resolved.axis_values;
 
+    // The panel's labels, shared by the ledger payload and the forensic
+    // point registry so the artifacts and traces name points alike.
+    const std::string model_name = model_label(panel, base);
+    const std::string kernel_name =
+        panel.kernel.kind == KernelSpec::Kind::Benchmark
+            ? benchmark_name(panel.kernel.benchmark)
+            : ex_class_name(panel.kernel.cls);
     obs::Ledger* const led = options_.ledger;
     const bool wall = obs::wall_ledger(led) != nullptr;
     if (led != nullptr)
-        led->begin(
-            "panel",
-            {{"name", panel.name},
-             {"kind", panel_kind_name(panel)},
-             {"model", model_label(panel, base)},
-             {"kernel", panel.kernel.kind == KernelSpec::Kind::Benchmark
-                            ? benchmark_name(panel.kernel.benchmark)
-                            : ex_class_name(panel.kernel.cls)}});
+        led->begin("panel", {{"name", panel.name},
+                             {"kind", panel_kind_name(panel)},
+                             {"model", model_name},
+                             {"kernel", kernel_name}});
     if (progress_)
         progress_->begin_panel(panel.name,
                                panel.poff ? 0 : axis_values.size());
@@ -423,13 +401,6 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
     // rule is always re-derived via classify_stop so warm store hits and
     // cold computations report identical classifications.
     std::size_t point_index = 0;
-    // Panel labels for the forensic point registry; mirrors the ledger's
-    // panel payload above so the artifacts and traces name points alike.
-    const std::string forensic_model = model_label(panel, base);
-    const std::string forensic_kernel =
-        panel.kernel.kind == KernelSpec::Kind::Benchmark
-            ? benchmark_name(panel.kernel.benchmark)
-            : ex_class_name(panel.kernel.cls);
     const auto compute_point = [&](const OperatingPoint& point) {
         const std::uint64_t key = point_key(spec_, panel, core_fp, point);
         if (led != nullptr)
@@ -469,15 +440,9 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             ensure_runner();
             const std::size_t sample =
                 std::min<std::size_t>(options_.forensics_trials, summary.trials);
-            std::vector<TrialForensics> fxs = mc->run_forensics(point, sample);
-            const std::uint32_t pid = forensic_sink_->begin_point(
-                panel.name, forensic_model, forensic_kernel, point);
-            for (TrialForensics& fx : fxs)
-                forensic_sink_->add_trial(pid, fx.cls, fx.outcome.finished,
-                                          fx.outcome.correct, fx.razor_detected,
-                                          fx.razor_escaped,
-                                          std::move(fx.records),
-                                          fx.detection_latencies);
+            result.forensics.push_back(forensic_sink_->add_point(
+                panel.name, model_name, kernel_name, point,
+                mc->run_forensics(point, sample)));
             metrics().add("run.forensic_trials", sample);
         }
 
@@ -527,6 +492,12 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
         const sampling::PoffSearchResult found =
             sampling::find_poff_bisection(compute_point, base, search);
         result.sweep = found.sweep;
+        // The search sorts its sweep by frequency; the forensic records
+        // follow it out of probe order.
+        std::stable_sort(result.forensics.begin(), result.forensics.end(),
+                         [](const auto& lhs, const auto& rhs) {
+                             return lhs.freq_mhz < rhs.freq_mhz;
+                         });
         result.completed = !found.cancelled;
         result.poff = PoffOutcome{found.bracketed, found.lo_mhz,
                                   found.hi_mhz, found.pass_risk,

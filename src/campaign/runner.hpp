@@ -125,6 +125,11 @@ struct PanelResult {
     /// (the manifest records it in the stable section).
     std::array<std::uint64_t, sampling::kStopRuleCount> stopping{};
     std::optional<PoffOutcome> poff;  ///< set for PoffSearchSpec panels
+    /// The forensic pass's per-point tallies, one per sweep point in sweep
+    /// order — the records the ForensicSink writes to the artifacts.
+    /// Empty unless RunOptions::forensics_dir is set and the kernel is a
+    /// Benchmark.
+    std::vector<ForensicPointInfo> forensics;
     std::string csv_path;    ///< "" when CSV is disabled or panel incomplete
     bool completed = true;   ///< false when the campaign was cancelled mid-panel
 };

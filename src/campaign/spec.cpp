@@ -76,6 +76,17 @@ ModelSpec ModelSpec::with_cwc(unsigned block_bits,
     return spec;
 }
 
+std::optional<Detector> ModelSpec::detector() const {
+    switch (mitigation) {
+        case Mitigation::Razor:
+            return RazorConfig{razor_coverage, razor_replay_cycles};
+        case Mitigation::Cwc:
+            return CwcConfig{cwc_block_bits, cwc_recovery_cycles};
+        case Mitigation::None: break;
+    }
+    return std::nullopt;
+}
+
 KernelSpec KernelSpec::bench(BenchmarkId id) {
     KernelSpec spec;
     spec.kind = Kind::Benchmark;

@@ -23,6 +23,7 @@
 
 #include "apps/benchmark.hpp"
 #include "fi/core_model.hpp"
+#include "fi/mitigation.hpp"
 #include "fi/models.hpp"
 #include "sampling/sequential.hpp"
 
@@ -86,6 +87,12 @@ struct ModelSpec {
                          unsigned replay_cycles = 11) const;
     ModelSpec with_cwc(unsigned block_bits = 8,
                        unsigned recovery_cycles = 2) const;
+
+    /// The detection stage `mitigation` names, built from the knobs above;
+    /// nullopt for None. The one ModelSpec -> detector mapping: the runner
+    /// wraps its models in it and drivers price panels with it
+    /// (detector_cost).
+    std::optional<Detector> detector() const;
 };
 
 /// Workload executed at every operating point of a panel.

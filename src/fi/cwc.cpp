@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "fi/forensics.hpp"
 #include "isa/isa.hpp"
 #include "util/csv.hpp"
 
@@ -138,56 +137,6 @@ void write_cwc_coverage_csv(const std::string& path, const CwcCode& code,
         csv.end_row();
     }
     csv.close();
-}
-
-// ---------------------------------------------------------------------------
-// CwcDetectionModel
-// ---------------------------------------------------------------------------
-
-CwcDetectionModel::CwcDetectionModel(std::unique_ptr<FaultModel> inner,
-                                     CwcConfig config)
-    : inner_(std::move(inner)),
-      config_(config),
-      code_(CwcCode::for_block_bits(config.block_bits)) {
-    if (!inner_) throw std::invalid_argument("CwcDetectionModel: null inner");
-}
-
-CwcDetectionModel::CwcDetectionModel(const CwcDetectionModel& other)
-    : FaultModel(other),
-      inner_(other.inner_->clone()),
-      config_(other.config_),
-      code_(other.code_) {}
-
-std::unique_ptr<FaultModel> CwcDetectionModel::clone() const {
-    return std::unique_ptr<FaultModel>(new CwcDetectionModel(*this));
-}
-
-void CwcDetectionModel::operating_point_changed() {
-    inner_->set_operating_point(point_);
-}
-
-std::uint32_t CwcDetectionModel::corrupt(const ExEvent& ev,
-                                         std::uint32_t correct) {
-    // Drive the inner model through its public entry point so its own
-    // statistics (and RNG stream) behave exactly as without mitigation.
-    const std::uint32_t result = inner_->on_ex_result(ev, correct);
-    if (result == correct) return correct;
-    const bool detected =
-        rng_.chance(cwc_detect_probability(code_, correct, result));
-    ++stats_.injections;  // a detected violation still counts as an FI
-    if (probe_ != nullptr) probe_->mark_cwc(detected);
-    return detected ? correct  // recovered: architecturally clean
-                    : result;
-}
-
-DetectorCost cwc_cost(const CwcConfig& config) {
-    const CwcCode code = CwcCode::for_block_bits(config.block_bits);
-    const double check_bits = static_cast<double>(code.n - code.k);
-    DetectorCost cost;
-    cost.latency_frac = 0.01 * check_bits;
-    cost.energy_frac = 0.5 * check_bits / static_cast<double>(code.k);
-    cost.penalty_cycles = config.recovery_penalty_cycles;
-    return cost;
 }
 
 }  // namespace sfi

@@ -1,5 +1,5 @@
-// Constant-weight-code (CWC) error detection on top of any fault model —
-// the second mitigation family next to Razor replay (fi/mitigation.hpp),
+// Constant-weight-code (CWC) error detection — the code behind the second
+// detector of DetectionModel next to Razor replay (fi/mitigation.hpp),
 // motivated by Sasidharan/Viterbo/Dau's low-complexity binary constant-
 // Hamming-weight codes: encode each k-bit block of the EX result as an
 // n-bit codeword of constant weight w, and flag a timing fault whenever
@@ -23,22 +23,20 @@
 //     subset is balanced between the d/2 rising and d/2 falling bits, so
 //     P(escape) = C(d, d/2) / 2^d and P(detect) = 1 - C(d, d/2) / 2^d.
 //   * Per corrupted op the per-block detection probabilities combine as
-//     1 - prod_b P(escape_b), and the decorator resolves the verdict with
-//     ONE deterministic rng_.chance() draw.
+//     1 - prod_b P(escape_b), and DetectionModel resolves the verdict
+//     with ONE deterministic rng_.chance() draw.
 //
 // cwc_coverage_table() averages the same formula over every operand pair
 // of a small-width ALU-result distribution, giving the exact per-
 // (ExClass, bit) single-bit-flip coverage that scripts/check_cwc.py
 // re-derives independently by brute force. docs/MITIGATIONS.md has the
-// full derivation and the cost model (cwc_cost).
+// full derivation and the cost model (cwc_cost, fi/mitigation.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "fi/mitigation.hpp"
 #include "fi/models.hpp"
 
 namespace sfi {
@@ -108,86 +106,5 @@ std::vector<CwcCoverageRow> cwc_coverage_table(const CwcCode& code,
 /// enumeration. Throws std::runtime_error on I/O failure.
 void write_cwc_coverage_csv(const std::string& path, const CwcCode& code,
                             unsigned operand_bits);
-
-/// Knobs of the CWC detection stage.
-struct CwcConfig {
-    unsigned block_bits = 8;  ///< k; must divide 32 (CwcCode::for_block_bits)
-    /// Pipeline stall per detection — the corrupted result is recomputed
-    /// at a relaxed (checker) path, not replayed through the pipeline, so
-    /// this is a fraction of Razor's 11-cycle replay.
-    unsigned recovery_penalty_cycles = 2;
-};
-
-/// CWC's price (DetectorCost, fi/mitigation.hpp), derived from the code
-/// geometry of `config.block_bits`: the encode/decode logic in series
-/// with the EX stage derates the clock by one percent per check bit,
-/// 0.01 · (n − k); the widened n-bit datapath costs 0.5 · (n − k) / k
-/// switching energy per protected k-bit block; each detection stalls for
-/// `recovery_penalty_cycles`. Throws std::invalid_argument on a block
-/// width CwcCode::for_block_bits rejects.
-DetectorCost cwc_cost(const CwcConfig& config);
-
-/// CWC detection decorator: keeps ErrorDetectionModel's contract (deep
-/// clone, lock-step reseed of the inner model on a distinct stream,
-/// forwarded sampling mode / clean-op credit / shared forensic probe,
-/// delegated reachability), but the per-corruption verdict is drawn from
-/// the exact code-domain detection probability instead of a flat
-/// coverage knob. The probe counts the verdicts; cwc_cost prices them.
-class CwcDetectionModel final : public FaultModel {
-public:
-    CwcDetectionModel(std::unique_ptr<FaultModel> inner, CwcConfig config);
-
-    std::string name() const override {
-        return "cwc" + std::to_string(code_.k) + "(" + inner_->name() + ")";
-    }
-    ModelFeatures features() const override { return inner_->features(); }
-    /// Deep copy: clones the inner fault model, like the Razor decorator.
-    std::unique_ptr<FaultModel> clone() const override;
-
-    const FaultModel& inner() const { return *inner_; }
-    const CwcCode& code() const { return code_; }
-    const CwcConfig& config() const { return config_; }
-
-    /// Reseeds the verdict-draw stream and the inner fault model on a
-    /// distinct stream (a different salt than Razor's, so razor(C) and
-    /// cwc(C) decorating the same inner model draw independently).
-    void reseed(std::uint64_t seed) override {
-        FaultModel::reseed(seed);
-        inner_->reseed(seed ^ 0x43574331ULL);  // "CWC1"
-    }
-
-    void set_sampling_mode(FaultSamplingMode mode) override {
-        FaultModel::set_sampling_mode(mode);
-        inner_->set_sampling_mode(mode);
-    }
-
-    /// Weight checks only react to inner injections, so reachability is
-    /// the inner model's (arms the zero-fault trial fast path).
-    bool can_inject() const override { return inner_->can_inject(); }
-
-    void count_clean_ops(std::uint64_t n) override {
-        FaultModel::count_clean_ops(n);
-        inner_->count_clean_ops(n);
-    }
-
-    /// Shared with the inner model, exactly like the Razor decorator: the
-    /// inner corrupt() records injections, this decorator stamps the CWC
-    /// verdict (fates kCwcDetected / kCwcEscaped) onto those records.
-    void set_forensic_probe(ForensicProbe* probe) override {
-        FaultModel::set_forensic_probe(probe);
-        inner_->set_forensic_probe(probe);
-    }
-
-protected:
-    std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
-    void operating_point_changed() override;
-
-private:
-    CwcDetectionModel(const CwcDetectionModel& other);
-
-    std::unique_ptr<FaultModel> inner_;
-    CwcConfig config_;
-    CwcCode code_;
-};
 
 }  // namespace sfi

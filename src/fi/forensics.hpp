@@ -5,13 +5,14 @@
 // point injects; this layer says WHERE each one landed and what became of
 // it. A ForensicProbe attached to a FaultModel records every apply_fault
 // as one compact FaultRecord — kernel cycle, PC, opcode/ExClass, endpoint
-// bit, policy, pre/post bit value, FI-window id, razor fate — and a
+// bit, policy, pre/post bit value, FI-window id, detector fate — and a
 // trial-end classifier (MonteCarloRunner::classify_trial) assigns each
 // trial an OutcomeClass by diffing final architectural state against the
-// golden run. The ForensicSink accumulates records and tallies across
-// points and emits the VulnerabilityReport artifacts (per-ExClass /
-// per-bit / per-PC injection->SDC derating, razor detection-latency
-// histogram) as a binary record stream plus JSON/CSV tables.
+// golden run. The ForensicSink folds each point's trials into one
+// ForensicPointInfo and into the vulnerability tallies (per-ExClass /
+// per-bit / per-PC injection->SDC derating, detection-latency histogram)
+// and writes them as a binary record stream plus JSON/CSV tables;
+// read_forensic_points parses the per-point table back.
 //
 // Guarantees:
 //  * Zero overhead off. No probe attached (the default) means the hot
@@ -63,15 +64,12 @@ const char* outcome_class_name(OutcomeClass cls);
 /// Detector fate of a record (FaultRecord::razor — the field keeps its
 /// original name for stream compatibility; values 3/4 extend the
 /// vocabulary for the constant-weight-code detector without disturbing
-/// the pinned Razor encodings).
+/// the pinned Razor encodings). Each detector stamps its own pair.
 inline constexpr std::uint8_t kRazorNone = 0;      ///< no detection stage
 inline constexpr std::uint8_t kRazorDetected = 1;  ///< detected & replayed
 inline constexpr std::uint8_t kRazorEscaped = 2;   ///< escaped detection
 inline constexpr std::uint8_t kCwcDetected = 3;    ///< CWC weight violation caught
 inline constexpr std::uint8_t kCwcEscaped = 4;     ///< balanced flip escaped CWC
-
-/// Detector family a fate byte belongs to ("none", "razor", "cwc").
-const char* detector_family_name(std::uint8_t fate);
 
 /// One injected endpoint violation. Serialized little-endian in exactly
 /// this field order (kFaultRecordBytes, no padding bytes written); the
@@ -88,7 +86,7 @@ struct FaultRecord {
     std::uint8_t policy = 0;     ///< static_cast<uint8_t>(FaultPolicy)
     std::uint8_t pre_bit = 0;    ///< endpoint bit before the fault
     std::uint8_t post_bit = 0;   ///< endpoint bit latched after the fault
-    std::uint8_t razor = 0;      ///< kRazorNone / kRazorDetected / kRazorEscaped
+    std::uint8_t razor = 0;      ///< detector fate: kRazorNone .. kCwcEscaped
 
     bool operator==(const FaultRecord&) const = default;
 };
@@ -103,17 +101,18 @@ void write_fault_records(std::ostream& os,
                          const std::vector<FaultRecord>& records);
 
 /// Parses a stream written by write_fault_records; throws
-/// std::runtime_error on a bad magic, record size or truncation.
+/// std::runtime_error on a bad magic, record size or truncation. The
+/// header's record count is not trusted for allocation: the records grow
+/// with the bytes that actually arrive.
 std::vector<FaultRecord> read_fault_records(std::istream& is);
 
 /// Per-trial record collector, attached to a FaultModel via
 /// set_forensic_probe for the duration of one forensic trial. The model
 /// base class drives it: begin_op from on_ex_result (stashes the event
 /// context and the record watermark of the current op), record_injection
-/// from apply_fault, mark_razor / mark_cwc from a detection decorator's
-/// verdict. Its detected()/escaped() are the only detection counts (the
-/// decorators keep none). trial/point_id are stamped after the run by
-/// the caller.
+/// from apply_fault, mark_detector from DetectionModel's verdict. Its
+/// detected()/escaped() are the only detection counts (the decorator
+/// keeps none). trial/point_id are stamped after the run by the caller.
 class ForensicProbe {
 public:
     void start_trial() {
@@ -127,8 +126,8 @@ public:
     }
 
     /// One ALU op is being offered to the model. Re-entry with the same
-    /// event (razor driving its inner model) is harmless: the watermark
-    /// still brackets the records of this op.
+    /// event (a detector driving its inner model) is harmless: the
+    /// watermark still brackets the records of this op.
     void begin_op(const ExEvent& ev) {
         ev_ = &ev;
         op_watermark_ = records_.size();
@@ -155,29 +154,12 @@ public:
         records_.push_back(rec);
     }
 
-    /// Razor verdict for the current op: stamps the fate onto every record
-    /// the op produced and, on detection, logs the latency from the
-    /// trial's first injection to this detection (cycles, >= 0).
-    void mark_razor(bool detected) {
-        mark_detector(detected, kRazorDetected, kRazorEscaped);
-    }
-
-    /// CWC verdict for the current op — same stamping and counters as
-    /// mark_razor, different fate vocabulary, so classify_trial and the
-    /// taxonomy checks treat both detector families uniformly.
-    void mark_cwc(bool detected) {
-        mark_detector(detected, kCwcDetected, kCwcEscaped);
-    }
-
-    std::uint32_t detected() const { return detected_; }
-    std::uint32_t escaped() const { return escaped_; }
-    const std::vector<FaultRecord>& records() const { return records_; }
-    std::vector<FaultRecord> take_records() { return std::move(records_); }
-    std::vector<std::uint32_t> take_latencies() {
-        return std::move(latencies_);
-    }
-
-private:
+    /// A detector's verdict for the current op: stamps the detector's
+    /// fate (`fate_detected` or `fate_escaped`) onto every record the op
+    /// produced and, on detection, logs the latency from the trial's
+    /// first injection to this detection (cycles, >= 0). Both detectors
+    /// count alike, so classify_trial and the taxonomy checks treat them
+    /// uniformly.
     void mark_detector(bool detected, std::uint8_t fate_detected,
                        std::uint8_t fate_escaped) {
         const std::uint8_t fate = detected ? fate_detected : fate_escaped;
@@ -193,6 +175,15 @@ private:
         }
     }
 
+    std::uint32_t detected() const { return detected_; }
+    std::uint32_t escaped() const { return escaped_; }
+    const std::vector<FaultRecord>& records() const { return records_; }
+    std::vector<FaultRecord> take_records() { return std::move(records_); }
+    std::vector<std::uint32_t> take_latencies() {
+        return std::move(latencies_);
+    }
+
+private:
     std::vector<FaultRecord> records_;
     std::vector<std::uint32_t> latencies_;  ///< one per detection, cycles
     std::uint32_t detected_ = 0;
@@ -203,8 +194,12 @@ private:
     bool saw_injection_ = false;
 };
 
-/// Per-point forensic tallies plus the metadata that names the point in
-/// the artifacts.
+/// One point's forensic tallies plus the metadata that names it in the
+/// artifacts: the one per-point forensic record. ForensicSink::add_point
+/// returns it, CampaignRunner hands it back in PanelResult::forensics,
+/// and read_forensic_points parses it from forensics_points.csv. The
+/// detector counters cover both detectors, so "razor_detected" /
+/// "razor_escaped" read as "detector detected/escaped" under CWC.
 struct ForensicPointInfo {
     std::uint32_t point_id = 0;
     std::string panel;
@@ -220,6 +215,8 @@ struct ForensicPointInfo {
     std::uint64_t injections = 0;
     std::uint64_t razor_detected = 0;
     std::uint64_t razor_escaped = 0;
+
+    bool operator==(const ForensicPointInfo&) const = default;
 };
 
 /// Detection-latency histogram bucketing: bucket 0 holds latency 0,
@@ -228,81 +225,36 @@ struct ForensicPointInfo {
 inline constexpr std::size_t kLatencyBuckets = 33;
 std::size_t latency_bucket(std::uint32_t latency_cycles);
 
-/// Aggregated vulnerability evidence over every recorded trial.
-struct VulnerabilityReport {
-    /// One derating row: of the trials with >= 1 injection at this key,
-    /// how many ended as SDC.
-    struct DeratingRow {
-        std::string key;
-        std::uint64_t injections = 0;  ///< records attributed to the key
-        std::uint64_t trials = 0;      ///< trials with >= 1 such injection
-        std::uint64_t sdc_trials = 0;  ///< of those, classified SDC
-        double sdc_derating() const {
-            return trials ? static_cast<double>(sdc_trials) /
-                                static_cast<double>(trials)
-                          : 0.0;
-        }
-    };
+/// One trial re-run under the probe (mc/montecarlo.hpp).
+struct TrialForensics;
 
-    /// One derating row split by detector family: the by_class table
-    /// refined by which detection stage (none / razor / cwc) saw the
-    /// injections — the per-class derating split the mitigation
-    /// comparison campaign reads.
-    struct DetectorDeratingRow {
-        std::string ex_class;
-        std::string detector;  ///< detector_family_name of the fate bytes
-        std::uint64_t injections = 0;
-        std::uint64_t trials = 0;
-        std::uint64_t sdc_trials = 0;
-        double sdc_derating() const {
-            return trials ? static_cast<double>(sdc_trials) /
-                                static_cast<double>(trials)
-                          : 0.0;
-        }
-    };
-
-    std::vector<DeratingRow> by_class;  ///< ExClass order
-    std::vector<DeratingRow> by_bit;    ///< endpoint bit order
-    std::vector<DeratingRow> by_pc;     ///< hotspots, injections descending
-    std::vector<DetectorDeratingRow> by_class_detector;  ///< (class, family)
-    std::array<std::uint64_t, kLatencyBuckets> detection_latency_hist{};
-    std::uint64_t detections = 0;
-};
-
-/// Accumulates forensic trials across operating points and emits the
-/// artifacts. Feed points with begin_point / add_trial strictly in
-/// (point, trial-index) order — the record stream is written exactly in
-/// feed order, which is what makes serial == parallel byte-identical
-/// when the caller drains parallel results by trial index.
+/// Accumulates forensic points and emits the artifacts. Feed points with
+/// add_point in point order, each with its trials in trial-index order —
+/// the record stream is written exactly in feed order, which is what
+/// makes serial == parallel byte-identical when the caller drains
+/// parallel results by trial index.
 class ForensicSink {
 public:
-    /// Registers a point and returns its id (stamped into the records).
-    std::uint32_t begin_point(std::string panel, std::string model,
-                              std::string kernel, const OperatingPoint& point);
-
-    /// Appends one forensically re-run trial of the current point.
-    /// `records` are stamped with `point_id` here; `trial` must already be
-    /// stamped by the runner.
-    void add_trial(std::uint32_t point_id, OutcomeClass cls, bool finished,
-                   bool correct, std::uint32_t razor_detected,
-                   std::uint32_t razor_escaped,
-                   std::vector<FaultRecord> records,
-                   const std::vector<std::uint32_t>& detection_latencies);
+    /// Registers one point, folds its forensically re-run trials into the
+    /// point's record and the vulnerability tallies, and appends their
+    /// records (stamped with the point's id; `trial` must already be
+    /// stamped by the runner). Returns the point's record; the reference
+    /// holds until the next add_point.
+    const ForensicPointInfo& add_point(std::string panel, std::string model,
+                                       std::string kernel,
+                                       const OperatingPoint& point,
+                                       std::vector<TrialForensics> trials);
 
     const std::vector<FaultRecord>& records() const { return records_; }
     const std::vector<ForensicPointInfo>& points() const { return points_; }
     std::uint64_t trials_recorded() const { return trials_recorded_; }
-    bool empty() const { return points_.empty(); }
-
-    /// Builds the aggregated report from the incremental tallies.
-    VulnerabilityReport report() const;
 
     /// Serializes the record stream (write_fault_records).
     void write_records(std::ostream& os) const;
 
     /// Writes every artifact into `dir` (created if missing): records.bin,
-    /// forensics.json, forensics_points.csv and the report CSV tables.
-    /// Throws std::runtime_error on I/O failure.
+    /// forensics.json, forensics_points.csv and the derating and latency
+    /// CSV tables. Throws std::runtime_error on I/O failure.
     void write_artifacts(const std::string& dir) const;
 
 private:
@@ -325,44 +277,19 @@ private:
     std::uint64_t detections_ = 0;
 };
 
-/// Per-panel outcome tallies parsed back from forensics_points.csv — the
-/// reader half used by sfi_trace when a forensic artifact sits next to a
-/// run ledger. Tolerant: returns an empty map when the file is missing or
-/// malformed rather than throwing.
-struct ForensicPanelTally {
-    std::uint64_t trials = 0;
-    std::array<std::uint64_t, kOutcomeClassCount> outcomes{};
-};
-
-std::map<std::string, ForensicPanelTally> read_forensic_panel_tallies(
-    const std::string& csv_path);
-
-/// One forensics_points.csv row parsed back in file order — the join key
-/// bench_cwc_compare uses to pair per-point detector counters with the
-/// in-memory campaign sweeps (panel + point order). The detector counters
-/// cover both families: a CWC stage feeds the same probe counters Razor
-/// does, so "razor_detected"/"razor_escaped" read as "detector
-/// detected/escaped" under a CWC panel.
-struct ForensicPointRow {
-    std::string panel;
-    std::string model;
-    std::string kernel;
-    std::uint32_t point_id = 0;
-    double freq_mhz = 0.0;
-    double vdd = 0.0;
-    double sigma_mv = 0.0;
-    std::uint64_t trials = 0;
-    std::uint64_t finished = 0;
-    std::uint64_t correct = 0;
-    std::uint64_t injections = 0;
-    std::uint64_t razor_detected = 0;
-    std::uint64_t razor_escaped = 0;
-};
-
-/// Reads forensics_points.csv rows in file order. Tolerant like
-/// read_forensic_panel_tallies: a missing/malformed file returns an
-/// empty vector rather than throwing.
-std::vector<ForensicPointRow> read_forensic_points(
+/// Reads forensics_points.csv back into per-point records, in file order
+/// (sfi_trace sums them per panel). Columns are found by name; a column
+/// the header lacks reads as empty / 0 in every row. Tolerant, never
+/// throwing:
+///   * a missing or unreadable file, an empty file, or a header without
+///     a "panel" column yields no rows;
+///   * a row is dropped, never patched, when it has fewer cells than the
+///     header, or when a count cell is not wholly an unsigned decimal
+///     (empty, signed, partly numeric like "3x", or out of range) or a
+///     coordinate cell is not wholly a number.
+/// Cells are split with csv_escape's quoting (quoted separators,
+/// doubled quotes).
+std::vector<ForensicPointInfo> read_forensic_points(
     const std::string& csv_path);
 
 }  // namespace sfi

@@ -16,20 +16,37 @@
 #   charlen                 bench_ablation_charlen --dta-cycles 256 (the
 #                           ladder 16, 64, 256, 1,024 cycles)
 #   cwc_compare.csv,        bench_cwc_compare --trials 4 --points 3
-#   cwc_poff.csv,           --forensics-trials 4 --no-store
-#   cwc_coverage.csv
+#   cwc_poff.csv,           --forensics-trials 4, cold into a fresh
+#   cwc_coverage.csv        store (cwc/), then a warm rerun (cwc_warm/)
+#                           that must be served wholly from the store
+#                           ("store_misses": 0 in its manifest); both
+#                           runs' CSVs hash to the pins, so warm == cold.
+#                           scripts/check_cwc.py re-derives the coverage
+#                           table by brute force and
+#                           scripts/check_forensics.py checks the cold
+#                           run's cwc_forensics/ artifact
+#   nocsv                   the same run under --no-store --no-csv: its
+#                           ./cwc_compare.csv (the CSV fallback in the
+#                           working directory) hashes to the same pin, so
+#                           --no-csv cannot switch the forensic pass off
 #
 # A digest moves only when a driver's output moves: re-record it with
 # -DPRINT_DIGESTS=ON (prints every leg's digest and compares nothing) and
 # say in the change log why the bytes changed. Runs under ctest (label
 # "contract"); by hand:
 #
-#   cmake -DBENCH_DIR=build -DWORK_DIR=/tmp/drivers_contract \
+#   cmake -DBENCH_DIR=build -DPYTHON3=python3 \
+#         -DCHECK_CWC=scripts/check_cwc.py \
+#         -DCHECK_FORENSICS=scripts/check_forensics.py \
+#         -DWORK_DIR=/tmp/drivers_contract \
 #         -P tests/campaign/drivers_contract.cmake
 cmake_minimum_required(VERSION 3.20)
 
-if(NOT BENCH_DIR OR NOT WORK_DIR)
+if(NOT BENCH_DIR OR NOT PYTHON3 OR NOT CHECK_CWC OR NOT CHECK_FORENSICS OR
+   NOT WORK_DIR)
     message(FATAL_ERROR "usage: cmake -DBENCH_DIR=<dir with bench_* drivers> "
+                        "-DPYTHON3=<python3> -DCHECK_CWC=<check_cwc.py> "
+                        "-DCHECK_FORENSICS=<check_forensics.py> "
                         "-DWORK_DIR=<dir> [-DPRINT_DIGESTS=ON] "
                         "-P drivers_contract.cmake")
 endif()
@@ -117,13 +134,30 @@ string(REGEX REPLACE "  [0-9]+\\.[0-9] *\n" "  <t>\n" out "${out}")
 file(WRITE "${WORK_DIR}/charlen.txt" "${out}")
 check(charlen charlen "${out}")
 
-run_driver(out cwc_compare "${BENCH_DIR}/bench_cwc_compare" --trials 4
-           --points 3 --dta-cycles 1024 --cache cache_1024.bin
-           --forensics-trials 4 --no-store --quiet --csv-dir cwc)
-foreach(csv cwc_compare.csv cwc_poff.csv cwc_coverage.csv)
-    file(READ "${WORK_DIR}/cwc/${csv}" text)
-    check(${csv} ${csv} "${text}")
+set(cwc_compare "${BENCH_DIR}/bench_cwc_compare" --trials 4 --points 3
+    --dta-cycles 1024 --cache cache_1024.bin --forensics-trials 4 --quiet)
+run_driver(out cwc_cold ${cwc_compare} --store cwc_store.bin --csv-dir cwc)
+run_driver(out cwc_warm ${cwc_compare} --store cwc_store.bin
+           --csv-dir cwc_warm)
+file(READ "${WORK_DIR}/cwc_warm/cwc_compare_manifest.json" manifest)
+if(NOT manifest MATCHES "\"store_hits\": [1-9][0-9]*, \"store_misses\": 0,")
+    set(failures "${failures}\n  cwc_warm: not served wholly from the store")
+endif()
+foreach(dir cwc cwc_warm)
+    foreach(csv cwc_compare.csv cwc_poff.csv cwc_coverage.csv)
+        file(READ "${WORK_DIR}/${dir}/${csv}" text)
+        check(${csv} ${dir}/${csv} "${text}")
+    endforeach()
 endforeach()
+run_driver(out check_cwc ${PYTHON3} ${CHECK_CWC} cwc/cwc_coverage.csv)
+run_driver(out check_forensics ${PYTHON3} ${CHECK_FORENSICS}
+           cwc/cwc_forensics)
+
+# --no-csv: the CSVs fall back to the working directory, and so must the
+# forensic pass that feeds the detection columns.
+run_driver(out nocsv ${cwc_compare} --no-store --no-csv)
+file(READ "${WORK_DIR}/cwc_compare.csv" text)
+check(cwc_compare.csv nocsv/cwc_compare.csv "${text}")
 
 if(failures)
     message(FATAL_ERROR "driver output moved (masked outputs in "

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -182,6 +183,36 @@ TEST_F(AdaptiveCampaignTest, PoffSearchResumesFromTheStoreByteIdentical) {
     EXPECT_EQ(read_file(dir_ + "/w/csv/poff_b_plus.csv"), cold_csv);
     EXPECT_EQ(manifest_stable_part(second.manifest_path), cold_manifest);
     EXPECT_EQ(second.trials_spent, first.trials_spent);
+}
+
+// The forensic pass hands its per-point records back in memory, one per
+// sweep point in sweep order — for a PoFF panel that is frequency order,
+// not the search's probe order — and they are the records the artifact
+// holds (which keeps probe order).
+TEST_F(AdaptiveCampaignTest, PoffPanelForensicsFollowTheSweep) {
+    RunOptions opts = options("fx");
+    opts.forensics_dir = dir_ + "/fx/forensics";
+    opts.forensics_trials = 2;
+    CampaignRunner runner(poff_fig1_campaign(4), opts);
+    const CampaignResult result = runner.run();
+    ASSERT_TRUE(result.completed);
+    const PanelResult& panel = result.panel("poff_b_plus");
+    ASSERT_GT(panel.sweep.size(), 2u);
+    ASSERT_EQ(panel.forensics.size(), panel.sweep.size());
+    for (std::size_t i = 0; i < panel.sweep.size(); ++i)
+        EXPECT_EQ(panel.forensics[i].freq_mhz, panel.sweep[i].point.freq_mhz)
+            << "point " << i;
+
+    std::vector<ForensicPointInfo> in_memory = panel.forensics;
+    std::vector<ForensicPointInfo> on_disk =
+        read_forensic_points(opts.forensics_dir + "/forensics_points.csv");
+    const auto by_id = [](const ForensicPointInfo& a,
+                          const ForensicPointInfo& b) {
+        return a.point_id < b.point_id;
+    };
+    std::sort(in_memory.begin(), in_memory.end(), by_id);
+    std::sort(on_disk.begin(), on_disk.end(), by_id);
+    EXPECT_EQ(in_memory, on_disk);
 }
 
 TEST_F(AdaptiveCampaignTest, AdaptiveAndFixedNKeysNeverCollide) {

@@ -152,14 +152,14 @@ std::vector<ModelConfig> make_model_configs() {
 
     auto razor_inner = std::make_unique<ModelB>(synthetic_sta(), fit());
     razor_inner->set_operating_point(op_point(10.0));
-    auto razor = std::make_unique<ErrorDetectionModel>(
+    auto razor = std::make_unique<DetectionModel>(
         std::move(razor_inner), RazorConfig{0.8, 11});
     configs.push_back({"razor(modelB+)", std::move(razor)});
 
     // Razor over a provably clean inner model: the ISS's shortcut must
     // keep BOTH counter sets (outer and inner) in lock-step via the
     // count_clean_ops forwarding chain.
-    auto razor_clean = std::make_unique<ErrorDetectionModel>(
+    auto razor_clean = std::make_unique<DetectionModel>(
         std::make_unique<ModelA>(0.0), RazorConfig{0.8, 11});
     razor_clean->set_operating_point(op_point());
     configs.push_back({"razor(modelA-clean)", std::move(razor_clean)});
@@ -240,7 +240,7 @@ Observation run_one(const Program& program, const FaultModel* prototype,
     if (model) {
         ob.stats = model->stats();
         if (const auto* razor =
-                dynamic_cast<const ErrorDetectionModel*>(model.get()))
+                dynamic_cast<const DetectionModel*>(model.get()))
             ob.inner_stats = razor->inner().stats();
         ob.records = probe.records();
         ob.detected = probe.detected();

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "fi/forensics.hpp"
+#include "fi/mitigation.hpp"
 #include "isa/isa.hpp"
 #include "testing/cwc_enumerative.hpp"
 #include "testing/shared_core.hpp"
@@ -170,7 +171,7 @@ TEST(CwcDetection, CoverageTableMatchesDirectEnumeration) {
 }
 
 TEST(CwcModel, DetectsAndEscapesAtTheCodeRate) {
-    CwcDetectionModel model(shared_core().make_model_c(), CwcConfig{});
+    DetectionModel model(shared_core().make_model_c(), CwcConfig{});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -195,7 +196,7 @@ TEST(CwcCost, RecoveryCyclesAndTheCodecDerateTheClock) {
     EXPECT_DOUBLE_EQ(cost.latency_frac, 0.03);
     EXPECT_DOUBLE_EQ(cost.energy_frac, 0.5 * 3.0 / 8.0);
 
-    CwcDetectionModel model(shared_core().make_model_c(), config);
+    DetectionModel model(shared_core().make_model_c(), config);
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -227,21 +228,21 @@ TEST(CwcCost, GeometryFollowsTheBlockWidth) {
 }
 
 TEST(CwcModel, RejectsBadConfig) {
-    EXPECT_THROW(CwcDetectionModel(nullptr, CwcConfig{}),
+    EXPECT_THROW(DetectionModel(nullptr, CwcConfig{}),
                  std::invalid_argument);
     CwcConfig bad;
     bad.block_bits = 5;
-    EXPECT_THROW(CwcDetectionModel(shared_core().make_model_c(), bad),
+    EXPECT_THROW(DetectionModel(shared_core().make_model_c(), bad),
                  std::invalid_argument);
 }
 
 TEST(CwcModel, NameReportsCodeAndInner) {
-    CwcDetectionModel model(shared_core().make_model_c(), CwcConfig{});
+    DetectionModel model(shared_core().make_model_c(), CwcConfig{});
     EXPECT_EQ(model.name().rfind("cwc8(", 0), 0u) << model.name();
 }
 
 TEST(CwcModel, ReseedIsReproducible) {
-    CwcDetectionModel model(shared_core().make_model_c(), CwcConfig{});
+    DetectionModel model(shared_core().make_model_c(), CwcConfig{});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());

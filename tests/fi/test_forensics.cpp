@@ -10,8 +10,9 @@
 //    TrialOutcome field (the probe adds no RNG draws), for every model;
 //  * serial and parallel record streams are bitwise identical at any
 //    thread count;
-//  * ForensicSink artifacts round-trip through the panel-tally reader
-//    that sfi_trace uses.
+//  * ForensicSink artifacts round-trip through read_forensic_points
+//    field for field, and the reader drops malformed rows; the record
+//    reader fails forged counts as truncation, not allocation.
 #include "fi/forensics.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -141,6 +143,21 @@ TEST(FaultRecordStream, ReaderRejectsBadMagicSizeAndTruncation) {
     EXPECT_THROW(read_fault_records(short_is), std::runtime_error);
 }
 
+// The header's count is the file's claim: a forged one must fail as a
+// truncated payload, never as an allocation of what it claims.
+TEST(FaultRecordStream, ForgedCountsThrowRuntimeError) {
+    for (const std::uint32_t count : {0xffffffffu, 1000000u, 1u}) {
+        std::string header(kForensicMagic, 8);
+        for (const std::uint32_t field :
+             {static_cast<std::uint32_t>(kFaultRecordBytes), count})
+            for (int byte = 0; byte < 4; ++byte)
+                header.push_back(static_cast<char>(field >> (8 * byte)));
+        std::istringstream is(header);
+        EXPECT_THROW(read_fault_records(is), std::runtime_error)
+            << "count " << count;
+    }
+}
+
 TEST(LatencyHistogram, PowerOfTwoBuckets) {
     EXPECT_EQ(latency_bucket(0), 0u);   // exact zero-latency detections
     EXPECT_EQ(latency_bucket(1), 1u);   // [1, 2)
@@ -226,7 +243,7 @@ TEST(Classification, RazorDetectionsClassifyDetectedWithLatency) {
     const auto bench = make_benchmark(BenchmarkId::Median);
     RazorConfig razor;
     razor.detection_coverage = 1.0;  // every corruption replays correctly
-    ErrorDetectionModel model(shared_core().make_model_b(), razor);
+    DetectionModel model(shared_core().make_model_b(), razor);
     MonteCarloRunner runner(*bench, model, fast_config(6));
     const OperatingPoint p = point(model_b_first_fault_mhz() + 1.0);
     const std::vector<TrialForensics> results = runner.run_forensics(p, 6);
@@ -308,8 +325,8 @@ TEST(ProbeTransparency, ForensicOutcomeMatchesPlainTrialForEveryModel) {
     RazorConfig razor;
     razor.detection_coverage = 0.7;  // both verdict branches draw
     cases.push_back({"razor(C)",
-                     std::make_unique<ErrorDetectionModel>(core.make_model_c(),
-                                                           razor),
+                     std::make_unique<DetectionModel>(core.make_model_c(),
+                                                      razor),
                      point(fc, 0.7, 10.0)});
 
     for (Case& c : cases) {
@@ -344,14 +361,9 @@ TEST(ForensicDeterminism, RecordStreamBitwiseIdenticalAcrossThreadCounts) {
     // Noise makes the per-trial streams genuinely distinct.
     const OperatingPoint p = point(model_b_first_fault_mhz() - 5.0, 0.7, 10.0);
 
-    const auto drain = [&](const std::vector<TrialForensics>& fxs) {
+    const auto drain = [&](std::vector<TrialForensics> fxs) {
         ForensicSink sink;
-        const std::uint32_t pid = sink.begin_point("panel", "B+", "median", p);
-        for (const TrialForensics& fx : fxs)
-            sink.add_trial(pid, fx.cls, fx.outcome.finished,
-                           fx.outcome.correct, fx.razor_detected,
-                           fx.razor_escaped, fx.records,
-                           fx.detection_latencies);
+        sink.add_point("panel", "B+", "median", p, std::move(fxs));
         std::ostringstream os;
         sink.write_records(os);
         return os.str();
@@ -383,46 +395,90 @@ TEST(ForensicDeterminism, RecordStreamBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Sink artifacts round-trip through the sfi_trace reader.
+// Sink artifacts round-trip through the one forensics_points.csv reader.
 // ---------------------------------------------------------------------------
 
-TEST(ForensicSinkArtifacts, PanelTalliesRoundTripThroughCsvReader) {
+/// A fresh per-process directory under the test temp dir.
+std::string temp_dir(const std::string& name) {
     namespace fs = std::filesystem;
     const std::string dir =
         (fs::path(::testing::TempDir()) /
-         ("sfi_forensics_test_" + std::to_string(::getpid())))
+         (name + "_" + std::to_string(::getpid())))
             .string();
     fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
 
+TEST(ForensicSinkArtifacts, PointsRoundTripThroughCsvReader) {
+    const std::string dir = temp_dir("sfi_forensics_test");
     const auto bench = make_benchmark(BenchmarkId::Median);
     auto model = shared_core().make_model_b();
     MonteCarloRunner runner(*bench, *model, fast_config(8));
-    const OperatingPoint p = point(model_b_first_fault_mhz() + 1.0);
+    const OperatingPoint p = point(model_b_first_fault_mhz() + 1.0, 0.7, 2.5);
 
     ForensicSink sink;
-    const std::uint32_t pid = sink.begin_point("panel_b", "B", "median", p);
-    std::array<std::uint64_t, kOutcomeClassCount> expected{};
-    for (TrialForensics& fx : runner.run_forensics(p, 8)) {
-        ++expected[static_cast<std::size_t>(fx.cls)];
-        sink.add_trial(pid, fx.cls, fx.outcome.finished, fx.outcome.correct,
-                       fx.razor_detected, fx.razor_escaped,
-                       std::move(fx.records), fx.detection_latencies);
+    for (const std::string panel : {"panel_b", "odd, \"quoted\" panel"}) {
+        std::vector<TrialForensics> fxs = runner.run_forensics(p, 8);
+        std::array<std::uint64_t, kOutcomeClassCount> expected{};
+        std::uint64_t records = 0;
+        for (const TrialForensics& fx : fxs) {
+            ++expected[static_cast<std::size_t>(fx.cls)];
+            records += fx.records.size();
+        }
+        const ForensicPointInfo& info =
+            sink.add_point(panel, "B", "median", p, std::move(fxs));
+        EXPECT_EQ(info.trials_sampled, 8u);
+        EXPECT_EQ(info.outcomes, expected);
+        EXPECT_EQ(info.injections, records);
     }
+    ASSERT_GT(sink.records().size(), 0u) << "round trip of empty tallies";
     sink.write_artifacts(dir);
 
-    const auto tallies =
-        read_forensic_panel_tallies(dir + "/forensics_points.csv");
-    ASSERT_EQ(tallies.size(), 1u);
-    const auto it = tallies.find("panel_b");
-    ASSERT_NE(it, tallies.end());
-    EXPECT_EQ(it->second.trials, 8u);
-    for (std::size_t i = 0; i < kOutcomeClassCount; ++i)
-        EXPECT_EQ(it->second.outcomes[i], expected[i]) << outcome_class_name(
-            static_cast<OutcomeClass>(i));
+    // Every field of every row, quoted separators and doubled quotes
+    // included.
+    EXPECT_EQ(read_forensic_points(dir + "/forensics_points.csv"),
+              sink.points());
+    // Missing file: no rows, never a throw.
+    EXPECT_TRUE(read_forensic_points(dir + "/absent.csv").empty());
+    std::filesystem::remove_all(dir);
+}
 
-    // Missing file: tolerant empty map, never a throw.
-    EXPECT_TRUE(read_forensic_panel_tallies(dir + "/absent.csv").empty());
-    fs::remove_all(dir);
+TEST(ForensicPointsReader, DropsMalformedRowsAndForeignTables) {
+    const std::string dir = temp_dir("sfi_forensics_reader");
+    const auto read = [&dir](const std::string& text) {
+        std::ofstream(dir + "/points.csv", std::ios::trunc) << text;
+        return read_forensic_points(dir + "/points.csv");
+    };
+    const std::string header = "panel,point_id,freq_mhz,trials,sdc\n";
+
+    EXPECT_TRUE(read("").empty());
+    EXPECT_TRUE(read(header).empty());
+    // Without a panel column the table is not a forensic points table.
+    EXPECT_TRUE(read("name,point_id,trials\np,0,8\n").empty());
+
+    const auto rows = read(header +
+                           "good,0,700.5,8,3\n"
+                           "short,1,700.5,8\n"
+                           "signed,2,700.5,-1,3\n"
+                           "partial,3,700.5,3x,3\n"
+                           "empty,4,700.5,,3\n"
+                           "huge,5,700.5,18446744073709551616,3\n"
+                           "freq,6,7x,8,3\n"
+                           "\"kept, too\",7,1e3,0,0\n");
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].panel, "good");
+    EXPECT_EQ(rows[0].point_id, 0u);
+    EXPECT_EQ(rows[0].freq_mhz, 700.5);
+    EXPECT_EQ(rows[0].trials_sampled, 8u);
+    EXPECT_EQ(rows[0].outcomes[static_cast<std::size_t>(OutcomeClass::SDC)],
+              3u);
+    // Columns the header lacks read as 0.
+    EXPECT_EQ(rows[0].finished, 0u);
+    EXPECT_EQ(rows[0].model, "");
+    EXPECT_EQ(rows[1].panel, "kept, too");
+    EXPECT_EQ(rows[1].freq_mhz, 1000.0);
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ ExEvent mul_event(std::uint32_t a, std::uint32_t b) {
 // detection count the engine and the drivers read.
 
 TEST(ErrorDetection, FullCoverageAlwaysReturnsCorrect) {
-    ErrorDetectionModel model(shared_core().make_model_c(), {1.0, 11});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{1.0, 11});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -48,7 +48,7 @@ TEST(ErrorDetection, FullCoverageAlwaysReturnsCorrect) {
 }
 
 TEST(ErrorDetection, ZeroCoverageEscapesEverything) {
-    ErrorDetectionModel model(shared_core().make_model_c(), {0.0, 11});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{0.0, 11});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -66,7 +66,7 @@ TEST(ErrorDetection, ZeroCoverageEscapesEverything) {
 }
 
 TEST(ErrorDetection, PartialCoverageSplitsProportionally) {
-    ErrorDetectionModel model(shared_core().make_model_c(), {0.75, 11});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{0.75, 11});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -88,7 +88,7 @@ TEST(RazorCost, ReplayCyclesDilateTheRunAndLatchesCostEnergy) {
     EXPECT_DOUBLE_EQ(cost.energy_frac, 0.03);
     EXPECT_DOUBLE_EQ(cost.power_uw(1000.0), 1030.0);
 
-    ErrorDetectionModel model(shared_core().make_model_c(), {1.0, 10});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{1.0, 10});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());
@@ -105,7 +105,7 @@ TEST(RazorCost, ReplayCyclesDilateTheRunAndLatchesCostEnergy) {
 }
 
 TEST(RazorCost, SafeFrequencyHasNoOverhead) {
-    ErrorDetectionModel model(shared_core().make_model_c(), {1.0, 11});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{1.0, 11});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     OperatingPoint p;
@@ -118,7 +118,7 @@ TEST(RazorCost, SafeFrequencyHasNoOverhead) {
         model.on_ex_result(mul_event(i, i), 9u);
     }
     EXPECT_EQ(probe.detected(), 0u);
-    EXPECT_DOUBLE_EQ(razor_cost(model.config())
+    EXPECT_DOUBLE_EQ(razor_cost(RazorConfig{1.0, 11})
                          .effective_mhz(400.0, 5000, probe.detected()),
                      400.0);
 }
@@ -138,7 +138,7 @@ TEST(DetectorCost, BareModelIsFreeAndEmptyRunsRunAtTheDeratedClock) {
 
 TEST(ErrorDetection, FullCoverageKeepsApplicationCorrect) {
     const auto bench = make_benchmark(BenchmarkId::KMeans);
-    auto model = std::make_unique<ErrorDetectionModel>(
+    auto model = std::make_unique<DetectionModel>(
         shared_core().make_model_c(), RazorConfig{1.0, 11});
     McConfig mc;
     mc.trials = 10;
@@ -149,13 +149,15 @@ TEST(ErrorDetection, FullCoverageKeepsApplicationCorrect) {
 }
 
 TEST(ErrorDetection, RejectsBadConfig) {
-    EXPECT_THROW(ErrorDetectionModel(nullptr, {1.0, 11}), std::invalid_argument);
-    EXPECT_THROW(ErrorDetectionModel(shared_core().make_model_c(), {1.5, 11}),
+    EXPECT_THROW(DetectionModel(nullptr, RazorConfig{1.0, 11}),
                  std::invalid_argument);
+    EXPECT_THROW(
+        DetectionModel(shared_core().make_model_c(), RazorConfig{1.5, 11}),
+        std::invalid_argument);
 }
 
 TEST(ErrorDetection, ReseedIsReproducible) {
-    ErrorDetectionModel model(shared_core().make_model_c(), {0.5, 11});
+    DetectionModel model(shared_core().make_model_c(), RazorConfig{0.5, 11});
     ForensicProbe probe;
     model.set_forensic_probe(&probe);
     model.set_operating_point(overscaled_point());

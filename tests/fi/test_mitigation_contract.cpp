@@ -1,13 +1,13 @@
-// Shared behavioral contract for every detection decorator.
+// Shared behavioral contract for every detector of DetectionModel.
 //
-// Razor (fi/mitigation.hpp) and CWC (fi/cwc.hpp) differ in physics —
+// Razor and CWC (fi/mitigation.hpp, fi/cwc.hpp) differ in physics —
 // timing-speculation replay vs. constant-weight-code checking — but they
 // must be interchangeable to the Monte-Carlo engine, the campaign runner
 // and the forensics layer, and each must come with its price
 // (DetectorCost). Detections are counted the one way the engine and the
 // drivers count them: by a ForensicProbe attached to the model. This
-// suite runs the same assertions against both; a new mitigation family
-// joins by adding one line to the instantiation at the bottom (see
+// suite runs the same assertions against both; a new detector joins by
+// adding one line to the instantiation at the bottom (see
 // CONTRIBUTING.md).
 #include <gtest/gtest.h>
 
@@ -70,13 +70,13 @@ struct MitigationCase {
 constexpr RazorConfig kRazor{0.75, 11};
 
 std::unique_ptr<FaultModel> make_razor() {
-    return std::make_unique<ErrorDetectionModel>(shared_core().make_model_c(),
-                                                 kRazor);
+    return std::make_unique<DetectionModel>(shared_core().make_model_c(),
+                                            kRazor);
 }
 
 std::unique_ptr<FaultModel> make_cwc() {
-    return std::make_unique<CwcDetectionModel>(shared_core().make_model_c(),
-                                               CwcConfig{});
+    return std::make_unique<DetectionModel>(shared_core().make_model_c(),
+                                            CwcConfig{});
 }
 
 DetectorCost price_razor() { return razor_cost(kRazor); }

@@ -112,7 +112,7 @@ TEST(CanInject, RazorDecoratorDelegatesToInner) {
     auto inner = core().make_model_b();
     inner->set_operating_point(point_at(500.0));
     const double f0 = inner->first_fault_frequency_mhz();
-    ErrorDetectionModel razor(std::move(inner), RazorConfig{});
+    DetectionModel razor(std::move(inner), RazorConfig{});
     razor.set_operating_point(point_at(f0 * 0.999));
     EXPECT_FALSE(razor.can_inject());
     razor.set_operating_point(point_at(f0 * 1.001));

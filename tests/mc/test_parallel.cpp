@@ -123,8 +123,8 @@ std::vector<ModelCase> model_cases() {
     RazorConfig razor;
     razor.detection_coverage = 0.7;  // both detect and escape paths draw
     cases.push_back({"razor(C)",
-                     std::make_unique<ErrorDetectionModel>(core.make_model_c(),
-                                                           razor),
+                     std::make_unique<DetectionModel>(core.make_model_c(),
+                                                      razor),
                      point(fc, 0.7, 10.0)});
     return cases;
 }
@@ -338,7 +338,7 @@ TEST(CloneFidelity, CloneIsIndependentOfOriginal) {
 TEST(CloneFidelity, RazorCloneContinuesTheVerdictStream) {
     RazorConfig razor;
     razor.detection_coverage = 0.7;
-    ErrorDetectionModel model(shared_core().make_model_c(), razor);
+    DetectionModel model(shared_core().make_model_c(), razor);
     model.set_operating_point(
         point(shared_core().sta_fmax_mhz(0.7) * 1.1, 0.7, 10.0));
     model.reseed(31);

@@ -126,11 +126,11 @@ TEST(SamplingModeEquivalence, RazorDecoratedModelIsByteIdentical) {
     razor.detection_coverage = 0.7;
     expect_matches_reference(
         [&razor] {
-            return std::make_unique<ErrorDetectionModel>(reference_model_c(),
-                                                         razor);
+            return std::make_unique<DetectionModel>(reference_model_c(),
+                                                    razor);
         },
         [&razor] {
-            return std::make_unique<ErrorDetectionModel>(
+            return std::make_unique<DetectionModel>(
                 shared_core().make_model_c(), razor);
         },
         noisy_point(f0 * 1.02), "razor(C)");
