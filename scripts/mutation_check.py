@@ -51,7 +51,7 @@ CONTRACT_TARGETS = {
     "sfi_bench_drivers_contract": [
         "bench_table1", "bench_table2", "bench_fig3_pipeline",
         "bench_ext_razor", "bench_ablation_voltage",
-        "bench_ablation_charlen", "bench_cwc_compare"],
+        "bench_ablation_charlen", "bench_cwc_compare", "sfi_trace"],
 }
 
 
@@ -442,6 +442,8 @@ MUTANTS = [
         "tests": [DRIVERS_CONTRACT],
     },
     {
+        # The test reads the forged headers in a child whose address
+        # space it caps, so the reserve fails on any host.
         "name": "fault-records-trust-the-header-count",
         "file": "src/fi/forensics.cpp",
         "edits": [("    std::vector<FaultRecord> records;\n",
@@ -456,6 +458,28 @@ MUTANTS = [
                    "std::from_chars(\n"
                    "                cell.data() + (cell[0] == '-'), end, value);")],
         "tests": [FORENSICS],
+    },
+    # --- What the drivers contract's mitigation leg reads beyond its three
+    # pinned CSVs: the per-panel sweeps warm vs. cold, and sfi_trace's
+    # forensics table (bench/sfi_trace.cpp)
+    {
+        # mean_error is in no joined CSV: only the per-panel sweeps of the
+        # warm run can show a store that loses it.
+        "name": "store-drops-mean-error",
+        "file": "src/campaign/point_store.cpp",
+        "edits": [("    put(os, summary.mean_error);\n",
+                   "    put(os, 0.0);\n")],
+        "tests": [DRIVERS_CONTRACT],
+    },
+    {
+        "name": "trace-table-swaps-latent-and-sdc",
+        "file": "bench/sfi_trace.cpp",
+        "edits": [("""                    cls(t, sfi::OutcomeClass::LatentCorrupt),
+                    cls(t, sfi::OutcomeClass::SDC),
+""", """                    cls(t, sfi::OutcomeClass::SDC),
+                    cls(t, sfi::OutcomeClass::LatentCorrupt),
+""")],
+        "tests": [DRIVERS_CONTRACT],
     },
 ]
 

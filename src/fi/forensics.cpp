@@ -10,7 +10,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "mc/montecarlo.hpp"
 #include "perf/json_writer.hpp"
 #include "util/csv.hpp"
 

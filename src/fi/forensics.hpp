@@ -106,6 +106,24 @@ void write_fault_records(std::ostream& os,
 /// with the bytes that actually arrive.
 std::vector<FaultRecord> read_fault_records(std::istream& is);
 
+/// One trial re-run under a ForensicProbe, as
+/// MonteCarloRunner::run_forensics returns it: the ordinary outcome plus
+/// the per-injection provenance records and the trial's outcome class.
+/// Forensics never feeds PointSummary — the plain trial path stays the
+/// single source of the paper's metrics, and this struct is strictly
+/// additive observation on top of it.
+struct TrialForensics {
+    TrialOutcome outcome;
+    OutcomeClass cls = OutcomeClass::Masked;
+    /// Detector verdicts this trial, as the probe counted them (Razor or
+    /// CWC; the names predate CWC). The one detection count: drivers
+    /// price detections from these (DetectorCost, fi/mitigation.hpp).
+    std::uint32_t razor_detected = 0;
+    std::uint32_t razor_escaped = 0;
+    std::vector<FaultRecord> records;  ///< injection order; trial stamped
+    std::vector<std::uint32_t> detection_latencies;  ///< cycles, per detection
+};
+
 /// Per-trial record collector, attached to a FaultModel via
 /// set_forensic_probe for the duration of one forensic trial. The model
 /// base class drives it: begin_op from on_ex_result (stashes the event
@@ -224,9 +242,6 @@ struct ForensicPointInfo {
 /// the tail.
 inline constexpr std::size_t kLatencyBuckets = 33;
 std::size_t latency_bucket(std::uint32_t latency_cycles);
-
-/// One trial re-run under the probe (mc/montecarlo.hpp).
-struct TrialForensics;
 
 /// Accumulates forensic points and emits the artifacts. Feed points with
 /// add_point in point order, each with its trials in trial-index order —

@@ -77,6 +77,17 @@ struct FiStats {
     }
 };
 
+/// Result of one fault-injected run of a benchmark.
+struct TrialOutcome {
+    StopReason stop = StopReason::Halted;
+    bool finished = false;      ///< halted normally before the watchdog fired
+    bool correct = false;       ///< finished AND output bit-exact vs. golden
+    double output_error = 0.0;  ///< benchmark quality metric; valid only when finished
+    FiStats fi;                 ///< injection counters from the fault model
+    std::uint64_t cycles = 0;         ///< total simulated cycles
+    std::uint64_t kernel_cycles = 0;  ///< cycles inside the marked kernel region
+};
+
 /// Common base: operating point, RNG stream, statistics, fault policy.
 class FaultModel : public ExFaultHook {
 public:

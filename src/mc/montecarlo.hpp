@@ -59,34 +59,6 @@ struct McConfig {
     std::size_t threads = 1;
 };
 
-/// Result of one fault-injected run of a benchmark.
-struct TrialOutcome {
-    StopReason stop = StopReason::Halted;
-    bool finished = false;      ///< halted normally before the watchdog fired
-    bool correct = false;       ///< finished AND output bit-exact vs. golden
-    double output_error = 0.0;  ///< benchmark quality metric; valid only when finished
-    FiStats fi;                 ///< injection counters from the fault model
-    std::uint64_t cycles = 0;         ///< total simulated cycles
-    std::uint64_t kernel_cycles = 0;  ///< cycles inside the marked kernel region
-};
-
-/// One trial re-run under a ForensicProbe: the ordinary outcome plus the
-/// per-injection provenance records and the trial's outcome class.
-/// Forensics never feeds PointSummary — the plain trial path stays the
-/// single source of the paper's metrics, and this struct is strictly
-/// additive observation on top of it.
-struct TrialForensics {
-    TrialOutcome outcome;
-    OutcomeClass cls = OutcomeClass::Masked;
-    /// Detector verdicts this trial, as the probe counted them (Razor or
-    /// CWC; the names predate CWC). The one detection count: drivers
-    /// price detections from these (DetectorCost, fi/mitigation.hpp).
-    std::uint32_t razor_detected = 0;
-    std::uint32_t razor_escaped = 0;
-    std::vector<FaultRecord> records;  ///< injection order; trial stamped
-    std::vector<std::uint32_t> detection_latencies;  ///< cycles, per detection
-};
-
 /// Aggregate of config.trials TrialOutcomes at one operating point — one
 /// x-axis sample of the paper's figure panels.
 struct PointSummary {

@@ -17,34 +17,44 @@
 #                           ladder 16, 64, 256, 1,024 cycles)
 #   cwc_compare.csv,        bench_cwc_compare --trials 4 --points 3
 #   cwc_poff.csv,           --forensics-trials 4, cold into a fresh
-#   cwc_coverage.csv        store (cwc/), then a warm rerun (cwc_warm/)
-#                           that must be served wholly from the store
-#                           ("store_misses": 0 in its manifest); both
-#                           runs' CSVs hash to the pins, so warm == cold.
-#                           scripts/check_cwc.py re-derives the coverage
-#                           table by brute force and
+#   cwc_coverage.csv        store (cwc/, traced into cwc/cwc_forensics/),
+#                           then a warm rerun (cwc_warm/) that must be
+#                           served wholly from the store ("store_misses":
+#                           0 in its manifest). Both runs' joined CSVs
+#                           hash to the pins, and every CSV of the two
+#                           directories (the joined three and the five
+#                           per-panel sweeps, whose mean_error column no
+#                           joined CSV carries) is byte-identical warm
+#                           and cold. scripts/check_cwc.py re-derives the
+#                           coverage table by brute force,
 #                           scripts/check_forensics.py checks the cold
-#                           run's cwc_forensics/ artifact
+#                           run's cwc_forensics/ artifact, and the
+#                           forensics table sfi_trace prints for the cold
+#                           run's ledger (five panels whose rows differ,
+#                           with SDC and detections) equals the pinned
+#                           lines
 #   nocsv                   the same run under --no-store --no-csv: its
 #                           ./cwc_compare.csv (the CSV fallback in the
 #                           working directory) hashes to the same pin, so
 #                           --no-csv cannot switch the forensic pass off
 #
 # A digest moves only when a driver's output moves: re-record it with
-# -DPRINT_DIGESTS=ON (prints every leg's digest and compares nothing) and
+# -DPRINT_DIGESTS=ON (prints every leg's digest and the table, compares
+# neither) and
 # say in the change log why the bytes changed. Runs under ctest (label
 # "contract"); by hand:
 #
-#   cmake -DBENCH_DIR=build -DPYTHON3=python3 \
+#   cmake -DBENCH_DIR=build -DSFI_TRACE=build/sfi_trace -DPYTHON3=python3 \
 #         -DCHECK_CWC=scripts/check_cwc.py \
 #         -DCHECK_FORENSICS=scripts/check_forensics.py \
 #         -DWORK_DIR=/tmp/drivers_contract \
 #         -P tests/campaign/drivers_contract.cmake
 cmake_minimum_required(VERSION 3.20)
 
-if(NOT BENCH_DIR OR NOT PYTHON3 OR NOT CHECK_CWC OR NOT CHECK_FORENSICS OR
-   NOT WORK_DIR)
+if(NOT BENCH_DIR OR NOT SFI_TRACE OR NOT PYTHON3 OR NOT CHECK_CWC OR
+   NOT CHECK_FORENSICS OR NOT WORK_DIR)
     message(FATAL_ERROR "usage: cmake -DBENCH_DIR=<dir with bench_* drivers> "
+                        "-DSFI_TRACE=<sfi_trace> "
                         "-DPYTHON3=<python3> -DCHECK_CWC=<check_cwc.py> "
                         "-DCHECK_FORENSICS=<check_forensics.py> "
                         "-DWORK_DIR=<dir> [-DPRINT_DIGESTS=ON] "
@@ -69,6 +79,14 @@ set(expected_cwc_poff.csv
     4fc3dc078eefaf8558caa70eb0b3372febebaf68b446d725129460d0607fd09a)
 set(expected_cwc_coverage.csv
     caeeaaaa946d8e558e6f847ff7665c23b0f950068b4563b83486ed7920bf4e00)
+# sfi_trace's forensics table for the cold cwc run, one list item per line.
+set(expected_cwc_trace_table
+    "forensics                 trials  masked  latent   sdc  hang  detected"
+    "cwc_median_bareA              12       0       0     0    12         0"
+    "cwc_median_bareB              12       0       0     2    10         0"
+    "cwc_median_bareC              12       8       0     0     4         0"
+    "cwc_median_razor              12       8       0     0     0         4"
+    "cwc_median_cwc8               12       8       0     0     3         1")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -136,7 +154,9 @@ check(charlen charlen "${out}")
 
 set(cwc_compare "${BENCH_DIR}/bench_cwc_compare" --trials 4 --points 3
     --dta-cycles 1024 --cache cache_1024.bin --forensics-trials 4 --quiet)
-run_driver(out cwc_cold ${cwc_compare} --store cwc_store.bin --csv-dir cwc)
+file(MAKE_DIRECTORY "${WORK_DIR}/cwc/cwc_forensics")
+run_driver(out cwc_cold ${cwc_compare} --store cwc_store.bin --csv-dir cwc
+           --trace cwc/cwc_forensics/ledger.jsonl)
 run_driver(out cwc_warm ${cwc_compare} --store cwc_store.bin
            --csv-dir cwc_warm)
 file(READ "${WORK_DIR}/cwc_warm/cwc_compare_manifest.json" manifest)
@@ -149,9 +169,43 @@ foreach(dir cwc cwc_warm)
         check(${csv} ${dir}/${csv} "${text}")
     endforeach()
 endforeach()
+# Warm == cold for every CSV, the per-panel sweeps included.
+file(GLOB cold_csvs RELATIVE "${WORK_DIR}/cwc" "${WORK_DIR}/cwc/*.csv")
+file(GLOB warm_csvs RELATIVE "${WORK_DIR}/cwc_warm"
+     "${WORK_DIR}/cwc_warm/*.csv")
+list(LENGTH cold_csvs csv_count)
+if(NOT cold_csvs STREQUAL warm_csvs OR csv_count LESS 8)
+    string(APPEND failures "\n  cwc CSV sets differ or are short (8 "
+           "expected):\n    cwc: ${cold_csvs}\n    cwc_warm: ${warm_csvs}")
+else()
+    foreach(csv IN LISTS cold_csvs)
+        file(SHA256 "${WORK_DIR}/cwc/${csv}" cold_digest)
+        file(SHA256 "${WORK_DIR}/cwc_warm/${csv}" warm_digest)
+        if(NOT cold_digest STREQUAL warm_digest)
+            string(APPEND failures
+                   "\n  cwc_warm/${csv} differs from cwc/${csv}")
+        endif()
+    endforeach()
+endif()
 run_driver(out check_cwc ${PYTHON3} ${CHECK_CWC} cwc/cwc_coverage.csv)
 run_driver(out check_forensics ${PYTHON3} ${CHECK_FORENSICS}
            cwc/cwc_forensics)
+
+# sfi_trace finds forensics_points.csv next to the ledger and prints the
+# per-panel outcome tallies: the lines from its "forensics" header to
+# the blank line after the table.
+run_driver(trace_out cwc_trace ${SFI_TRACE} cwc/cwc_forensics/ledger.jsonl)
+string(REGEX MATCH "\nforensics [^\n]*\n([^\n]+\n)*" table "${trace_out}")
+string(STRIP "${table}" table)
+string(REPLACE "\n" ";" table_lines "${table}")
+if(PRINT_DIGESTS)
+    message(STATUS "cwc_trace forensics table:")
+    foreach(line IN LISTS table_lines)
+        message(STATUS "    \"${line}\"")
+    endforeach()
+elseif(NOT table_lines STREQUAL expected_cwc_trace_table)
+    set(failures "${failures}\n  cwc_trace forensics table:\n${table}")
+endif()
 
 # --no-csv: the CSVs fall back to the working directory, and so must the
 # forensic pass that feeds the detection columns.

@@ -16,9 +16,12 @@
 #include "fi/forensics.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -144,18 +147,47 @@ TEST(FaultRecordStream, ReaderRejectsBadMagicSizeAndTruncation) {
 }
 
 // The header's count is the file's claim: a forged one must fail as a
-// truncated payload, never as an allocation of what it claims.
-TEST(FaultRecordStream, ForgedCountsThrowRuntimeError) {
-    for (const std::uint32_t count : {0xffffffffu, 1000000u, 1u}) {
-        std::string header(kForensicMagic, 8);
-        for (const std::uint32_t field :
-             {static_cast<std::uint32_t>(kFaultRecordBytes), count})
-            for (int byte = 0; byte < 4; ++byte)
-                header.push_back(static_cast<char>(field >> (8 * byte)));
-        std::istringstream is(header);
-        EXPECT_THROW(read_fault_records(is), std::runtime_error)
-            << "count " << count;
-    }
+// truncated payload, never as an allocation of what it claims. The reads
+// run in a child whose address space is capped 256 MiB above its size
+// (per /proc/self/statm), so a vector reserved for 0xffffffff records
+// (~128 GiB) fails to allocate on any host, whatever its memory and
+// overcommit policy. The child exits 0 only if every count threw
+// std::runtime_error.
+TEST(FaultRecordStreamDeathTest, ForgedCountsThrowRuntimeError) {
+    EXPECT_EXIT(
+        {
+            std::ifstream statm("/proc/self/statm");
+            unsigned long long pages = 0;
+            statm >> pages;
+            const rlim_t cap =
+                pages * static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                (rlim_t{256} << 20);
+            rlimit limit{};
+            if (pages == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0)
+                std::_Exit(3);
+            limit.rlim_cur = std::min(cap, limit.rlim_max);
+            if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+            for (const std::uint32_t count : {0xffffffffu, 1000000u, 1u}) {
+                std::string header(kForensicMagic, 8);
+                for (const std::uint32_t field :
+                     {static_cast<std::uint32_t>(kFaultRecordBytes), count})
+                    for (int byte = 0; byte < 4; ++byte)
+                        header.push_back(
+                            static_cast<char>(field >> (8 * byte)));
+                std::istringstream is(header);
+                try {
+                    read_fault_records(is);
+                    std::fprintf(stderr, "count %u: no throw\n", count);
+                    std::_Exit(1);
+                } catch (const std::runtime_error&) {
+                } catch (const std::exception& e) {
+                    std::fprintf(stderr, "count %u: %s\n", count, e.what());
+                    std::_Exit(2);
+                }
+            }
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(LatencyHistogram, PowerOfTwoBuckets) {
