@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
     // off the campaign engine; --alpha-spread is its declared extra flag.
     bench::Context ctx(argc, argv, /*default_trials=*/1, {"alpha-spread"});
 
-    const double spread = ctx.cli.get_double("alpha-spread", 0.06);
+    const double spread = ctx.checked_double("alpha-spread", 0.06, 0.0);
     CoreModelConfig config = ctx.core_config;
     config.lib.cell_alpha_spread = spread;
     config.cdf_cache_path.clear();

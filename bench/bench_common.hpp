@@ -59,7 +59,9 @@
 // working. Negative or malformed --trials/--seed/--threads/--dta-cycles,
 // --dta-cycles 0 and non-finite or non-positive
 // --watchdog-factor/--ci-target are rejected with a clear message (exit
-// 2) instead of running a nonsense experiment.
+// 2) instead of running a nonsense experiment, and so is a bench's own
+// numeric flag that is malformed, non-finite or out of its range
+// (checked_uint, checked_double), before the bench prints anything.
 #pragma once
 
 #include <algorithm>
@@ -67,6 +69,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -223,17 +226,47 @@ struct Context {
         std::cout << "\n[done in " << fmt_fixed(dt, 1) << " s]\n";
     }
 
-    /// get_uint with CLI-grade error reporting: a bad value prints the
-    /// reason and exits 2 instead of running a nonsense experiment.
-    /// Bench-specific count flags (bench_cwc_compare's --points) go
-    /// through this too.
-    std::uint64_t checked_uint(const char* name, std::uint64_t def) const {
+    /// get_uint with CLI-grade error reporting: a bad value, or one above
+    /// `max`, prints the reason and exits 2 instead of running a nonsense
+    /// experiment. Bench-specific count flags (bench_cwc_compare's
+    /// --points) go through this too.
+    std::uint64_t checked_uint(
+        const char* name, std::uint64_t def,
+        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
+        std::uint64_t value = def;
         try {
-            return cli.get_uint(name, def);
+            value = cli.get_uint(name, def);
         } catch (const std::invalid_argument& e) {
             std::cerr << "error: " << e.what() << "\n";
             std::exit(2);
         }
+        if (value > max) {
+            std::cerr << "error: --" << name << " must be at most " << max
+                      << " (got " << value << ")\n";
+            std::exit(2);
+        }
+        return value;
+    }
+
+    /// get_double with the same exit-2 contract, plus the flag's range:
+    /// a malformed or non-finite value, or one outside [lo, hi], aborts at
+    /// parse time.
+    double checked_double(
+        const char* name, double def, double lo,
+        double hi = std::numeric_limits<double>::infinity()) const {
+        double value = def;
+        try {
+            value = cli.get_double(name, def);
+        } catch (const std::invalid_argument& e) {
+            std::cerr << "error: " << e.what() << "\n";
+            std::exit(2);
+        }
+        if (value < lo || value > hi) {
+            std::cerr << "error: --" << name << " must be in [" << lo << ", "
+                      << hi << "] (got " << value << ")\n";
+            std::exit(2);
+        }
+        return value;
     }
 
     /// get_positive_double with the same exit-2 contract: non-finite or

@@ -11,6 +11,9 @@ int main(int argc, char** argv) {
     using namespace sfi;
     bench::Context ctx(argc, argv, /*default_trials=*/40,
                        {"coverage", "replay-penalty"});
+    const double coverage = ctx.checked_double("coverage", 1.0, 0.0, 1.0);
+    const auto penalty = static_cast<unsigned>(ctx.checked_uint(
+        "replay-penalty", 11, std::numeric_limits<unsigned>::max()));
     const CharacterizedCore core = ctx.make_core();
     const auto bench = make_benchmark(BenchmarkId::KMeans);
 
@@ -18,9 +21,6 @@ int main(int argc, char** argv) {
     base.vdd = 0.7;
     base.noise.sigma_mv = 10.0;
     const double fsta = core.sta_fmax_mhz(0.7);
-    const double coverage = ctx.cli.get_double("coverage", 1.0);
-    const unsigned penalty =
-        static_cast<unsigned>(ctx.cli.get_int("replay-penalty", 11));
 
     std::cout << "Razor-style detection (coverage "
               << fmt_pct(coverage) << ", replay " << penalty

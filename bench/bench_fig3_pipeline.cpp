@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                        {"freq", "vdd", "sigma", "benchmark"});
     const double freq_mhz = ctx.checked_positive_double("freq", 760.0);
     const double vdd = ctx.checked_positive_double("vdd", 0.7);
-    const double sigma_mv = ctx.cli.get_double("sigma", 10.0);
+    const double sigma_mv = ctx.checked_double("sigma", 10.0, 0.0);
     const BenchmarkId bench_id =
         bench::checked_benchmark(ctx.cli.get("benchmark", "mat_mult_8bit"));
     const CharacterizedCore core = ctx.make_core();
@@ -45,16 +45,18 @@ int main(int argc, char** argv) {
     point.vdd = vdd;
     point.noise.sigma_mv = sigma_mv;
     const VddDelayFit& fit = core.lib().fit();
+    // The noise range spans the windows the models draw at the clip,
+    // +/- clip_sigmas * sigma: a two-entry noise-window table is exactly
+    // the first and last rows of the models' own table.
+    const std::vector<double> clip_windows = build_noise_window_table(point, fit, 2);
     std::cout << "[scaling]   f = " << fmt_fixed(point.freq_mhz, 0)
               << " MHz, Vdd = " << fmt_fixed(point.vdd, 2)
               << " V, sigma = " << fmt_fixed(point.noise.sigma_mv, 0)
               << " mV -> capture window "
               << fmt_fixed(point.period_ps() / fit.factor(point.vdd), 1)
               << " ps @ Vref (noise range "
-              << fmt_fixed(point.period_ps() / fit.factor(point.vdd - 0.02), 1)
-              << " .. "
-              << fmt_fixed(point.period_ps() / fit.factor(point.vdd + 0.02), 1)
-              << " ps)\n";
+              << fmt_fixed(clip_windows.front(), 1) << " .. "
+              << fmt_fixed(clip_windows.back(), 1) << " ps)\n";
 
     // (4) timing error probability evaluation for one instruction
     const double window = point.period_ps() / fit.factor(point.vdd);

@@ -214,11 +214,9 @@ int main(int argc, char** argv) {
     report.fault_sampling.quantized_ops_per_sec =
         bench_fault_sampling(*model_b, fault_bplus, sampling_ops, phases);
     model_b->set_sampling_mode(ctx.core_config.fault_sampling);
-    report.fault_sampling.avx2 = noise_conversion_uses_avx2();
-    std::printf("  B+ corrupt(): batched %.2e, quantized %.2e ops/s%s\n",
+    std::printf("  B+ corrupt(): batched %.2e, quantized %.2e ops/s\n",
                 report.fault_sampling.batched_ops_per_sec,
-                report.fault_sampling.quantized_ops_per_sec,
-                report.fault_sampling.avx2 ? " [avx2]" : "");
+                report.fault_sampling.quantized_ops_per_sec);
     bench_fault_sampling(*model_c, fault_c, sampling_ops, phases);
 
     std::printf("\n[trial kernels] %zu trials/sample, %s benchmark\n",

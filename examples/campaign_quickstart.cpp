@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     campaign::CampaignSpec spec;
     spec.name = "quickstart";
     spec.core.cdf_cache_path = "sfi_cdf_cache.bin";  // reuse characterization
-    spec.trials = static_cast<std::size_t>(cli.get_int("trials", 30));
+    spec.trials = static_cast<std::size_t>(cli.get_uint("trials", 30));
     spec.seed = 1;
 
     // Panel 1: model C across the transition region (grid resolved

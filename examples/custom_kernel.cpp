@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     auto model = core.make_model_c();
 
     const std::size_t trials =
-        static_cast<std::size_t>(cli.get_int("trials", 60));
+        static_cast<std::size_t>(cli.get_uint("trials", 60));
     TextTable table({"f [MHz]", "finished", "exact", "mean |rel. error|"});
     for (const double f : {700.0, 720.0, 740.0, 760.0, 780.0, 800.0}) {
         OperatingPoint point;

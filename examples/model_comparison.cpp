@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     const double fsta = core.sta_fmax_mhz(0.7);
 
     McConfig mc;
-    mc.trials = static_cast<std::size_t>(cli.get_int("trials", 40));
+    mc.trials = static_cast<std::size_t>(cli.get_uint("trials", 40));
     mc.threads = cli.get_threads();
 
     OperatingPoint base;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
     // 4. Monte-Carlo fault-injection campaign.
     McConfig mc;
-    mc.trials = static_cast<std::size_t>(cli.get_int("trials", 50));
+    mc.trials = static_cast<std::size_t>(cli.get_uint("trials", 50));
     // 0 = one worker per hardware thread; any value is bit-identical.
     mc.threads = cli.get_threads();
     MonteCarloRunner runner(*bench, *model, mc);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
     auto model = core.make_model_c();
     McConfig mc;
-    mc.trials = static_cast<std::size_t>(cli.get_int("trials", 60));
+    mc.trials = static_cast<std::size_t>(cli.get_uint("trials", 60));
     mc.threads = cli.get_threads();
     MonteCarloRunner runner(*bench, *model, mc);
 

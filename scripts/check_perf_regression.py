@@ -116,8 +116,7 @@ def main():
                 f"batched fault-sampling throughput {batched:.3g} ops/s "
                 f"below the floor {ops_floor:.3g}")
         notes.append(
-            f"{'fault-sampling batched':28s} {batched:12.3g} ops/s  "
-            f"avx2 {fs.get('avx2', False)}")
+            f"{'fault-sampling batched':28s} {batched:12.3g} ops/s")
 
     for line in notes:
         print("  " + line)

@@ -46,6 +46,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONTRACT_TARGETS = {
     "sfi_campaign_contract": ["sfi_campaign"],
     "sfi_campaign_sampling_equivalence": ["sfi_campaign"],
+    "sfi_campaign_sampling_speedup": ["sfi_campaign"],
     "sfi_campaign_trace_contract": ["sfi_campaign", "sfi_trace"],
     "sfi_forensics_contract": ["sfi_forensics", "sfi_campaign", "sfi_trace"],
     "sfi_bench_drivers_contract": [
@@ -79,6 +80,10 @@ CWC = "sfi_fi_test_cwc"
 MITIGATION_CONTRACT = "sfi_fi_test_mitigation_contract"
 DRIVERS_CONTRACT = "sfi_bench_drivers_contract"
 ADAPTIVE = "sfi_campaign_test_adaptive"
+MODELS = "sfi_fi_test_models"
+CAMPAIGN_CONTRACT = "sfi_campaign_contract"
+SAMPLING_EQUIVALENCE = "sfi_campaign_sampling_equivalence"
+SAMPLING_SPEEDUP = "sfi_campaign_sampling_speedup"
 
 MUTANTS = [
     # --- The DTA kernel's pop order and its chunks (src/timing/). These
@@ -197,6 +202,79 @@ MUTANTS = [
                    "noise_window_table_[noise_window_table_.size() - 1 - row]"
                    " : window)")],
         "tests": [ORACLE_C],
+    },
+    # --- The noise-window stage models B, B+ and C share
+    # (NoiseModulatedModel, src/fi/models.*)
+    {
+        "name": "noise-stage-first-fault-without-the-clip",
+        "file": "src/fi/models.cpp",
+        "edits": [("fit_->factor(point_.vdd - noise_clip_v_)",
+                   "fit_->factor(point_.vdd)")],
+        "tests": [MODELS],
+    },
+    {
+        # Model C's (and model B's) per-trial reseed keeps the previous
+        # trial's prefetched draws.
+        "name": "noise-stage-reseed-without-batch-restart",
+        "file": "src/fi/models.hpp",
+        "edits": [("        FaultModel::reseed(seed);\n"
+                   "        batch_.start_trial();\n",
+                   "        FaultModel::reseed(seed);\n")],
+        "tests": [ORACLE_C, SAMPLING, MODES],
+    },
+    {
+        # B-q's count alias keeps the first noisy point's violation
+        # counts. Only the quantized CSV pins can see it: nothing else
+        # pins a B-q byte.
+        "name": "b-q-count-alias-from-stale-violation-counts",
+        "file": "src/fi/models.cpp",
+        "edits": [("    count_alias_ = AliasTable{};\n", ""),
+                  ("    if (!masses.empty()) {\n",
+                   "    if (!masses.empty() && count_alias_.empty()) {\n")],
+        "tests": [SAMPLING_EQUIVALENCE],
+    },
+    # --- Contract legs that replaced hand-written CI steps: each one's
+    # own mutant
+    {
+        # An unknown --fault-sampling value silently runs batched.
+        "name": "unknown-fault-sampling-runs-batched",
+        "file": "src/fi/sampling_batch.cpp",
+        "edits": [("""    if (name == "quantized") return FaultSamplingMode::Quantized;
+    return std::nullopt;
+""", """    if (name == "quantized") return FaultSamplingMode::Quantized;
+    return FaultSamplingMode::Batched;
+""")],
+        "tests": [SAMPLING_EQUIVALENCE],
+    },
+    {
+        # A trial's seed depends on the worker that runs it: 1 thread and
+        # 4 threads disagree (fig1's B+ panels are the first CSVs to show
+        # it).
+        "name": "trial-seed-from-worker-slot",
+        "file": "src/mc/montecarlo.cpp",
+        "edits": [("                                          first_trial + "
+                   "offset);\n",
+                   "                                          first_trial + "
+                   "offset + worker);\n")],
+        "tests": [SAMPLING_EQUIVALENCE],
+    },
+    {
+        # The adaptive loop never meets its target, so --sampling ci
+        # spends the fixed run's trials.
+        "name": "target-ci-never-converges",
+        "file": "src/sampling/sequential.cpp",
+        "edits": [("            max_half_width(result.summary, policy.z) <= "
+                   "policy.ci_half_width) {\n",
+                   "            max_half_width(result.summary, policy.z) < "
+                   "0.0) {\n")],
+        "tests": [SAMPLING_SPEEDUP],
+    },
+    {
+        # A warm run serves points whose FI rate the store lost.
+        "name": "store-drops-fi-rate",
+        "file": "src/campaign/point_store.cpp",
+        "edits": [("    put(os, summary.fi_rate);\n", "    put(os, 0.0);\n")],
+        "tests": [CAMPAIGN_CONTRACT],
     },
     # --- The ISS micro-op stream's footprint (src/cpu/interp.cpp)
     {

@@ -630,13 +630,10 @@ CdfPanelResult CampaignRunner::run_cdf_panel(const CdfPanelSpec& panel) {
 }
 
 void CampaignRunner::write_manifest(CampaignResult& result) {
-    std::string path = options_.manifest_path;
-    if (path.empty() && !options_.csv_dir.empty())
-        path = options_.csv_dir + "/" + spec_.name + "_manifest.json";
-    if (path.empty()) return;
-
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent);
+    if (options_.csv_dir.empty()) return;
+    const std::string path =
+        options_.csv_dir + "/" + spec_.name + "_manifest.json";
+    std::filesystem::create_directories(options_.csv_dir);
     std::ofstream os(path);
     if (!os)
         throw std::runtime_error("campaign manifest: cannot open " + path);

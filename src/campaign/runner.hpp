@@ -48,11 +48,9 @@ namespace sfi::campaign {
 struct RunOptions {
     /// Point-store file; empty = compute everything, persist nothing.
     std::string store_path;
-    /// Directory for per-panel CSVs (created on demand); empty = no CSV.
+    /// Directory for per-panel CSVs (created on demand) and for the
+    /// manifest `<campaign>_manifest.json`; empty = no CSV, no manifest.
     std::string csv_dir;
-    /// Manifest JSON path; empty = `<csv_dir>/<campaign>_manifest.json`
-    /// when csv_dir is set, else no manifest.
-    std::string manifest_path;
     /// Worker threads (McConfig::threads semantics: 0 = one per hardware
     /// thread, 1 = serial; bit-identical at any value): the MC trials of
     /// each point, and the DTA chunks of every core this runner

@@ -37,7 +37,9 @@ std::uint64_t core_config_fingerprint(const CoreModelConfig& config) {
     fp.mix(config.calibration.logic_period_ps);
     fp.mix(config.dta.cycles);
     fp.mix(config.dta.seed);
-    fp.mix(config.dta.clk_to_q_ps);
+    // Where the retired DtaConfig::clk_to_q_ps was mixed: its constant
+    // default, so every CDF cache and point-store key stays valid.
+    fp.mix(-1.0);
     fp.mix(config.dta.operand_bits);
     // The sampling mode is mixed ONLY for the quantized ("B-q") variant:
     // Batched reproduces the one-draw-per-op reference stream that every
@@ -93,7 +95,7 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
         wall->begin("characterize");
         wall->begin("calibrate");
     }
-    calibration_ = calibrate_alu(alu_, timing_, config_.calibration);
+    calibrate_alu(alu_, timing_, config_.calibration);
     sta_ = endpoint_worst_sta(alu_, timing_);
     if (wall) wall->end("calibrate");
 

@@ -67,7 +67,6 @@ public:
     const Alu& alu() const { return alu_; }
     const TimingLib& lib() const { return lib_; }
     const InstanceTiming& timing() const { return timing_; }
-    const CalibrationResult& calibration() const { return calibration_; }
     const StaResult& sta() const { return sta_; }
     const std::shared_ptr<const TimingErrorCdfs>& cdfs() const { return cdfs_; }
     const CoreModelConfig& config() const { return config_; }
@@ -93,7 +92,6 @@ private:
     Alu alu_;
     TimingLib lib_;
     InstanceTiming timing_;
-    CalibrationResult calibration_;
     StaResult sta_;
     std::shared_ptr<const TimingErrorCdfs> cdfs_;
 };

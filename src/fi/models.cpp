@@ -98,21 +98,54 @@ std::uint32_t ModelA::corrupt(const ExEvent& ev, std::uint32_t correct) {
 }
 
 // ---------------------------------------------------------------------------
+// The noise-modulated capture-window stage (models B, B+ and C)
+// ---------------------------------------------------------------------------
+
+void NoiseModulatedModel::operating_point_changed() {
+    base_window_ps_ = point_.period_ps() / fit_->factor(point_.vdd);
+    noise_window_table_ = point_.noise.sigma_mv > 0.0
+                              ? build_noise_window_table(point_, *fit_)
+                              : std::vector<double>{};
+    noise_clip_v_ = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
+    min_window_ps_ =
+        noise_window_table_.empty()
+            ? base_window_ps_
+            : *std::min_element(noise_window_table_.begin(),
+                                noise_window_table_.end());
+    sampling_mode_changed();
+}
+
+void NoiseModulatedModel::sampling_mode_changed() {
+    // clip_mv / clip_v are spelled with the reference draw's own
+    // expressions (clamp in mV, clip level in volts) so the batch's
+    // conversion constants are bitwise the reference's.
+    batch_.configure(point_.noise.sigma_mv,
+                     point_.noise.clip_sigmas * point_.noise.sigma_mv,
+                     noise_clip_v_, noise_window_table_.size(),
+                     sampling_mode_, rng_);
+}
+
+double NoiseModulatedModel::first_fault_mhz(double window_ps) const {
+    // Violation when period / factor < window  =>  f > 1e6/(window*factor),
+    // with the factor at the maximum clipped negative noise excursion.
+    return 1.0e6 / (window_ps * fit_->factor(point_.vdd - noise_clip_v_));
+}
+
+// ---------------------------------------------------------------------------
 // Models B / B+
 // ---------------------------------------------------------------------------
 
-ModelB::ModelB(StaResult sta, const VddDelayFit& fit)
-    : sta_(std::move(sta)), fit_(&fit) {
-    window_ps_.resize(sta_.endpoint_ps.size());
+ModelB::ModelB(StaResult sta, const VddDelayFit& fit) : NoiseModulatedModel(fit) {
+    window_ps_.resize(sta.endpoint_ps.size());
     for (std::size_t e = 0; e < window_ps_.size(); ++e)
-        window_ps_[e] = sta_.endpoint_ps[e] + sta_.setup_ps;
+        window_ps_[e] = sta.endpoint_ps[e] + sta.setup_ps;
     order_.resize(window_ps_.size());
     std::iota(order_.begin(), order_.end(), 0u);
     std::sort(order_.begin(), order_.end(),
               [&](std::uint32_t lhs, std::uint32_t rhs) {
                   return window_ps_[lhs] > window_ps_[rhs];
               });
-    max_window_ps_ =
+    worst_window_ps_ =
         window_ps_.empty() ? 0.0
                            : *std::max_element(window_ps_.begin(), window_ps_.end());
     // Cumulative fault masks for the batched path: cum_mask_[k] is the
@@ -142,16 +175,7 @@ ModelFeatures ModelB::features() const {
 }
 
 void ModelB::operating_point_changed() {
-    base_window_ps_ = point_.period_ps() / fit_->factor(point_.vdd);
-    noise_window_table_ = point_.noise.sigma_mv > 0.0
-                              ? build_noise_window_table(point_, *fit_)
-                              : std::vector<double>{};
-    noise_clip_v_ = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
-    min_window_ps_ =
-        noise_window_table_.empty()
-            ? base_window_ps_
-            : *std::min_element(noise_window_table_.begin(),
-                                noise_window_table_.end());
+    NoiseModulatedModel::operating_point_changed();
     // Violation-count tables: for every window the model can ever see
     // (each table entry, plus the no-noise window) the number of injected
     // endpoints is a pure function of the window — the count of leading
@@ -170,51 +194,22 @@ void ModelB::operating_point_changed() {
     violation_count_.resize(noise_window_table_.size());
     for (std::size_t i = 0; i < noise_window_table_.size(); ++i)
         violation_count_[i] = leading_violations(noise_window_table_[i]);
-    refresh_sampling();
-}
-
-void ModelB::refresh_sampling() {
-    // clip_mv / clip_v are spelled with the reference draw's own
-    // expressions (clamp in mV, clip level in volts) so the batch's
-    // conversion constants are bitwise the reference's.
-    batch_.configure(point_.noise.sigma_mv,
-                     point_.noise.clip_sigmas * point_.noise.sigma_mv,
-                     noise_clip_v_, noise_window_table_.size(),
-                     sampling_mode_, rng_);
     // B-q's sampler: the window index only ever feeds violation_count_,
     // so quantized mode aliases the pushforward of the index masses
     // through that table and samples the count directly — a <= 33-entry
-    // L1-resident table instead of a 1025-entry index alias.
+    // L1-resident table instead of a 1025-entry index alias. Built at
+    // every noisy point, whatever the mode, so a switch to quantized
+    // needs nothing more than the batch's own reconfiguration.
     count_alias_ = AliasTable{};
-    if (sampling_mode_ == FaultSamplingMode::Quantized &&
-        !noise_window_table_.empty()) {
-        const std::vector<double> masses = noise_index_masses(
-            point_.noise.sigma_mv,
-            point_.noise.clip_sigmas * point_.noise.sigma_mv,
-            noise_window_table_.size());
-        if (!masses.empty()) {
-            std::vector<double> count_mass(order_.size() + 1, 0.0);
-            for (std::size_t i = 0; i < masses.size(); ++i)
-                count_mass[violation_count_[i]] += masses[i];
-            count_alias_ = build_alias_from_masses(count_mass);
-        }
+    const std::vector<double> masses = noise_index_masses(
+        point_.noise.sigma_mv, point_.noise.clip_sigmas * point_.noise.sigma_mv,
+        noise_window_table_.size());
+    if (!masses.empty()) {
+        std::vector<double> count_mass(order_.size() + 1, 0.0);
+        for (std::size_t i = 0; i < masses.size(); ++i)
+            count_mass[violation_count_[i]] += masses[i];
+        count_alias_ = build_alias_from_masses(count_mass);
     }
-}
-
-bool ModelB::can_inject() const {
-    // corrupt() injects iff the drawn window undercuts the worst endpoint;
-    // min_window_ps_ is the smallest window any draw can produce (the
-    // quantized table is the full range of values corrupt() ever sees), so
-    // this test is exact, not just conservative.
-    return max_window_ps_ > min_window_ps_;
-}
-
-double ModelB::first_fault_frequency_mhz() const {
-    // Worst case: maximum clipped negative noise excursion.
-    const double clip_v = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
-    const double factor = fit_->factor(point_.vdd - clip_v);
-    // Violation when period / factor < max_window  =>  f > 1e6/(window*factor).
-    return 1.0e6 / (max_window_ps_ * factor);
 }
 
 std::uint32_t ModelB::corrupt(const ExEvent& ev, std::uint32_t correct) {
@@ -269,8 +264,9 @@ std::uint32_t ModelB::apply_leading_faults(std::size_t count,
 // ---------------------------------------------------------------------------
 
 ModelC::ModelC(std::shared_ptr<const TimingErrorCdfs> cdfs, const VddDelayFit& fit)
-    : cdfs_(std::move(cdfs)), fit_(&fit) {
+    : NoiseModulatedModel(fit), cdfs_(std::move(cdfs)) {
     if (!cdfs_) throw std::invalid_argument("ModelC: null CDF store");
+    worst_window_ps_ = cdfs_->max_window_ps();
     operating_point_changed();
 }
 
@@ -280,16 +276,7 @@ ModelFeatures ModelC::features() const {
 }
 
 void ModelC::operating_point_changed() {
-    base_window_ps_ = point_.period_ps() / fit_->factor(point_.vdd);
-    noise_window_table_ = point_.noise.sigma_mv > 0.0
-                              ? build_noise_window_table(point_, *fit_)
-                              : std::vector<double>{};
-    noise_clip_v_ = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
-    min_window_ps_ =
-        noise_window_table_.empty()
-            ? base_window_ps_
-            : *std::min_element(noise_window_table_.begin(),
-                                noise_window_table_.end());
+    NoiseModulatedModel::operating_point_changed();
     samples_ = static_cast<double>(cdfs_->samples_per_endpoint());
     // Hoist the per-class store lookups (corrupt() runs once per ALU op
     // and the store is immutable) and lay out the count memo. A class
@@ -324,27 +311,6 @@ void ModelC::operating_point_changed() {
         memo_size += violating_rows * view.ranks;
     }
     memo_ = CountMemo(memo_size);
-    refresh_sampling();
-}
-
-void ModelC::refresh_sampling() {
-    batch_.configure(point_.noise.sigma_mv,
-                     point_.noise.clip_sigmas * point_.noise.sigma_mv,
-                     noise_clip_v_, noise_window_table_.size(),
-                     sampling_mode_, rng_);
-}
-
-bool ModelC::can_inject() const {
-    // Conservative over instruction classes (the trial's mix is unknown):
-    // reachable iff the worst class's worst arrival beats the smallest
-    // drawable window. Per class the test is exact, like ModelB's.
-    return cdfs_->max_window_ps() > min_window_ps_;
-}
-
-double ModelC::first_fault_frequency_mhz(ExClass cls) const {
-    const double clip_v = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
-    const double factor = fit_->factor(point_.vdd - clip_v);
-    return 1.0e6 / (cdfs_->class_max_window_ps(cls) * factor);
 }
 
 std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {

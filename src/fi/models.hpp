@@ -134,7 +134,8 @@ public:
 
     /// Reseeds the RNG stream (one distinct seed per Monte-Carlo trial).
     /// Virtual so decorating models (fi/mitigation.hpp) can reseed their
-    /// inner model in lock-step.
+    /// inner model in lock-step, and the noise-modulated models restart
+    /// their draw batch.
     virtual void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
     /// Selects how the noise-modulated models consume their per-op draws
@@ -246,10 +247,59 @@ private:
     double p_;
 };
 
+/// The noise-modulated capture-window stage of models B, B+ and C (paper
+/// §3.3 and Fig. 3): per operating point, the clock period, Vdd and each
+/// clipped supply-noise value become a capture window at Vref — one row
+/// of the noise-window table per quantized noise value, or the one
+/// no-noise window at sigma = 0 — and corrupt() takes each op's row from
+/// the prefetched index batch. The two models differ only in what they do
+/// with the window.
+class NoiseModulatedModel : public FaultModel {
+public:
+    /// True iff the smallest reachable capture window undercuts the
+    /// model's worst window: the quantized table is the full range of
+    /// windows corrupt() ever sees, so the test is exact for that window.
+    bool can_inject() const final { return worst_window_ps_ > min_window_ps_; }
+
+    /// Per-trial reseed also restarts the draw batch (unconsumed prefetch
+    /// is dropped; the fresh stream starts at the new seed).
+    void reseed(std::uint64_t seed) final {
+        FaultModel::reseed(seed);
+        batch_.start_trial();
+    }
+
+protected:
+    explicit NoiseModulatedModel(const VddDelayFit& fit) : fit_(&fit) {}
+
+    /// Derives the point's windows and reconfigures the batch; each model
+    /// runs it first, then derives its own per-window tables.
+    void operating_point_changed() override;
+    void sampling_mode_changed() final;
+
+    /// Lowest frequency at which a capture window of `window_ps` (at Vref)
+    /// is violated at the current point under the worst clipped negative
+    /// noise excursion, MHz.
+    double first_fault_mhz(double window_ps) const;
+
+    const VddDelayFit* fit_;
+    /// The model's largest window that can be violated (can_inject's
+    /// bound), set by its constructor.
+    double worst_window_ps_ = 0.0;
+    // Noise -> capture-window lookup (quantized; empty at sigma = 0).
+    std::vector<double> noise_window_table_;
+    double base_window_ps_ = 0.0;  // no-noise capture window @ Vref
+    // Derived per point and hoisted out of the per-ALU-op corrupt() path:
+    // the smallest capture window any noise draw can produce (the table
+    // minimum, or the no-noise window) and the clip level in volts.
+    double min_window_ps_ = 0.0;
+    double noise_clip_v_ = 0.0;
+    NoiseIndexBatch batch_;  // prefetched window-table indices
+};
+
 /// Models B and B+: per-endpoint worst-case STA delays; injection is
 /// deterministic given the (possibly noise-modulated) capture window.
 /// sigma = 0 gives model B; sigma > 0 gives model B+.
-class ModelB final : public FaultModel {
+class ModelB final : public NoiseModulatedModel {
 public:
     /// `sta` must come from the full (instruction-oblivious) netlist STA;
     /// `fit` is the five-corner Vdd-delay fit used for scaling.
@@ -263,44 +313,20 @@ public:
 
     /// Lowest frequency at which this model can inject at the current
     /// operating point (with worst-case clipped noise), MHz.
-    double first_fault_frequency_mhz() const;
-
-    /// Exact (quantization-aware) reachability: true iff some entry of the
-    /// noise-window table (or the no-noise window) is small enough for the
-    /// most critical endpoint to violate.
-    bool can_inject() const override;
-
-    /// Per-trial reseed also restarts the draw batch (unconsumed prefetch
-    /// is dropped; the fresh stream starts at the new seed).
-    void reseed(std::uint64_t seed) override {
-        FaultModel::reseed(seed);
-        batch_.start_trial();
+    double first_fault_frequency_mhz() const {
+        return first_fault_mhz(worst_window_ps_);
     }
 
 protected:
     std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
     void operating_point_changed() override;
-    void sampling_mode_changed() override { refresh_sampling(); }
 
 private:
-    void refresh_sampling();
     std::uint32_t apply_leading_faults(std::size_t count, std::uint32_t correct,
                                        std::uint32_t prev_result);
 
-    StaResult sta_;
-    const VddDelayFit* fit_;
     std::vector<double> window_ps_;        // per endpoint: delay + setup @ Vref
     std::vector<std::uint32_t> order_;     // endpoints by decreasing window
-    double max_window_ps_ = 0.0;
-    // Noise -> capture-window lookup (quantized; see .cpp).
-    std::vector<double> noise_window_table_;
-    double base_window_ps_ = 0.0;          // no-noise capture window @ Vref
-    // Derived per point (operating_point_changed): the smallest capture
-    // window any noise draw can produce (= the table minimum, or the
-    // no-noise window) and the precomputed clip level feeding the table
-    // index — both hoisted out of the per-ALU-op corrupt() path.
-    double min_window_ps_ = 0.0;
-    double noise_clip_v_ = 0.0;
     // The batched-sampling decision tables: for table index i,
     // violation_count_[i] is how many leading endpoints of order_ violate
     // that window, and cum_mask_[k] is the XOR-cumulative bit mask of the
@@ -310,15 +336,17 @@ private:
     std::vector<std::uint8_t> violation_count_;
     std::uint8_t base_violation_count_ = 0;  // no-noise-table counterpart
     std::vector<std::uint32_t> cum_mask_;
-    NoiseIndexBatch batch_;
-    // Quantized ("B-q") only: alias over the violation-count distribution
-    // (the index masses pushed through violation_count_), sampled directly
-    // per op — the index itself carries no other information in model B.
+    // B-q's sampler: alias over the violation-count distribution (the
+    // index masses pushed through violation_count_), sampled directly per
+    // op in quantized mode — the index itself carries no other
+    // information in model B.
     AliasTable count_alias_;
 };
 
 /// Model C: statistical, instruction-aware fault injection from DTA CDFs.
-class ModelC final : public FaultModel {
+/// Its can_inject() is conservative over instruction classes (the
+/// kernel's mix is unknown): the bound is the worst class's worst arrival.
+class ModelC final : public NoiseModulatedModel {
 public:
     ModelC(std::shared_ptr<const TimingErrorCdfs> cdfs, const VddDelayFit& fit);
 
@@ -338,35 +366,17 @@ public:
 
     /// Lowest frequency with a non-zero injection probability for `cls`
     /// at the current operating point (with worst-case clipped noise), MHz.
-    double first_fault_frequency_mhz(ExClass cls) const;
-
-    /// True iff the smallest reachable capture window is below the worst
-    /// arrival of ANY characterized class (conservative over classes: the
-    /// kernel's instruction mix is unknown here).
-    bool can_inject() const override;
-
-    /// Per-trial reseed also restarts the draw batch.
-    void reseed(std::uint64_t seed) override {
-        FaultModel::reseed(seed);
-        batch_.start_trial();
+    double first_fault_frequency_mhz(ExClass cls) const {
+        return first_fault_mhz(cdfs_->class_max_window_ps(cls));
     }
 
 protected:
     std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
     void operating_point_changed() override;
-    void sampling_mode_changed() override { refresh_sampling(); }
 
 private:
-    void refresh_sampling();
-
     std::shared_ptr<const TimingErrorCdfs> cdfs_;
-    const VddDelayFit* fit_;
-    std::vector<double> noise_window_table_;
-    double base_window_ps_ = 0.0;
-    double min_window_ps_ = 0.0;
-    double noise_clip_v_ = 0.0;
     double samples_ = 0.0;     // the store's samples per endpoint
-    NoiseIndexBatch batch_;    // prefetched window-table indices
     // Per-class CDF-store lookups hoisted out of corrupt(): the store is
     // immutable for the model's lifetime, so the per-op walk reads plain
     // arrays instead of throw-guarded store calls. The ranks/memo_offset

@@ -12,16 +12,13 @@ std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     return std::nullopt;
 }
 
-void noise_draws_to_indices_scalar(const double* draws,
-                                   std::uint32_t* indices, std::size_t n,
-                                   double clip_mv, double clip_v,
-                                   std::size_t entries) {
+void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
+                            std::size_t n, double clip_mv, double clip_v,
+                            std::size_t entries) {
     // Elementwise this must stay the exact IEEE operation sequence of the
     // reference draw + noise_table_index (tests/testing/reference_noise.hpp):
-    // clamp in mV, scale to volts,
-    // affine map to [0, 1], round half up by +0.5 and truncate. The
-    // default build has no -ffp-contract=fast FMA fusion, so the AVX2
-    // kernel (explicit non-fused intrinsics) matches bit for bit.
+    // clamp in mV, scale to volts, affine map to [0, 1], round half up by
+    // +0.5 and truncate.
     if (clip_v <= 0.0) {
         // The reference's degenerate case: no clip span, every draw maps
         // to the middle entry.
@@ -41,38 +38,6 @@ void noise_draws_to_indices_scalar(const double* draws,
         idx = std::min(std::max(idx, std::int64_t{0}), max_index);
         indices[i] = static_cast<std::uint32_t>(idx);
     }
-}
-
-#if defined(SFI_ENABLE_AVX2)
-// Defined in sampling_batch_avx2.cpp (compiled with -mavx2).
-void noise_draws_to_indices_avx2(const double* draws, std::uint32_t* indices,
-                                 std::size_t n, double clip_mv,
-                                 double clip_v, std::size_t entries);
-#endif
-
-bool noise_conversion_uses_avx2() {
-#if defined(SFI_ENABLE_AVX2)
-    static const bool supported = __builtin_cpu_supports("avx2") != 0;
-    return supported;
-#else
-    return false;
-#endif
-}
-
-void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
-                            std::size_t n, double clip_mv, double clip_v,
-                            std::size_t entries) {
-#if defined(SFI_ENABLE_AVX2)
-    // The AVX2 kernel assumes a positive clip span; route the degenerate
-    // clip_v <= 0 case through the scalar loop's middle-entry fill.
-    if (clip_v > 0.0 && noise_conversion_uses_avx2()) {
-        noise_draws_to_indices_avx2(draws, indices, n, clip_mv, clip_v,
-                                    entries);
-        return;
-    }
-#endif
-    noise_draws_to_indices_scalar(draws, indices, n, clip_mv, clip_v,
-                                  entries);
 }
 
 std::vector<double> noise_index_masses(double sigma_mv, double clip_mv,

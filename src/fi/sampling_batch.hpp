@@ -36,10 +36,7 @@
 // sequence as the reference noise_table_index (clamp, mV->V scale,
 // affine map, round-half-up via +0.5 and truncation) — an integer result,
 // so the decision tables (violation counts, cumulative fault masks in
-// models.cpp) are exact, not approximate. An AVX2 variant of the pass is
-// compiled behind the SFI_ENABLE_AVX2 CMake toggle; it uses only
-// mul/add/div/min/max/cvtt intrinsics (no FMA contraction), so its
-// indices are bit-identical to the plain loop's.
+// models.cpp) are exact, not approximate.
 //
 // FaultSamplingMode::Quantized replaces the Gaussian draw + conversion
 // with direct alias-method sampling of the table index from the
@@ -75,26 +72,14 @@ std::optional<FaultSamplingMode> parse_fault_sampling_mode(
 /// Converts raw normal draws (mV units, mean 0 / stddev sigma as produced
 /// by Rng::normal_fill) into window-table indices. Elementwise this is
 /// exactly the reference draw's clamp + mV->V scale followed by the
-/// reference noise_table_index's affine map and round-half-up — the
-/// plain loop is auto-vectorizable, and the AVX2 variant below produces
-/// bit-identical indices. `clip_mv` is the clamp level in mV (clip_sigmas * sigma_mv)
-/// and `clip_v` the same level in volts, computed by the caller with the
-/// models' own expressions so no re-derivation can diverge.
-/// Requires entries >= 2 (and, for the AVX2 path, entries <= 2^31).
+/// reference noise_table_index's affine map and round-half-up, in one
+/// plain loop the compiler may vectorize. `clip_mv` is the clamp level in
+/// mV (clip_sigmas * sigma_mv) and `clip_v` the same level in volts,
+/// computed by the caller with the models' own expressions so no
+/// re-derivation can diverge. Requires entries >= 2.
 void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
                             std::size_t n, double clip_mv, double clip_v,
                             std::size_t entries);
-
-/// The plain-loop implementation of the above (always available; the
-/// AVX2-vs-scalar equivalence test compares against it directly).
-void noise_draws_to_indices_scalar(const double* draws,
-                                   std::uint32_t* indices, std::size_t n,
-                                   double clip_mv, double clip_v,
-                                   std::size_t entries);
-
-/// True when this build carries the AVX2 conversion kernel AND the CPU
-/// supports it (the dispatcher falls back to the scalar loop otherwise).
-bool noise_conversion_uses_avx2();
 
 /// Walker alias table over the quantized clipped-normal index
 /// distribution: P(i) = probability that a clamped N(0, sigma) draw maps

@@ -98,7 +98,6 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
                report.fault_sampling.batched_ops_per_sec);
     json.field("quantized_ops_per_sec",
                report.fault_sampling.quantized_ops_per_sec);
-    json.field("avx2", report.fault_sampling.avx2);
     json.end_object();
 
     json.key("metrics");

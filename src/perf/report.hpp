@@ -6,7 +6,7 @@
 //
 //   {
 //     "schema": "sfi-bench-core",
-//     "schema_version": 7,
+//     "schema_version": 8,
 //     "config":   { seed, dta_cycles, trials, benchmark },
 //                 (v5: dropped v2's "dispatch" — the ISS has one engine)
 //     "phases":   [ { phase, seconds, calls, items } ],
@@ -21,11 +21,12 @@
 //                     trials, fast_path,
 //                     scaling: [ { threads, seconds, trials_per_sec } ] } ],
 //     "fast_path": { sim_trials_per_sec, fastpath_trials_per_sec, speedup },
-//     "fault_sampling": { batched_ops_per_sec, quantized_ops_per_sec,
-//                         avx2 },
+//     "fault_sampling": { batched_ops_per_sec, quantized_ops_per_sec },
 //                 (v3: throughput of the draw->index sampling kernels;
 //                  v6: dropped scalar_ops_per_sec and batched_speedup —
-//                  the per-op scalar draw is now a test oracle only)
+//                  the per-op scalar draw is now a test oracle only;
+//                  v8: dropped the flag of the vector conversion
+//                  kernel, which is gone)
 //     "campaign":  { figure, seconds, trials_spent } | null,
 //     "metrics":  { counters: [ { name, value } ] },
 //                 (v4: the obs::MetricsRegistry the report's campaign
@@ -54,7 +55,7 @@
 
 namespace sfi::perf {
 
-inline constexpr int kSchemaVersion = 7;
+inline constexpr int kSchemaVersion = 8;
 
 /// One "phases" row: every dispatch-lane span of one name, summed.
 /// `items` adds up the "items" argument of the spans' end events.
@@ -107,7 +108,6 @@ struct FastPathResult {
 struct FaultSamplingResult {
     double batched_ops_per_sec = 0.0;
     double quantized_ops_per_sec = 0.0;
-    bool avx2 = false;  ///< AVX2 conversion kernel compiled in and active
 };
 
 /// Wall clock of a small end-to-end figure campaign (store disabled, so

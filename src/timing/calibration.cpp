@@ -99,13 +99,6 @@ std::vector<double> path_through_cells(const Alu& alu,
 
 }  // namespace
 
-double CalibrationResult::class_fmax_mhz(ExClass cls) const {
-    const auto it = class_period_ps.find(cls);
-    if (it == class_period_ps.end())
-        throw std::out_of_range("class_fmax_mhz: class not calibrated");
-    return 1.0e6 / it->second;
-}
-
 CalibrationResult calibrate_alu(const Alu& alu, InstanceTiming& timing,
                                 const CalibrationTargets& targets) {
     const TimingLib& lib = timing.lib();

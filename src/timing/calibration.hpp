@@ -61,9 +61,6 @@ struct CalibrationResult {
     double sta_fmax_mhz = 0.0;
     double vdd = 0.0;
     double non_alu_threshold_mhz = 0.0;
-
-    /// Per-class maximum safe frequency (MHz) at the calibration voltage.
-    double class_fmax_mhz(ExClass cls) const;
 };
 
 /// Scales `timing` in place; returns the applied scales and the post-

@@ -37,8 +37,6 @@ DtaClassResult run_dta_class(const Alu& alu, const InstanceTiming& timing,
         op.b = rng.u32() & mask;
     }
 
-    EventSimConfig sim_config;
-    sim_config.clk_to_q_ps = config.clk_to_q_ps;
     const std::map<std::string, std::uint64_t> fixed = {{"op", Alu::op_code(cls)}};
     const std::size_t chunks = (cycles + kDtaChunkCycles - 1) / kDtaChunkCycles;
     const std::size_t workers =
@@ -54,7 +52,7 @@ DtaClassResult run_dta_class(const Alu& alu, const InstanceTiming& timing,
                               std::vector<float>(cycles, 0.0f));
     for_each_trial(chunks, workers, 1, [&](std::size_t worker, std::uint64_t chunk) {
         std::optional<EventSim>& slot = sims[worker];
-        if (!slot) slot.emplace(alu.netlist, timing, fixed, "y", sim_config);
+        if (!slot) slot.emplace(alu.netlist, timing, fixed, "y");
         EventSim& sim = *slot;
         const std::size_t first = static_cast<std::size_t>(chunk) * kDtaChunkCycles;
         const std::size_t last = std::min(first + kDtaChunkCycles, cycles);

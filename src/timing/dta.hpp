@@ -36,7 +36,6 @@ inline constexpr std::size_t kDtaChunkCycles = 128;
 struct DtaConfig {
     std::size_t cycles = 8192;  ///< characterization kernel length (paper: 8 k)
     std::uint64_t seed = 0xD7A0C0DEULL;
-    double clk_to_q_ps = -1.0;  ///< negative: use the library's clk->Q
     /// Restrict operands to this many low bits (32 = full range). Used by
     /// the instruction-characterization experiment (16-bit adds, Fig. 4).
     unsigned operand_bits = 32;

@@ -11,7 +11,7 @@ namespace sfi {
 
 EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
                    std::map<std::string, std::uint64_t> fixed_inputs,
-                   std::string watch_bus, EventSimConfig config)
+                   std::string watch_bus)
     : netlist_(&netlist), fixed_inputs_(std::move(fixed_inputs)) {
     const std::size_t count = netlist.cell_count();
     const NetId zero_net = static_cast<NetId>(count);
@@ -32,9 +32,7 @@ EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
         gate.rise_fs = std::llround(timing.rise_ps(id) * 1000.0);
         gate.fall_fs = std::llround(timing.fall_ps(id) * 1000.0);
     }
-    clk_to_q_fs_ = std::llround(
-        (config.clk_to_q_ps < 0.0 ? timing.clk_to_q_ps() : config.clk_to_q_ps) *
-        1000.0);
+    clk_to_q_fs_ = std::llround(timing.clk_to_q_ps() * 1000.0);
 
     // Constant-propagate the fixed inputs; only variable cells are active.
     const auto constants = propagate_constants(netlist, fixed_inputs_);

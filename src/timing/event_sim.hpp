@@ -100,20 +100,15 @@ private:
     std::vector<Event> heap_;
 };
 
-struct EventSimConfig {
-    /// Launch delay of the operand registers; negative = use the value
-    /// annotated in the timing library (the default, keeps STA and event
-    /// simulation in the same time reference).
-    double clk_to_q_ps = -1.0;
-};
-
 class EventSim {
 public:
     /// `fixed_inputs` pins buses for the lifetime of the simulator.
     /// `watch_bus` names the output bus whose arrival times are recorded.
+    /// Operand registers launch at the library's clk->Q, which keeps STA
+    /// and event simulation on one time reference.
     EventSim(const Netlist& netlist, const InstanceTiming& timing,
              std::map<std::string, std::uint64_t> fixed_inputs,
-             std::string watch_bus = "y", EventSimConfig config = {});
+             std::string watch_bus = "y");
 
     /// Stages a new value for a variable input bus (applied by settle()).
     void set_input(const std::string& bus, std::uint64_t value);

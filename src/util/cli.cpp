@@ -53,18 +53,6 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
     return it == options_.end() ? def : it->second;
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) return def;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
-}
-
-double Cli::get_double(const std::string& name, double def) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) return def;
-    return std::strtod(it->second.c_str(), nullptr);
-}
-
 std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t def) const {
     const auto it = options_.find(name);
     if (it == options_.end()) return def;
@@ -86,7 +74,7 @@ std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t def) const {
     return static_cast<std::uint64_t>(value);
 }
 
-double Cli::get_positive_double(const std::string& name, double def) const {
+double Cli::get_double(const std::string& name, double def) const {
     const auto it = options_.find(name);
     if (it == options_.end()) return def;
     const std::string& text = it->second;
@@ -94,9 +82,18 @@ double Cli::get_positive_double(const std::string& name, double def) const {
     errno = 0;
     const double value = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(value) || value <= 0.0)
+        !std::isfinite(value))
+        throw std::invalid_argument("--" + name + " must be a finite number "
+                                    "(got \"" + text + "\")");
+    return value;
+}
+
+double Cli::get_positive_double(const std::string& name, double def) const {
+    const double value = get_double(name, def);
+    if (value <= 0.0)
         throw std::invalid_argument("--" + name + " must be a finite "
-                                    "positive number (got \"" + text + "\")");
+                                    "positive number (got \"" +
+                                    get(name, "") + "\")");
     return value;
 }
 

@@ -23,23 +23,24 @@ public:
 
     bool has(const std::string& name) const;
     std::string get(const std::string& name, const std::string& def) const;
-    std::int64_t get_int(const std::string& name, std::int64_t def) const;
-    double get_double(const std::string& name, double def) const;
     bool get_bool(const std::string& name, bool def) const;
 
-    /// Strict parser for inherently non-negative quantities (--trials,
-    /// --seed): a negative or unparseable value would otherwise wrap to
-    /// a huge unsigned and silently run a nonsense experiment, so it
-    /// throws std::invalid_argument naming the flag instead. Accepts the
-    /// full std::uint64_t range (seeds are arbitrary 64-bit values).
+    // The numeric getters are strict: a value that is not wholly a number
+    // of the getter's kind throws std::invalid_argument naming the flag,
+    // instead of silently running a different experiment (strtod reads
+    // "abc" as 0, strtoull wraps "-1" to 2^64 - 1). The callers check
+    // ranges.
+
+    /// Non-negative integers (--trials, --seed). Accepts the full
+    /// std::uint64_t range (seeds are arbitrary 64-bit values).
     std::uint64_t get_uint(const std::string& name, std::uint64_t def) const;
 
-    /// Strict parser for quantities that must be finite and strictly
-    /// positive (--watchdog-factor, --ci-target): "nan", "inf", zero or
-    /// negative values would silently disarm the watchdog or turn the
-    /// adaptive stopping rule into an infinite loop, so they throw
-    /// std::invalid_argument naming the flag — the same contract as
-    /// get_uint.
+    /// Finite numbers: "nan", "inf" and out-of-range values throw too.
+    double get_double(const std::string& name, double def) const;
+
+    /// Finite, strictly positive numbers (--watchdog-factor,
+    /// --ci-target): zero or a negative value would disarm the watchdog
+    /// or spin the adaptive stopping rule forever.
     double get_positive_double(const std::string& name, double def) const;
 
     /// The shared `--threads` parser for McConfig::threads: a non-negative

@@ -1,12 +1,10 @@
-// Small statistics helpers used by the Monte-Carlo harness and the DTA
-// post-processing: streaming mean/variance, order statistics, histograms
-// and empirical CDFs.
+// Small statistics helpers used by the Monte-Carlo harness: streaming
+// mean/variance and the Wilson interval of a binomial proportion.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <vector>
 
 namespace sfi {
 
@@ -40,10 +38,6 @@ private:
     double max_ = 0.0;
 };
 
-/// Returns the q-quantile (q in [0,1]) of `values` using linear
-/// interpolation between order statistics. `values` is copied and sorted.
-double quantile(std::vector<double> values, double q);
-
 /// Wilson score interval for a binomial proportion: the uncertainty of
 /// Monte-Carlo "finished" / "correct" fractions at small trial counts.
 /// `z` is the normal quantile (1.96 = 95 % confidence).
@@ -53,58 +47,5 @@ struct Interval {
 };
 Interval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                          double z = 1.96);
-
-/// Mean of a vector (0 for empty input).
-double mean_of(const std::vector<double>& values);
-
-/// Fixed-range histogram with uniform bins; values outside [lo, hi) are
-/// clamped into the first / last bin so no sample is ever dropped.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    std::size_t bin_count() const { return counts_.size(); }
-    std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-    std::uint64_t total() const { return total_; }
-    double bin_low(std::size_t bin) const;
-    double bin_high(std::size_t bin) const;
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-
-private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/// Empirical CDF over a sample of doubles. After `finalize()`,
-/// `fraction_at_most(x)` returns P[X <= x] in O(log n).
-class EmpiricalCdf {
-public:
-    void add(double x) { samples_.push_back(x); finalized_ = false; }
-    void add_all(const std::vector<double>& xs);
-    void finalize();
-
-    bool empty() const { return samples_.empty(); }
-    std::size_t size() const { return samples_.size(); }
-
-    /// P[X <= x]; requires finalize() first (asserted in debug builds).
-    double fraction_at_most(double x) const;
-    /// P[X > x] = 1 - fraction_at_most(x).
-    double fraction_above(double x) const { return 1.0 - fraction_at_most(x); }
-    /// Smallest sample value (requires non-empty, finalized).
-    double min() const;
-    double max() const;
-    /// q-quantile of the sample.
-    double quantile(double q) const;
-    const std::vector<double>& sorted_samples() const { return samples_; }
-
-private:
-    std::vector<double> samples_;
-    bool finalized_ = false;
-};
 
 }  // namespace sfi

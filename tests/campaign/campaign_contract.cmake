@@ -7,7 +7,11 @@
 #   3. both runs print every panel title that `sfi_campaign --list` names;
 #   4. `--dta-cycles 0` exits 2 with a diagnostic instead of characterizing
 #      a core that never faults, and a `--threads` that is not a
-#      non-negative integer exits 2 instead of running at some other count.
+#      non-negative integer exits 2 instead of running at some other count;
+#   5. fig1 (models B and B+ inside ISS trials) resumes the same way at
+#      `--threads 0`, one worker per hardware thread: a cold run into its
+#      own store, then a warm rerun served wholly from it that rewrites
+#      the cold run's artifacts byte for byte.
 # Runs under ctest (label "contract"); by hand:
 #
 #   cmake -DSFI_CAMPAIGN=build/sfi_campaign -DWORK_DIR=/tmp/contract \
@@ -63,26 +67,36 @@ if(cold_misses EQUAL 0 OR NOT warm_misses EQUAL 0 OR
 endif()
 
 # 2. Byte-identical artifacts; manifests compare without their "run" line.
-file(GLOB cold_files RELATIVE "${WORK_DIR}/cold_csv" "${WORK_DIR}/cold_csv/*")
-file(GLOB warm_files RELATIVE "${WORK_DIR}/bench_csv" "${WORK_DIR}/bench_csv/*")
-if(NOT cold_files STREQUAL warm_files)
-    message(FATAL_ERROR "artifact sets differ:\n  cold: ${cold_files}\n"
-                        "  warm: ${warm_files}")
-endif()
+# Returns the artifact names in `out_var`.
+function(compare_artifacts out_var cold_dir warm_dir)
+    file(GLOB cold_files RELATIVE "${WORK_DIR}/${cold_dir}"
+         "${WORK_DIR}/${cold_dir}/*")
+    file(GLOB warm_files RELATIVE "${WORK_DIR}/${warm_dir}"
+         "${WORK_DIR}/${warm_dir}/*")
+    if(NOT cold_files STREQUAL warm_files)
+        message(FATAL_ERROR "artifact sets differ:\n  ${cold_dir}: "
+                            "${cold_files}\n  ${warm_dir}: ${warm_files}")
+    endif()
+    foreach(name IN LISTS cold_files)
+        file(READ "${WORK_DIR}/${cold_dir}/${name}" cold_bytes)
+        file(READ "${WORK_DIR}/${warm_dir}/${name}" warm_bytes)
+        if(name MATCHES "_manifest\\.json$")
+            string(REGEX REPLACE "\n  \"run\": [^\n]*" "" cold_bytes
+                   "${cold_bytes}")
+            string(REGEX REPLACE "\n  \"run\": [^\n]*" "" warm_bytes
+                   "${warm_bytes}")
+        endif()
+        if(NOT cold_bytes STREQUAL warm_bytes)
+            message(FATAL_ERROR "${name} differs between ${cold_dir} and "
+                                "${warm_dir}")
+        endif()
+    endforeach()
+    set(${out_var} "${cold_files}" PARENT_SCOPE)
+endfunction()
+compare_artifacts(cold_files cold_csv bench_csv)
 foreach(campaign IN LISTS campaigns)
     if(NOT "${campaign}_manifest.json" IN_LIST cold_files)
         message(FATAL_ERROR "no manifest for ${campaign}: ${cold_files}")
-    endif()
-endforeach()
-foreach(name IN LISTS cold_files)
-    file(READ "${WORK_DIR}/cold_csv/${name}" cold_bytes)
-    file(READ "${WORK_DIR}/bench_csv/${name}" warm_bytes)
-    if(name MATCHES "_manifest\\.json$")
-        string(REGEX REPLACE "\n  \"run\": [^\n]*" "" cold_bytes "${cold_bytes}")
-        string(REGEX REPLACE "\n  \"run\": [^\n]*" "" warm_bytes "${warm_bytes}")
-    endif()
-    if(NOT cold_bytes STREQUAL warm_bytes)
-        message(FATAL_ERROR "${name} differs between the cold and warm runs")
     endif()
 endforeach()
 
@@ -146,6 +160,24 @@ foreach(threads abc -2)
     endif()
 endforeach()
 
+# 6. fig1 at one worker per hardware thread, cold then warm from its own
+# store.
+set(fig1_flags --figures fig1 --trials 10 --dta-cycles 1024 --threads 0
+               --store fig1_store.bin --quiet)
+run_campaign(fig1_cold_out ${fig1_flags} --csv-dir fig1_cold)
+run_campaign(fig1_warm_out ${fig1_flags} --csv-dir fig1_warm)
+file(READ "${WORK_DIR}/fig1_warm/fig1_manifest.json" manifest)
+if(NOT manifest MATCHES "\"store_hits\": [1-9][0-9]*, \"store_misses\": 0,")
+    message(FATAL_ERROR "the warm fig1 run was not served wholly from the "
+                        "store:\n${manifest}")
+endif()
+compare_artifacts(fig1_files fig1_cold fig1_warm)
+if(NOT "${fig1_files}" MATCHES "fig1_sigma25\\.csv")
+    message(FATAL_ERROR "fig1 wrote no sigma = 25 mV panel: ${fig1_files}")
+endif()
+
 list(LENGTH cold_files artifacts)
+list(LENGTH fig1_files fig1_artifacts)
 message(STATUS "campaign contract: ${warm_hits} warm hits, ${artifacts} "
-               "identical artifacts, ${titles} panel titles")
+               "identical artifacts, ${titles} panel titles; fig1 at "
+               "--threads 0: ${fig1_artifacts} identical artifacts")

@@ -8,6 +8,11 @@
 #
 #   table1, table2, fig3    stdout at their default flags (1,024 DTA
 #                           cycles for fig3; table2 fixes its own 256)
+#   fig3_sigma25            bench_fig3_pipeline --sigma 25: its noise range
+#                           must differ from the default run's (the range
+#                           spans the windows at +/- 2 sigma), and at
+#                           --sigma 0 it must collapse onto the capture
+#                           window
 #   ext_razor_t1 / _t4      bench_ext_razor --trials 4 at --threads 1 and
 #                           4: one digest, so the thread count cannot
 #                           change a byte
@@ -38,6 +43,11 @@
 #                           working directory) hashes to the same pin, so
 #                           --no-csv cannot switch the forensic pass off
 #
+# and a bad numeric flag of a driver (bench_ext_razor's --coverage and
+# --replay-penalty, bench_ablation_voltage's --alpha-spread,
+# bench_fig3_pipeline's --sigma: malformed, non-finite or out of range)
+# exits 2 with an "error: --<flag>" message and prints nothing on stdout.
+#
 # A digest moves only when a driver's output moves: re-record it with
 # -DPRINT_DIGESTS=ON (prints every leg's digest and the table, compares
 # neither) and
@@ -67,6 +77,8 @@ set(expected_table2
     53c1ef2a32046f29f16bd13cfe262f095fcdf1da50a832f9cd647f8833c10d27)
 set(expected_fig3
     b2e4b5b734dbfdab0e6320a6657ae04225ac3944e712e9692437443dec9a4240)
+set(expected_fig3_sigma25
+    4bc9cb45134ffb3ad5763c88ecd378c2525f536eea71d37df38bd7fcd7d08fa6)
 set(expected_ext_razor
     a325f4724f70a27d6d7e7be151b8e152288e008e0ddb138bb6a1c992edb9522e)
 set(expected_voltage
@@ -133,6 +145,62 @@ check(table2 table2 "${out}")
 run_driver(out fig3 "${BENCH_DIR}/bench_fig3_pipeline" --dta-cycles 1024
            --cache cache_1024.bin)
 check(fig3 fig3 "${out}")
+
+# fig3's "[scaling]" line ends "capture window W ps @ Vref (noise range
+# LO .. HI ps)".
+set(scaling_regex
+    "window ([0-9.]+) ps @ Vref \\(noise range ([0-9.]+) \\.\\. ([0-9.]+) ps\\)")
+string(REGEX MATCH "${scaling_regex}" fig3_scaling "${out}")
+set(fig3_range "${CMAKE_MATCH_2} .. ${CMAKE_MATCH_3}")
+run_driver(out fig3_sigma25 "${BENCH_DIR}/bench_fig3_pipeline"
+           --dta-cycles 1024 --cache cache_1024.bin --sigma 25)
+check(fig3_sigma25 fig3_sigma25 "${out}")
+string(REGEX MATCH "${scaling_regex}" sigma25_scaling "${out}")
+if(NOT fig3_scaling OR NOT sigma25_scaling OR
+   "${CMAKE_MATCH_2} .. ${CMAKE_MATCH_3}" STREQUAL fig3_range)
+    string(APPEND failures "\n  fig3_sigma25: noise range "
+           "${CMAKE_MATCH_2} .. ${CMAKE_MATCH_3} ignores --sigma (sigma 10 "
+           "mV: ${fig3_range})")
+endif()
+run_driver(out fig3_sigma0 "${BENCH_DIR}/bench_fig3_pipeline"
+           --dta-cycles 1024 --cache cache_1024.bin --sigma 0)
+string(REGEX MATCH "${scaling_regex}" sigma0_scaling "${out}")
+if(NOT sigma0_scaling OR NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_2 OR
+   NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_3)
+    string(APPEND failures "\n  fig3_sigma0: noise range ${CMAKE_MATCH_2} "
+           ".. ${CMAKE_MATCH_3} around a ${CMAKE_MATCH_1} ps window")
+endif()
+
+# Bad numeric flags: exit 2, a diagnostic naming the flag, and nothing on
+# stdout (so no partial report). The sizes keep a driver that wrongly
+# accepts the flag quick.
+function(check_rejects leg flag)
+    execute_process(
+        COMMAND ${ARGN} --trials 1 --dta-cycles 128 --cache cache_128.bin
+                --threads 2
+        WORKING_DIRECTORY "${WORK_DIR}"
+        RESULT_VARIABLE code
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err)
+    if(NOT code EQUAL 2 OR NOT err MATCHES "error: --${flag} " OR
+       NOT out STREQUAL "")
+        string(APPEND failures "\n  ${leg}: exit ${code} (expected 2 with "
+               "\"error: --${flag}\" and no stdout)\n${err}${out}")
+        set(failures "${failures}" PARENT_SCOPE)
+    endif()
+endfunction()
+check_rejects(razor_coverage_abc coverage "${BENCH_DIR}/bench_ext_razor"
+              --coverage abc)
+check_rejects(razor_coverage_nan coverage "${BENCH_DIR}/bench_ext_razor"
+              --coverage nan)
+check_rejects(razor_coverage_2 coverage "${BENCH_DIR}/bench_ext_razor"
+              --coverage 2)
+check_rejects(razor_penalty_negative replay-penalty
+              "${BENCH_DIR}/bench_ext_razor" --replay-penalty -1)
+check_rejects(voltage_spread_nan alpha-spread
+              "${BENCH_DIR}/bench_ablation_voltage" --alpha-spread nan)
+check_rejects(fig3_sigma_abc sigma "${BENCH_DIR}/bench_fig3_pipeline"
+              --sigma abc)
 
 foreach(threads 1 4)
     run_driver(out ext_razor_t${threads} "${BENCH_DIR}/bench_ext_razor"

@@ -1,11 +1,25 @@
-# The sampling-equivalence contract on the real sfi_campaign binary: the same
-# campaigns at 1 and 4 worker threads must write byte-identical CSVs. fig4 runs model C on raw ALU op streams (one
-# long stream per point, where most draws open a Bernoulli interleave on
-# the noise stream); fig7 runs model C inside ISS trials at sigma = 10 and
-# 25 mV, fanned out over the worker pool. (That batched draws equal the
-# one-draw-per-op reference is proven against the oracles in tests/testing/
-# by the fi and mc sampling suites.) Runs under ctest (label "contract");
-# by hand:
+# The sampling-equivalence contract on the real sfi_campaign binary:
+#
+#   1. the same campaigns at 1 and 4 worker threads write byte-identical
+#      CSVs. fig1 runs models B and B+ inside ISS trials; fig4 runs model
+#      C on raw ALU op streams (one long stream per point, where most
+#      draws open a Bernoulli interleave on the noise stream); fig7 runs
+#      model C inside ISS trials at sigma = 10 and 25 mV, fanned out over
+#      the worker pool. (That batched draws equal the one-draw-per-op
+#      reference is proven against the oracles in tests/testing/ by the fi
+#      and mc sampling suites.)
+#   2. the quantized variants' streams do not move: fig1 (B-q) and fig4
+#      (C-q) under --fault-sampling quantized write CSVs whose SHA-256
+#      digests are pinned below. Nothing else pins a B-q or C-q byte: the
+#      sampling suites only check that quantized runs are deterministic
+#      and differ from batched ones.
+#   3. "--fault-sampling scalar" exits 2 before any simulation, naming
+#      the two modes.
+#
+# A digest moves only when a quantized stream moves: re-record them with
+# -DPRINT_DIGESTS=ON (prints every CSV's digest, compares none) and say in
+# the change log why the bytes changed. Runs under ctest (label
+# "contract"); by hand:
 #
 #   cmake -DSFI_CAMPAIGN=build/sfi_campaign -DWORK_DIR=/tmp/sampling_eq \
 #         -P tests/campaign/sampling_equivalence.cmake
@@ -13,20 +27,32 @@ cmake_minimum_required(VERSION 3.20)
 
 if(NOT SFI_CAMPAIGN OR NOT WORK_DIR)
     message(FATAL_ERROR "usage: cmake -DSFI_CAMPAIGN=<sfi_campaign> "
-                        "-DWORK_DIR=<dir> -P sampling_equivalence.cmake")
+                        "-DWORK_DIR=<dir> [-DPRINT_DIGESTS=ON] "
+                        "-P sampling_equivalence.cmake")
 endif()
+
+# fig1_sigma0 is model B (no noise, so no draw to quantize); the other
+# five are B-q and C-q streams.
+set(expected_q_fig1_sigma0.csv
+    b008c40903914342b511370f8cc266ccb32e848491060213b09c8bb324806612)
+set(expected_q_fig1_sigma10.csv
+    a99ea86f4390c4593d1ed2910a2a7de752405262f8af0da6621b8389b79911dc)
+set(expected_q_fig1_sigma25.csv
+    d615c324de70c4e52482dd2bca79ff7eaeaa659b8b7dca95787643389ea9f922)
+set(expected_q_fig4_add16.csv
+    c0f46e0c29081366d9b5538ac958022cb03cc34a52289b2af09af126cea5b3c2)
+set(expected_q_fig4_add32.csv
+    a98e8dfb1b509de0c32442334374d35e0435b9dd78251808539993ec0971c3ad)
+set(expected_q_fig4_mul32.csv
+    95057f92c9a3bda4ebab8a13e75987c9c810ddbd7b1179626a2c290c7f600bec)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-set(runs "")
-foreach(threads 1 4)
-    set(run t${threads})
-    list(APPEND runs ${run})
+function(run_campaign run)
     execute_process(
-        COMMAND "${SFI_CAMPAIGN}" --figures fig4,fig7 --no-store --trials 4
-                --dta-cycles 1024 --quiet --threads ${threads}
-                --csv-dir ${run}
+        COMMAND "${SFI_CAMPAIGN}" --no-store --trials 4 --dta-cycles 1024
+                --quiet --csv-dir ${run} ${ARGN}
         WORKING_DIRECTORY "${WORK_DIR}"
         RESULT_VARIABLE code
         OUTPUT_VARIABLE out
@@ -35,13 +61,21 @@ foreach(threads 1 4)
         message(FATAL_ERROR "sfi_campaign (${run}) exited ${code}\n"
                             "${out}\n${err}")
     endif()
+endfunction()
+
+# 1. Batched sampling at 1 and 4 threads.
+set(runs "")
+foreach(threads 1 4)
+    set(run t${threads})
+    list(APPEND runs ${run})
+    run_campaign(${run} --figures fig1,fig4,fig7 --threads ${threads})
 endforeach()
 
 # Every run must write the same CSV set as the first, byte for byte.
 list(GET runs 0 reference)
 file(GLOB csvs RELATIVE "${WORK_DIR}/${reference}"
      "${WORK_DIR}/${reference}/*.csv")
-foreach(figure fig4 fig7)
+foreach(figure fig1 fig4 fig7)
     if(NOT "${csvs}" MATCHES "${figure}_")
         message(FATAL_ERROR "no ${figure} CSV in ${reference}: ${csvs}")
     endif()
@@ -60,10 +94,46 @@ foreach(run IN LISTS runs)
         endif()
     endforeach()
 endforeach()
-# "scalar" is a bad flag value like any other: exit 2 before any
-# simulation, naming the two modes.
+
+# 2. The quantized streams against their pins.
+run_campaign(quantized --figures fig1,fig4 --threads 4
+             --fault-sampling quantized)
+file(GLOB quantized_csvs RELATIVE "${WORK_DIR}/quantized"
+     "${WORK_DIR}/quantized/*.csv")
+set(failures "")
+set(pinned 0)
+foreach(name IN LISTS quantized_csvs)
+    file(SHA256 "${WORK_DIR}/quantized/${name}" digest)
+    if(PRINT_DIGESTS)
+        message(STATUS "set(expected_q_${name}\n    ${digest})")
+    elseif(NOT DEFINED expected_q_${name})
+        string(APPEND failures "\n  quantized/${name}: no pinned digest")
+    elseif(NOT digest STREQUAL "${expected_q_${name}}")
+        string(APPEND failures "\n  quantized/${name}: ${digest} "
+                               "(pinned ${expected_q_${name}})")
+    else()
+        math(EXPR pinned "${pinned} + 1")
+    endif()
+endforeach()
+get_cmake_property(variables VARIABLES)
+foreach(variable IN LISTS variables)
+    if(variable MATCHES "^expected_q_(.+)$" AND
+       NOT CMAKE_MATCH_1 IN_LIST quantized_csvs)
+        string(APPEND failures "\n  quantized/${CMAKE_MATCH_1}: not written")
+    endif()
+endforeach()
+if(failures AND NOT PRINT_DIGESTS)
+    message(FATAL_ERROR "quantized CSVs moved (outputs in "
+                        "${WORK_DIR}/quantized):${failures}")
+endif()
+
+# 3. "scalar" is a bad flag value like any other: exit 2 before any
+# simulation, naming the two modes. (The tiny sizes only keep a binary
+# that wrongly accepts it quick.)
 execute_process(
     COMMAND "${SFI_CAMPAIGN}" --figures fig4 --fault-sampling scalar
+            --trials 1 --dta-cycles 128 --no-store --no-csv --quiet
+            --cache scalar_cache.bin
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE code
     OUTPUT_VARIABLE out
@@ -75,4 +145,4 @@ endif()
 
 list(LENGTH csvs count)
 message(STATUS "sampling equivalence: ${count} CSVs identical across "
-               "1 and 4 threads")
+               "1 and 4 threads, ${pinned} quantized CSVs at their pins")

@@ -349,7 +349,7 @@ PerfReport make_report() {
     kernel.scaling.push_back({4, 0.0625, 4096.0});
     report.kernels.push_back(kernel);
     report.fast_path = {700.0, 42000.0, 60.0};
-    report.fault_sampling = {4.3e7, 8.9e7, false};
+    report.fault_sampling = {4.3e7, 8.9e7};
     report.campaign = CampaignSample{"fig1", 1.5, 330};
     report.metrics.add("campaign.points", 33);
     report.metrics.add("campaign.trials_spent", 330);
@@ -387,9 +387,10 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
     EXPECT_EQ(doc->at("config").at("benchmark").string, "median");
     // Schema v5 dropped v2's "dispatch" from the config block: the ISS
     // has one execution engine. v6 dropped the scalar sampling column; v7
-    // made the phases a view of the run ledger and dropped the gauges
-    // (scripts/perf_baseline.json pins v7).
-    EXPECT_EQ(kSchemaVersion, 7);
+    // made the phases a view of the run ledger and dropped the gauges; v8
+    // dropped fault_sampling's kernel flag (scripts/perf_baseline.json
+    // pins v8).
+    EXPECT_EQ(kSchemaVersion, 8);
     const std::vector<std::string> config_keys = {"seed", "dta_cycles",
                                                   "trials", "benchmark"};
     EXPECT_EQ(doc->at("config").object_key_order, config_keys);
@@ -422,15 +423,15 @@ TEST(BenchCoreJson, RoundTripParseMatchesSchema) {
     EXPECT_DOUBLE_EQ(doc->at("fast_path").at("speedup").number, 60.0);
     // Schema v3: the fault-sampling throughputs the perf gate reads (it
     // floors batched_ops_per_sec). v6 dropped the scalar column and the
-    // batched/scalar ratio with the scalar draw path.
+    // batched/scalar ratio with the scalar draw path, v8 the "avx2" flag
+    // with the AVX2 conversion kernel.
     const std::vector<std::string> sampling_keys = {
-        "batched_ops_per_sec", "quantized_ops_per_sec", "avx2"};
+        "batched_ops_per_sec", "quantized_ops_per_sec"};
     EXPECT_EQ(doc->at("fault_sampling").object_key_order, sampling_keys);
     EXPECT_DOUBLE_EQ(
         doc->at("fault_sampling").at("batched_ops_per_sec").number, 4.3e7);
     EXPECT_DOUBLE_EQ(
         doc->at("fault_sampling").at("quantized_ops_per_sec").number, 8.9e7);
-    EXPECT_FALSE(doc->at("fault_sampling").at("avx2").boolean);
     EXPECT_EQ(doc->at("campaign").at("figure").string, "fig1");
     EXPECT_EQ(doc->at("campaign").at("trials_spent").number, 330.0);
 

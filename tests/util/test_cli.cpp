@@ -14,14 +14,18 @@ Cli make(std::initializer_list<const char*> args) {
 }
 
 TEST(Cli, ParsesNameValuePairs) {
-    const Cli cli = make({"prog", "--trials", "50", "--vdd", "0.8"});
-    EXPECT_EQ(cli.get_int("trials", 0), 50);
+    const Cli cli = make({"prog", "--trials", "50", "--vdd", "0.8",
+                          "--sigma", "0", "--offset", "-2.5"});
+    EXPECT_EQ(cli.get_uint("trials", 0), 50u);
     EXPECT_DOUBLE_EQ(cli.get_double("vdd", 0.0), 0.8);
+    // get_double checks finiteness only; ranges are the caller's.
+    EXPECT_DOUBLE_EQ(cli.get_double("sigma", 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(cli.get_double("offset", 0.0), -2.5);
 }
 
 TEST(Cli, ParsesEqualsForm) {
     const Cli cli = make({"prog", "--sigma=25", "--name=fig5"});
-    EXPECT_EQ(cli.get_int("sigma", 0), 25);
+    EXPECT_EQ(cli.get_uint("sigma", 0), 25u);
     EXPECT_EQ(cli.get("name", ""), "fig5");
 }
 
@@ -39,7 +43,7 @@ TEST(Cli, BooleanFalseSpellings) {
 
 TEST(Cli, DefaultsWhenAbsent) {
     const Cli cli = make({"prog"});
-    EXPECT_EQ(cli.get_int("trials", 42), 42);
+    EXPECT_EQ(cli.get_uint("trials", 42), 42u);
     EXPECT_DOUBLE_EQ(cli.get_double("vdd", 0.7), 0.7);
     EXPECT_EQ(cli.get("name", "x"), "x");
     EXPECT_FALSE(cli.has("trials"));
@@ -54,13 +58,13 @@ TEST(Cli, PositionalArguments) {
 
 TEST(Cli, HexIntegers) {
     const Cli cli = make({"prog", "--seed", "0x10"});
-    EXPECT_EQ(cli.get_int("seed", 0), 16);
+    EXPECT_EQ(cli.get_uint("seed", 0), 16u);
 }
 
 TEST(Cli, FlagFollowedByFlagIsBoolean) {
     const Cli cli = make({"prog", "--fast", "--trials", "7"});
     EXPECT_TRUE(cli.get_bool("fast", false));
-    EXPECT_EQ(cli.get_int("trials", 0), 7);
+    EXPECT_EQ(cli.get_uint("trials", 0), 7u);
 }
 
 TEST(Cli, GetThreadsParsesWorkerCount) {
@@ -123,13 +127,33 @@ TEST(Cli, KnownVocabularyClassifiesUnknownFlags) {
     EXPECT_EQ(cli.unknown_flags()[0], "trails");
     // Pass-through preserved: the unknown flag is still parsed and
     // retrievable, so a flag meant for another tool survives.
-    EXPECT_EQ(cli.get_int("trails", 0), 5);
-    EXPECT_EQ(cli.get_int("trials", 0), 7);
+    EXPECT_EQ(cli.get_uint("trails", 0), 5u);
+    EXPECT_EQ(cli.get_uint("trials", 0), 7u);
 }
 
 TEST(Cli, WithoutVocabularyNothingIsUnknown) {
     const Cli cli = make({"prog", "--whatever", "--and=this"});
     EXPECT_TRUE(cli.unknown_flags().empty());
+}
+
+TEST(Cli, GetDoubleRejectsPartialAndNonFiniteValues) {
+    // strtod alone reads "abc" as 0 and "10mV" as 10, and "nan" passes
+    // every range check (NaN compares false): each would run a different
+    // experiment than the one asked for.
+    for (const char* bad : {"abc", "10mV", "0.5.1", "nan", "-nan", "inf",
+                            "-inf", "1e999", ""}) {
+        SCOPED_TRACE(bad);
+        const std::string arg = std::string("--coverage=") + bad;
+        try {
+            (void)make({"prog", arg.c_str()}).get_double("coverage", 1.0);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--coverage must be a finite number"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Cli, GetPositiveDoubleAcceptsFinitePositiveValues) {

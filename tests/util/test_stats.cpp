@@ -34,24 +34,6 @@ TEST(RunningStats, KnownMeanAndVariance) {
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Quantile, MedianOfOddSample) {
-    EXPECT_DOUBLE_EQ(quantile({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
-
-TEST(Quantile, Extremes) {
-    const std::vector<double> v = {5.0, 1.0, 9.0};
-    EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(quantile(v, 1.0), 9.0);
-}
-
-TEST(Quantile, InterpolatesBetweenOrderStats) {
-    EXPECT_DOUBLE_EQ(quantile({0.0, 10.0}, 0.25), 2.5);
-}
-
-TEST(Quantile, EmptyThrows) {
-    EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-}
-
 TEST(WilsonInterval, ContainsPointEstimate) {
     for (const std::uint64_t k : {0u, 1u, 25u, 50u, 99u, 100u}) {
         const Interval ci = wilson_interval(k, 100);
@@ -88,77 +70,6 @@ TEST(WilsonInterval, ExtremeCountsStayProper) {
 
 TEST(WilsonInterval, RejectsImpossibleCounts) {
     EXPECT_THROW(wilson_interval(5, 4), std::invalid_argument);
-}
-
-TEST(MeanOf, Basic) {
-    EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-}
-
-TEST(Histogram, CountsFallIntoCorrectBins) {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(5.0);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(9), 1u);
-    EXPECT_EQ(h.count(5), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeClamps) {
-    Histogram h(0.0, 1.0, 4);
-    h.add(-100.0);
-    h.add(100.0);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(3), 1u);
-    EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(EmpiricalCdf, FractionAtMost) {
-    EmpiricalCdf cdf;
-    cdf.add_all({1.0, 2.0, 3.0, 4.0});
-    cdf.finalize();
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_most(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_most(2.0), 0.5);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_most(2.5), 0.5);
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_most(4.0), 1.0);
-}
-
-TEST(EmpiricalCdf, FractionAbove) {
-    EmpiricalCdf cdf;
-    cdf.add_all({1.0, 2.0, 3.0, 4.0});
-    cdf.finalize();
-    EXPECT_DOUBLE_EQ(cdf.fraction_above(2.0), 0.5);
-    EXPECT_DOUBLE_EQ(cdf.fraction_above(0.0), 1.0);
-}
-
-TEST(EmpiricalCdf, MinMaxQuantile) {
-    EmpiricalCdf cdf;
-    cdf.add_all({5.0, 1.0, 3.0});
-    cdf.finalize();
-    EXPECT_DOUBLE_EQ(cdf.min(), 1.0);
-    EXPECT_DOUBLE_EQ(cdf.max(), 5.0);
-    EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 3.0);
-}
-
-TEST(EmpiricalCdf, EmptyBehaviour) {
-    EmpiricalCdf cdf;
-    cdf.finalize();
-    EXPECT_TRUE(cdf.empty());
-    EXPECT_DOUBLE_EQ(cdf.fraction_at_most(1.0), 0.0);
 }
 
 }  // namespace
