@@ -252,6 +252,15 @@ int main(int argc, char** argv) {
     }
     report.kernels.push_back(bench_kernel("modelC-fault", *bench, *model_c,
                                           fault_c, mc, {1}, &phases));
+    {
+        // The same point with supply noise: modelC-fault draws none, so
+        // only this rung times model C's per-op noise draw.
+        OperatingPoint noisy_c = fault_c;
+        noisy_c.noise.sigma_mv = 10.0;
+        report.kernels.push_back(bench_kernel("modelC-sigma10", *bench,
+                                              *model_c, noisy_c, mc, {1},
+                                              &phases));
+    }
     report.kernels.push_back(bench_kernel("modelA-p1e-4", *bench, *model_a,
                                           fault_b, mc, {1}, &phases));
     {

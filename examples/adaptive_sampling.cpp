@@ -5,6 +5,7 @@
 //   $ ./examples/adaptive_sampling [--vdd 0.7] [--sigma 10]
 //                                  [--ci-target 0.08] [--threads 0]
 #include <iostream>
+#include <stdexcept>
 
 #include "sfi/sfi.hpp"
 
@@ -12,13 +13,21 @@ int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
 
+    // Flags first: a malformed or out-of-range value stops here, before
+    // anything is built or printed.
+    OperatingPoint base;
+    try {
+        base.vdd = cli.get_positive_double("vdd", 0.7);
+        base.noise.sigma_mv = cli.get_non_negative_double("sigma", 10.0);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
+
     CoreModelConfig config;
     config.cdf_cache_path = "sfi_cdf_cache.bin";
     CharacterizedCore core(config);
 
-    OperatingPoint base;
-    base.vdd = cli.get_double("vdd", 0.7);
-    base.noise.sigma_mv = cli.get_double("sigma", 10.0);
     const double fsta = core.sta_fmax_mhz(base.vdd);
     std::cout << "STA limit at " << fmt_fixed(base.vdd, 2)
               << " V: " << fmt_fixed(fsta, 1) << " MHz\n\n";

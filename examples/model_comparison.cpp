@@ -4,12 +4,24 @@
 // all-or-nothing threshold, and only the statistical model C resolves the
 // transition region.
 #include <iostream>
+#include <stdexcept>
 
 #include "sfi/sfi.hpp"
 
 int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
+
+    // Flags first: a malformed or out-of-range value stops here, before
+    // anything is built or printed.
+    OperatingPoint base;
+    base.vdd = 0.7;
+    try {
+        base.noise.sigma_mv = cli.get_non_negative_double("sigma", 10.0);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     CoreModelConfig config;
     config.cdf_cache_path = "sfi_cdf_cache.bin";
@@ -21,10 +33,6 @@ int main(int argc, char** argv) {
     McConfig mc;
     mc.trials = static_cast<std::size_t>(cli.get_uint("trials", 40));
     mc.threads = cli.get_threads();
-
-    OperatingPoint base;
-    base.vdd = 0.7;
-    base.noise.sigma_mv = cli.get_double("sigma", 10.0);
 
     std::cout << "median benchmark, Vdd = 0.7 V, sigma = "
               << fmt_fixed(base.noise.sigma_mv, 0)

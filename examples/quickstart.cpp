@@ -4,12 +4,26 @@
 //   $ ./examples/quickstart [--freq 760] [--vdd 0.7] [--sigma 10]
 //                           [--benchmark median] [--trials 50] [--threads 0]
 #include <iostream>
+#include <stdexcept>
 
 #include "sfi/sfi.hpp"
 
 int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
+
+    // 0. Read the operating point (frequency over-scaling + supply noise)
+    //    first: a malformed or out-of-range value stops here, before
+    //    anything is built or printed.
+    OperatingPoint point;
+    try {
+        point.freq_mhz = cli.get_positive_double("freq", 760.0);
+        point.vdd = cli.get_positive_double("vdd", 0.7);
+        point.noise.sigma_mv = cli.get_non_negative_double("sigma", 10.0);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     // 1. Build and characterize the core: gate-level ALU netlist, timing
     //    calibration to the paper's 28 nm operating point (707 MHz STA
@@ -31,13 +45,7 @@ int main(int argc, char** argv) {
     }
     auto model = core.make_model_c();
 
-    // 3. Choose an operating point (frequency over-scaling + supply noise).
-    OperatingPoint point;
-    point.freq_mhz = cli.get_double("freq", 760.0);
-    point.vdd = cli.get_double("vdd", 0.7);
-    point.noise.sigma_mv = cli.get_double("sigma", 10.0);
-
-    // 4. Monte-Carlo fault-injection campaign.
+    // 3. Monte-Carlo fault-injection campaign at that point.
     McConfig mc;
     mc.trials = static_cast<std::size_t>(cli.get_uint("trials", 50));
     // 0 = one worker per hardware thread; any value is bit-identical.

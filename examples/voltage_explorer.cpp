@@ -5,12 +5,25 @@
 //   $ ./examples/voltage_explorer --benchmark kmeans --sigma 10
 //         --max-error 5 --trials 60 [--threads 0]
 #include <iostream>
+#include <stdexcept>
 
 #include "sfi/sfi.hpp"
 
 int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
+
+    // Flags first: a malformed or out-of-range value stops here, before
+    // anything is built or printed.
+    double max_error = 0.0;
+    double sigma = 0.0;
+    try {
+        max_error = cli.get_non_negative_double("max-error", 5.0);
+        sigma = cli.get_non_negative_double("sigma", 10.0);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     CoreModelConfig config;
     config.cdf_cache_path = "sfi_cdf_cache.bin";
@@ -26,8 +39,6 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const double max_error = cli.get_double("max-error", 5.0);
-    const double sigma = cli.get_double("sigma", 10.0);
     const double v_nom = 0.7;
     const double f_nom = core.sta_fmax_mhz(v_nom);
 

@@ -62,6 +62,8 @@ def macro_lines(*lines):
 
 
 SAMPLING = "sfi_fi_test_sampling_batch"
+PRETEST = "sfi_fi_test_noise_pretest"
+RNG = "sfi_util_test_rng"
 ORACLE_C = "sfi_fi_test_model_c_oracle"
 MODES = "sfi_mc_test_sampling_modes"
 DIFFERENTIAL = "sfi_cpu_test_differential"
@@ -153,10 +155,57 @@ MUTANTS = [
     },
     {
         "name": "index-conversion-without-round-half-up",
-        "file": "src/fi/sampling_batch.cpp",
-        "edits": [("static_cast<std::int64_t>(t * scale + 0.5);",
-                   "static_cast<std::int64_t>(t * scale);")],
+        "file": "src/fi/sampling_batch.hpp",
+        "edits": [("t * static_cast<double>(entries - 1) + 0.5);",
+                   "t * static_cast<double>(entries - 1));")],
         "tests": [SAMPLING],
+    },
+    # --- Model C's on-demand draw: the polar half and the safe-row
+    # pretest (src/util/rng.hpp, src/fi/sampling_batch.cpp)
+    {
+        # polar_half ignores a pending spare and draws a fresh pair.
+        "name": "polar-half-draws-over-a-pending-spare",
+        "file": "src/util/rng.hpp",
+        "edits": [("""        if (have_spare_) {
+            have_spare_ = false;
+            return spare_;
+        }
+        double u, v, s;""", """        double u, v, s;""")],
+        "tests": [PRETEST, RNG, SAMPLING],
+    },
+    {
+        "name": "pretest-without-its-rounding-margin",
+        "file": "src/fi/sampling_batch.cpp",
+        "edits": [("-edge / sigma_mv * (1.0 - 0x1p-32)", "-edge / sigma_mv"),
+                  ("std::exp(-0.5 * a * a) * (1.0 + 0x1p-32)",
+                   "std::exp(-0.5 * a * a)")],
+        "tests": [PRETEST],
+    },
+    {
+        "name": "pretest-margin-sign-flipped",
+        "file": "src/fi/sampling_batch.cpp",
+        "edits": [("-edge / sigma_mv * (1.0 - 0x1p-32)",
+                   "-edge / sigma_mv * (1.0 + 0x1p-32)"),
+                  ("std::exp(-0.5 * a * a) * (1.0 + 0x1p-32)",
+                   "std::exp(-0.5 * a * a) * (1.0 - 0x1p-32)")],
+        "tests": [PRETEST],
+    },
+    {
+        # x >= 0 passes even where the first safe row starts above 0 mV.
+        "name": "pretest-sign-test-above-zero-edges",
+        "file": "src/fi/sampling_batch.cpp",
+        "edits": [("    sign_passes_ = edge <= 0.0;\n",
+                   "    sign_passes_ = true;\n")],
+        "tests": [PRETEST],
+    },
+    {
+        # Model C's pretest clears the class's last violating row too.
+        "name": "model-c-pretest-one-row-low",
+        "file": "src/fi/models.cpp",
+        "edits": [("SafeRowPretest(violating_rows, point_.noise.sigma_mv,",
+                   "SafeRowPretest(violating_rows - (violating_rows > 0), "
+                   "point_.noise.sigma_mv,")],
+        "tests": [ORACLE_C],
     },
     # --- Model B's decision table (src/fi/models.cpp)
     {
@@ -213,14 +262,14 @@ MUTANTS = [
         "tests": [MODELS],
     },
     {
-        # Model C's (and model B's) per-trial reseed keeps the previous
-        # trial's prefetched draws.
-        "name": "noise-stage-reseed-without-batch-restart",
+        # Model B+'s per-trial reseed keeps the previous trial's
+        # prefetched draws (model C draws on demand and has no batch).
+        "name": "model-b-reseed-without-batch-restart",
         "file": "src/fi/models.hpp",
         "edits": [("        FaultModel::reseed(seed);\n"
                    "        batch_.start_trial();\n",
                    "        FaultModel::reseed(seed);\n")],
-        "tests": [ORACLE_C, SAMPLING, MODES],
+        "tests": [SAMPLING, MODES],
     },
     {
         # B-q's count alias keeps the first noisy point's violation

@@ -106,23 +106,29 @@ void NoiseModulatedModel::operating_point_changed() {
     noise_window_table_ = point_.noise.sigma_mv > 0.0
                               ? build_noise_window_table(point_, *fit_)
                               : std::vector<double>{};
-    noise_clip_v_ = point_.noise.clip_sigmas * point_.noise.sigma_mv * 1e-3;
+    noise_clip_mv_ = point_.noise.clip_sigmas * point_.noise.sigma_mv;
+    noise_clip_v_ = noise_clip_mv_ * 1e-3;
     min_window_ps_ =
         noise_window_table_.empty()
             ? base_window_ps_
             : *std::min_element(noise_window_table_.begin(),
                                 noise_window_table_.end());
-    sampling_mode_changed();
 }
 
-void NoiseModulatedModel::sampling_mode_changed() {
-    // clip_mv / clip_v are spelled with the reference draw's own
-    // expressions (clamp in mV, clip level in volts) so the batch's
-    // conversion constants are bitwise the reference's.
-    batch_.configure(point_.noise.sigma_mv,
-                     point_.noise.clip_sigmas * point_.noise.sigma_mv,
-                     noise_clip_v_, noise_window_table_.size(),
-                     sampling_mode_, rng_);
+bool NoiseModulatedModel::refresh_row_masses() {
+    const std::size_t rows = sampling_mode_ == FaultSamplingMode::Quantized
+                                 ? noise_window_table_.size()
+                                 : 0;
+    if (rows == masses_rows_ && point_.noise.sigma_mv == masses_sigma_mv_ &&
+        noise_clip_mv_ == masses_clip_mv_)
+        return false;
+    masses_rows_ = rows;
+    masses_sigma_mv_ = point_.noise.sigma_mv;
+    masses_clip_mv_ = noise_clip_mv_;
+    row_masses_ = rows == 0 ? std::vector<double>{}
+                            : noise_index_masses(point_.noise.sigma_mv,
+                                                 noise_clip_mv_, rows);
+    return true;
 }
 
 double NoiseModulatedModel::first_fault_mhz(double window_ps) const {
@@ -194,16 +200,19 @@ void ModelB::operating_point_changed() {
     violation_count_.resize(noise_window_table_.size());
     for (std::size_t i = 0; i < noise_window_table_.size(); ++i)
         violation_count_[i] = leading_violations(noise_window_table_[i]);
+    sampling_mode_changed();
+}
+
+void ModelB::sampling_mode_changed() {
+    batch_.configure(point_.noise.sigma_mv, noise_clip_mv_, noise_clip_v_,
+                     noise_window_table_.size(), sampling_mode_, rng_);
     // B-q's sampler: the window index only ever feeds violation_count_,
     // so quantized mode aliases the pushforward of the index masses
     // through that table and samples the count directly — a <= 33-entry
-    // L1-resident table instead of a 1025-entry index alias. Built at
-    // every noisy point, whatever the mode, so a switch to quantized
-    // needs nothing more than the batch's own reconfiguration.
+    // L1-resident table instead of a 1025-entry index alias.
+    refresh_row_masses();
     count_alias_ = AliasTable{};
-    const std::vector<double> masses = noise_index_masses(
-        point_.noise.sigma_mv, point_.noise.clip_sigmas * point_.noise.sigma_mv,
-        noise_window_table_.size());
+    const std::vector<double>& masses = row_masses_;
     if (!masses.empty()) {
         std::vector<double> count_mass(order_.size() + 1, 0.0);
         for (std::size_t i = 0; i < masses.size(); ++i)
@@ -309,36 +318,52 @@ void ModelC::operating_point_changed() {
             ++view.ranks;
         view.memo_offset = memo_size;
         memo_size += violating_rows * view.ranks;
+        // Every row from violating_rows up is one where the class cannot
+        // violate.
+        if (!noise_window_table_.empty())
+            view.pretest =
+                SafeRowPretest(violating_rows, point_.noise.sigma_mv,
+                               noise_clip_mv_, noise_clip_v_, rows);
     }
     memo_ = CountMemo(memo_size);
+    sampling_mode_changed();
+}
+
+void ModelC::sampling_mode_changed() {
+    if (refresh_row_masses()) row_alias_ = build_alias_from_masses(row_masses_);
 }
 
 std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
+    // The class dispatch goes through the hoisted views
+    // (operating_point_changed), not the store's checked accessors.
+    const ClassView& view = class_view_[static_cast<std::size_t>(ev.cls)];
     // Step 1 (Fig. 3): derive the capture window at Vref from clock
     // frequency, supply voltage and this cycle's noise draw — a row of
-    // the noise-window table, taken from the prefetched index batch.
-    // Without noise the one row is the base window.
+    // the noise-window table. Without noise the one row is the base
+    // window.
     std::size_t row = 0;
     double window = base_window_ps_;
     const bool noisy = !noise_window_table_.empty();
     if (noisy) {
-        row = batch_.next_index(rng_);
+        if (sampling_mode_ == FaultSamplingMode::Quantized) {
+            row = row_alias_.sample(rng_);
+        } else {
+            // The reference draw on demand, as its polar half: the same
+            // uniforms, and the generator never runs ahead, so the
+            // Bernoulli uniforms below come where the reference walk
+            // takes them. Most ops are settled by the pretest, before the
+            // half's factor and row.
+            const Rng::PolarHalf half = rng_.polar_half();
+            if (view.pretest.passes(half)) return correct;
+            row = noise_row(half);
+        }
         window = noise_window_table_[row];
     }
     // Step 2+3: evaluate the instruction's endpoint CDFs at the scaled
-    // window and inject per-endpoint Bernoulli faults. The class dispatch
-    // goes through the hoisted views (operating_point_changed), not the
-    // store's checked accessors.
-    const ClassView& view = class_view_[static_cast<std::size_t>(ev.cls)];
+    // window and inject per-endpoint Bernoulli faults.
     if (!view.present)  // preserve the store's "class not characterized" throw
         (void)cdfs_->class_max_window_ps(ev.cls);
     if (view.max_window_ps <= window) return correct;
-    // The Bernoulli walk consumes uniforms from the same stream the noise
-    // draws come from. In exact batched mode, resync the batch so those
-    // uniforms appear exactly where the one-draw-per-op reference walk
-    // takes them (bit-identity); quantized mode has no such contract and
-    // simply continues from the current generator state.
-    if (noisy && batch_.exact()) batch_.resync(rng_);
     // p = count / samples is the very double violation_prob computes, so
     // every rng_.chance(p) below decides as it would without the memo.
     std::uint32_t* counts =

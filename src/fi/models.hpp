@@ -134,17 +134,16 @@ public:
 
     /// Reseeds the RNG stream (one distinct seed per Monte-Carlo trial).
     /// Virtual so decorating models (fi/mitigation.hpp) can reseed their
-    /// inner model in lock-step, and the noise-modulated models restart
-    /// their draw batch.
+    /// inner model in lock-step, and model B restarts its draw batch.
     virtual void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
     /// Selects how the noise-modulated models consume their per-op draws
     /// (fi/sampling_batch.hpp). Memoized like set_operating_point;
     /// Batched reproduces the one-draw-per-op reference walk
     /// (tests/testing/) bit for bit, Quantized is the fingerprinted "B-q"
-    /// variant. Virtual so decorators forward to their inner model. A
-    /// switch mid-trial gives back any prefetched draws first, so the Rng
-    /// then sits where the reference walk's would.
+    /// / "C-q" variant. Virtual so decorators forward to their inner
+    /// model. A switch mid-trial gives back any prefetched draws first, so
+    /// the Rng then sits where the reference walk's would.
     virtual void set_sampling_mode(FaultSamplingMode mode) {
         if (mode == sampling_mode_) return;
         sampling_mode_ = mode;
@@ -155,10 +154,11 @@ public:
     const FiStats& stats() const { return stats_; }
     void reset_stats() { stats_ = FiStats{}; }
 
-    /// The model's draw stream (testing aid). In Batched mode it runs
-    /// ahead of the reference walk's by the batch's unconsumed prefetch
-    /// until the next interleave or configuration change (a new point, or
-    /// a switch to Quantized) gives the lead back.
+    /// The model's draw stream (testing aid). Model B+ in Batched mode
+    /// runs it ahead of the reference walk's by the batch's unconsumed
+    /// prefetch until the next configuration change (a new point, or a
+    /// switch to Quantized) gives the lead back; model C draws on demand
+    /// and never runs ahead.
     const Rng& rng() const { return rng_; }
 
     /// Attaches a forensic probe (null detaches; null is the default and
@@ -251,9 +251,10 @@ private:
 /// §3.3 and Fig. 3): per operating point, the clock period, Vdd and each
 /// clipped supply-noise value become a capture window at Vref — one row
 /// of the noise-window table per quantized noise value, or the one
-/// no-noise window at sigma = 0 — and corrupt() takes each op's row from
-/// the prefetched index batch. The two models differ only in what they do
-/// with the window.
+/// no-noise window at sigma = 0. Each model takes its ops' rows its own
+/// way (fi/sampling_batch.hpp): B+ from a prefetched index batch, C one
+/// polar half at a time, B-q and C-q from alias tables over the rows'
+/// masses. The two models differ only in what they do with the window.
 class NoiseModulatedModel : public FaultModel {
 public:
     /// True iff the smallest reachable capture window undercuts the
@@ -261,20 +262,26 @@ public:
     /// windows corrupt() ever sees, so the test is exact for that window.
     bool can_inject() const final { return worst_window_ps_ > min_window_ps_; }
 
-    /// Per-trial reseed also restarts the draw batch (unconsumed prefetch
-    /// is dropped; the fresh stream starts at the new seed).
-    void reseed(std::uint64_t seed) final {
-        FaultModel::reseed(seed);
-        batch_.start_trial();
-    }
-
 protected:
     explicit NoiseModulatedModel(const VddDelayFit& fit) : fit_(&fit) {}
 
-    /// Derives the point's windows and reconfigures the batch; each model
-    /// runs it first, then derives its own per-window tables.
+    /// Derives the point's windows; each model runs it first, then
+    /// derives its own per-window tables and refreshes its sampler.
     void operating_point_changed() override;
-    void sampling_mode_changed() final;
+
+    /// Brings row_masses_ up to date for the current point and mode;
+    /// true when they changed.
+    bool refresh_row_masses();
+
+    /// The window-table row of the noise draw `half` stands for: the
+    /// value Rng::normal(0.0, sigma) returns for it, clamped and binned
+    /// like every draw (noisy points only).
+    std::size_t noise_row(const Rng::PolarHalf& half) const {
+        const double draw = 0.0 + point_.noise.sigma_mv *
+                                      (half.x * Rng::polar_factor(half.s));
+        return noise_draw_to_index(draw, noise_clip_mv_, noise_clip_v_,
+                                   noise_window_table_.size());
+    }
 
     /// Lowest frequency at which a capture window of `window_ps` (at Vref)
     /// is violated at the current point under the worst clipped negative
@@ -290,10 +297,23 @@ protected:
     double base_window_ps_ = 0.0;  // no-noise capture window @ Vref
     // Derived per point and hoisted out of the per-ALU-op corrupt() path:
     // the smallest capture window any noise draw can produce (the table
-    // minimum, or the no-noise window) and the clip level in volts.
+    // minimum, or the no-noise window) and the clip level in mV and in
+    // volts, spelled with the reference draw's own expressions so the
+    // conversion constants are bitwise the reference's.
     double min_window_ps_ = 0.0;
+    double noise_clip_mv_ = 0.0;
     double noise_clip_v_ = 0.0;
-    NoiseIndexBatch batch_;  // prefetched window-table indices
+    // The quantized samplers' input: the masses of the window rows when
+    // the model samples quantized at a noisy point, else empty. They
+    // depend only on sigma, the clip and the row count, so a frequency
+    // or voltage sweep computes them once (refresh_row_masses).
+    std::vector<double> row_masses_;
+
+private:
+    // What row_masses_ was computed for (0 rows: nothing).
+    std::size_t masses_rows_ = 0;
+    double masses_sigma_mv_ = 0.0;
+    double masses_clip_mv_ = 0.0;
 };
 
 /// Models B and B+: per-endpoint worst-case STA delays; injection is
@@ -317,9 +337,18 @@ public:
         return first_fault_mhz(worst_window_ps_);
     }
 
+    /// Per-trial reseed also restarts the draw batch (unconsumed prefetch
+    /// is dropped; the fresh stream starts at the new seed).
+    void reseed(std::uint64_t seed) override {
+        FaultModel::reseed(seed);
+        batch_.start_trial();
+    }
+
 protected:
     std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
     void operating_point_changed() override;
+    /// Reconfigures the batch and rebuilds the B-q count alias.
+    void sampling_mode_changed() override;
 
 private:
     std::uint32_t apply_leading_faults(std::size_t count, std::uint32_t correct,
@@ -336,10 +365,11 @@ private:
     std::vector<std::uint8_t> violation_count_;
     std::uint8_t base_violation_count_ = 0;  // no-noise-table counterpart
     std::vector<std::uint32_t> cum_mask_;
+    NoiseIndexBatch batch_;  // B+'s prefetched window-table indices
     // B-q's sampler: alias over the violation-count distribution (the
     // index masses pushed through violation_count_), sampled directly per
     // op in quantized mode — the index itself carries no other
-    // information in model B.
+    // information in model B. Empty unless quantized at a noisy point.
     AliasTable count_alias_;
 };
 
@@ -373,6 +403,8 @@ public:
 protected:
     std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
     void operating_point_changed() override;
+    /// Refreshes the C-q row alias (when the rows' masses changed).
+    void sampling_mode_changed() override;
 
 private:
     std::shared_ptr<const TimingErrorCdfs> cdfs_;
@@ -380,7 +412,9 @@ private:
     // Per-class CDF-store lookups hoisted out of corrupt(): the store is
     // immutable for the model's lifetime, so the per-op walk reads plain
     // arrays instead of throw-guarded store calls. The ranks/memo_offset
-    // pair locates the class's block of the count memo below.
+    // pair locates the class's block of the count memo below; the
+    // pretest passes only draws that land on a row where the class
+    // cannot violate (every draw, when it violates at no row).
     struct ClassView {
         bool present = false;
         double max_window_ps = 0.0;
@@ -388,8 +422,12 @@ private:
         const double* endpoint_max_window_ps = nullptr;  // by endpoint
         std::size_t ranks = 0;        // leading order entries that can violate
         std::size_t memo_offset = 0;  // memo index of (row 0, rank 0)
+        SafeRowPretest pretest;       // for Batched draws at sigma > 0
     };
     std::array<ClassView, kExClassCount> class_view_{};
+    // C-q's sampler: alias over the window rows' masses. Empty unless
+    // quantized at a noisy point.
+    AliasTable row_alias_;
     // The violation-count memo: p(class, endpoint, window) takes only as
     // many values as the point has window rows (the no-noise window, or
     // the noise-window table), so corrupt() keys the store's exact

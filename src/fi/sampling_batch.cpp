@@ -1,7 +1,9 @@
 #include "fi/sampling_batch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 namespace sfi {
 
@@ -15,29 +17,70 @@ std::optional<FaultSamplingMode> parse_fault_sampling_mode(
 void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
                             std::size_t n, double clip_mv, double clip_v,
                             std::size_t entries) {
-    // Elementwise this must stay the exact IEEE operation sequence of the
-    // reference draw + noise_table_index (tests/testing/reference_noise.hpp):
-    // clamp in mV, scale to volts, affine map to [0, 1], round half up by
-    // +0.5 and truncate.
-    if (clip_v <= 0.0) {
-        // The reference's degenerate case: no clip span, every draw maps
-        // to the middle entry.
-        const auto mid = static_cast<std::uint32_t>(entries / 2);
-        for (std::size_t i = 0; i < n; ++i) indices[i] = mid;
+    for (std::size_t i = 0; i < n; ++i)
+        indices[i] = noise_draw_to_index(draws[i], clip_mv, clip_v, entries);
+}
+
+namespace {
+
+// Doubles in increasing order as unsigned keys (-0.0 just below +0.0),
+// so a bisection over keys walks every double between two bounds.
+std::uint64_t double_key(double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+double key_double(std::uint64_t key) {
+    return std::bit_cast<double>((key >> 63) != 0
+                                     ? key & ~(std::uint64_t{1} << 63)
+                                     : ~key);
+}
+
+}  // namespace
+
+SafeRowPretest::SafeRowPretest(std::size_t first_safe_row, double sigma_mv,
+                               double clip_mv, double clip_v,
+                               std::size_t entries) {
+    if (!(sigma_mv > 0.0)) return;  // both tests below need sigma > 0
+    const auto safe = [&](double draw) {
+        return noise_draw_to_index(draw, clip_mv, clip_v, entries) >=
+               first_safe_row;
+    };
+    constexpr double kMax = std::numeric_limits<double>::max();
+    if (safe(-kMax)) {  // every row is safe, and every s > 0
+        s_limit_ = 0.0;
+        sign_passes_ = true;
         return;
     }
-    const double scale = static_cast<double>(entries - 1);
-    const double inv_span = 2.0 * clip_v;
-    const auto max_index = static_cast<std::int64_t>(entries - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double clamped =
-            std::min(std::max(draws[i], -clip_mv), clip_mv);
-        const double noise_v = clamped * 1e-3;
-        const double t = (noise_v + clip_v) / inv_span;
-        auto idx = static_cast<std::int64_t>(t * scale + 0.5);
-        idx = std::min(std::max(idx, std::int64_t{0}), max_index);
-        indices[i] = static_cast<std::uint32_t>(idx);
+    if (!safe(kMax)) return;  // no row is safe
+    // The index never decreases as the draw grows, so the safe draws are
+    // the doubles from one edge up: bisect for the smallest.
+    std::uint64_t unsafe_key = double_key(-kMax);
+    std::uint64_t safe_key = double_key(kMax);
+    while (safe_key - unsafe_key > 1) {
+        const std::uint64_t mid = unsafe_key + (safe_key - unsafe_key) / 2;
+        (safe(key_double(mid)) ? safe_key : unsafe_key) = mid;
     }
+    const double edge = key_double(safe_key);
+    sign_passes_ = edge <= 0.0;
+    if (edge >= 0.0) return;
+    // The magnitude test, rounded toward computing the row. Write
+    // e = 2^-53. The draw the model computes is d = fl(sigma * fl(x * f))
+    // with f = fl(sqrt(fl(-2 fl(ln s) / s))) (the 0.0 + is exact), and
+    // s = fl(fl(u^2) + fl(v^2)) >= (1 - e)^2 x^2. Allowing ln 4 ulps of
+    // error, every rounding together leaves |d| < sigma sqrt(-2 ln s)
+    // (1 + 10 e) < sigma sqrt(-2 ln s) (1 + 2^-48). So d > edge whenever
+    // s > L = exp(-a_max^2 / 2), a_max = -edge / (sigma (1 + 2^-48)).
+    //  * a below rounds -edge / sigma and shrinks it by 2^-32: a < a_max
+    //    despite its two roundings, so g = exp(-a^2 / 2) > L. Capping a
+    //    at 30 only shrinks it further and keeps g a normal double.
+    //  * exp's argument (at most 450 in size) is off by at most 450 e
+    //    and exp itself by at most one ulp, so fl(exp(-0.5 a a)) >=
+    //    g (1 - 454 e); the factor 1 + 2^-32 (rounded) lifts s_limit
+    //    above g.
+    // Hence s >= s_limit > g > L, |d| < -edge and the row is safe.
+    const double a = std::min(-edge / sigma_mv * (1.0 - 0x1p-32), 30.0);
+    s_limit_ = std::exp(-0.5 * a * a) * (1.0 + 0x1p-32);
 }
 
 std::vector<double> noise_index_masses(double sigma_mv, double clip_mv,
@@ -135,11 +178,6 @@ void NoiseIndexBatch::configure(double sigma_mv, double clip_mv,
     pos_ = 0;
     size_ = 0;
     next_fill_ = kMinFill;
-    alias_ = AliasTable{};
-    if (mode_ == FaultSamplingMode::Quantized && entries_ >= 2 &&
-        sigma_mv_ > 0.0) {
-        alias_ = build_noise_index_alias(sigma_mv_, clip_mv_, entries_);
-    }
 }
 
 void NoiseIndexBatch::start_trial() {

@@ -97,6 +97,16 @@ double Cli::get_positive_double(const std::string& name, double def) const {
     return value;
 }
 
+double Cli::get_non_negative_double(const std::string& name,
+                                   double def) const {
+    const double value = get_double(name, def);
+    if (value < 0.0)
+        throw std::invalid_argument("--" + name + " must be a finite "
+                                    "number >= 0 (got \"" +
+                                    get(name, "") + "\")");
+    return value;
+}
+
 std::size_t Cli::get_threads(std::size_t def) const {
     return static_cast<std::size_t>(get_uint("threads", def));
 }

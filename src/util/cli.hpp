@@ -43,6 +43,10 @@ public:
     /// or spin the adaptive stopping rule forever.
     double get_positive_double(const std::string& name, double def) const;
 
+    /// Finite numbers >= 0 (--sigma, --max-error): a negative noise level
+    /// or error budget would silently run some other experiment.
+    double get_non_negative_double(const std::string& name, double def) const;
+
     /// The shared `--threads` parser for McConfig::threads: a non-negative
     /// worker count, where 0 means one worker per hardware thread. Parsed
     /// like get_uint — a negative or malformed value throws

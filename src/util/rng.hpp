@@ -27,7 +27,7 @@ public:
         // Discard any cached normal spare: a reseeded generator must be
         // bit-identical to a freshly constructed one.
         have_spare_ = false;
-        spare_ = 0.0;
+        spare_ = {};
         std::uint64_t x = seed;
         for (auto& word : state_) {
             // splitmix64 step
@@ -40,14 +40,14 @@ public:
     }
 
     /// Equal iff both generators produce identical streams from here on:
-    /// same state words and the same pending normal spare. A consumed
-    /// spare's stale value is not state (normal() and normal_fill leave
-    /// different stale values behind for the same stream).
+    /// same state words and the same pending normal spare, held as its
+    /// polar half (x, s). A consumed spare's stale value is not state.
     bool operator==(const Rng& other) const {
         for (std::size_t i = 0; i < 4; ++i)
             if (state_[i] != other.state_[i]) return false;
         return have_spare_ == other.have_spare_ &&
-               (!have_spare_ || spare_ == other.spare_);
+               (!have_spare_ || (spare_.x == other.spare_.x &&
+                                 spare_.s == other.spare_.s));
     }
 
     static constexpr result_type min() { return 0; }
@@ -98,8 +98,23 @@ public:
         return static_cast<std::uint64_t>(m >> 64);
     }
 
-    /// Standard normal variate (Marsaglia polar method).
-    double normal() {
+    /// One half of a Marsaglia polar pair (u, v) with s = u^2 + v^2 in
+    /// (0, 1): the normal it stands for is x * polar_factor(s), where x
+    /// is u or v. Since x^2 <= s, that normal's magnitude is at most
+    /// sqrt(-2 ln s), which lets a caller that only needs to know where
+    /// the normal falls decide from (x, s) alone (fi/sampling_batch.hpp,
+    /// SafeRowPretest).
+    struct PolarHalf {
+        double x = 0.0;
+        double s = 0.0;
+    };
+
+    /// The next normal as its polar half, without the factor: the pending
+    /// spare if there is one, else u of a fresh pair, whose (v, s) becomes
+    /// the spare. The one acceptance loop of the polar method; normal()
+    /// and normal_fill() are built on it, so every way of drawing a normal
+    /// consumes the same uniforms and leaves the same spare.
+    PolarHalf polar_half() {
         if (have_spare_) {
             have_spare_ = false;
             return spare_;
@@ -110,10 +125,22 @@ public:
             v = uniform(-1.0, 1.0);
             s = u * u + v * v;
         } while (s >= 1.0 || s == 0.0);
-        const double factor = std::sqrt(-2.0 * std::log(s) / s);
-        spare_ = v * factor;
+        spare_ = {v, s};
         have_spare_ = true;
-        return u * factor;
+        return {u, s};
+    }
+
+    /// sqrt(-2 ln s / s): the polar method's scale, shared by both halves
+    /// of a pair. The one place this expression is written, so a normal is
+    /// the same double however it was drawn.
+    static double polar_factor(double s) {
+        return std::sqrt(-2.0 * std::log(s) / s);
+    }
+
+    /// Standard normal variate (Marsaglia polar method).
+    double normal() {
+        const PolarHalf half = polar_half();
+        return half.x * polar_factor(half.s);
     }
 
     /// Normal variate with the given mean and standard deviation.
@@ -121,36 +148,26 @@ public:
 
     /// Fills out[0..n) with exactly the values n successive calls of
     /// normal(mean, stddev) would have produced, leaving the generator
-    /// (state words AND the polar spare cache) in the identical end state.
+    /// (state words AND the polar spare) in the identical end state.
     /// This prefix property is what lets the batched fault-sampling path
     /// (src/fi/sampling_batch.hpp) prefetch a whole block of draws and
-    /// stay bit-identical to the per-op scalar path: the first m <= n
+    /// stay bit-identical to the per-op reference draw: the first m <= n
     /// entries of a fill equal the first m sequential draws, and unused
     /// entries are simply never consumed (every Monte-Carlo trial reseeds,
-    /// so discarded draws cannot leak into another trial). The batched
-    /// form exists because the loop below keeps the polar rejection state
-    /// in registers across draws, which measures ~1.5x faster per draw
-    /// than repeated normal() calls.
+    /// so discarded draws cannot leak into another trial). Unlike n
+    /// normal() calls it takes a fresh pair's second half at once, with
+    /// the factor already computed for the first.
     void normal_fill(double mean, double stddev, double* out, std::size_t n) {
         std::size_t i = 0;
-        if (i < n && have_spare_) {
-            have_spare_ = false;
-            out[i++] = mean + stddev * spare_;
-        }
         while (i < n) {
-            double u, v, s;
-            do {
-                u = uniform(-1.0, 1.0);
-                v = uniform(-1.0, 1.0);
-                s = u * u + v * v;
-            } while (s >= 1.0 || s == 0.0);
-            const double factor = std::sqrt(-2.0 * std::log(s) / s);
-            out[i++] = mean + stddev * (u * factor);
-            if (i < n) {
-                out[i++] = mean + stddev * (v * factor);
-            } else {
-                spare_ = v * factor;
-                have_spare_ = true;
+            const PolarHalf half = polar_half();
+            const double factor = polar_factor(half.s);
+            out[i++] = mean + stddev * (half.x * factor);
+            // A fresh pair left its second half as the spare, with the
+            // same s: use it here unless the fill is complete.
+            if (i < n && have_spare_) {
+                have_spare_ = false;
+                out[i++] = mean + stddev * (spare_.x * factor);
             }
         }
     }
@@ -177,7 +194,7 @@ private:
 
     std::uint64_t state_[4]{};
     bool have_spare_ = false;
-    double spare_ = 0.0;
+    PolarHalf spare_;
 };
 
 }  // namespace sfi

@@ -177,5 +177,19 @@ TEST(Cli, GetPositiveDoubleRejectsNonFiniteAndNonPositive) {
     }
 }
 
+TEST(Cli, GetNonNegativeDoubleAcceptsZeroAndRejectsNegatives) {
+    const Cli cli = make({"prog", "--sigma", "0", "--max-error=2.5"});
+    EXPECT_EQ(cli.get_non_negative_double("sigma", 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(cli.get_non_negative_double("max-error", 5.0), 2.5);
+    EXPECT_DOUBLE_EQ(cli.get_non_negative_double("absent", 10.0), 10.0);
+    for (const char* bad : {"-5", "-1e-300", "nan", "inf", "bogus", ""}) {
+        const std::string arg = std::string("--sigma=") + bad;
+        const Cli bad_cli = make({"prog", arg.c_str()});
+        EXPECT_THROW(bad_cli.get_non_negative_double("sigma", 10.0),
+                     std::invalid_argument)
+            << "accepted --sigma=" << bad;
+    }
+}
+
 }  // namespace
 }  // namespace sfi
