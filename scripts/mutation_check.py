@@ -86,6 +86,7 @@ MODELS = "sfi_fi_test_models"
 CAMPAIGN_CONTRACT = "sfi_campaign_contract"
 SAMPLING_EQUIVALENCE = "sfi_campaign_sampling_equivalence"
 SAMPLING_SPEEDUP = "sfi_campaign_sampling_speedup"
+REGISTRY = "sfi_campaign_test_core_registry"
 
 MUTANTS = [
     # --- The DTA kernel's pop order and its chunks (src/timing/). These
@@ -128,12 +129,6 @@ MUTANTS = [
         "file": "src/fi/sampling_batch.cpp",
         "edits": [("    if (pos_ == size_) return;\n", "")],
         "tests": [SAMPLING, ORACLE_C],
-    },
-    {
-        "name": "resync-restarts-at-kMinFill",
-        "file": "src/fi/sampling_batch.cpp",
-        "edits": [("    next_fill_ = 1;\n", "    next_fill_ = kMinFill;\n")],
-        "tests": [SAMPLING],
     },
     {
         "name": "configure-without-resync",
@@ -585,6 +580,30 @@ MUTANTS = [
                    "std::from_chars(\n"
                    "                cell.data() + (cell[0] == '-'), end, value);")],
         "tests": [FORENSICS],
+    },
+    # --- The process's core registry (src/campaign/runner.cpp). Cores
+    # and conditioned stores keep their bytes; only how often they are
+    # built, and which one a runner gets, can change.
+    {
+        "name": "core-registry-keyed-by-dta-cycles",
+        "file": "src/campaign/runner.cpp",
+        "edits": [("core_registry().get(core_config_fingerprint(config),",
+                   "core_registry().get(config.dta.cycles,")],
+        "tests": [REGISTRY],
+    },
+    {
+        "name": "every-conditioned-store-served-from-the-core",
+        "file": "src/campaign/runner.cpp",
+        "edits": [("if (bits == panel_core.config().dta.operand_bits)",
+                   "if (true)")],
+        "tests": [REGISTRY, SAMPLING_EQUIVALENCE, TRACE_CONTRACT],
+    },
+    {
+        "name": "conditioned-store-is-the-whole-core-store",
+        "file": "src/campaign/runner.cpp",
+        "edits": [("panel_core.cdfs()->single_class(cls));",
+                   "*panel_core.cdfs());")],
+        "tests": [REGISTRY],
     },
     # --- What the drivers contract's mitigation leg reads beyond its three
     # pinned CSVs: the per-panel sweeps warm vs. cold, and sfi_trace's

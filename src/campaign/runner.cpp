@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "isa/isa.hpp"
 #include "mc/report.hpp"
@@ -80,6 +84,67 @@ std::vector<double> resolve(const GridSpec& grid, const CharacterizedCore& core,
         }
     }
     throw std::logic_error("GridSpec: unknown grid kind");
+}
+
+/// Throws, naming the panel and the field, unless `value` is finite and
+/// positive (a frequency or a Vdd) or, with `zero_ok`, finite and
+/// non-negative (a sigma). The models read a sigma <= 0 as no noise and
+/// a frequency <= 0 as a non-positive clock period, so such a point
+/// would run another experiment than its key and CSV row name.
+void check_value(const PanelSpec& panel, const char* field, double value,
+                 bool zero_ok = false) {
+    if (std::isfinite(value) && (value > 0.0 || (zero_ok && value == 0.0)))
+        return;
+    throw std::invalid_argument("PanelSpec '" + panel.name + "': " + field +
+                                " must be finite and " +
+                                (zero_ok ? "non-negative" : "positive") +
+                                ", not " + format_double(value));
+}
+
+/// One value per key, built on the first request and kept until the
+/// process exits; every CampaignRunner of the process shares it. The map
+/// mutex guards only the lookup: each slot's own mutex makes concurrent
+/// requests for one key wait for a single build, while other keys build
+/// beside it. A build that throws leaves its slot empty for the next
+/// request.
+template <typename Key, typename T>
+class Registry {
+public:
+    template <typename Build>
+    std::shared_ptr<const T> get(const Key& key, const Build& build) {
+        Slot* slot = nullptr;
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            slot = &slots_[key];
+        }
+        const std::lock_guard<std::mutex> lock(slot->mutex);
+        if (!slot->value) slot->value = build();
+        return slot->value;
+    }
+
+private:
+    struct Slot {
+        std::mutex mutex;
+        std::shared_ptr<const T> value;
+    };
+    std::mutex mutex_;
+    std::map<Key, Slot> slots_;  // nodes never move: slot pointers stay valid
+};
+
+/// The process's characterized cores, by core_config_fingerprint.
+Registry<std::uint64_t, CharacterizedCore>& core_registry() {
+    static Registry<std::uint64_t, CharacterizedCore> registry;
+    return registry;
+}
+
+/// The process's operand-conditioned stores, by (core fingerprint,
+/// class, operand bits).
+Registry<std::tuple<std::uint64_t, ExClass, unsigned>, TimingErrorCdfs>&
+store_registry() {
+    static Registry<std::tuple<std::uint64_t, ExClass, unsigned>,
+                    TimingErrorCdfs>
+        registry;
+    return registry;
 }
 
 /// Console report of one completed Monte-Carlo panel (RunOptions::console).
@@ -168,14 +233,6 @@ const PanelResult& CampaignResult::panel(const std::string& name) const {
     throw std::out_of_range("CampaignResult: no panel named " + name);
 }
 
-bool CampaignRunner::ConditionedStoreKey::operator<(
-    const ConditionedStoreKey& other) const {
-    if (core_fingerprint != other.core_fingerprint)
-        return core_fingerprint < other.core_fingerprint;
-    if (cls != other.cls) return cls < other.cls;
-    return operand_bits < other.operand_bits;
-}
-
 CampaignRunner::CampaignRunner(CampaignSpec spec, RunOptions options)
     : spec_(std::move(spec)),
       options_(std::move(options)),
@@ -191,31 +248,48 @@ const CharacterizedCore& CampaignRunner::core_for(const PanelSpec& panel) {
 
 const CharacterizedCore& CampaignRunner::core_of(
     const CoreModelConfig& config) {
-    const std::uint64_t fp = core_config_fingerprint(config);
-    auto it = cores_.find(fp);
-    if (it == cores_.end())
-        it = cores_
-                 .emplace(fp, std::make_unique<CharacterizedCore>(
-                                  config, options_.ledger, options_.threads))
-                 .first;
-    return *it->second;
+    return *core_registry().get(core_config_fingerprint(config), [&] {
+        return std::make_shared<const CharacterizedCore>(
+            config, options_.ledger, options_.threads);
+    });
 }
 
 CampaignRunner::ResolvedPanel CampaignRunner::resolve_panel(
     const PanelSpec& panel) {
     const CharacterizedCore& panel_core = core_for(panel);
-    ResolvedPanel resolved{panel.base, {}};
+    // Vdd and sigma first: the base frequency and every symbolic grid
+    // are resolved against them.
+    check_value(panel, "base Vdd [V]", panel.base.vdd);
+    check_value(panel, "base sigma [mV]", panel.base.noise.sigma_mv,
+                /*zero_ok=*/true);
+    ResolvedPanel resolved;
+    resolved.base = panel.base;
     if (panel.base_freq_sta_factor)
         resolved.base.freq_mhz = *panel.base_freq_sta_factor *
                                  panel_core.sta_fmax_mhz(resolved.base.vdd);
-    // PoFF-search panels pick their own probe frequencies; the (ignored)
-    // grid is not resolved, so e.g. a leftover FirstFaultWindow grid on a
-    // model-C panel cannot make the search throw.
-    if (!panel.poff)
-        resolved.axis_values =
-            resolve(panel.grid, panel_core, resolved.base.vdd, [&] {
-                return first_fault_mhz(panel_core, panel.model, resolved.base);
-            });
+    check_value(panel, "base frequency [MHz]", resolved.base.freq_mhz);
+    // PoFF-search panels pick their own probe frequencies inside their
+    // bracket; the (ignored) grid is not resolved, so e.g. a leftover
+    // FirstFaultWindow grid on a model-C panel cannot make the search
+    // throw.
+    if (panel.poff) {
+        const double fsta = panel_core.sta_fmax_mhz(resolved.base.vdd);
+        resolved.poff_lo_mhz = panel.poff->lo_factor * fsta;
+        resolved.poff_hi_mhz = panel.poff->hi_factor * fsta;
+        check_value(panel, "PoFF bracket low edge [MHz]", resolved.poff_lo_mhz);
+        check_value(panel, "PoFF bracket high edge [MHz]",
+                    resolved.poff_hi_mhz);
+        return resolved;
+    }
+    resolved.axis_values =
+        resolve(panel.grid, panel_core, resolved.base.vdd, [&] {
+            return first_fault_mhz(panel_core, panel.model, resolved.base);
+        });
+    for (const double value : resolved.axis_values)
+        check_value(panel,
+                    panel.axis == Axis::Frequency ? "grid frequency [MHz]"
+                                                  : "grid Vdd [V]",
+                    value);
     return resolved;
 }
 
@@ -224,27 +298,31 @@ std::vector<double> CampaignRunner::resolve_grid(const PanelSpec& panel) {
 }
 
 std::shared_ptr<const TimingErrorCdfs> CampaignRunner::conditioned_store(
-    const PanelSpec& panel, const CharacterizedCore& panel_core) {
-    const ConditionedStoreKey key{panel_core.fingerprint(), panel.kernel.cls,
-                                  *panel.dta_operand_bits};
-    auto it = conditioned_.find(key);
-    if (it != conditioned_.end()) return it->second;
-
-    // Operand-profile-conditioned characterization of just this class
-    // (Fig. 4): re-run DTA with the panel's operand width.
-    DtaConfig dta = panel_core.config().dta;
-    dta.operand_bits = *panel.dta_operand_bits;
-    DtaResult result;
-    result.setup_ps = panel_core.timing().setup_ps();
-    result.cycles = dta.cycles;
-    result.classes = {run_dta_class(panel_core.alu(), panel_core.timing(),
-                                    panel.kernel.cls, dta, options_.ledger,
-                                    options_.threads)};
-    result.worst_arrival_ps = result.classes[0].max_arrival_ps;
-    auto store =
-        std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(result));
-    conditioned_.emplace(key, store);
-    return store;
+    const PanelSpec& panel) {
+    const CharacterizedCore& panel_core = core_for(panel);
+    const ExClass cls = panel.kernel.cls;
+    const unsigned bits = panel.dta_operand_bits.value();
+    return store_registry().get({panel_core.fingerprint(), cls, bits}, [&] {
+        // At the core's own operand width the conditioned DTA would be
+        // the very run_dta_class call the core made for `cls`, and
+        // from_dta reads only a class's arrivals, the setup and the cycle
+        // count: the core's store restricted to `cls` is that store.
+        if (bits == panel_core.config().dta.operand_bits)
+            return std::make_shared<const TimingErrorCdfs>(
+                panel_core.cdfs()->single_class(cls));
+        // Operand-profile-conditioned characterization of just this class
+        // (Fig. 4): re-run DTA with the panel's operand width.
+        DtaConfig dta = panel_core.config().dta;
+        dta.operand_bits = bits;
+        DtaResult result;
+        result.setup_ps = panel_core.timing().setup_ps();
+        result.cycles = dta.cycles;
+        result.classes = {run_dta_class(panel_core.alu(), panel_core.timing(),
+                                        cls, dta, options_.ledger,
+                                        options_.threads)};
+        return std::make_shared<const TimingErrorCdfs>(
+            TimingErrorCdfs::from_dta(result));
+    });
 }
 
 std::unique_ptr<FaultModel> CampaignRunner::make_model(
@@ -259,9 +337,8 @@ std::unique_ptr<FaultModel> CampaignRunner::make_model(
             break;
         case ModelSpec::Kind::C:
             if (panel.dta_operand_bits)
-                model = std::make_unique<ModelC>(
-                    conditioned_store(panel, panel_core),
-                    panel_core.lib().fit());
+                model = std::make_unique<ModelC>(conditioned_store(panel),
+                                                 panel_core.lib().fit());
             else
                 model = panel_core.make_model_c();
             break;
@@ -316,7 +393,8 @@ PointSummary CampaignRunner::compute_op_stream_point(
     return summarize_trials(point, outcomes);
 }
 
-PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
+PanelResult CampaignRunner::run_panel(const PanelSpec& panel,
+                                      const ResolvedPanel& resolved) {
     PanelResult result;
     result.name = panel.name;
     result.axis = panel.axis;
@@ -343,8 +421,6 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
 
     const CharacterizedCore& panel_core = core_for(panel);
     const std::uint64_t core_fp = panel_core.fingerprint();
-
-    const ResolvedPanel resolved = resolve_panel(panel);
     const OperatingPoint& base = resolved.base;
     const std::vector<double>& axis_values = resolved.axis_values;
 
@@ -477,9 +553,8 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
 
     if (panel.poff) {
         sampling::PoffSearchConfig search;
-        const double fsta = panel_core.sta_fmax_mhz(base.vdd);
-        search.lo_mhz = panel.poff->lo_factor * fsta;
-        search.hi_mhz = panel.poff->hi_factor * fsta;
+        search.lo_mhz = resolved.poff_lo_mhz;
+        search.hi_mhz = resolved.poff_hi_mhz;
         search.tol_mhz = panel.poff->tol_mhz;
         search.max_expand = panel.poff->max_expand;
         search.cancelled = options_.cancelled;
@@ -741,6 +816,13 @@ CampaignResult CampaignRunner::run() {
                                                           spec_.cdf_panels.size())},
                     {"trials", static_cast<std::uint64_t>(spec_.trials)},
                     {"seed", spec_.seed}});
+    // Every panel is resolved and checked before the first point is
+    // looked up: an impossible operating point fails the whole campaign
+    // up front, not after the panels before it ran.
+    std::vector<ResolvedPanel> resolved;
+    resolved.reserve(spec_.panels.size());
+    for (const PanelSpec& panel : spec_.panels)
+        resolved.push_back(resolve_panel(panel));
     // Always constructed while running: wall-mode ledgers want the ETA
     // estimates even when stderr is not a TTY (console == nullptr then).
     progress_ = std::make_unique<obs::ProgressReporter>(
@@ -755,12 +837,12 @@ CampaignResult CampaignRunner::run() {
                          ? nullptr
                          : std::make_unique<ForensicSink>();
 
-    for (const PanelSpec& panel : spec_.panels) {
+    for (std::size_t i = 0; i < spec_.panels.size(); ++i) {
         if (options_.cancelled && options_.cancelled()) {
             result.completed = false;
             break;
         }
-        PanelResult panel_result = run_panel(panel);
+        PanelResult panel_result = run_panel(spec_.panels[i], resolved[i]);
         result.store_hits += panel_result.store_hits;
         result.store_misses += panel_result.store_misses;
         result.trials_spent += panel_result.trials_spent;

@@ -1,7 +1,13 @@
-// Executes a CampaignSpec: builds (and caches) the characterized cores,
-// resolves the symbolic grids, schedules every panel's points through
-// the Monte-Carlo engine, and emits the unified artifacts (per-panel CSV
-// plus a campaign manifest JSON).
+// Executes a CampaignSpec: takes its characterized cores from the
+// process's core registry, resolves the symbolic grids, schedules every
+// panel's points through the Monte-Carlo engine, and emits the unified
+// artifacts (per-panel CSV plus a campaign manifest JSON).
+//
+// The registry builds each distinct core (by core_config_fingerprint)
+// and each operand-conditioned CDF store once per process, on the first
+// request of any runner, and keeps it until the process exits: the
+// campaigns of one sfi_campaign run share their cores without being
+// handed anything.
 //
 // Scheduling layers point-level dispatch over the existing trial-level
 // pool: points run serially in spec order — preserving progress output
@@ -28,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -53,8 +58,9 @@ struct RunOptions {
     std::string csv_dir;
     /// Worker threads (McConfig::threads semantics: 0 = one per hardware
     /// thread, 1 = serial; bit-identical at any value): the MC trials of
-    /// each point, and the DTA chunks of every core this runner
-    /// characterizes and of fig4's operand-conditioned stores.
+    /// each point, and the DTA chunks of every core and fig4
+    /// operand-conditioned store this runner is the first in the process
+    /// to request.
     std::size_t threads = 1;
     /// Console report; null = quiet. Each completed panel prints its
     /// title and table: frequency panels add the PoFF line, voltage
@@ -72,7 +78,10 @@ struct RunOptions {
     /// the campaign/panel/point narrative, probe verdicts and stopping
     /// classifications in both trace modes, and store traffic, batch
     /// spans, worker lanes and progress estimates in wall mode only —
-    /// see obs/ledger.hpp for the determinism contract.
+    /// see obs/ledger.hpp for the determinism contract. A core's
+    /// characterization spans and a conditioned store's "dta_class" span
+    /// land on the ledger of the runner that built them, once per
+    /// process.
     obs::Ledger* ledger = nullptr;
     /// External metrics registry to accumulate into (sfi_perf threads the
     /// perf-report registry through here); null = the runner uses an
@@ -161,16 +170,33 @@ public:
 
     const CampaignSpec& spec() const { return spec_; }
 
-    /// The campaign-level core (spec.core), built on first use.
+    /// The campaign-level core (spec.core), built on the process's first
+    /// request for its fingerprint. The reference stays valid until the
+    /// process exits, past this runner's lifetime.
     const CharacterizedCore& core();
-    /// The effective core of one panel (its override, or spec.core).
+    /// The effective core of one panel (its override, or spec.core); the
+    /// same registry entry, so it too outlives the runner.
     const CharacterizedCore& core_for(const PanelSpec& panel);
+    /// The store a model-C panel with dta_operand_bits runs on: its
+    /// class characterized at that operand width on the panel's core,
+    /// built on the process's first request and kept until it exits. At
+    /// the core's own DtaConfig::operand_bits it is the core's store
+    /// restricted to the class (TimingErrorCdfs::single_class).
+    std::shared_ptr<const TimingErrorCdfs> conditioned_store(
+        const PanelSpec& panel);
 
     /// Grid resolved against the panel's core — exposed for drivers and
     /// tests that need the x-axis values without executing anything.
+    /// Throws std::invalid_argument, naming the panel and the field, for
+    /// an impossible operating point (see run()).
     std::vector<double> resolve_grid(const PanelSpec& panel);
 
     /// Executes every panel (store-backed) and writes CSVs + manifest.
+    /// Before any point is looked up or computed it resolves every panel
+    /// and throws std::invalid_argument, naming the panel and the field,
+    /// if a base point, a resolved grid value or a PoFF bracket edge has
+    /// a frequency or Vdd that is not finite and positive, or a sigma
+    /// that is not finite and non-negative.
     CampaignResult run();
 
     /// The registry campaign counters accumulate into — RunOptions::
@@ -180,31 +206,27 @@ public:
     }
 
 private:
-    struct ConditionedStoreKey {
-        std::uint64_t core_fingerprint;
-        ExClass cls;
-        unsigned operand_bits;
-        bool operator<(const ConditionedStoreKey& other) const;
-    };
-
-    /// A panel's runtime-resolved base point and x-axis samples — the one
-    /// source of truth for both resolve_grid() and run_panel().
+    /// A panel's runtime-resolved, checked base point and x-axis samples
+    /// (or, for a PoFF panel, its search bracket) — the one source of
+    /// truth for both resolve_grid() and run_panel().
     struct ResolvedPanel {
         OperatingPoint base;
         std::vector<double> axis_values;
+        double poff_lo_mhz = 0.0;
+        double poff_hi_mhz = 0.0;
     };
     ResolvedPanel resolve_panel(const PanelSpec& panel);
 
-    /// The cached core of `config`, characterized on first use.
+    /// The registry's core of `config`, characterized on the process's
+    /// first request for its fingerprint.
     const CharacterizedCore& core_of(const CoreModelConfig& config);
     std::unique_ptr<FaultModel> make_model(const PanelSpec& panel,
                                            const CharacterizedCore& core);
-    std::shared_ptr<const TimingErrorCdfs> conditioned_store(
-        const PanelSpec& panel, const CharacterizedCore& core);
     PointSummary compute_op_stream_point(const PanelSpec& panel,
                                          FaultModel& model,
                                          const OperatingPoint& point);
-    PanelResult run_panel(const PanelSpec& panel);
+    PanelResult run_panel(const PanelSpec& panel,
+                          const ResolvedPanel& resolved);
     CdfPanelResult run_cdf_panel(const CdfPanelSpec& panel);
     void write_manifest(CampaignResult& result);
 
@@ -217,10 +239,6 @@ private:
     /// Owned by run(): per-panel progress state (always constructed so
     /// wall-mode ledgers get ETA events even without a TTY).
     std::unique_ptr<obs::ProgressReporter> progress_;
-    /// Cores cached by configuration fingerprint (panel overrides).
-    std::map<std::uint64_t, std::unique_ptr<CharacterizedCore>> cores_;
-    std::map<ConditionedStoreKey, std::shared_ptr<const TimingErrorCdfs>>
-        conditioned_;
     /// Fingerprints of the cores the console report has described in the
     /// current run().
     std::set<std::uint64_t> described_cores_;

@@ -116,6 +116,16 @@ bool TimingErrorCdfs::has_class(ExClass cls) const {
     return classes_.at(static_cast<std::size_t>(cls)).present;
 }
 
+TimingErrorCdfs TimingErrorCdfs::single_class(ExClass cls) const {
+    TimingErrorCdfs store;
+    const PerClass& pc = per_class(cls);
+    store.classes_[static_cast<std::size_t>(cls)] = pc;
+    store.endpoints_ = pc.sorted_arrivals.size();
+    store.samples_ = samples_;
+    store.setup_ps_ = setup_ps_;
+    return store;
+}
+
 std::size_t TimingErrorCdfs::violation_count(ExClass cls, std::size_t endpoint,
                                              double capture_window_ps) const {
     const auto& samples = per_class(cls).sorted_arrivals.at(endpoint);

@@ -34,6 +34,11 @@ public:
     /// True if `cls` was characterized.
     bool has_class(ExClass cls) const;
 
+    /// A copy holding only `cls` (std::out_of_range if it is absent):
+    /// equal to from_dta of a result with just that class's arrivals and
+    /// this store's setup and cycle count.
+    TimingErrorCdfs single_class(ExClass cls) const;
+
     std::size_t endpoint_count() const { return endpoints_; }
     double setup_ps() const { return setup_ps_; }
     std::size_t samples_per_endpoint() const { return samples_; }

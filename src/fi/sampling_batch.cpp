@@ -156,12 +156,6 @@ AliasTable build_alias_from_masses(const std::vector<double>& mass) {
     return table;
 }
 
-AliasTable build_noise_index_alias(double sigma_mv, double clip_mv,
-                                   std::size_t entries) {
-    return build_alias_from_masses(
-        noise_index_masses(sigma_mv, clip_mv, entries));
-}
-
 void NoiseIndexBatch::configure(double sigma_mv, double clip_mv,
                                 double clip_v, std::size_t entries,
                                 FaultSamplingMode mode, Rng& rng) {
@@ -201,23 +195,19 @@ void NoiseIndexBatch::refill(Rng& rng) {
 }
 
 void NoiseIndexBatch::resync(Rng& rng) {
-    // Interleaves cluster: whatever the next fill prefetches, the next
-    // interleave likely discards, so restart the schedule at one draw.
-    next_fill_ = 1;
     // A fully consumed fill (or none at all) left the generator exactly
     // where pos_ reference draws would: nothing to undo.
     if (pos_ == size_) return;
-    // pos_ draws of the current fill have been consumed (including the
-    // one that opened the interleave). Rewind to the fill snapshot and
-    // replay exactly those draws — bit-identical values, so the caller's
-    // past decisions stay valid and the generator lands in the state the
-    // reference draws would leave right now.
+    // pos_ draws of the current fill have been consumed. Rewind to the
+    // fill snapshot and replay exactly those draws — bit-identical
+    // values, so the caller's past decisions stay valid and the
+    // generator lands in the state the reference draws would leave right
+    // now. The unconsumed rest of the fill is dropped by configure.
     rng = snapshot_;
     if (pos_ > 0) {
         rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);
         normals_drawn_ += pos_;
     }
-    size_ = pos_;  // the unconsumed prefetch is now stale
 }
 
 }  // namespace sfi

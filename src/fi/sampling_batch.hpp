@@ -22,12 +22,8 @@
 //    exactly like n reference draws; otherwise the batch rewinds to the
 //    snapshot it took at fill time, replays exactly the consumed draws
 //    and invalidates the rest of the prefetch;
-//  * a consumer that takes other draws from the same stream between
-//    indices calls resync() before each of them. Fills double from
-//    kMinFill at a trial start and from ONE draw after a resync, up to
-//    kMaxFill, so the normals a discard wastes (prefetch plus replay)
-//    never exceed the draws consumed since the previous resync — plus
-//    kMinFill after a trial start.
+//  * fills double from kMinFill, at a trial start and after a
+//    configuration change, up to kMaxFill.
 //
 // Model C does not go through the batch. It reads its row only to decide
 // whether the op's class can violate, and it interleaves Bernoulli
@@ -186,26 +182,18 @@ std::vector<double> noise_index_masses(double sigma_mv, double clip_mv,
 /// thresholds are quantized to Q0.64). Empty input gives an empty table.
 AliasTable build_alias_from_masses(const std::vector<double>& mass);
 
-/// build_alias_from_masses(noise_index_masses(...)): the table-index
-/// sampler of FaultSamplingMode::Quantized (model C's "C-q"). Model B
-/// compresses further — it aliases the pushforward of these masses
-/// through its per-index violation counts, sampling the count directly
-/// (see ModelB).
-AliasTable build_noise_index_alias(double sigma_mv, double clip_mv,
-                                   std::size_t entries);
-
 /// Block buffer of prefetched window-table indices for one fault model
 /// (B+). Value-semantic on purpose: FaultModel::clone() copies it, and a
-/// copy reproduces the identical index/resync stream from the identical
-/// Rng.
+/// copy reproduces the identical index stream from the identical Rng.
 class NoiseIndexBatch {
 public:
     static constexpr std::size_t kMinFill = 16;    ///< first fill of a trial
     static constexpr std::size_t kMaxFill = 4096;  ///< fill-size cap
 
     /// (Re)configures for an operating point. A no-op when nothing
-    /// changed (preserves the buffered draws); otherwise resyncs `rng`
-    /// (see resync) and drops the buffer, so a configuration change in
+    /// changed (preserves the buffered draws); otherwise gives the
+    /// prefetch's lead back to `rng` (see resync), drops the buffer and
+    /// restarts fills at kMinFill, so a configuration change in
     /// mid-stream continues exactly where the reference draws would.
     /// entries == 0 disables the batch (no noise at this point), and so
     /// does Quantized: its models sample their own alias tables.
@@ -228,32 +216,25 @@ public:
         return indices_[pos_++];
     }
 
-    /// Rollback for a consumer that takes other draws from the stream
-    /// between indices, and the first step of every reconfiguration. When
-    /// the current fill is fully consumed the generator already sits where
-    /// the reference draws would put it, and nothing happens; otherwise
-    /// rewinds `rng` to the fill snapshot, replays exactly the draws
-    /// consumed from this fill (bit-identical values, so nothing
-    /// observable changes), and invalidates the remaining prefetch. Either
-    /// way the next fill starts at one draw. On return the generator state
-    /// equals the reference's after the same draws, and the caller may
-    /// consume uniforms directly.
-    void resync(Rng& rng);
-
-    /// True when configured for Batched, the mode whose draws are
-    /// bit-identical to the one-draw-per-op reference.
-    bool exact() const { return mode_ == FaultSamplingMode::Batched; }
-
     /// Buffered-but-unconsumed indices (testing aid).
     std::size_t pending() const { return size_ - pos_; }
 
     /// Normals this batch has pulled from its Rng — generated by fills
-    /// plus replayed by resync — over its lifetime (testing aid: against
-    /// the draws consumed, it measures the prefetch overhead).
+    /// plus replayed by a reconfiguration — over its lifetime (testing
+    /// aid: against the draws consumed, it measures the prefetch
+    /// overhead).
     std::uint64_t normals_drawn() const { return normals_drawn_; }
 
 private:
     void refill(Rng& rng);
+    /// The first step of every reconfiguration. When the current fill is
+    /// fully consumed the generator already sits where the reference
+    /// draws would put it, and nothing happens; otherwise rewinds `rng`
+    /// to the fill snapshot, replays exactly the draws consumed from this
+    /// fill (bit-identical values, so nothing observable changes), and
+    /// invalidates the remaining prefetch. On return the generator state
+    /// equals the reference's after the same draws.
+    void resync(Rng& rng);
 
     FaultSamplingMode mode_ = FaultSamplingMode::Batched;
     double sigma_mv_ = 0.0;

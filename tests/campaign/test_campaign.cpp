@@ -9,15 +9,22 @@
 //    byte for byte;
 //  * the console report renders voltage sweeps on a Vdd axis and CDF
 //    panels as percent tables with their first-failure frequencies;
-//  * the manifest escapes control bytes instead of dropping them.
+//  * the manifest escapes control bytes instead of dropping them;
+//  * a panel at an impossible operating point (frequency or Vdd not
+//    finite and positive, sigma not finite and non-negative, in its base
+//    point, its resolved grid or its PoFF bracket) fails the campaign
+//    before any point is looked up.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,8 +137,38 @@ protected:
         return names;
     }
 
+    /// Runs tiny_campaign's model-C panel, then a copy of it named "bad"
+    /// and changed by `spoil`: run() must throw std::invalid_argument
+    /// naming "bad" and `field` before any point was looked up, so the
+    /// valid panel ahead of it left no store record and no CSV.
+    void expect_rejected(const std::function<void(PanelSpec&)>& spoil,
+                         const std::string& field) {
+        CampaignSpec spec = tiny_campaign();
+        spec.panels.resize(1);
+        PanelSpec bad = spec.panels[0];
+        bad.name = "bad";
+        spoil(bad);
+        spec.panels.push_back(bad);
+        const std::string workspace = "reject" + std::to_string(rejected_++);
+        CampaignRunner runner(spec, options(workspace));
+        try {
+            runner.run();
+            ADD_FAILURE() << "accepted an impossible " << field;
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'bad'"), std::string::npos) << what;
+            EXPECT_NE(what.find(field), std::string::npos) << what;
+        }
+        EXPECT_EQ(PointStore(dir_ + "/" + workspace + "/store.bin").size(), 0u);
+        EXPECT_FALSE(fs::exists(dir_ + "/" + workspace + "/csv"));
+    }
+
     std::string dir_;
+    std::size_t rejected_ = 0;
 };
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST_F(CampaignTest, WarmRerunIsAllHitsAndByteIdentical) {
     const CampaignSpec spec = tiny_campaign();
@@ -458,6 +495,62 @@ TEST_F(CampaignTest, ManifestRoundTripsControlBytesInTheStorePath) {
     EXPECT_EQ(json_unescape(run_line.substr(begin + key.size(),
                                             end - begin - key.size())),
               o.store_path);
+}
+
+TEST_F(CampaignTest, RejectsAnImpossibleFrequencyBeforeAnyPoint) {
+    for (const double bad : {-700.0, 0.0, kNaN, kInf}) {
+        expect_rejected(
+            [&](PanelSpec& p) {
+                p.axis = Axis::Voltage;
+                p.base.freq_mhz = bad;
+                p.grid = GridSpec::explicit_values({0.7});
+            },
+            "base frequency [MHz]");
+        expect_rejected(
+            [&](PanelSpec& p) {
+                p.grid = GridSpec::explicit_values({500.0, bad});
+            },
+            "grid frequency [MHz]");
+    }
+    // A base frequency resolved against the STA limit is checked too.
+    expect_rejected([](PanelSpec& p) { p.base_freq_sta_factor = -1.0; },
+                    "base frequency [MHz]");
+}
+
+TEST_F(CampaignTest, RejectsAnImpossibleVddBeforeAnyPoint) {
+    for (const double bad : {-0.7, 0.0, kNaN, kInf}) {
+        expect_rejected([&](PanelSpec& p) { p.base.vdd = bad; },
+                        "base Vdd [V]");
+        expect_rejected(
+            [&](PanelSpec& p) {
+                p.axis = Axis::Voltage;
+                p.grid = GridSpec::explicit_values({0.7, bad});
+            },
+            "grid Vdd [V]");
+    }
+}
+
+TEST_F(CampaignTest, RejectsAnImpossibleSigmaBeforeAnyPoint) {
+    for (const double bad : {-5.0, kNaN, kInf, -kInf})
+        expect_rejected([&](PanelSpec& p) { p.base.noise.sigma_mv = bad; },
+                        "base sigma [mV]");
+    // Zero is the noise-free point, not an impossible one.
+    CampaignSpec spec = tiny_campaign();
+    spec.panels[0].base.noise.sigma_mv = 0.0;
+    CampaignRunner runner(spec, RunOptions{});
+    EXPECT_EQ(runner.resolve_grid(spec.panels[0]),
+              std::vector<double>({500.0, 775.0}));
+}
+
+TEST_F(CampaignTest, RejectsAnImpossiblePoffBracketBeforeAnyPoint) {
+    for (const double bad : {-1.0, 0.0, kNaN}) {
+        expect_rejected(
+            [&](PanelSpec& p) { p.poff = PoffSearchSpec{bad, 1.2, 2.0, 4}; },
+            "PoFF bracket low edge [MHz]");
+        expect_rejected(
+            [&](PanelSpec& p) { p.poff = PoffSearchSpec{0.9, bad, 2.0, 4}; },
+            "PoFF bracket high edge [MHz]");
+    }
 }
 
 }  // namespace

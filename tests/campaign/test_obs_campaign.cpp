@@ -47,10 +47,10 @@ std::size_t max_threads() {
 
 /// Two panels: an adaptive MC sweep (so the stopping classifications are
 /// interesting) and a fixed-N op-stream sweep.
-CampaignSpec obs_campaign() {
+CampaignSpec obs_campaign(const CoreModelConfig& core = test_core_config()) {
     CampaignSpec spec;
     spec.name = "obs";
-    spec.core = test_core_config();
+    spec.core = core;
     spec.trials = 5;
     spec.seed = 11;
     spec.sampling = sampling::SamplingPolicy::target_ci(0.15, 30, 10);
@@ -125,12 +125,13 @@ protected:
     /// ledger text.
     std::ostringstream traced_run(const std::string& workspace,
                                   obs::TraceMode mode, std::size_t threads,
-                                  CampaignResult* out = nullptr) {
+                                  CampaignResult* out = nullptr,
+                                  CampaignSpec spec = obs_campaign()) {
         std::ostringstream os;
         obs::Ledger ledger(os, mode);
         RunOptions o = options(workspace, threads);
         o.ledger = &ledger;
-        CampaignRunner runner(obs_campaign(), std::move(o));
+        CampaignRunner runner(std::move(spec), std::move(o));
         CampaignResult result = runner.run();
         EXPECT_TRUE(result.completed);
         if (out != nullptr) *out = std::move(result);
@@ -186,9 +187,17 @@ TEST_F(ObsCampaignTest, LogicalLedgerIsByteStableAcrossThreadsAndWarmth) {
 }
 
 TEST_F(ObsCampaignTest, WallLedgerRecordsTheVolatileStoryWithBalancedSpans) {
+    // Cores and conditioned stores are built once per process, on the
+    // ledger of the runner that asks first. A core no other test of this
+    // binary uses (its own DTA seed, no cache file) makes this run the
+    // first, so its characterization lands here whatever ran before.
+    CoreModelConfig core = test_core_config();
+    core.dta.seed = 0x0B5EDULL;
+    core.cdf_cache_path.clear();
+    const CampaignSpec spec = obs_campaign(core);
     CampaignResult cold_result;
     const std::ostringstream cold =
-        traced_run("w", obs::TraceMode::Wall, 2, &cold_result);
+        traced_run("w", obs::TraceMode::Wall, 2, &cold_result, spec);
 
     std::istringstream cold_is(cold.str());
     const obs::LedgerFile file = obs::read_ledger(cold_is);
@@ -220,16 +229,17 @@ TEST_F(ObsCampaignTest, WallLedgerRecordsTheVolatileStoryWithBalancedSpans) {
     EXPECT_GT(names["i:progress"], 0u);
     EXPECT_TRUE(saw_worker_lane);
     // Where the dispatch thread's time went: the core's characterization
-    // (its CDFs come from the shared cache unless this process filled
-    // it), micro-op priming of the MC panel's worker contexts, and the
-    // op-stream panel's conditioned DTA inside its first point.
+    // (the whole DTA, from no cache), micro-op priming of the MC panel's
+    // worker contexts, and the op-stream panel's conditioned DTA inside
+    // its first point.
     EXPECT_EQ(names["B:characterize"], 1u);
     EXPECT_EQ(names["B:calibrate"], 1u);
     EXPECT_EQ(names["B:decode"], 1u);
     EXPECT_GE(names["B:dta_class"], 1u);
 
     // Warm rerun: hits instead of misses, and no batches at all.
-    const std::ostringstream warm = traced_run("w", obs::TraceMode::Wall, 2);
+    const std::ostringstream warm =
+        traced_run("w", obs::TraceMode::Wall, 2, nullptr, spec);
     std::istringstream warm_is(warm.str());
     const obs::LedgerFile warm_file = obs::read_ledger(warm_is);
     std::size_t hits = 0, misses = 0, batches = 0;

@@ -8,8 +8,10 @@
 #      "run" line) match an untraced run byte for byte;
 #   3. on a two-campaign wall-mode run from an empty cache at --threads 4,
 #      sfi_trace's store line equals the driver's `store:` totals summed
-#      over both campaigns, every "dta_class" span closes inside a
-#      "characterize" or "point" span (both kinds occur), and the Chrome
+#      over both campaigns, the one core both campaigns run on is
+#      characterized once (one "characterize" span: the process keeps its
+#      cores), every "dta_class" span closes inside a "characterize" or
+#      "point" span (both kinds occur), and the Chrome
 #      export passes scripts/check_trace.py; its CDF cache and artifacts
 #      (fig4's operand-conditioned DTA included) are byte-identical to the
 #      --threads 1 empty-cache run's, so characterization is
@@ -149,8 +151,10 @@ if(NOT campaigns EQUAL 2)
 endif()
 # Dispatch-lane B/E events nest; each dta_class must close directly inside
 # a characterize (the core's classes) or a point (fig4's conditioned DTA).
+# fig1 and fig4 share one core, built once for the process.
 file(STRINGS "${WORK_DIR}/wall.jsonl" lines)
 set(stack "")
+set(characterized 0)
 set(in_characterize 0)
 set(in_point 0)
 foreach(line IN LISTS lines)
@@ -161,6 +165,9 @@ foreach(line IN LISTS lines)
     set(name ${CMAKE_MATCH_2})
     if(ph STREQUAL "B")
         list(APPEND stack ${name})
+        if(name STREQUAL "characterize")
+            math(EXPR characterized "${characterized} + 1")
+        endif()
         continue()
     endif()
     list(POP_BACK stack top)
@@ -185,6 +192,10 @@ if(NOT stack STREQUAL "" OR in_characterize EQUAL 0 OR in_point EQUAL 0)
     message(FATAL_ERROR "wall ledger: unclosed spans [${stack}], "
                         "${in_characterize} dta_class spans in characterize, "
                         "${in_point} in point (both must be > 0)")
+endif()
+if(NOT characterized EQUAL 1)
+    message(FATAL_ERROR "wall ledger: ${characterized} characterize spans "
+                        "for the one core fig1 and fig4 run on, not 1")
 endif()
 
 run_tool(out ${SFI_TRACE} wall.jsonl --export-chrome wall_trace.json)

@@ -134,6 +134,35 @@ TEST(TimingErrorCdfs, MissingClassThrows) {
     EXPECT_THROW(cdfs.violation_prob(ExClass::Xor, 0, 100.0), std::out_of_range);
 }
 
+TEST(TimingErrorCdfs, SingleClassEqualsTheOneClassBuild) {
+    // The copy of one class of a store, loaded from bytes or built, is
+    // the store from_dta builds from that class alone: worst_arrival_ps,
+    // which differs, is never read.
+    const DtaResult dta = synthetic_dta();
+    const auto cdfs = TimingErrorCdfs::from_dta(dta);
+    std::stringstream buffer;
+    cdfs.save(buffer);
+    const auto loaded = TimingErrorCdfs::load(buffer);
+    for (const DtaClassResult& cls_result : dta.classes) {
+        DtaResult alone = dta;
+        alone.classes = {cls_result};
+        alone.worst_arrival_ps = 0.0;
+        const auto expected = TimingErrorCdfs::from_dta(alone);
+        for (const TimingErrorCdfs* store : {&cdfs, &loaded}) {
+            const TimingErrorCdfs copy = store->single_class(cls_result.cls);
+            EXPECT_TRUE(copy == expected) << ex_class_name(cls_result.cls);
+            EXPECT_EQ(copy.endpoints_by_criticality(cls_result.cls),
+                      expected.endpoints_by_criticality(cls_result.cls));
+            EXPECT_EQ(copy.class_max_window_ps(cls_result.cls),
+                      expected.class_max_window_ps(cls_result.cls));
+        }
+    }
+    const TimingErrorCdfs add = cdfs.single_class(ExClass::Add);
+    EXPECT_FALSE(add.has_class(ExClass::Mul));
+    EXPECT_EQ(add.max_window_ps(), add.class_max_window_ps(ExClass::Add));
+    EXPECT_THROW(cdfs.single_class(ExClass::Xor), std::out_of_range);
+}
+
 TEST(TimingErrorCdfs, SaveLoadRoundTrip) {
     const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
     std::stringstream buffer;

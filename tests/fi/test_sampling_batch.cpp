@@ -8,10 +8,9 @@
 //    VddNoise::draw + noise_table_index;
 //  * NoiseIndexBatch reproduces the reference index stream draw for draw
 //    at fixed seeds (golden vectors pin the stream itself against
-//    lockstep drift), resync() and a mid-stream reconfiguration leave the
-//    Rng in the reference's state, and the normals it draws stay within a
-//    bound of those consumed (fills restart at one draw after an
-//    interleave, yet still grow to kMaxFill without interleaves);
+//    lockstep drift), its fills grow to kMaxFill, and a mid-stream
+//    reconfiguration leaves the Rng in the reference's state, replaying
+//    only the draws consumed from a partly consumed fill;
 //  * the quantized alias tables reproduce the exact clipped-Gaussian bin
 //    masses, and the "B-q" variant separates by fingerprint while Batched
 //    keeps the unsalted one;
@@ -153,7 +152,6 @@ TEST(NoiseIndexBatch, ReproducesTheReferenceIndexStreamAcrossTrials) {
     Rng unused;  // a fresh batch has no prefetch to give back
     batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
                     FaultSamplingMode::Batched, unused);
-    EXPECT_TRUE(batch.exact());
 
     // Trial lengths straddle the fill schedule (16, 32, 64, ...): short
     // trials that die inside the first fill, long ones that refill often.
@@ -200,108 +198,10 @@ TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
         ASSERT_EQ(batch.next_index(rng), expected);
 }
 
-TEST(NoiseIndexBatch, ResyncRestoresTheReferenceRngState) {
-    NoiseConfig config;
-    config.sigma_mv = 10.0;
-    config.clip_sigmas = 2.0;
-    const double clip_mv = config.clip_sigmas * config.sigma_mv;
-    const VddNoise noise(config);
-
-    NoiseIndexBatch batch;
-    Rng unused;  // a fresh batch has no prefetch to give back
-    batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
-                    FaultSamplingMode::Batched, unused);
-
-    for (const std::size_t consumed : {std::size_t{1}, std::size_t{7},
-                                       std::size_t{16}, std::size_t{23}}) {
-        // Reference: draw `consumed` noise values, then one uniform (the
-        // model C interleave), then one more noise value.
-        Rng scalar_rng(42);
-        std::vector<double> scalar_noise;
-        for (std::size_t i = 0; i < consumed; ++i)
-            scalar_noise.push_back(noise.draw(scalar_rng));
-        const double scalar_uniform = scalar_rng.uniform();
-        const double scalar_next = noise.draw(scalar_rng);
-
-        // Batched path: same draws through the batch, resync, uniform,
-        // next index.
-        Rng rng(42);
-        batch.start_trial();
-        for (std::size_t i = 0; i < consumed; ++i)
-            ASSERT_EQ(batch.next_index(rng),
-                      noise_table_index(clip_mv * 1e-3, scalar_noise[i], 1025))
-                << "consumed=" << consumed << " draw " << i;
-        batch.resync(rng);
-        EXPECT_EQ(batch.pending(), 0u);  // prefetch invalidated
-        EXPECT_EQ(rng.uniform(), scalar_uniform) << "consumed=" << consumed;
-        EXPECT_EQ(batch.next_index(rng),
-                  noise_table_index(clip_mv * 1e-3, scalar_next, 1025))
-            << "consumed=" << consumed;
-    }
-}
-
 // Draw accounting: what the batch pulls from the Rng (fills plus replays,
 // normals_drawn()) against what the model consumes.
 
-TEST(NoiseIndexBatch, InterleavingOnEveryDrawCostsAtMostOneFirstFill) {
-    // Model C at a point where every window violates: each draw opens an
-    // interleave. Fills restart at one draw and a fully consumed fill
-    // needs no replay, so the only overhead per trial is the kMinFill
-    // prefetch of the trial's first fill.
-    NoiseConfig config;
-    config.sigma_mv = 10.0;
-    config.clip_sigmas = 2.0;
-    const double clip_mv = config.clip_sigmas * config.sigma_mv;
-    const VddNoise noise(config);
-    NoiseIndexBatch batch;
-    Rng unused;
-    batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
-                    FaultSamplingMode::Batched, unused);
-
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        Rng rng(seed);
-        Rng scalar(seed);
-        batch.start_trial();
-        const std::uint64_t before = batch.normals_drawn();
-        const std::size_t consumed = 300;
-        for (std::size_t i = 0; i < consumed; ++i) {
-            ASSERT_EQ(batch.next_index(rng),
-                      noise_table_index(clip_mv * 1e-3, noise.draw(scalar), 1025))
-                << "seed " << seed << " draw " << i;
-            batch.resync(rng);
-            ASSERT_EQ(rng.uniform(), scalar.uniform())
-                << "seed " << seed << " draw " << i;
-        }
-        EXPECT_LE(batch.normals_drawn() - before,
-                  consumed + NoiseIndexBatch::kMinFill)
-            << "seed " << seed;
-    }
-}
-
-TEST(NoiseIndexBatch, SparseInterleavesWasteNoMoreThanTheyConsume) {
-    // An interleave every 37 draws: between two interleaves the fills
-    // double from one draw, and what the next interleave discards and
-    // replays stays within the draws consumed since the previous one.
-    NoiseIndexBatch batch;
-    Rng rng(5);
-    batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched, rng);
-    Rng scalar(5);
-    const VddNoise noise(NoiseConfig{25.0, 2.0});
-    batch.start_trial();
-    const std::size_t consumed = 37 * 40;
-    for (std::size_t i = 1; i <= consumed; ++i) {
-        ASSERT_EQ(batch.next_index(rng),
-                  noise_table_index(0.05, noise.draw(scalar), 1025))
-            << "draw " << i;
-        if (i % 37 == 0) {
-            batch.resync(rng);
-            ASSERT_EQ(rng.uniform(), scalar.uniform()) << "draw " << i;
-        }
-    }
-    EXPECT_LE(batch.normals_drawn(), 2 * consumed + NoiseIndexBatch::kMinFill);
-}
-
-TEST(NoiseIndexBatch, NonInterleavingStreamGrowsFillsToTheCap) {
+TEST(NoiseIndexBatch, FillsGrowToTheCap) {
     NoiseIndexBatch batch;
     Rng rng(11);
     batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
@@ -314,8 +214,8 @@ TEST(NoiseIndexBatch, NonInterleavingStreamGrowsFillsToTheCap) {
         if (refills) largest_fill = std::max(largest_fill, batch.pending() + 1);
     }
     EXPECT_EQ(largest_fill, NoiseIndexBatch::kMaxFill);
-    // Without interleaves nothing is replayed: every normal drawn was
-    // handed out or still sits in the last fill.
+    // Without reconfigurations nothing is replayed: every normal drawn
+    // was handed out or still sits in the last fill.
     EXPECT_EQ(batch.normals_drawn(), draws + batch.pending());
 }
 
@@ -340,6 +240,40 @@ TEST(NoiseIndexBatch, ReconfiguringMidStreamGivesThePrefetchBack) {
         ASSERT_EQ(batch.next_index(rng),
                   noise_table_index(0.05, noise25.draw(scalar), 1025))
             << "draw " << i << " after the reconfiguration";
+}
+
+TEST(NoiseIndexBatch, ReconfiguringReplaysOnlyAPartlyConsumedFill) {
+    // A fill consumed to its end left the generator where the reference's
+    // is, so a reconfiguration replays nothing; a partly consumed one is
+    // rewound and its consumed draws replayed, nothing more. Either way
+    // the next fill starts at kMinFill again.
+    const VddNoise noise10(NoiseConfig{10.0, 2.0});
+    const VddNoise noise25(NoiseConfig{25.0, 2.0});
+    for (const std::size_t consumed :
+         {NoiseIndexBatch::kMinFill, NoiseIndexBatch::kMinFill + 5}) {
+        NoiseIndexBatch batch;
+        Rng rng(7);
+        Rng scalar(7);
+        batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched,
+                        rng);
+        batch.start_trial();
+        for (std::size_t i = 0; i < consumed; ++i)
+            ASSERT_EQ(batch.next_index(rng),
+                      noise_table_index(0.02, noise10.draw(scalar), 1025));
+        const std::uint64_t filled = batch.normals_drawn();
+        const std::size_t from_last_fill =
+            consumed - NoiseIndexBatch::kMinFill;
+        batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched,
+                        rng);
+        EXPECT_TRUE(rng == scalar) << "consumed " << consumed;
+        EXPECT_EQ(batch.normals_drawn(), filled + from_last_fill)
+            << "consumed " << consumed;
+        EXPECT_EQ(batch.pending(), 0u);
+        ASSERT_EQ(batch.next_index(rng),
+                  noise_table_index(0.05, noise25.draw(scalar), 1025));
+        EXPECT_EQ(batch.pending() + 1, NoiseIndexBatch::kMinFill)
+            << "consumed " << consumed;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,13 +351,14 @@ TEST(AliasTable, SamplesTheConstructedDistribution) {
 
 TEST(AliasTable, EmptyMassGivesEmptyTable) {
     EXPECT_TRUE(build_alias_from_masses({}).empty());
-    EXPECT_TRUE(
-        build_noise_index_alias(/*sigma_mv=*/0.0, /*clip_mv=*/20.0, 33)
-            .empty());
+    EXPECT_TRUE(build_alias_from_masses(noise_index_masses(
+                    /*sigma_mv=*/0.0, /*clip_mv=*/20.0, 33))
+                    .empty());
 }
 
 TEST(AliasTable, NoiseIndexAliasIsDeterministicPerSeed) {
-    const AliasTable table = build_noise_index_alias(10.0, 20.0, 1025);
+    const AliasTable table =
+        build_alias_from_masses(noise_index_masses(10.0, 20.0, 1025));
     Rng a(7), b(7);
     for (int i = 0; i < 1000; ++i) ASSERT_EQ(table.sample(a), table.sample(b));
 }
@@ -542,8 +477,8 @@ TEST(SamplingModeDifferential, ModelBPlusBatchedMatchesTheReferenceWalk) {
 }
 
 TEST(SamplingModeDifferential, ModelCBatchedMatchesTheReferenceWalk) {
-    // Model C interleaves Bernoulli uniforms with the noise draws on the
-    // same stream — the resync()-heavy path.
+    // Model C interleaves Bernoulli uniforms with its on-demand noise
+    // draws on the same stream.
     ReferenceModelC reference(shared_core().cdfs(), shared_core().lib().fit());
     auto batched_model = shared_core().make_model_c();
     ASSERT_EQ(batched_model->sampling_mode(), FaultSamplingMode::Batched);
