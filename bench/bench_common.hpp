@@ -26,8 +26,8 @@
 //   --csv-dir DIR    directory for CSV dumps (default bench_csv)
 //   --no-csv         disable CSV output
 //   --fault-sampling MODE  noise-draw sampling path for models B/B+/C:
-//                    "batched" (block-prefetched draws, bit-identical to
-//                    one draw per op; the default) or "quantized"
+//                    "batched" (one on-demand draw per op, bit-identical
+//                    to the reference draw; the default) or "quantized"
 //                    (alias-table index sampling; faster but a distinct
 //                    sampling distribution variant — model names gain a
 //                    "-q" suffix and store/cache keys are salted so

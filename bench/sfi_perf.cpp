@@ -204,6 +204,10 @@ int main(int argc, char** argv) {
     fault_bplus.freq_mhz = f0_bplus * 1.01;
     OperatingPoint fault_c = base;
     fault_c.freq_mhz = f0_c * 1.02;
+    // The same point with supply noise: modelC-fault draws none, so only
+    // this point times model C's per-op noise draw.
+    OperatingPoint noisy_c = fault_c;
+    noisy_c.noise.sigma_mv = 10.0;
     bench_fault_sampling(*model_a, fault_b, sampling_ops, phases);
     // Model B+ under each sampling mode — the report's "fault_sampling"
     // object (the batched throughput has a floor in CI).
@@ -214,10 +218,12 @@ int main(int argc, char** argv) {
     report.fault_sampling.quantized_ops_per_sec =
         bench_fault_sampling(*model_b, fault_bplus, sampling_ops, phases);
     model_b->set_sampling_mode(ctx.core_config.fault_sampling);
-    std::printf("  B+ corrupt(): batched %.2e, quantized %.2e ops/s\n",
-                report.fault_sampling.batched_ops_per_sec,
-                report.fault_sampling.quantized_ops_per_sec);
     bench_fault_sampling(*model_c, fault_c, sampling_ops, phases);
+    std::printf("  B+ corrupt(): batched %.2e, quantized %.2e ops/s; "
+                "C corrupt() at sigma 10 mV: %.2e ops/s\n",
+                report.fault_sampling.batched_ops_per_sec,
+                report.fault_sampling.quantized_ops_per_sec,
+                bench_fault_sampling(*model_c, noisy_c, sampling_ops, phases));
 
     std::printf("\n[trial kernels] %zu trials/sample, %s benchmark\n",
                 ctx.trials, report.benchmark.c_str());
@@ -252,15 +258,8 @@ int main(int argc, char** argv) {
     }
     report.kernels.push_back(bench_kernel("modelC-fault", *bench, *model_c,
                                           fault_c, mc, {1}, &phases));
-    {
-        // The same point with supply noise: modelC-fault draws none, so
-        // only this rung times model C's per-op noise draw.
-        OperatingPoint noisy_c = fault_c;
-        noisy_c.noise.sigma_mv = 10.0;
-        report.kernels.push_back(bench_kernel("modelC-sigma10", *bench,
-                                              *model_c, noisy_c, mc, {1},
-                                              &phases));
-    }
+    report.kernels.push_back(bench_kernel("modelC-sigma10", *bench, *model_c,
+                                          noisy_c, mc, {1}, &phases));
     report.kernels.push_back(bench_kernel("modelA-p1e-4", *bench, *model_a,
                                           fault_b, mc, {1}, &phases));
     {

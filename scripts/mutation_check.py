@@ -123,31 +123,7 @@ MUTANTS = [
                    "        if (fresh) sim.initialize();\n")],
         "tests": [DTA, CDF_CACHE, TRACE_CONTRACT],
     },
-    # --- The batch's draw accounting and resync (src/fi/sampling_batch.cpp)
-    {
-        "name": "resync-no-fully-consumed-skip",
-        "file": "src/fi/sampling_batch.cpp",
-        "edits": [("    if (pos_ == size_) return;\n", "")],
-        "tests": [SAMPLING, ORACLE_C],
-    },
-    {
-        "name": "configure-without-resync",
-        "file": "src/fi/sampling_batch.cpp",
-        "edits": [("    resync(rng);  // the prefetch is about to go: give its "
-                   "lead back\n", "")],
-        "tests": [SAMPLING, ORACLE_C],
-    },
-    {
-        "name": "resync-without-rewind-and-replay",
-        "file": "src/fi/sampling_batch.cpp",
-        "edits": [("""    rng = snapshot_;
-    if (pos_ > 0) {
-        rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);
-        normals_drawn_ += pos_;
-    }
-""", "")],
-        "tests": [SAMPLING, ORACLE_C, MODES],
-    },
+    # --- The draw-to-row conversion (src/fi/sampling_batch.hpp)
     {
         "name": "index-conversion-without-round-half-up",
         "file": "src/fi/sampling_batch.hpp",
@@ -155,8 +131,9 @@ MUTANTS = [
                    "t * static_cast<double>(entries - 1));")],
         "tests": [SAMPLING],
     },
-    # --- Model C's on-demand draw: the polar half and the safe-row
-    # pretest (src/util/rng.hpp, src/fi/sampling_batch.cpp)
+    # --- The on-demand draw of models B+ and C: the polar half and the
+    # safe-row pretest (src/util/rng.hpp, src/fi/sampling_batch.cpp,
+    # src/fi/models.cpp)
     {
         # polar_half ignores a pending spare and draws a fresh pair.
         "name": "polar-half-draws-over-a-pending-spare",
@@ -202,14 +179,22 @@ MUTANTS = [
                    "point_.noise.sigma_mv,")],
         "tests": [ORACLE_C],
     },
+    {
+        # B+'s pretest clears its last injecting row too.
+        "name": "model-b-pretest-one-row-low",
+        "file": "src/fi/models.cpp",
+        "edits": [("SafeRowPretest(safe_row, point_.noise.sigma_mv,",
+                   "SafeRowPretest(safe_row - (safe_row > 0), "
+                   "point_.noise.sigma_mv,")],
+        "tests": [SAMPLING, SAMPLING_EQUIVALENCE],
+    },
     # --- Model B's decision table (src/fi/models.cpp)
     {
         "name": "model-b-violation-count-one-row-off",
         "file": "src/fi/models.cpp",
-        "edits": [("count = violation_count_[batch_.next_index(rng_)];",
+        "edits": [("count = violation_count_[noise_row(half)];",
                    "count = violation_count_[std::min<std::size_t>("
-                   "batch_.next_index(rng_) + 1, "
-                   "violation_count_.size() - 1)];")],
+                   "noise_row(half) + 1, violation_count_.size() - 1)];")],
         "tests": [SAMPLING, MODES],
     },
     # --- Model C's count memo (src/fi/models.cpp)
@@ -255,16 +240,6 @@ MUTANTS = [
         "edits": [("fit_->factor(point_.vdd - noise_clip_v_)",
                    "fit_->factor(point_.vdd)")],
         "tests": [MODELS],
-    },
-    {
-        # Model B+'s per-trial reseed keeps the previous trial's
-        # prefetched draws (model C draws on demand and has no batch).
-        "name": "model-b-reseed-without-batch-restart",
-        "file": "src/fi/models.hpp",
-        "edits": [("        FaultModel::reseed(seed);\n"
-                   "        batch_.start_trial();\n",
-                   "        FaultModel::reseed(seed);\n")],
-        "tests": [SAMPLING, MODES],
     },
     {
         # B-q's count alias keeps the first noisy point's violation

@@ -86,19 +86,45 @@ std::vector<double> resolve(const GridSpec& grid, const CharacterizedCore& core,
     throw std::logic_error("GridSpec: unknown grid kind");
 }
 
-/// Throws, naming the panel and the field, unless `value` is finite and
-/// positive (a frequency or a Vdd) or, with `zero_ok`, finite and
-/// non-negative (a sigma). The models read a sigma <= 0 as no noise and
-/// a frequency <= 0 as a non-positive clock period, so such a point
-/// would run another experiment than its key and CSV row name.
-void check_value(const PanelSpec& panel, const char* field, double value,
+/// Throws, naming the panel (`panel`, e.g. "PanelSpec 'fig1_sigma0'")
+/// and the field, unless `value` is finite and positive (a frequency or a
+/// Vdd) or, with `zero_ok`, finite and non-negative (a sigma). The models
+/// read a sigma <= 0 as no noise and a frequency <= 0 as a non-positive
+/// clock period, so such a point would run another experiment than its
+/// key and CSV row name.
+void check_value(const std::string& panel, const char* field, double value,
                  bool zero_ok = false) {
     if (std::isfinite(value) && (value > 0.0 || (zero_ok && value == 0.0)))
         return;
-    throw std::invalid_argument("PanelSpec '" + panel.name + "': " + field +
-                                " must be finite and " +
+    throw std::invalid_argument(panel + ": " + field + " must be finite and " +
                                 (zero_ok ? "non-negative" : "positive") +
                                 ", not " + format_double(value));
+}
+
+/// Throws, naming the panel and the field, unless the CDF panel's grid is
+/// Explicit or Linspace (a CDF panel has no base point or model for the
+/// symbolic kinds to resolve against) with finite, positive frequencies,
+/// and each curve reads an endpoint of `core`'s store at a finite,
+/// positive Vdd. Such a curve would otherwise evaluate a window the
+/// store cannot describe (probability 1 at any frequency) or read past
+/// the store's endpoints.
+void check_cdf_panel(const CdfPanelSpec& panel, const CharacterizedCore& core) {
+    const std::string label = "CdfPanelSpec '" + panel.name + "'";
+    if (panel.grid.kind != GridSpec::Kind::Explicit &&
+        panel.grid.kind != GridSpec::Kind::Linspace)
+        throw std::invalid_argument(label +
+                                    ": grid must be Explicit or Linspace");
+    for (const double f : resolve(panel.grid, core, 0.0, nullptr))
+        check_value(label, "grid frequency [MHz]", f);
+    const std::size_t endpoints = core.cdfs()->endpoint_count();
+    for (const CdfCurveSpec& curve : panel.curves) {
+        check_value(label, "curve Vdd [V]", curve.vdd);
+        if (curve.bit >= endpoints)
+            throw std::invalid_argument(
+                label + ": curve bit " + std::to_string(curve.bit) +
+                " must be below the store's " + std::to_string(endpoints) +
+                " endpoints");
+    }
 }
 
 /// One value per key, built on the first request and kept until the
@@ -257,17 +283,18 @@ const CharacterizedCore& CampaignRunner::core_of(
 CampaignRunner::ResolvedPanel CampaignRunner::resolve_panel(
     const PanelSpec& panel) {
     const CharacterizedCore& panel_core = core_for(panel);
+    const std::string label = "PanelSpec '" + panel.name + "'";
     // Vdd and sigma first: the base frequency and every symbolic grid
     // are resolved against them.
-    check_value(panel, "base Vdd [V]", panel.base.vdd);
-    check_value(panel, "base sigma [mV]", panel.base.noise.sigma_mv,
+    check_value(label, "base Vdd [V]", panel.base.vdd);
+    check_value(label, "base sigma [mV]", panel.base.noise.sigma_mv,
                 /*zero_ok=*/true);
     ResolvedPanel resolved;
     resolved.base = panel.base;
     if (panel.base_freq_sta_factor)
         resolved.base.freq_mhz = *panel.base_freq_sta_factor *
                                  panel_core.sta_fmax_mhz(resolved.base.vdd);
-    check_value(panel, "base frequency [MHz]", resolved.base.freq_mhz);
+    check_value(label, "base frequency [MHz]", resolved.base.freq_mhz);
     // PoFF-search panels pick their own probe frequencies inside their
     // bracket; the (ignored) grid is not resolved, so e.g. a leftover
     // FirstFaultWindow grid on a model-C panel cannot make the search
@@ -276,8 +303,8 @@ CampaignRunner::ResolvedPanel CampaignRunner::resolve_panel(
         const double fsta = panel_core.sta_fmax_mhz(resolved.base.vdd);
         resolved.poff_lo_mhz = panel.poff->lo_factor * fsta;
         resolved.poff_hi_mhz = panel.poff->hi_factor * fsta;
-        check_value(panel, "PoFF bracket low edge [MHz]", resolved.poff_lo_mhz);
-        check_value(panel, "PoFF bracket high edge [MHz]",
+        check_value(label, "PoFF bracket low edge [MHz]", resolved.poff_lo_mhz);
+        check_value(label, "PoFF bracket high edge [MHz]",
                     resolved.poff_hi_mhz);
         return resolved;
     }
@@ -286,7 +313,7 @@ CampaignRunner::ResolvedPanel CampaignRunner::resolve_panel(
             return first_fault_mhz(panel_core, panel.model, resolved.base);
         });
     for (const double value : resolved.axis_values)
-        check_value(panel,
+        check_value(label,
                     panel.axis == Axis::Frequency ? "grid frequency [MHz]"
                                                   : "grid Vdd [V]",
                     value);
@@ -637,14 +664,6 @@ CdfPanelResult CampaignRunner::run_cdf_panel(const CdfPanelSpec& panel) {
 
     const CharacterizedCore& campaign_core = core();
     const TimingErrorCdfs& cdfs = *campaign_core.cdfs();
-    // CDF panels have no base operating point or model, so the symbolic
-    // grid kinds have nothing to resolve against — reject them instead
-    // of evaluating curves at meaningless frequencies.
-    if (panel.grid.kind != GridSpec::Kind::Explicit &&
-        panel.grid.kind != GridSpec::Kind::Linspace)
-        throw std::invalid_argument(
-            "CdfPanelSpec '" + panel.name +
-            "': grids must be Explicit or Linspace");
     const std::vector<double> freqs =
         resolve(panel.grid, campaign_core, /*base_vdd=*/0.0, nullptr);
 
@@ -817,12 +836,14 @@ CampaignResult CampaignRunner::run() {
                     {"trials", static_cast<std::uint64_t>(spec_.trials)},
                     {"seed", spec_.seed}});
     // Every panel is resolved and checked before the first point is
-    // looked up: an impossible operating point fails the whole campaign
-    // up front, not after the panels before it ran.
+    // looked up: an impossible operating point or CDF curve fails the
+    // whole campaign up front, not after the panels before it ran.
     std::vector<ResolvedPanel> resolved;
     resolved.reserve(spec_.panels.size());
     for (const PanelSpec& panel : spec_.panels)
         resolved.push_back(resolve_panel(panel));
+    for (const CdfPanelSpec& panel : spec_.cdf_panels)
+        check_cdf_panel(panel, core());
     // Always constructed while running: wall-mode ledgers want the ETA
     // estimates even when stderr is not a TTY (console == nullptr then).
     progress_ = std::make_unique<obs::ProgressReporter>(

@@ -198,14 +198,17 @@ void ModelB::operating_point_changed() {
     };
     base_violation_count_ = leading_violations(base_window_ps_);
     violation_count_.resize(noise_window_table_.size());
-    for (std::size_t i = 0; i < noise_window_table_.size(); ++i)
+    std::size_t safe_row = 0;  // every row from here up injects nothing
+    for (std::size_t i = 0; i < noise_window_table_.size(); ++i) {
         violation_count_[i] = leading_violations(noise_window_table_[i]);
+        if (violation_count_[i] != 0) safe_row = i + 1;
+    }
+    pretest_ = SafeRowPretest(safe_row, point_.noise.sigma_mv, noise_clip_mv_,
+                              noise_clip_v_, violation_count_.size());
     sampling_mode_changed();
 }
 
 void ModelB::sampling_mode_changed() {
-    batch_.configure(point_.noise.sigma_mv, noise_clip_mv_, noise_clip_v_,
-                     noise_window_table_.size(), sampling_mode_, rng_);
     // B-q's sampler: the window index only ever feeds violation_count_,
     // so quantized mode aliases the pushforward of the index masses
     // through that table and samples the count directly — a <= 33-entry
@@ -224,18 +227,23 @@ void ModelB::sampling_mode_changed() {
 std::uint32_t ModelB::corrupt(const ExEvent& ev, std::uint32_t correct) {
     // The window never leaves integer space: the precomputed violation
     // count selects a cumulative mask that applies all violating
-    // endpoints at once. Batched draws the count through a prefetched
-    // table index, bit-identical to the one-draw-per-op reference walk
-    // (tests/testing/reference_model_b.hpp); quantized samples it directly
-    // from the count alias (2 raw u64 draws, not bit-identical: the "B-q"
-    // variant).
+    // endpoints at once. Batched takes the reference draw on demand, as
+    // its polar half, exactly as model C does: the same uniforms as the
+    // one-draw-per-op reference walk (tests/testing/reference_model_b.hpp),
+    // and most draws near the first fault are settled by the pretest
+    // before the half's factor and row. Quantized samples the count
+    // directly from the count alias (2 raw u64 draws, not bit-identical:
+    // the "B-q" variant).
     std::size_t count;
-    if (noise_window_table_.empty())
+    if (noise_window_table_.empty()) {
         count = base_violation_count_;
-    else if (sampling_mode_ == FaultSamplingMode::Quantized)
+    } else if (sampling_mode_ == FaultSamplingMode::Quantized) {
         count = count_alias_.sample(rng_);
-    else
-        count = violation_count_[batch_.next_index(rng_)];
+    } else {
+        const Rng::PolarHalf half = rng_.polar_half();
+        if (pretest_.passes(half)) return correct;
+        count = violation_count_[noise_row(half)];
+    }
     if (count == 0) return correct;
     return apply_leading_faults(count, correct, ev.prev_result);
 }

@@ -134,7 +134,7 @@ public:
 
     /// Reseeds the RNG stream (one distinct seed per Monte-Carlo trial).
     /// Virtual so decorating models (fi/mitigation.hpp) can reseed their
-    /// inner model in lock-step, and model B restarts its draw batch.
+    /// inner model in lock-step.
     virtual void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
     /// Selects how the noise-modulated models consume their per-op draws
@@ -142,8 +142,7 @@ public:
     /// Batched reproduces the one-draw-per-op reference walk
     /// (tests/testing/) bit for bit, Quantized is the fingerprinted "B-q"
     /// / "C-q" variant. Virtual so decorators forward to their inner
-    /// model. A switch mid-trial gives back any prefetched draws first, so
-    /// the Rng then sits where the reference walk's would.
+    /// model.
     virtual void set_sampling_mode(FaultSamplingMode mode) {
         if (mode == sampling_mode_) return;
         sampling_mode_ = mode;
@@ -154,11 +153,9 @@ public:
     const FiStats& stats() const { return stats_; }
     void reset_stats() { stats_ = FiStats{}; }
 
-    /// The model's draw stream (testing aid). Model B+ in Batched mode
-    /// runs it ahead of the reference walk's by the batch's unconsumed
-    /// prefetch until the next configuration change (a new point, or a
-    /// switch to Quantized) gives the lead back; model C draws on demand
-    /// and never runs ahead.
+    /// The model's draw stream (testing aid). Models B+ and C draw on
+    /// demand in Batched mode, so after every op it sits where the
+    /// reference walk's does.
     const Rng& rng() const { return rng_; }
 
     /// Attaches a forensic probe (null detaches; null is the default and
@@ -201,7 +198,7 @@ protected:
     virtual std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) = 0;
     /// Called when the operating point changes (derived-state refresh).
     virtual void operating_point_changed() {}
-    /// Called when the sampling mode changes (batch-state refresh).
+    /// Called when the sampling mode changes (sampler refresh).
     virtual void sampling_mode_changed() {}
 
     /// Applies the fault policy to one endpoint of `value`.
@@ -251,10 +248,11 @@ private:
 /// §3.3 and Fig. 3): per operating point, the clock period, Vdd and each
 /// clipped supply-noise value become a capture window at Vref — one row
 /// of the noise-window table per quantized noise value, or the one
-/// no-noise window at sigma = 0. Each model takes its ops' rows its own
-/// way (fi/sampling_batch.hpp): B+ from a prefetched index batch, C one
-/// polar half at a time, B-q and C-q from alias tables over the rows'
-/// masses. The two models differ only in what they do with the window.
+/// no-noise window at sigma = 0. B+ and C take one polar half per op and
+/// settle it with a SafeRowPretest when they can, before its row
+/// (fi/sampling_batch.hpp); B-q and C-q sample alias tables over the
+/// rows' masses. The two models differ only in what they do with the
+/// window.
 class NoiseModulatedModel : public FaultModel {
 public:
     /// True iff the smallest reachable capture window undercuts the
@@ -337,17 +335,10 @@ public:
         return first_fault_mhz(worst_window_ps_);
     }
 
-    /// Per-trial reseed also restarts the draw batch (unconsumed prefetch
-    /// is dropped; the fresh stream starts at the new seed).
-    void reseed(std::uint64_t seed) override {
-        FaultModel::reseed(seed);
-        batch_.start_trial();
-    }
-
 protected:
     std::uint32_t corrupt(const ExEvent& ev, std::uint32_t correct) override;
     void operating_point_changed() override;
-    /// Reconfigures the batch and rebuilds the B-q count alias.
+    /// Rebuilds the B-q count alias.
     void sampling_mode_changed() override;
 
 private:
@@ -365,7 +356,8 @@ private:
     std::vector<std::uint8_t> violation_count_;
     std::uint8_t base_violation_count_ = 0;  // no-noise-table counterpart
     std::vector<std::uint32_t> cum_mask_;
-    NoiseIndexBatch batch_;  // B+'s prefetched window-table indices
+    // Passes the draws that land on a row where no endpoint violates.
+    SafeRowPretest pretest_;
     // B-q's sampler: alias over the violation-count distribution (the
     // index masses pushed through violation_count_), sampled directly per
     // op in quantized mode — the index itself carries no other

@@ -1,11 +1,10 @@
 // Supply-voltage noise model (paper §3.3): zero-mean Gaussian with
 // standard deviation sigma, clipped at +/- clip_sigmas * sigma to avoid
 // physically unrealistic tail spikes. One independent value per cycle.
-// The models map each value straight to a row of their noise-window
-// table, B+ in prefetched blocks and C one polar half at a time
-// (fi/sampling_batch.hpp); the one-value-at-a-time draw they must
-// reproduce lives with the test oracles
-// (tests/testing/reference_noise.hpp).
+// Models B+ and C map each value straight to a row of their
+// noise-window table, one polar half per op (fi/sampling_batch.hpp); the
+// one-value-at-a-time draw they must reproduce lives with the test
+// oracles (tests/testing/reference_noise.hpp).
 #pragma once
 
 namespace sfi {

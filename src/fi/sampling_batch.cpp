@@ -14,13 +14,6 @@ std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     return std::nullopt;
 }
 
-void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
-                            std::size_t n, double clip_mv, double clip_v,
-                            std::size_t entries) {
-    for (std::size_t i = 0; i < n; ++i)
-        indices[i] = noise_draw_to_index(draws[i], clip_mv, clip_v, entries);
-}
-
 namespace {
 
 // Doubles in increasing order as unsigned keys (-0.0 just below +0.0),
@@ -154,60 +147,6 @@ AliasTable build_alias_from_masses(const std::vector<double>& mass) {
     // Leftovers (numerical dust on either stack) are full bins: keep the
     // all-ones threshold and the self alias they already have.
     return table;
-}
-
-void NoiseIndexBatch::configure(double sigma_mv, double clip_mv,
-                                double clip_v, std::size_t entries,
-                                FaultSamplingMode mode, Rng& rng) {
-    if (mode == mode_ && sigma_mv == sigma_mv_ && clip_mv == clip_mv_ &&
-        clip_v == clip_v_ && entries == entries_) {
-        return;
-    }
-    resync(rng);  // the prefetch is about to go: give its lead back
-    mode_ = mode;
-    sigma_mv_ = sigma_mv;
-    clip_mv_ = clip_mv;
-    clip_v_ = clip_v;
-    entries_ = entries;
-    pos_ = 0;
-    size_ = 0;
-    next_fill_ = kMinFill;
-}
-
-void NoiseIndexBatch::start_trial() {
-    pos_ = 0;
-    size_ = 0;
-    next_fill_ = kMinFill;
-}
-
-void NoiseIndexBatch::refill(Rng& rng) {
-    const std::size_t want = next_fill_;
-    next_fill_ = std::min(next_fill_ * 2, kMaxFill);
-    if (indices_.size() < want) indices_.resize(want);
-    if (normals_.size() < want) normals_.resize(want);
-    snapshot_ = rng;
-    rng.normal_fill(0.0, sigma_mv_, normals_.data(), want);
-    normals_drawn_ += want;
-    noise_draws_to_indices(normals_.data(), indices_.data(), want,
-                           clip_mv_, clip_v_, entries_);
-    pos_ = 0;
-    size_ = want;
-}
-
-void NoiseIndexBatch::resync(Rng& rng) {
-    // A fully consumed fill (or none at all) left the generator exactly
-    // where pos_ reference draws would: nothing to undo.
-    if (pos_ == size_) return;
-    // pos_ draws of the current fill have been consumed. Rewind to the
-    // fill snapshot and replay exactly those draws — bit-identical
-    // values, so the caller's past decisions stay valid and the
-    // generator lands in the state the reference draws would leave right
-    // now. The unconsumed rest of the fill is dropped by configure.
-    rng = snapshot_;
-    if (pos_ > 0) {
-        rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);
-        normals_drawn_ += pos_;
-    }
 }
 
 }  // namespace sfi

@@ -4,43 +4,23 @@
 // one-draw-per-op reference (VddNoise::draw + noise_table_index and the
 // reference walks of models B and C, all test oracles in tests/testing/)
 // fixes which uniforms each draw consumes and which row it lands on; the
-// library reproduces both exactly, in two ways.
+// library reproduces both exactly.
 //
-// Model B+ needs a row for every draw and draws nothing else, so
-// NoiseIndexBatch prefetches whole blocks of draws and converts them in
-// one vectorizable pass. Its draw-order contract:
+// The draw-order contract is one rule: models B+ and C both draw on
+// demand, one Rng::polar_half per op, which consumes the stream exactly
+// as one reference draw does. No generator ever runs ahead of the
+// reference walk, so model C's Bernoulli uniforms come where the
+// reference takes them, and a new point, a sampling-mode switch or a
+// trial reseed needs no bookkeeping. SafeRowPretest settles most ops
+// from the polar half alone; only the rest pay for the half's factor (a
+// log, a sqrt and a division) and the row.
 //
-//  * a fill of n draws consumes the Rng exactly like n successive
-//    reference draws (Rng::normal_fill has the prefix property: the
-//    first m <= n values of a fill equal the first m sequential draws,
-//    polar spare included);
-//  * draws are consumed strictly in fill order, one per corrupt() call;
-//  * unconsumed draws are discarded unobservably: at trial boundaries the
-//    per-trial reseed restarts the stream, and a configuration change
-//    (new point or sampling mode) first resyncs the generator: a fully
-//    consumed fill needs nothing, since n draws of a fill advance the Rng
-//    exactly like n reference draws; otherwise the batch rewinds to the
-//    snapshot it took at fill time, replays exactly the consumed draws
-//    and invalidates the rest of the prefetch;
-//  * fills double from kMinFill, at a trial start and after a
-//    configuration change, up to kMaxFill.
-//
-// Model C does not go through the batch. It reads its row only to decide
-// whether the op's class can violate, and it interleaves Bernoulli
-// uniforms with the draws whenever a violation is possible, so it draws
-// on demand: one Rng::polar_half per op, which consumes the stream
-// exactly as one reference draw does. The generator never runs ahead of
-// the reference walk, so the uniforms need no resync. SafeRowPretest
-// settles most ops from the polar half alone; only the rest pay for the
-// half's factor (a log, a sqrt and a division) and the row.
-//
-// The index conversion (noise_draw_to_index, which the block pass loops
-// over) quantizes each clamped draw to one of the `entries` window-table
-// bins with the same IEEE double operation sequence as the reference
-// noise_table_index (clamp, mV->V scale, affine map, round-half-up via
-// +0.5 and truncation) — an integer result, so the decision tables
-// (violation counts, cumulative fault masks in models.cpp) are exact, not
-// approximate.
+// The index conversion (noise_draw_to_index) quantizes each clamped draw
+// to one of the `entries` window-table bins with the same IEEE double
+// operation sequence as the reference noise_table_index (clamp, mV->V
+// scale, affine map, round-half-up via +0.5 and truncation) — an integer
+// result, so the decision tables (violation counts, cumulative fault
+// masks in models.cpp) are exact, not approximate.
 //
 // FaultSamplingMode::Quantized replaces the Gaussian draw + conversion
 // with direct alias-method sampling from the quantized clipped-normal
@@ -66,8 +46,8 @@ namespace sfi {
 
 /// How the noise-modulated fault models consume their per-op draws.
 enum class FaultSamplingMode : std::uint8_t {
-    Batched,    ///< the reference draws, bit-identical (block prefetch for
-                ///< B+, on-demand polar halves for C)
+    Batched,    ///< the reference draws, bit-identical (one on-demand
+                ///< polar half per op)
     Quantized,  ///< alias-method sampling ("B-q", "C-q"; not bit-identical)
 };
 
@@ -102,19 +82,14 @@ inline std::uint32_t noise_draw_to_index(double draw, double clip_mv,
     return static_cast<std::uint32_t>(idx);
 }
 
-/// noise_draw_to_index over a block of draws (Rng::normal_fill's output),
-/// in one plain loop the compiler may vectorize.
-void noise_draws_to_indices(const double* draws, std::uint32_t* indices,
-                            std::size_t n, double clip_mv, double clip_v,
-                            std::size_t entries);
-
 /// Decides from a polar half (Rng::PolarHalf) alone, before its factor,
 /// that the draw it stands for lands at or above one row of the
 /// noise-window table: model C builds one per (op class, point) for the
 /// class's first safe row, above which every window is at least the
-/// class's worst window and the op cannot violate. The answer is exact
-/// when it says "at or above"; "cannot tell" is always allowed and sends
-/// the caller to the row itself.
+/// class's worst window and the op cannot violate, and model B+ one per
+/// point for its first row from which no endpoint violates. The answer
+/// is exact when it says "at or above"; "cannot tell" is always allowed
+/// and sends the caller to the row itself.
 ///
 /// The draw is d = 0.0 + sigma * (x * polar_factor(s)), and the safe
 /// draws are those d >= edge for one double `edge` (the index is
@@ -181,74 +156,5 @@ std::vector<double> noise_index_masses(double sigma_mv, double clip_mv,
 /// Vose alias construction over an arbitrary mass vector (must sum to ~1;
 /// thresholds are quantized to Q0.64). Empty input gives an empty table.
 AliasTable build_alias_from_masses(const std::vector<double>& mass);
-
-/// Block buffer of prefetched window-table indices for one fault model
-/// (B+). Value-semantic on purpose: FaultModel::clone() copies it, and a
-/// copy reproduces the identical index stream from the identical Rng.
-class NoiseIndexBatch {
-public:
-    static constexpr std::size_t kMinFill = 16;    ///< first fill of a trial
-    static constexpr std::size_t kMaxFill = 4096;  ///< fill-size cap
-
-    /// (Re)configures for an operating point. A no-op when nothing
-    /// changed (preserves the buffered draws); otherwise gives the
-    /// prefetch's lead back to `rng` (see resync), drops the buffer and
-    /// restarts fills at kMinFill, so a configuration change in
-    /// mid-stream continues exactly where the reference draws would.
-    /// entries == 0 disables the batch (no noise at this point), and so
-    /// does Quantized: its models sample their own alias tables.
-    void configure(double sigma_mv, double clip_mv, double clip_v,
-                   std::size_t entries, FaultSamplingMode mode, Rng& rng);
-
-    /// Trial boundary (call from FaultModel::reseed): drops unconsumed
-    /// draws — unobservable, the trial reseed restarts the stream — and
-    /// resets the fill schedule. Fills grow geometrically from kMinFill
-    /// within a trial, so prefetched-but-discarded normals are bounded by
-    /// the trial's own consumption (trial lengths at a faulting point are
-    /// heavy-tailed; sizing fills from a *previous* trial's demand wastes
-    /// whole blocks of draws after every long trial).
-    void start_trial();
-
-    /// The next table index (Batched only), refilling the block buffer
-    /// from `rng` when it runs dry.
-    std::uint32_t next_index(Rng& rng) {
-        if (pos_ == size_) refill(rng);
-        return indices_[pos_++];
-    }
-
-    /// Buffered-but-unconsumed indices (testing aid).
-    std::size_t pending() const { return size_ - pos_; }
-
-    /// Normals this batch has pulled from its Rng — generated by fills
-    /// plus replayed by a reconfiguration — over its lifetime (testing
-    /// aid: against the draws consumed, it measures the prefetch
-    /// overhead).
-    std::uint64_t normals_drawn() const { return normals_drawn_; }
-
-private:
-    void refill(Rng& rng);
-    /// The first step of every reconfiguration. When the current fill is
-    /// fully consumed the generator already sits where the reference
-    /// draws would put it, and nothing happens; otherwise rewinds `rng`
-    /// to the fill snapshot, replays exactly the draws consumed from this
-    /// fill (bit-identical values, so nothing observable changes), and
-    /// invalidates the remaining prefetch. On return the generator state
-    /// equals the reference's after the same draws.
-    void resync(Rng& rng);
-
-    FaultSamplingMode mode_ = FaultSamplingMode::Batched;
-    double sigma_mv_ = 0.0;
-    double clip_mv_ = 0.0;
-    double clip_v_ = 0.0;
-    std::size_t entries_ = 0;
-
-    std::vector<double> normals_;          // fill scratch (exact mode)
-    std::vector<std::uint32_t> indices_;   // the prefetched indices
-    std::size_t pos_ = 0;                  // next index to hand out
-    std::size_t size_ = 0;                 // valid prefix of indices_
-    std::size_t next_fill_ = kMinFill;     // size of the next refill
-    std::uint64_t normals_drawn_ = 0;      // see normals_drawn()
-    Rng snapshot_;                         // Rng state at fill time
-};
 
 }  // namespace sfi

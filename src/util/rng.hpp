@@ -111,9 +111,10 @@ public:
 
     /// The next normal as its polar half, without the factor: the pending
     /// spare if there is one, else u of a fresh pair, whose (v, s) becomes
-    /// the spare. The one acceptance loop of the polar method; normal()
-    /// and normal_fill() are built on it, so every way of drawing a normal
-    /// consumes the same uniforms and leaves the same spare.
+    /// the spare. The one acceptance loop of the polar method: normal() is
+    /// built on it, and the noise-modulated fault models draw through it
+    /// one half per op, so both consume the same uniforms and leave the
+    /// same spare.
     PolarHalf polar_half() {
         if (have_spare_) {
             have_spare_ = false;
@@ -145,32 +146,6 @@ public:
 
     /// Normal variate with the given mean and standard deviation.
     double normal(double mean, double stddev) { return mean + stddev * normal(); }
-
-    /// Fills out[0..n) with exactly the values n successive calls of
-    /// normal(mean, stddev) would have produced, leaving the generator
-    /// (state words AND the polar spare) in the identical end state.
-    /// This prefix property is what lets the batched fault-sampling path
-    /// (src/fi/sampling_batch.hpp) prefetch a whole block of draws and
-    /// stay bit-identical to the per-op reference draw: the first m <= n
-    /// entries of a fill equal the first m sequential draws, and unused
-    /// entries are simply never consumed (every Monte-Carlo trial reseeds,
-    /// so discarded draws cannot leak into another trial). Unlike n
-    /// normal() calls it takes a fresh pair's second half at once, with
-    /// the factor already computed for the first.
-    void normal_fill(double mean, double stddev, double* out, std::size_t n) {
-        std::size_t i = 0;
-        while (i < n) {
-            const PolarHalf half = polar_half();
-            const double factor = polar_factor(half.s);
-            out[i++] = mean + stddev * (half.x * factor);
-            // A fresh pair left its second half as the spare, with the
-            // same s: use it here unless the fill is complete.
-            if (i < n && have_spare_) {
-                have_spare_ = false;
-                out[i++] = mean + stddev * (spare_.x * factor);
-            }
-        }
-    }
 
     /// Bernoulli trial with probability p of returning true.
     bool chance(double p) {

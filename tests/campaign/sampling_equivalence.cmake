@@ -8,17 +8,19 @@
 #      the worker pool. (That batched draws equal the one-draw-per-op
 #      reference is proven against the oracles in tests/testing/ by the fi
 #      and mc sampling suites.)
-#   2. the quantized variants' streams do not move: fig1 (B-q) and fig4
-#      (C-q) under --fault-sampling quantized write CSVs whose SHA-256
-#      digests are pinned below. Nothing else pins a B-q or C-q byte: the
-#      sampling suites only check that quantized runs are deterministic
-#      and differ from batched ones.
+#   2. the streams do not move. The 1-thread run's fig1 CSVs (model B at
+#      sigma 0, B+ at 10 and 25 mV on the grid around B+'s first fault,
+#      where the safe-row pretest's edge decides most draws) and, under
+#      --fault-sampling quantized, fig1 (B-q) and fig4 (C-q) write CSVs
+#      whose SHA-256 digests are pinned below. Nothing else pins a B-q or
+#      C-q byte: the sampling suites only check that quantized runs are
+#      deterministic and differ from batched ones.
 #   3. "--fault-sampling scalar" exits 2 before any simulation, naming
 #      the two modes.
 #
-# A digest moves only when a quantized stream moves: re-record them with
-# -DPRINT_DIGESTS=ON (prints every CSV's digest, compares none) and say in
-# the change log why the bytes changed. Runs under ctest (label
+# A digest moves only when a stream moves: re-record them with
+# -DPRINT_DIGESTS=ON (prints every pinned CSV's digest, compares none) and
+# say in the change log why the bytes changed. Runs under ctest (label
 # "contract"); by hand:
 #
 #   cmake -DSFI_CAMPAIGN=build/sfi_campaign -DWORK_DIR=/tmp/sampling_eq \
@@ -31,8 +33,16 @@ if(NOT SFI_CAMPAIGN OR NOT WORK_DIR)
                         "-P sampling_equivalence.cmake")
 endif()
 
-# fig1_sigma0 is model B (no noise, so no draw to quantize); the other
-# five are B-q and C-q streams.
+# The batched fig1 streams of the 1-thread run: model B, then B+ at
+# sigma 10 and 25 mV.
+set(expected_t1_fig1_sigma0.csv
+    b008c40903914342b511370f8cc266ccb32e848491060213b09c8bb324806612)
+set(expected_t1_fig1_sigma10.csv
+    60dc3474e39b6a183eb7d260ef740c24ec4e406d5310eaf9f50fb4afbb80a1f7)
+set(expected_t1_fig1_sigma25.csv
+    c56b60673ced9713a6d91d1607c45cd1f58d10dc55725b3d5ee7e87ac60e3c64)
+# Under --fault-sampling quantized: fig1_sigma0 is model B (no noise, so
+# no draw to quantize); the other five are B-q and C-q streams.
 set(expected_q_fig1_sigma0.csv
     b008c40903914342b511370f8cc266ccb32e848491060213b09c8bb324806612)
 set(expected_q_fig1_sigma10.csv
@@ -95,36 +105,39 @@ foreach(run IN LISTS runs)
     endforeach()
 endforeach()
 
-# 2. The quantized streams against their pins.
-run_campaign(quantized --figures fig1,fig4 --threads 4
-             --fault-sampling quantized)
-file(GLOB quantized_csvs RELATIVE "${WORK_DIR}/quantized"
-     "${WORK_DIR}/quantized/*.csv")
+# 2. The streams against their pins: expected_<run>_<name> pins
+# <run>/<name>, and every CSV of the quantized run q has a pin.
+run_campaign(q --figures fig1,fig4 --threads 4 --fault-sampling quantized)
+file(GLOB quantized_csvs RELATIVE "${WORK_DIR}/q" "${WORK_DIR}/q/*.csv")
 set(failures "")
 set(pinned 0)
 foreach(name IN LISTS quantized_csvs)
-    file(SHA256 "${WORK_DIR}/quantized/${name}" digest)
-    if(PRINT_DIGESTS)
-        message(STATUS "set(expected_q_${name}\n    ${digest})")
-    elseif(NOT DEFINED expected_q_${name})
-        string(APPEND failures "\n  quantized/${name}: no pinned digest")
-    elseif(NOT digest STREQUAL "${expected_q_${name}}")
-        string(APPEND failures "\n  quantized/${name}: ${digest} "
-                               "(pinned ${expected_q_${name}})")
-    else()
-        math(EXPR pinned "${pinned} + 1")
+    if(NOT DEFINED expected_q_${name} AND NOT PRINT_DIGESTS)
+        string(APPEND failures "\n  q/${name}: no pinned digest")
     endif()
 endforeach()
 get_cmake_property(variables VARIABLES)
 foreach(variable IN LISTS variables)
-    if(variable MATCHES "^expected_q_(.+)$" AND
-       NOT CMAKE_MATCH_1 IN_LIST quantized_csvs)
-        string(APPEND failures "\n  quantized/${CMAKE_MATCH_1}: not written")
+    if(NOT variable MATCHES "^expected_(t1|q)_(.+)$")
+        continue()
+    endif()
+    set(path "${CMAKE_MATCH_1}/${CMAKE_MATCH_2}")
+    if(NOT EXISTS "${WORK_DIR}/${path}")
+        string(APPEND failures "\n  ${path}: not written")
+        continue()
+    endif()
+    file(SHA256 "${WORK_DIR}/${path}" digest)
+    if(PRINT_DIGESTS)
+        message(STATUS "set(${variable}\n    ${digest})")
+    elseif(NOT digest STREQUAL "${${variable}}")
+        string(APPEND failures "\n  ${path}: ${digest} (pinned ${${variable}})")
+    else()
+        math(EXPR pinned "${pinned} + 1")
     endif()
 endforeach()
 if(failures AND NOT PRINT_DIGESTS)
-    message(FATAL_ERROR "quantized CSVs moved (outputs in "
-                        "${WORK_DIR}/quantized):${failures}")
+    message(FATAL_ERROR "pinned CSVs moved (outputs in ${WORK_DIR}):"
+                        "${failures}")
 endif()
 
 # 3. "scalar" is a bad flag value like any other: exit 2 before any
@@ -145,4 +158,4 @@ endif()
 
 list(LENGTH csvs count)
 message(STATUS "sampling equivalence: ${count} CSVs identical across "
-               "1 and 4 threads, ${pinned} quantized CSVs at their pins")
+               "1 and 4 threads, ${pinned} CSVs at their pins")

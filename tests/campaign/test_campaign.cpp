@@ -13,7 +13,9 @@
 //  * a panel at an impossible operating point (frequency or Vdd not
 //    finite and positive, sigma not finite and non-negative, in its base
 //    point, its resolved grid or its PoFF bracket) fails the campaign
-//    before any point is looked up.
+//    before any point is looked up, and so does a CDF panel with a
+//    symbolic grid, a grid frequency or curve Vdd that is not finite and
+//    positive, or a curve bit past the store's endpoints.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -149,6 +151,26 @@ protected:
         bad.name = "bad";
         spoil(bad);
         spec.panels.push_back(bad);
+        expect_campaign_rejected(spec, field);
+    }
+
+    /// The same for a valid two-curve CDF panel named "bad", changed by
+    /// `spoil`, after tiny_campaign's model-C panel.
+    void expect_cdf_rejected(const std::function<void(CdfPanelSpec&)>& spoil,
+                             const std::string& field) {
+        CampaignSpec spec = tiny_campaign();
+        spec.panels.resize(1);
+        CdfPanelSpec bad;
+        bad.name = "bad";
+        bad.curves = {{ExClass::Add, 24, 0.7}, {ExClass::Mul, 3, 0.8}};
+        bad.grid = GridSpec::explicit_values({600.0, 750.0, 900.0});
+        spoil(bad);
+        spec.cdf_panels.push_back(bad);
+        expect_campaign_rejected(spec, field);
+    }
+
+    void expect_campaign_rejected(const CampaignSpec& spec,
+                                  const std::string& field) {
         const std::string workspace = "reject" + std::to_string(rejected_++);
         CampaignRunner runner(spec, options(workspace));
         try {
@@ -551,6 +573,40 @@ TEST_F(CampaignTest, RejectsAnImpossiblePoffBracketBeforeAnyPoint) {
             [&](PanelSpec& p) { p.poff = PoffSearchSpec{0.9, bad, 2.0, 4}; },
             "PoFF bracket high edge [MHz]");
     }
+}
+
+TEST_F(CampaignTest, RejectsASymbolicCdfGridBeforeAnyPoint) {
+    // A CDF panel has no base point or model to resolve these against.
+    for (const GridSpec& grid : {GridSpec::sta_linspace(1.0, 1.2, 3),
+                                 GridSpec::first_fault_window(1.0, 2.0, 0.5)})
+        expect_cdf_rejected([&](CdfPanelSpec& p) { p.grid = grid; },
+                            "grid must be Explicit or Linspace");
+}
+
+TEST_F(CampaignTest, RejectsAnImpossibleCdfGridFrequencyBeforeAnyPoint) {
+    for (const double bad : {-600.0, 0.0, kNaN, kInf})
+        expect_cdf_rejected(
+            [&](CdfPanelSpec& p) {
+                p.grid = GridSpec::explicit_values({600.0, bad});
+            },
+            "grid frequency [MHz]");
+    expect_cdf_rejected(
+        [](CdfPanelSpec& p) { p.grid = GridSpec::linspace(-600.0, 900.0, 3); },
+        "grid frequency [MHz]");
+}
+
+TEST_F(CampaignTest, RejectsAnImpossibleCdfCurveVddBeforeAnyPoint) {
+    for (const double bad : {-0.7, 0.0, kNaN, kInf})
+        expect_cdf_rejected([&](CdfPanelSpec& p) { p.curves[1].vdd = bad; },
+                            "curve Vdd [V]");
+}
+
+TEST_F(CampaignTest, RejectsACdfCurveBitPastTheStoreBeforeAnyPoint) {
+    CampaignRunner runner(tiny_campaign(), RunOptions{});
+    const std::size_t endpoints = runner.core().cdfs()->endpoint_count();
+    for (const std::size_t bad : {endpoints, std::size_t{40}})
+        expect_cdf_rejected([&](CdfPanelSpec& p) { p.curves[1].bit = bad; },
+                            "curve bit " + std::to_string(bad));
 }
 
 }  // namespace

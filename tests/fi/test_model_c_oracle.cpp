@@ -69,9 +69,10 @@ void expect_same_stats(const FiStats& a, const FiStats& b,
     EXPECT_EQ(a.corrupted_ops, b.corrupted_ops) << where;
 }
 
-/// One stream: A, then B (other frequency AND other noise, so the draw
-/// batch is reconfigured mid-stream), back to A, then a clone of the
-/// model carries on, then a probed stretch. Returns the injections.
+/// One stream: A, then B (other frequency AND other noise, so the point's
+/// tables and pretests are rebuilt mid-stream), back to A, then a clone
+/// of the model carries on, then a probed stretch. Returns the
+/// injections.
 std::uint64_t differential_stream(double freq_mhz, double sigma_mv,
                                   FaultPolicy policy, std::uint64_t seed) {
     const std::string where =
@@ -125,9 +126,10 @@ std::uint64_t differential_stream(double freq_mhz, double sigma_mv,
     }
 
     expect_same_stats(model->stats(), oracle.stats(), where);
-    // Batched mode runs ahead of the reference stream by its prefetch; a
-    // switch to Quantized first gives that lead back, after which the
-    // generators must agree to the bit.
+    // Model C draws on demand, so its generator never runs ahead of the
+    // reference's: the two agree to the bit, and a switch to Quantized
+    // draws nothing.
+    EXPECT_TRUE(model->rng() == oracle.rng()) << where;
     model->set_sampling_mode(FaultSamplingMode::Quantized);
     EXPECT_TRUE(model->rng() == oracle.rng()) << where;
     return oracle.stats().injections;

@@ -1,7 +1,7 @@
-// Model C's on-demand noise draw (fi/sampling_batch.hpp):
+// The on-demand noise draw of models B+ and C (fi/sampling_batch.hpp):
 //
 //  * Rng::polar_half() times Rng::polar_factor reproduces normal() and
-//    normal_fill() draw for draw (pinned by golden values), and
+//    normal(0, sigma) draw for draw (pinned by golden values), and
 //    Rng::operator== still means "the same stream from here on", polar
 //    spare included;
 //  * SafeRowPretest answers "at or above the first safe row" only when
@@ -10,7 +10,7 @@
 //    the edge and of relative steps 2^-24 .. 2^-44 from it (the limit
 //    s_limit sits among them, its rounding margin is 2^-32), plus random
 //    halves, over many (first safe row, sigma, clip) triples. The exact
-//    row is noise_draw_to_index of the very draw model C computes
+//    row is noise_draw_to_index of the very draw the models compute
 //    (NoiseModulatedModel::noise_row);
 //  * the sign test serves only edges at or below 0 mV, the magnitude
 //    test only edges below it, and the always/never corners hold.
@@ -18,7 +18,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,19 +47,17 @@ TEST(PolarHalf, TimesItsFactorReproducesNormal) {
     }
 }
 
-TEST(PolarHalf, TimesItsFactorReproducesNormalFill) {
+TEST(PolarHalf, TimesItsFactorReproducesAScaledNormal) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{6},
                                 std::size_t{33}}) {
-        Rng halves(5), fill(5);
-        std::vector<double> filled(n);
-        fill.normal_fill(0.0, 10.0, filled.data(), n);
+        Rng halves(5), normals(5);
         for (std::size_t i = 0; i < n; ++i) {
             const Rng::PolarHalf half = halves.polar_half();
             ASSERT_EQ(0.0 + 10.0 * (half.x * Rng::polar_factor(half.s)),
-                      filled[i])
+                      normals.normal(0.0, 10.0))
                 << "n=" << n << " draw " << i;
         }
-        EXPECT_TRUE(halves == fill) << "n=" << n;
+        EXPECT_TRUE(halves == normals) << "n=" << n;
     }
 }
 
@@ -74,13 +71,12 @@ TEST(PolarHalf, GoldenNormalsAtAFixedSeed) {
                               0x1.28d70b42bf06ap+0,  -0x1.65d7c7973b49ap-3};
     Rng rng(2016);
     for (const double expected : golden) ASSERT_EQ(rng.normal(), expected);
-    const double golden_fill[5] = {0x1.70b80453934d7p+2, 0x1.11ab42385bb47p+3,
-                                   0x1.b9adb88babc0ap+2, 0x1.a425dff5143b1p+3,
-                                   0x1.10d16a52c8b22p-1};
-    Rng fill_rng(2016);
-    double filled[5];
-    fill_rng.normal_fill(0.0, 10.0, filled, 5);
-    for (std::size_t i = 0; i < 5; ++i) ASSERT_EQ(filled[i], golden_fill[i]);
+    const double golden_scaled[5] = {
+        0x1.70b80453934d7p+2, 0x1.11ab42385bb47p+3, 0x1.b9adb88babc0ap+2,
+        0x1.a425dff5143b1p+3, 0x1.10d16a52c8b22p-1};
+    Rng scaled_rng(2016);
+    for (const double expected : golden_scaled)
+        ASSERT_EQ(scaled_rng.normal(0.0, 10.0), expected);
 }
 
 TEST(PolarHalf, EqualityMeansTheSameStreamSpareIncluded) {
@@ -326,20 +322,6 @@ TEST(SafeRowPretest, CornersAlwaysAndNever) {
         EXPECT_TRUE(degenerate_safe.passes(half));
         EXPECT_FALSE(degenerate_unsafe.passes(half));
     }
-}
-
-TEST(SafeRowPretest, BlockConversionLoopsOverTheScalarOne) {
-    const Noise noise(25.0, 2.0, 1025);
-    Rng rng(31);
-    std::vector<double> draws(513);
-    rng.normal_fill(0.0, 25.0, draws.data(), draws.size());
-    draws.push_back(std::numeric_limits<double>::max());
-    draws.push_back(-std::numeric_limits<double>::max());
-    std::vector<std::uint32_t> indices(draws.size());
-    noise_draws_to_indices(draws.data(), indices.data(), draws.size(),
-                           noise.clip_mv, noise.clip_v, 1025);
-    for (std::size_t i = 0; i < draws.size(); ++i)
-        ASSERT_EQ(indices[i], noise.row_of_draw(draws[i])) << "draw " << i;
 }
 
 }  // namespace

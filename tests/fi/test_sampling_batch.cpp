@@ -1,22 +1,21 @@
-// Contracts of the batched fault-sampling pipeline (fi/sampling_batch.*)
-// against the one-draw-per-op reference (tests/testing/reference_noise.hpp):
+// Contracts of the fault-sampling pipeline (fi/sampling_batch.*) against
+// the one-draw-per-op reference (tests/testing/reference_noise.hpp):
 //
 //  * the reference noise_table_index rounds at the exact boundaries
 //    (half-steps round up, clip_v <= 0 degenerates to the middle entry,
 //    2-entry tables);
-//  * the block conversion is elementwise bit-identical to the reference
-//    VddNoise::draw + noise_table_index;
-//  * NoiseIndexBatch reproduces the reference index stream draw for draw
-//    at fixed seeds (golden vectors pin the stream itself against
-//    lockstep drift), its fills grow to kMaxFill, and a mid-stream
-//    reconfiguration leaves the Rng in the reference's state, replaying
-//    only the draws consumed from a partly consumed fill;
+//  * the scalar conversion noise_draw_to_index is bit-identical to the
+//    reference VddNoise::draw + noise_table_index, draw for draw, and
+//    golden vectors pin the reference index stream itself against
+//    lockstep drift;
 //  * the quantized alias tables reproduce the exact clipped-Gaussian bin
 //    masses, and the "B-q" variant separates by fingerprint while Batched
 //    keeps the unsalted one;
 //  * models B+ and C under Batched sampling produce corrupt() streams and
 //    FiStats bit-identical to their reference walks
-//    (tests/testing/reference_model_{b,c}.hpp).
+//    (tests/testing/reference_model_{b,c}.hpp), and B+'s generator equals
+//    the reference walk's after every op in each of its safe-row
+//    pretest's regimes.
 #include "fi/sampling_batch.hpp"
 
 #include <gtest/gtest.h>
@@ -89,7 +88,7 @@ TEST(NoiseTableIndex, ClampsOutOfRangeDraws) {
 }
 
 // ---------------------------------------------------------------------------
-// Block conversion vs the reference draw
+// Scalar conversion vs the reference draw
 // ---------------------------------------------------------------------------
 
 /// The reference stream: one VddNoise::draw + noise_table_index per
@@ -116,60 +115,24 @@ TEST(NoiseDrawsToIndices, ConversionMatchesTheReferencePerElement) {
     const double clip_v = clip_mv * 1e-3;
     const std::size_t n = 4096;
 
-    // Raw (unclamped) normals, exactly as NoiseIndexBatch::refill fills.
+    // Raw (unclamped) normals, one per element.
     Rng rng(77);
-    std::vector<double> draws(n);
-    rng.normal_fill(0.0, config.sigma_mv, draws.data(), n);
-
-    std::vector<std::uint32_t> indices(n);
-    noise_draws_to_indices(draws.data(), indices.data(), n, clip_mv, clip_v,
-                           1025);
     const auto reference = reference_indices(77, config, 1025, n);
     for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(indices[i], reference[i]) << "element " << i;
+        ASSERT_EQ(noise_draw_to_index(rng.normal(0.0, config.sigma_mv),
+                                      clip_mv, clip_v, 1025),
+                  reference[i])
+            << "element " << i;
 }
 
-TEST(NoiseDrawsToIndices, DegenerateClipFillsMiddleEntry) {
-    const double draws[4] = {-50.0, -1.0, 0.0, 50.0};
-    std::uint32_t indices[4] = {9, 9, 9, 9};
-    noise_draws_to_indices(draws, indices, 4, 0.0, 0.0, 1025);
-    for (const std::uint32_t idx : indices) EXPECT_EQ(idx, 512u);
-    noise_draws_to_indices(draws, indices, 4, 0.0, 0.0, 2);
-    for (const std::uint32_t idx : indices) EXPECT_EQ(idx, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// NoiseIndexBatch: bit-identity with the reference stream, golden vectors
-// ---------------------------------------------------------------------------
-
-TEST(NoiseIndexBatch, ReproducesTheReferenceIndexStreamAcrossTrials) {
-    NoiseConfig config;
-    config.sigma_mv = 10.0;
-    config.clip_sigmas = 2.0;
-    const double clip_mv = config.clip_sigmas * config.sigma_mv;
-
-    NoiseIndexBatch batch;
-    Rng unused;  // a fresh batch has no prefetch to give back
-    batch.configure(config.sigma_mv, clip_mv, clip_mv * 1e-3, 1025,
-                    FaultSamplingMode::Batched, unused);
-
-    // Trial lengths straddle the fill schedule (16, 32, 64, ...): short
-    // trials that die inside the first fill, long ones that refill often.
-    const std::size_t trial_draws[] = {3, 17, 16, 200, 1, 4096, 50};
-    std::uint64_t seed = 1000;
-    for (const std::size_t draws : trial_draws) {
-        Rng rng(seed);
-        batch.start_trial();
-        const auto reference =
-            reference_indices(seed, config, 1025, draws);
-        for (std::size_t i = 0; i < draws; ++i)
-            ASSERT_EQ(batch.next_index(rng), reference[i])
-                << "trial seed " << seed << " draw " << i;
-        ++seed;
+TEST(NoiseDrawsToIndices, DegenerateClipMapsToMiddleEntry) {
+    for (const double draw : {-50.0, -1.0, 0.0, 50.0}) {
+        EXPECT_EQ(noise_draw_to_index(draw, 0.0, 0.0, 1025), 512u);
+        EXPECT_EQ(noise_draw_to_index(draw, 0.0, 0.0, 2), 1u);
     }
 }
 
-TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
+TEST(NoiseDrawsToIndices, GoldenIndexVectorsAtFixedSeeds) {
     // Pinned reference streams: a change that altered BOTH paths in
     // lockstep would pass the differential tests above but break these
     // committed vectors (and with them every stored experiment).
@@ -189,90 +152,14 @@ TEST(NoiseIndexBatch, GoldenIndexVectorsAtFixedSeeds) {
     EXPECT_EQ(reference_indices(2026, c2, 33, 12),
               std::vector<std::uint32_t>(golden_33, golden_33 + 12));
 
-    // And the batch replays them identically.
-    NoiseIndexBatch batch;
+    // And the models' draw, a polar half times its factor, lands on them.
     Rng rng(123);
-    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
-    batch.start_trial();
-    for (const std::uint32_t expected : golden_1025)
-        ASSERT_EQ(batch.next_index(rng), expected);
-}
-
-// Draw accounting: what the batch pulls from the Rng (fills plus replays,
-// normals_drawn()) against what the model consumes.
-
-TEST(NoiseIndexBatch, FillsGrowToTheCap) {
-    NoiseIndexBatch batch;
-    Rng rng(11);
-    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
-    batch.start_trial();
-    std::size_t largest_fill = 0;
-    const std::size_t draws = 3 * NoiseIndexBatch::kMaxFill;
-    for (std::size_t i = 0; i < draws; ++i) {
-        const bool refills = batch.pending() == 0;
-        batch.next_index(rng);
-        if (refills) largest_fill = std::max(largest_fill, batch.pending() + 1);
-    }
-    EXPECT_EQ(largest_fill, NoiseIndexBatch::kMaxFill);
-    // Without reconfigurations nothing is replayed: every normal drawn
-    // was handed out or still sits in the last fill.
-    EXPECT_EQ(batch.normals_drawn(), draws + batch.pending());
-}
-
-TEST(NoiseIndexBatch, ReconfiguringMidStreamGivesThePrefetchBack) {
-    // A point change in mid-stream (new sigma) drops the prefetch; the
-    // generator must first return to the reference's state, so the
-    // stream continues exactly as the reference's would.
-    NoiseIndexBatch batch;
-    Rng rng(42);
-    Rng scalar(42);
-    batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched, rng);
-    batch.start_trial();
-    const VddNoise noise10(NoiseConfig{10.0, 2.0});
-    for (int i = 0; i < 5; ++i)
-        ASSERT_EQ(batch.next_index(rng),
-                  noise_table_index(0.02, noise10.draw(scalar), 1025));
-    ASSERT_GT(batch.pending(), 0u);
-    batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched, rng);
-    EXPECT_TRUE(rng == scalar);
-    const VddNoise noise25(NoiseConfig{25.0, 2.0});
-    for (int i = 0; i < 40; ++i)
-        ASSERT_EQ(batch.next_index(rng),
-                  noise_table_index(0.05, noise25.draw(scalar), 1025))
-            << "draw " << i << " after the reconfiguration";
-}
-
-TEST(NoiseIndexBatch, ReconfiguringReplaysOnlyAPartlyConsumedFill) {
-    // A fill consumed to its end left the generator where the reference's
-    // is, so a reconfiguration replays nothing; a partly consumed one is
-    // rewound and its consumed draws replayed, nothing more. Either way
-    // the next fill starts at kMinFill again.
-    const VddNoise noise10(NoiseConfig{10.0, 2.0});
-    const VddNoise noise25(NoiseConfig{25.0, 2.0});
-    for (const std::size_t consumed :
-         {NoiseIndexBatch::kMinFill, NoiseIndexBatch::kMinFill + 5}) {
-        NoiseIndexBatch batch;
-        Rng rng(7);
-        Rng scalar(7);
-        batch.configure(10.0, 20.0, 0.02, 1025, FaultSamplingMode::Batched,
-                        rng);
-        batch.start_trial();
-        for (std::size_t i = 0; i < consumed; ++i)
-            ASSERT_EQ(batch.next_index(rng),
-                      noise_table_index(0.02, noise10.draw(scalar), 1025));
-        const std::uint64_t filled = batch.normals_drawn();
-        const std::size_t from_last_fill =
-            consumed - NoiseIndexBatch::kMinFill;
-        batch.configure(25.0, 50.0, 0.05, 1025, FaultSamplingMode::Batched,
-                        rng);
-        EXPECT_TRUE(rng == scalar) << "consumed " << consumed;
-        EXPECT_EQ(batch.normals_drawn(), filled + from_last_fill)
-            << "consumed " << consumed;
-        EXPECT_EQ(batch.pending(), 0u);
-        ASSERT_EQ(batch.next_index(rng),
-                  noise_table_index(0.05, noise25.draw(scalar), 1025));
-        EXPECT_EQ(batch.pending() + 1, NoiseIndexBatch::kMinFill)
-            << "consumed " << consumed;
+    for (const std::uint32_t expected : golden_1025) {
+        const Rng::PolarHalf half = rng.polar_half();
+        ASSERT_EQ(noise_draw_to_index(
+                      0.0 + 10.0 * (half.x * Rng::polar_factor(half.s)), 20.0,
+                      0.02, 1025),
+                  expected);
     }
 }
 
@@ -421,6 +308,17 @@ OperatingPoint noisy_point(double freq_mhz, double sigma_mv) {
     return p;
 }
 
+/// The i-th ALU op of a synthetic stream that cycles add, mul and cmp.
+ExEvent stream_event(std::size_t i) {
+    const ExClass cls = (i % 3 == 0)   ? ExClass::Add
+                        : (i % 3 == 1) ? ExClass::Mul
+                                       : ExClass::Cmp;
+    return make_event(cls, static_cast<std::uint32_t>(0x9e3779b9u * i),
+                      static_cast<std::uint32_t>(i), 0xffffffffu);
+}
+
+constexpr std::uint32_t kCorrect = 0xAAAA5555u;
+
 /// Runs `trials` reseeded trials of `ops` ALU ops each through `model`
 /// and folds every corrupt() output plus the final stats into one
 /// signature — any single-bit divergence between two models changes it.
@@ -435,13 +333,7 @@ std::uint64_t corrupt_stream_signature(FaultModel& model, std::size_t trials,
         model.reseed(1000 + t);
         for (std::size_t i = 0; i < ops; ++i) {
             model.on_cycle(true);
-            const ExClass cls = (i % 3 == 0) ? ExClass::Add
-                                : (i % 3 == 1) ? ExClass::Mul
-                                               : ExClass::Cmp;
-            mix(model.on_ex_result(
-                make_event(cls, static_cast<std::uint32_t>(0x9e3779b9u * i),
-                           static_cast<std::uint32_t>(i), 0xffffffffu),
-                0xAAAA5555u));
+            mix(model.on_ex_result(stream_event(i), kCorrect));
         }
     }
     mix(model.stats().injections);
@@ -457,23 +349,94 @@ std::unique_ptr<FaultModel> reference_model_b() {
 }
 
 TEST(SamplingModeDifferential, ModelBPlusBatchedMatchesTheReferenceWalk) {
-    // Just below the STA limit with noise: faulting yet not saturated —
-    // the regime where the draw stream actually steers outcomes.
-    const double fsta = shared_core().sta_fmax_mhz(0.7);
+    // B+ takes one polar half per op and settles it with its safe-row
+    // pretest where it can. Every trial walks the pretest's three regimes
+    // at sigma 10 and 25 mV, changing the point in mid-trial: every row
+    // safe (below B+'s first fault), the first safe row interior (just
+    // above it, where the pretest's edge sits near -clip, and just below
+    // model B's first fault, where it sits just below 0 mV), and no row
+    // safe. After every op the latched value and the generator must equal
+    // the reference walk's: B+ never runs ahead of it.
+    enum class Regime { EveryRowSafe, InteriorSafeRow, NoRowSafe };
+    struct Leg {
+        OperatingPoint point;
+        Regime regime;
+        FiStats seen;  // this leg's share of the model's stats
+    };
+    auto model = shared_core().make_model_b();
     auto reference = reference_model_b();
-    auto batched_model = shared_core().make_model_b();
-    ASSERT_EQ(batched_model->sampling_mode(), FaultSamplingMode::Batched);
-    reference->set_operating_point(noisy_point(fsta * 0.97, 10.0));
-    batched_model->set_operating_point(noisy_point(fsta * 0.97, 10.0));
-    EXPECT_EQ(corrupt_stream_signature(*reference, 40, 500),
-              corrupt_stream_signature(*batched_model, 40, 500));
-    EXPECT_GT(reference->stats().injections, 0u)
-        << "operating point too safe: the differential proved nothing";
-    // A new noise level reconfigures the batch, which first gives its
-    // prefetch back: the generators then agree to the bit.
-    reference->set_operating_point(noisy_point(fsta * 0.97, 25.0));
-    batched_model->set_operating_point(noisy_point(fsta * 0.97, 25.0));
-    EXPECT_TRUE(batched_model->rng() == reference->rng());
+    ASSERT_EQ(model->sampling_mode(), FaultSamplingMode::Batched);
+    const auto first_fault = [&](const OperatingPoint& point) {
+        model->set_operating_point(point);
+        return model->first_fault_frequency_mhz();
+    };
+    std::vector<Leg> legs;
+    for (const double sigma : {10.0, 25.0}) {
+        const OperatingPoint noisy = noisy_point(700.0, sigma);
+        // The first fault of the -clip row (B+'s), of the middle row
+        // (model B's) and of the +clip row (model B's at vdd + clip).
+        OperatingPoint top = noisy_point(700.0, 0.0);
+        top.vdd += noisy.noise.clip_sigmas * sigma * 1e-3;
+        const double lowest = first_fault(noisy);
+        const double middle = first_fault(noisy_point(700.0, 0.0));
+        const double highest = first_fault(top);
+        legs.push_back({noisy_point(lowest * 0.99, sigma),
+                        Regime::EveryRowSafe, {}});
+        legs.push_back({noisy_point(lowest * 1.005, sigma),
+                        Regime::InteriorSafeRow, {}});
+        legs.push_back({noisy_point(middle * 0.995, sigma),
+                        Regime::InteriorSafeRow, {}});
+        legs.push_back({noisy_point(highest * 1.01, sigma),
+                        Regime::NoRowSafe, {}});
+    }
+    for (std::size_t trial = 0; trial < 60; ++trial) {
+        model->reseed(1000 + trial);
+        reference->reseed(1000 + trial);
+        for (Leg& leg : legs) {
+            model->set_operating_point(leg.point);
+            reference->set_operating_point(leg.point);
+            const FiStats before = model->stats();
+            for (std::size_t i = 0; i < 200; ++i) {
+                model->on_cycle(true);
+                reference->on_cycle(true);
+                const ExEvent ev = stream_event(i);
+                ASSERT_EQ(model->on_ex_result(ev, kCorrect),
+                          reference->on_ex_result(ev, kCorrect))
+                    << "trial " << trial << " at " << leg.point.freq_mhz
+                    << " MHz, sigma " << leg.point.noise.sigma_mv
+                    << " mV, op " << i;
+                ASSERT_TRUE(model->rng() == reference->rng())
+                    << "trial " << trial << " at " << leg.point.freq_mhz
+                    << " MHz, sigma " << leg.point.noise.sigma_mv
+                    << " mV, op " << i;
+            }
+            leg.seen.alu_ops += model->stats().alu_ops - before.alu_ops;
+            leg.seen.corrupted_ops +=
+                model->stats().corrupted_ops - before.corrupted_ops;
+        }
+    }
+    EXPECT_EQ(model->stats().injections, reference->stats().injections);
+    EXPECT_EQ(model->stats().corrupted_ops, reference->stats().corrupted_ops);
+    EXPECT_EQ(model->stats().alu_ops, reference->stats().alu_ops);
+    EXPECT_EQ(model->stats().fi_cycles, reference->stats().fi_cycles);
+    // Each leg is in the regime it was built for.
+    for (const Leg& leg : legs) {
+        model->set_operating_point(leg.point);
+        const std::uint64_t corrupted = leg.seen.corrupted_ops;
+        switch (leg.regime) {
+            case Regime::EveryRowSafe:
+                EXPECT_FALSE(model->can_inject()) << leg.point.freq_mhz;
+                EXPECT_EQ(corrupted, 0u) << leg.point.freq_mhz;
+                break;
+            case Regime::InteriorSafeRow:
+                EXPECT_GT(corrupted, 0u) << leg.point.freq_mhz;
+                EXPECT_LT(corrupted, leg.seen.alu_ops) << leg.point.freq_mhz;
+                break;
+            case Regime::NoRowSafe:
+                EXPECT_EQ(corrupted, leg.seen.alu_ops) << leg.point.freq_mhz;
+                break;
+        }
+    }
 }
 
 TEST(SamplingModeDifferential, ModelCBatchedMatchesTheReferenceWalk) {

@@ -2,7 +2,7 @@
 // VddNoise draw per op picks a row of the same noise-window table as
 // sfi::ModelB (src/fi/models.hpp); then every endpoint whose STA window
 // exceeds that capture window, most critical first, is injected. No
-// violation-count table, no cumulative masks, no prefetched draws.
+// violation-count table, no cumulative masks, no safe-row pretest.
 // ModelB in Batched mode must be bit-identical to it in everything
 // observable (tests/fi/test_sampling_batch.cpp, tests/mc/
 // test_sampling_modes.cpp): latched values, FiStats and the Rng stream.

@@ -5,7 +5,7 @@
 // One scalar VddNoise draw per op (reference_noise.hpp) picks the capture
 // window; then every endpoint of the op's class, most critical first,
 // evaluates TimingErrorCdfs::violation_prob at that window and flips a
-// Bernoulli coin — no count memo, no prefetched draws, no hoisted views.
+// Bernoulli coin — no count memo, no safe-row pretest, no hoisted views.
 // ModelC in Batched mode must be bit-identical to it in everything
 // observable (tests/fi/test_model_c_oracle.cpp): latched values, FiStats,
 // forensic records and the final Rng state. Speed is a non-goal.

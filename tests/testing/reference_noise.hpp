@@ -2,13 +2,13 @@
 // per call and its round-half-up map onto a noise-window table row — the
 // plainest reading of the paper's per-cycle noise (§3.3, Fig. 3).
 //
-// Model C draws the same way, one value per op, but as the value's polar
-// half (Rng::polar_half), whose factor and row it computes only when the
-// op's class can violate (src/fi/sampling_batch.hpp, SafeRowPretest).
-// Model B+ prefetches blocks of normals and converts them to rows in one
-// pass. Both must hand out exactly the rows, and leave the Rng exactly
-// where, successive VddNoise::draw + noise_table_index calls would
-// (tests/fi/test_sampling_batch.cpp, tests/fi/test_model_c_oracle.cpp).
+// Models B+ and C draw the same way, one value per op, but as the value's
+// polar half (Rng::polar_half), whose factor and row they compute only
+// when the op can violate at the draw's row (src/fi/sampling_batch.hpp,
+// SafeRowPretest). Both must hand out exactly the rows, and leave the
+// Rng exactly where, successive VddNoise::draw + noise_table_index calls
+// would (tests/fi/test_sampling_batch.cpp,
+// tests/fi/test_model_c_oracle.cpp).
 // The reference walks of models B and C (reference_model_b.hpp,
 // reference_model_c.hpp) sample through these two functions.
 #pragma once

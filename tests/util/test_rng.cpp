@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <vector>
 
 namespace sfi {
 namespace {
@@ -125,45 +124,6 @@ TEST(Rng, ForkIsDeterministic) {
     Rng a = base.fork(7);
     Rng b = base.fork(7);
     for (int i = 0; i < 16; ++i) EXPECT_EQ(a(), b());
-}
-
-// normal_fill's prefix property is what keeps the batched fault-sampling
-// path (fi/sampling_batch.hpp) bit-identical to per-op scalar draws: the
-// first m <= n entries of a fill must equal m sequential normal() calls,
-// and the generator (state words AND polar spare cache) must land in the
-// identical end state.
-
-TEST(Rng, NormalFillMatchesSequentialDraws) {
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                                std::size_t{8}, std::size_t{101}}) {
-        Rng fill_rng(55), seq_rng(55);
-        std::vector<double> filled(n);
-        fill_rng.normal_fill(3.0, 1.5, filled.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(filled[i], seq_rng.normal(3.0, 1.5))
-                << "draw " << i << " of n=" << n;
-        // End-state equality, spare cache included: the next draws (odd n
-        // leaves a cached spare, even n does not) and raw words agree.
-        EXPECT_EQ(fill_rng.normal(), seq_rng.normal()) << "n=" << n;
-        EXPECT_EQ(fill_rng(), seq_rng()) << "n=" << n;
-    }
-}
-
-TEST(Rng, NormalFillConsumesAPreexistingSpare) {
-    Rng fill_rng(56), seq_rng(56);
-    // Draw once: the polar method caches its second variate as the spare.
-    ASSERT_EQ(fill_rng.normal(), seq_rng.normal());
-    double filled[3];
-    fill_rng.normal_fill(0.0, 1.0, filled, 3);
-    for (double value : filled) ASSERT_EQ(value, seq_rng.normal());
-    EXPECT_EQ(fill_rng.normal(), seq_rng.normal());
-    EXPECT_EQ(fill_rng(), seq_rng());
-}
-
-TEST(Rng, NormalFillZeroLengthIsANoOp) {
-    Rng fill_rng(57), untouched(57);
-    fill_rng.normal_fill(0.0, 1.0, nullptr, 0);
-    EXPECT_EQ(fill_rng(), untouched());
 }
 
 TEST(Rng, U32UsesFullRange) {
